@@ -439,15 +439,12 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       const int entries = parse_int_flag(flag, value(flag));
       check_config(entries >= 0, "cli: --cache-size must be >= 0");
       options.serve.cache_capacity = static_cast<size_t>(entries);
-    } else if (flag == "--max-connections" || flag == "--max-clients") {
-      // --max-clients is the documented legacy alias from the
-      // thread-per-client era; both feed the one connection cap.
+    } else if (flag == "--max-connections") {
       check_config(options.command == "serve",
-                   str_format("cli: %s only applies to 'bfpp serve'",
-                              flag.c_str()));
+                   "cli: --max-connections only applies to 'bfpp serve'");
       options.serve.max_connections = parse_int_flag(flag, value(flag));
       check_config(options.serve.max_connections >= 1,
-                   str_format("cli: %s must be at least 1", flag.c_str()));
+                   "cli: --max-connections must be at least 1");
     } else if (flag == "--max-inflight-per-client") {
       check_config(
           options.command == "serve",
@@ -462,12 +459,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       options.serve.cache_file = value(flag);
       check_config(!options.serve.cache_file.empty(),
                    "cli: --cache-file expects a path");
-    } else if (flag == "--checkpoint-interval") {
-      check_config(options.command == "serve",
-                   "cli: --checkpoint-interval only applies to 'bfpp serve'");
-      options.serve.checkpoint_interval = parse_int_flag(flag, value(flag));
-      check_config(options.serve.checkpoint_interval >= 1,
-                   "cli: --checkpoint-interval must be at least 1 second");
     } else if (flag == "--output") {
       options.output = value(flag);
       check_config(!options.output.empty(), "cli: --output expects a path");
@@ -496,10 +487,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
   }
   check_config(!(options.json && options.csv),
                "cli: --json and --csv are mutually exclusive");
-  // An interval with nowhere to write would silently checkpoint nothing.
-  check_config(options.serve.checkpoint_interval == 0 ||
-                   !options.serve.cache_file.empty(),
-               "cli: --checkpoint-interval requires --cache-file");
   parse_backend(options.backend);  // reject unknown backends early
   return options;
 }
@@ -620,7 +607,7 @@ std::string cli_usage() {
       "  bfpp compare  [--grid G] [--jobs N] [--backend B] [--json|--csv]\n"
       "  bfpp validate [--jobs N] [--backend B] [--csv]\n"
       "  bfpp serve    [--port N | --stdio] [--cache-size N]\n"
-      "                [--cache-file F] [--checkpoint-interval S]\n"
+      "                [--cache-file F]\n"
       "                [--max-connections N] [--max-inflight-per-client N]\n"
       "                [--jobs N] [--backend B]\n"
       "  bfpp list     [models|clusters|scenarios|all]\n"
@@ -682,19 +669,13 @@ std::string cli_usage() {
       "  --cache-size N      LRU Report cache capacity in entries\n"
       "                      (default 1024; 0 disables caching)\n"
       "  --cache-file F      persist the Report cache to F: loaded on\n"
-      "                      startup, saved after mutating requests and\n"
-      "                      on shutdown (a corrupt file is ignored with\n"
-      "                      a warning)\n"
-      "  --checkpoint-interval S\n"
-      "                      persist the cache from a background thread\n"
-      "                      every S seconds when dirty, instead of after\n"
-      "                      every mutating request (write-heavy\n"
-      "                      workloads; requires --cache-file; the final\n"
-      "                      shutdown save always happens)\n"
+      "                      startup, each new cell appended as it is\n"
+      "                      computed, compacted on shutdown (a corrupt\n"
+      "                      file is ignored with a warning)\n"
       "  --max-connections N concurrent TCP connections (default 1024;\n"
       "                      connections over the cap are rejected with an\n"
       "                      explicit JSON error, not queued in the kernel\n"
-      "                      backlog; --max-clients is the legacy alias)\n"
+      "                      backlog)\n"
       "  --max-inflight-per-client N\n"
       "                      pipelined requests buffered per connection\n"
       "                      before the server stops reading from it\n"

@@ -65,8 +65,7 @@ struct CliOptions {
   // Server mode (serve only). The serve flags parse directly into the
   // api::ServeOptions the Server is constructed from - no duplicated
   // fields: --stdio, --port, --cache-size (ReportCache entries),
-  // --max-connections (--max-clients is the legacy alias),
-  // --max-inflight-per-client, --cache-file, --checkpoint-interval.
+  // --max-connections, --max-inflight-per-client, --cache-file.
   // serve.jobs and serve.run are filled from --jobs/--backend at
   // dispatch, after the whole command line is parsed.
   ServeOptions serve;

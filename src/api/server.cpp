@@ -53,24 +53,30 @@ constexpr int kListenBacklog = 128;
 // and the cap bounds idle threads on huge machines.
 int executor_count() { return std::clamp(ThreadPool::shared().size(), 4, 16); }
 
+// One cache-file entry line: what save() writes per entry and what the
+// journal appends per inserted cell.
+std::string cache_entry_line(const std::string& key, const Report& report) {
+  return "{\"key\":" + json_quote(key) + ",\"report\":" + report.to_wire() +
+         "}\n";
+}
+
+// Opens the cache file for appending ("a": every write lands at the
+// current end); nullptr, after a stderr warning, when it cannot.
+std::FILE* open_journal(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "a");
+  if (file == nullptr) {
+    std::fprintf(stderr, "bfpp serve: cannot append to cache file '%s': %s\n",
+                 path.c_str(), errno_string(errno).c_str());
+  }
+  return file;
+}
+
 }  // namespace
 
 // ---- ReportCache ----
 
 ReportCache::ReportCache(size_t capacity) : capacity_(capacity) {
   counters_.capacity = capacity;
-}
-
-std::optional<Report> ReportCache::get(const std::string& key) {
-  const LockGuard lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++counters_.misses;
-    return std::nullopt;
-  }
-  ++counters_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
-  return it->second->second;
 }
 
 ReportCache::Probe ReportCache::probe_or_lead(const std::string& key) {
@@ -133,14 +139,6 @@ void ReportCache::abandon(const std::string& key) {
   finish_inflight_locked(key, std::nullopt);
 }
 
-void ReportCache::put(const std::string& key, Report report) {
-  if (capacity_ == 0) return;
-  const LockGuard lock(mutex_);
-  const InsertOutcome outcome = insert_locked(key, std::move(report));
-  if (outcome.inserted) ++counters_.insertions;
-  counters_.evictions += outcome.evicted;
-}
-
 ReportCache::InsertOutcome ReportCache::insert_locked(const std::string& key,
                                                       Report report) {
   InsertOutcome outcome;
@@ -164,7 +162,7 @@ ReportCache::InsertOutcome ReportCache::insert_locked(const std::string& key,
 bool ReportCache::save(const std::string& path) const {
   // Copy the entries out under the lock, serialize outside it: to_wire()
   // over the whole cache is the expensive part, and holding the mutex
-  // through it would stall every concurrent session's get/put.
+  // through it would stall every concurrent session's probe/publish.
   std::vector<std::pair<std::string, Report>> entries;
   {
     const LockGuard lock(mutex_);
@@ -175,8 +173,7 @@ bool ReportCache::save(const std::string& path) const {
   std::string out = str_format("{\"bfpp_report_cache\":%d,\"entries\":%zu}\n",
                                kCacheFileVersion, entries.size());
   for (const auto& [key, report] : entries) {
-    out += "{\"key\":" + json_quote(key) + ",\"report\":" + report.to_wire() +
-           "}\n";
+    out += cache_entry_line(key, report);
   }
   if (!serialize::write_file_atomic(path, out)) {
     std::fprintf(stderr, "bfpp serve: cannot persist cache to '%s': %s\n",
@@ -186,11 +183,13 @@ bool ReportCache::save(const std::string& path) const {
   return true;
 }
 
-size_t ReportCache::load(const std::string& path) {
+size_t ReportCache::load(const std::string& path, bool* compact) {
+  if (compact != nullptr) *compact = false;
   if (capacity_ == 0) return 0;  // caching disabled: nothing to warm
   const std::optional<std::string> content = serialize::read_file(path);
   if (!content.has_value()) return 0;  // no snapshot yet: cold start
   const std::vector<std::string> lines = serialize::split_lines(*content);
+  double header_entries = -1;  // absent: never matches a line count
   try {
     check_config(!lines.empty(), "empty file");
     const json::Value header = json::parse(lines[0]);
@@ -198,6 +197,10 @@ size_t ReportCache::load(const std::string& path) {
     check_config(version != nullptr &&
                      version->as_int("bfpp_report_cache") == kCacheFileVersion,
                  "missing or unsupported \"bfpp_report_cache\" version");
+    const json::Value* entries = header.get("entries");
+    if (entries != nullptr && entries->is_number()) {
+      header_entries = entries->as_number();
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr,
                  "bfpp serve: ignoring cache file '%s' (not a bfpp report "
@@ -223,6 +226,12 @@ size_t ReportCache::load(const std::string& path) {
                    "'%s'): %s\n",
                    i + 1, path.c_str(), e.what());
     }
+  }
+  if (compact != nullptr) {
+    const size_t entry_lines = lines.size() - 1;
+    const LockGuard lock(mutex_);
+    *compact = header_entries == static_cast<double>(entry_lines) &&
+               loaded == entry_lines && lru_.size() == entry_lines;
   }
   return loaded;
 }
@@ -691,67 +700,31 @@ std::string rows_response(const std::string& id_echo, const char* type,
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)), cache_(options_.cache_capacity) {
-  if (!options_.cache_file.empty()) {
-    const size_t loaded = cache_.load(options_.cache_file);
-    if (loaded > 0) {
-      std::fprintf(stderr,
-                   "bfpp serve: warmed cache with %zu entr%s from '%s'\n",
-                   loaded, loaded == 1 ? "y" : "ies",
-                   options_.cache_file.c_str());
-    }
+  if (options_.cache_file.empty()) return;
+  bool compact = false;
+  const size_t loaded = cache_.load(options_.cache_file, &compact);
+  if (loaded > 0) {
+    std::fprintf(stderr,
+                 "bfpp serve: warmed cache with %zu entr%s from '%s'\n",
+                 loaded, loaded == 1 ? "y" : "ies",
+                 options_.cache_file.c_str());
   }
-}
-
-Server::~Server() { stop_checkpointer(); }
-
-void Server::checkpoint_loop() {
-  const auto interval = std::chrono::seconds(options_.checkpoint_interval);
-  checkpoint_mutex_.lock();
-  while (!checkpoint_stop_) {
-    // Sleep one full interval, waking early only on stop; a spurious
-    // wake re-sleeps until the deadline.
-    const auto deadline = std::chrono::steady_clock::now() + interval;
-    while (!checkpoint_stop_ &&
-           std::chrono::steady_clock::now() < deadline) {
-      checkpoint_wake_.wait_until(checkpoint_mutex_, deadline);
-    }
-    if (checkpoint_stop_) break;
-    // The save happens off the checkpoint mutex so a concurrent
-    // stop_checkpointer() is never blocked behind disk IO.
-    checkpoint_mutex_.unlock();
-    persist_if_dirty();
-    checkpoint_mutex_.lock();
-  }
-  checkpoint_mutex_.unlock();
-}
-
-void Server::start_checkpointer() {
-  if (options_.cache_file.empty() || options_.checkpoint_interval <= 0) {
+  if (!journaled()) return;
+  const LockGuard lock(journal_mutex_);
+  // A clean snapshot is appended to as it is, so a warm start costs no
+  // rewrite. Anything else - no file, an unreadable one, a journal tail,
+  // torn or duplicate lines, more entries than this capacity keeps - is
+  // compacted first, so appends never land after a torn line.
+  if (!compact) {
+    (void)compact_locked();
     return;
   }
-  // The lifecycle mutex serializes start against a concurrent stop: a
-  // start landing mid-stop must wait for the old thread to be joined,
-  // not resurrect the stop flag under it (which would strand the join).
-  const LockGuard lifecycle(checkpoint_lifecycle_mutex_);
-  const LockGuard lock(checkpoint_mutex_);
-  if (checkpoint_thread_.joinable()) return;  // already running
-  checkpoint_stop_ = false;
-  checkpoint_thread_ = std::thread([this] { checkpoint_loop(); });
+  journal_ = open_journal(options_.cache_file);
 }
 
-void Server::stop_checkpointer() {
-  // Held across the join; checkpoint_loop never takes this mutex, so
-  // the exiting thread can still reacquire checkpoint_mutex_ to leave.
-  const LockGuard lifecycle(checkpoint_lifecycle_mutex_);
-  std::thread thread;
-  {
-    const LockGuard lock(checkpoint_mutex_);
-    if (!checkpoint_thread_.joinable()) return;
-    checkpoint_stop_ = true;
-    thread = std::move(checkpoint_thread_);
-  }
-  checkpoint_wake_.notify_all();
-  thread.join();
+Server::~Server() {
+  const LockGuard lock(journal_mutex_);
+  if (journal_ != nullptr) std::fclose(journal_);
 }
 
 Server::Conn::Conn(net::Stream&& s)
@@ -769,29 +742,42 @@ void Server::request_shutdown() {
 
 bool Server::persist_cache() {
   if (options_.cache_file.empty()) return false;
-  const LockGuard lock(persist_mutex_);
-  // Snapshot the insertion count *before* saving: an insertion racing
-  // with the save stays marked dirty and triggers the next checkpoint.
-  const uint64_t insertions = cache_.stats().insertions;
+  const LockGuard lock(journal_mutex_);
+  return compact_locked();
+}
+
+bool Server::compact_locked() {
+  // Reset even on failure: a failing save is retried after another
+  // capacity's worth of appends, not on every insert.
+  journal_lines_ = 0;
   if (!cache_.save(options_.cache_file)) return false;
-  persisted_insertions_ = insertions;
+  if (!journaled()) return true;
+  // The rename replaced the file the old handle appends to; every later
+  // append goes after the new snapshot.
+  if (journal_ != nullptr) std::fclose(journal_);
+  journal_ = open_journal(options_.cache_file);
   return true;
 }
 
-void Server::persist_if_dirty() {
-  if (options_.cache_file.empty()) return;
-  const LockGuard lock(persist_mutex_);
-  const uint64_t insertions = cache_.stats().insertions;
-  if (insertions == persisted_insertions_) return;
-  if (cache_.save(options_.cache_file)) persisted_insertions_ = insertions;
-}
-
-void Server::persist_after_request() {
-  // With a checkpoint interval configured, periodic saving belongs to
-  // the checkpoint thread: a write-heavy workload then costs one save
-  // per interval, not one per mutating request. Shutdown still saves.
-  if (options_.checkpoint_interval > 0) return;
-  persist_if_dirty();
+void Server::publish(const std::string& key, const Report& report) {
+  if (!journaled()) {
+    cache_.publish(key, report);
+    return;
+  }
+  const std::string line = cache_entry_line(key, report);  // unlocked
+  const LockGuard lock(journal_mutex_);
+  // Append (and flush to the kernel) first, then publish: followers
+  // wake, and the cell becomes a hit, only once its line is in the file.
+  // A kill -9 can tear at most this one line, which load() skips.
+  if (journal_ != nullptr && (std::fputs(line.c_str(), journal_) == EOF ||
+                              std::fflush(journal_) == EOF)) {
+    std::fprintf(stderr, "bfpp serve: cannot append to cache file '%s': %s\n",
+                 options_.cache_file.c_str(), errno_string(errno).c_str());
+  }
+  cache_.publish(key, report);
+  // Compacting at the capacity bounds the file at twice the capacity in
+  // entry lines: at most one full snapshot plus one capacity of appends.
+  if (++journal_lines_ >= options_.cache_capacity) (void)compact_locked();
 }
 
 std::vector<Report> Server::execute(const std::vector<Cell>& cells,
@@ -890,7 +876,7 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
         const size_t i = static_cast<size_t>(owned[static_cast<size_t>(j)]);
         Slot& slot = slots[i];
         slot.report = compute_cell(i);
-        cache_.publish(slot.key, *slot.report);
+        publish(slot.key, *slot.report);
         slot.published = true;
       });
 
@@ -925,7 +911,7 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
       } else {
         slot.leader = true;
         slot.report = compute_cell(i);
-        cache_.publish(slot.key, *slot.report);
+        publish(slot.key, *slot.report);
         slot.published = true;
       }
     }
@@ -1095,7 +1081,6 @@ ServeStats Server::snapshot_stats() const {
 }
 
 int Server::serve_stdio(std::FILE* in, std::FILE* out) {
-  start_checkpointer();
   std::string line;
   while (!shutdown_ && net::read_stdio_line(in, line)) {
     const std::string response = handle(line);
@@ -1103,18 +1088,27 @@ int Server::serve_stdio(std::FILE* in, std::FILE* out) {
       std::fputs(response.c_str(), out);
       std::fflush(out);
     }
-    persist_after_request();
   }
-  stop_checkpointer();
   persist_cache();
   return 0;
 }
 
 void Server::executor_loop() {
+  // The previous request's response, handed back at the top of the next
+  // critical section: one lock round per request covers both the
+  // completion push and the next pop.
+  std::optional<DispatchItem> done;
   while (true) {
     DispatchItem item;
     {
       const LockGuard lock(dispatch_mutex_);
+      if (done.has_value()) {
+        completions_.push_back(std::move(*done));
+        done.reset();
+        // Signalled before this thread may block on dispatch_ready_
+        // below; the non-blocking pipe write never stalls the lock.
+        wake_.signal();
+      }
       // Plain while-loop, not a predicate lambda: dispatch_queue_ and
       // executors_stop_ are guarded by dispatch_mutex_ and the analysis
       // must see the reads under the held lock.
@@ -1130,17 +1124,11 @@ void Server::executor_loop() {
     }
     metrics_.dispatch_backlog.fetch_sub(1, std::memory_order_relaxed);
     metrics_.executing.fetch_add(1, std::memory_order_relaxed);
-    const std::string response = handle(item.line);
-    persist_after_request();
-    {
-      const LockGuard lock(conn_mutex_);
-      item.conn->outbox += response;
-      item.conn->busy = false;
-    }
+    // The response travels back in place of the request line; the
+    // event loop owns the socket and does the flush.
+    item.line = handle(item.line);
     metrics_.executing.fetch_sub(1, std::memory_order_relaxed);
-    // The event loop owns the socket: hand the response over and wake
-    // its poll() so the flush happens there, never from this thread.
-    wake_.signal();
+    done = std::move(item);
   }
 }
 
@@ -1181,18 +1169,19 @@ void Server::stop_executors() {
 }
 
 int Server::serve_on(net::Listener& listener) {
-  start_checkpointer();
   start_executors();
   int exit_code = 0;
 
-  // The connection registry, owned by this thread. A vector (not an
-  // unordered container) so every sweep below iterates in admission
-  // order - the determinism lint bans unordered iteration feeding
-  // emitters, and poll() fairness does not care.
+  // The connection registry, owned by this thread like every Conn field.
+  // A vector (not an unordered container) so every sweep below iterates
+  // in admission order - the determinism lint bans unordered iteration
+  // feeding emitters, and poll() fairness does not care.
   std::vector<std::shared_ptr<Conn>> conns;
   std::vector<pollfd> fds;
   std::vector<size_t> fd_to_conn;  // fds index -> conns index
-  std::vector<char> closing;       // per-conn close decision, each sweep
+  std::vector<Conn*> writable;     // conns to flush this tick
+  std::deque<DispatchItem> completed;
+  std::vector<DispatchItem> to_dispatch;
   bool draining = false;
 
   while (true) {
@@ -1212,28 +1201,24 @@ int Server::serve_on(net::Listener& listener) {
     fds.push_back({wake_.fd(), POLLIN, 0});
     if (!draining) fds.push_back({listener.fd(), POLLIN, 0});
     const size_t first_conn_fd = fds.size();
-    {
-      const LockGuard lock(conn_mutex_);
-      for (size_t i = 0; i < conns.size(); ++i) {
-        Conn& conn = *conns[i];
-        if (conn.dead) continue;
-        const size_t pending = conn.outbox.size() - conn.out_off;
-        const size_t inflight = conn.input.size() + (conn.busy ? 1 : 0);
-        short events = 0;
-        // Backpressure: stop reading from a client that already has its
-        // fair share in flight, or whose unread responses have piled
-        // past the high-water mark - it blocks on its own socket while
-        // everyone else keeps being served.
-        if (!conn.read_eof && !draining && pending < kOutboxHighWater &&
-            inflight <
-                static_cast<size_t>(options_.max_inflight_per_client)) {
-          events |= POLLIN;
-        }
-        if (pending > 0) events |= POLLOUT;
-        if (events == 0) continue;  // progress will come via wake_
-        fds.push_back({conn.stream->fd(), events, 0});
-        fd_to_conn.push_back(i);
+    for (size_t i = 0; i < conns.size(); ++i) {
+      const Conn& conn = *conns[i];
+      if (conn.dead) continue;
+      const size_t pending = conn.outbox.size() - conn.out_off;
+      const size_t inflight = conn.input.size() + (conn.busy ? 1 : 0);
+      short events = 0;
+      // Backpressure: stop reading from a client that already has its
+      // fair share in flight, or whose unread responses have piled past
+      // the high-water mark - it blocks on its own socket while everyone
+      // else keeps being served.
+      if (!conn.read_eof && !draining && pending < kOutboxHighWater &&
+          inflight < static_cast<size_t>(options_.max_inflight_per_client)) {
+        events |= POLLIN;
       }
+      if (pending > 0) events |= POLLOUT;
+      if (events == 0) continue;  // progress will come via wake_
+      fds.push_back({conn.stream->fd(), events, 0});
+      fd_to_conn.push_back(i);
     }
 
     // Finite timeout: the stalled-writer clock below must keep ticking
@@ -1247,13 +1232,33 @@ int Server::serve_on(net::Listener& listener) {
         shutdown_ = true;
       }
     }
-    if ((fds[0].revents & POLLIN) != 0) wake_.drain();
+
+    // ---- Completions: responses handed back by the executors ----
+    // Executors push before they signal, so every completion behind a
+    // drained wake byte is visible once the lock is taken; one pushed
+    // later leaves a fresh byte for the next poll().
+    writable.clear();
+    if ((fds[0].revents & POLLIN) != 0) {
+      wake_.drain();
+      {
+        const LockGuard lock(dispatch_mutex_);
+        completed.swap(completions_);
+      }
+      for (DispatchItem& done : completed) {
+        done.conn->outbox += done.line;
+        done.conn->busy = false;
+        writable.push_back(done.conn.get());  // flush without a poll trip
+      }
+    }
 
     // ---- Read: parse complete request lines off readable sockets ----
     for (size_t fi = first_conn_fd; fi < fds.size(); ++fi) {
+      Conn& conn = *conns[fd_to_conn[fi - first_conn_fd]];
+      if ((fds[fi].revents & (POLLOUT | POLLERR | POLLHUP)) != 0) {
+        writable.push_back(&conn);
+      }
       if ((fds[fi].events & POLLIN) == 0) continue;
       if ((fds[fi].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-      Conn& conn = *conns[fd_to_conn[fi - first_conn_fd]];
       const net::IoStatus status = conn.stream->fill();
       if (status == net::IoStatus::kError) {
         conn.dead = true;
@@ -1262,6 +1267,13 @@ int Server::serve_on(net::Listener& listener) {
       std::string line;
       while (conn.stream->next_line(line)) {
         conn.input.push_back(std::move(line));
+      }
+      if (conn.stream->buffered() > kMaxRequestLineBytes) {
+        // Stop reading; the requests before the overlong line are still
+        // answered, then one error line, then the close.
+        conn.overlong = true;
+        conn.read_eof = true;
+        continue;
       }
       if (status == net::IoStatus::kEof) {
         conn.read_eof = true;
@@ -1312,70 +1324,74 @@ int Server::serve_on(net::Listener& listener) {
       }
     }
 
-    // ---- Dispatch, flush, classify: the one locked pass per tick ----
-    std::vector<DispatchItem> to_dispatch;
-    closing.assign(conns.size(), 0);
+    // ---- Flush: only connections with a completion or POLLOUT ----
+    for (Conn* conn : writable) {
+      if (conn->dead || conn->out_off == conn->outbox.size()) continue;
+      if (conn->stream->write_some(conn->outbox, conn->out_off) ==
+          net::IoStatus::kError) {
+        conn->dead = true;  // peer vanished mid-response
+      } else if (conn->out_off == conn->outbox.size()) {
+        conn->outbox.clear();
+        conn->out_off = 0;
+      } else if (conn->out_off >= kOutboxHighWater) {
+        conn->outbox.erase(0, conn->out_off);
+        conn->out_off = 0;
+      }
+    }
+    completed.clear();  // after the flush: it kept `writable` alive
+
+    // ---- Dispatch, stall clock, close, classify: one unlocked pass ----
+    to_dispatch.clear();
     int reading = 0;
     int processing = 0;
     int writing = 0;
-    {
-      const LockGuard lock(conn_mutex_);
-      for (size_t i = 0; i < conns.size(); ++i) {
-        Conn& conn = *conns[i];
-        // One request per connection in flight at a time: responses
-        // come back in request order with no per-connection reordering
-        // machinery, and one client cannot flood the dispatch queue.
-        if (!conn.dead && !conn.busy && !conn.input.empty()) {
-          conn.busy = true;
-          to_dispatch.push_back({conns[i], std::move(conn.input.front())});
-          conn.input.pop_front();
-        }
-        size_t pending = conn.outbox.size() - conn.out_off;
-        if (!conn.dead && pending > 0) {
-          const net::IoStatus status =
-              conn.stream->write_some(conn.outbox, conn.out_off);
-          if (status == net::IoStatus::kError) {
-            conn.dead = true;  // peer vanished mid-response
-          } else if (conn.out_off == conn.outbox.size()) {
-            conn.outbox.clear();
-            conn.out_off = 0;
-            conn.stalled = false;
-          } else {
-            pending = conn.outbox.size() - conn.out_off;
-            const auto now = std::chrono::steady_clock::now();
-            if (!conn.stalled || pending != conn.last_pending) {
-              // (Re)arm the stall clock on any change in the backlog -
-              // drained bytes or a freshly appended response both count
-              // as signs of life.
-              conn.stalled = true;
-              conn.last_pending = pending;
-              conn.stalled_since = now;
-            } else if (now - conn.stalled_since >=
-                       std::chrono::seconds(kSendTimeoutSeconds)) {
-              conn.dead = true;  // peer stopped reading entirely
-            }
-            if (conn.out_off >= kOutboxHighWater) {
-              conn.outbox.erase(0, conn.out_off);
-              conn.out_off = 0;
-            }
-          }
-        }
-        const size_t left = conn.dead ? 0 : conn.outbox.size() - conn.out_off;
-        if (conn.dead ||
-            ((conn.read_eof || draining) && !conn.busy &&
-             conn.input.empty() && left == 0)) {
-          closing[i] = 1;
-          continue;
-        }
-        if (conn.busy) {
-          ++processing;
-        } else if (left > 0) {
-          ++writing;
-        } else {
-          ++reading;
-        }
+    size_t kept = 0;
+    const auto now = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < conns.size(); ++i) {
+      Conn& conn = *conns[i];
+      // One request per connection in flight at a time: responses come
+      // back in request order with no per-connection reordering
+      // machinery, and one client cannot flood the dispatch queue.
+      if (!conn.dead && !conn.busy && !conn.input.empty()) {
+        conn.busy = true;
+        to_dispatch.push_back({conns[i], std::move(conn.input.front())});
+        conn.input.pop_front();
       }
+      if (conn.overlong && !conn.busy && conn.input.empty()) {
+        conn.overlong = false;
+        conn.outbox += error_line(
+            "", str_format("serve: request line exceeds %zu bytes without "
+                           "a newline; closing the connection",
+                           kMaxRequestLineBytes));
+      }
+      const size_t left = conn.dead ? 0 : conn.outbox.size() - conn.out_off;
+      if (left == 0) {
+        conn.stalled = false;
+      } else if (!conn.stalled || left != conn.last_pending) {
+        // (Re)arm the stall clock on any change in the backlog - drained
+        // bytes or a freshly appended response both count as signs of
+        // life.
+        conn.stalled = true;
+        conn.last_pending = left;
+        conn.stalled_since = now;
+      } else if (now - conn.stalled_since >=
+                 std::chrono::seconds(kSendTimeoutSeconds)) {
+        conn.dead = true;  // peer stopped reading entirely
+      }
+      if (conn.dead || ((conn.read_eof || draining) && !conn.busy &&
+                        conn.input.empty() && left == 0)) {
+        continue;  // dropped from the registry: the socket closes
+      }
+      if (conn.busy) {
+        ++processing;
+      } else if (left > 0) {
+        ++writing;
+      } else {
+        ++reading;
+      }
+      conns[kept++] = std::move(conns[i]);
     }
+    conns.resize(kept);
     if (!to_dispatch.empty()) {
       metrics_.dispatch_backlog.fetch_add(to_dispatch.size(),
                                           std::memory_order_relaxed);
@@ -1385,16 +1401,12 @@ int Server::serve_on(net::Listener& listener) {
           dispatch_queue_.push_back(std::move(item));
         }
       }
-      dispatch_ready_.notify_all();
+      // One wake per request: waking every idle executor for a single
+      // item only has them contend for dispatch_mutex_ and sleep again.
+      for (size_t k = 0; k < to_dispatch.size(); ++k) {
+        dispatch_ready_.notify_one();
+      }
     }
-
-    // ---- Close sweep (outside conn_mutex_: destroying a Stream is a
-    // syscall) and gauge refresh ----
-    size_t kept = 0;
-    for (size_t i = 0; i < conns.size(); ++i) {
-      if (closing[i] == 0) conns[kept++] = std::move(conns[i]);
-    }
-    conns.resize(kept);
     metrics_.active.store(static_cast<int>(conns.size()),
                           std::memory_order_relaxed);
     metrics_.reading.store(reading, std::memory_order_relaxed);
@@ -1403,7 +1415,12 @@ int Server::serve_on(net::Listener& listener) {
   }
 
   stop_executors();
-  stop_checkpointer();
+  {
+    // Responses for connections that died mid-request: release them
+    // (and the sockets they keep open) now, not at the next serve_on.
+    const LockGuard lock(dispatch_mutex_);
+    completions_.clear();
+  }
   persist_cache();
   return exit_code;
 }

@@ -22,12 +22,15 @@
 // connects get an explicit JSON error, counted in `rejected`), and
 // per-connection fairness stops reading from a client with
 // --max-inflight-per-client requests pending (backpressure instead of
-// unbounded queueing). Executor threads only run handle(); all
-// computation funnels through the shared ThreadPool exactly as in
-// single-client mode, so concurrent clients share one thread budget
-// instead of oversubscribing the machine. handle() is fully
-// thread-safe, and a `metrics` request exposes latency histograms,
-// queue depths and connection-state counts (see ServeStats).
+// unbounded queueing). Executor threads only run handle() and hand each
+// response back through a completion queue, so the loop thread alone
+// owns every connection's state; all computation funnels through the
+// shared ThreadPool exactly as in single-client mode, so concurrent
+// clients share one thread budget instead of oversubscribing the
+// machine. Request lines are capped at kMaxRequestLineBytes. handle()
+// is fully thread-safe, and a `metrics` request exposes latency
+// histograms, queue depths and connection-state counts (see
+// ServeStats).
 //
 // Repeated cells are served from an LRU ReportCache keyed by
 // (model, cluster, config, backend, kernel-override) - the simulator is
@@ -36,13 +39,16 @@
 // cell are single-flighted: one session computes it, the others wait on
 // the in-flight entry and serve the identical bytes (no thundering
 // herd). Cache effectiveness is surfaced by the "stats" request, and
-// --cache-file makes the cache durable across restarts (loaded at
-// startup, persisted after mutating requests - or on a background
-// checkpoint thread with --checkpoint-interval - and on shutdown).
+// --cache-file makes the cache durable across restarts: the file is a
+// snapshot plus an append-only journal. Every inserted cell is appended
+// as one line before any request is answered with it, and the file is
+// compacted back to a plain snapshot on shutdown, by persist_cache(),
+// and whenever the appended lines reach the cache capacity.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -70,9 +76,9 @@ namespace bfpp::api {
 
 // Thread-safe LRU cache of finished Reports. Keys are the canonical
 // strings cache_key() builds; capacity is an entry count (Reports are a
-// few hundred bytes each). get() promotes to most-recently-used; put()
-// evicts from the least-recently-used end once full. save()/load() make
-// the cache durable: a versioned JSON-lines snapshot of every cell,
+// few hundred bytes each). A hit promotes to most-recently-used; an
+// insert evicts from the least-recently-used end once full. save()/load()
+// make the cache durable: a versioned JSON-lines snapshot of every cell,
 // negative (found=false) entries included.
 //
 // The cache is also the single-flight coalescing point: probe_or_lead()
@@ -123,26 +129,19 @@ class ReportCache {
   [[nodiscard]] std::optional<Report> wait(
       const std::shared_ptr<InFlight>& entry);
 
-  // Leader-side completion: inserts the Report under `key` exactly like
-  // put() (no-op at capacity 0), hands it to every follower waiting on
-  // the in-flight entry and retires that entry. Followers are served
-  // from the entry itself, so they receive the result even when the
-  // cache is full or disabled.
+  // Leader-side completion: inserts (or refreshes) the Report under
+  // `key` as the MRU entry, evicting LRU entries beyond capacity (no-op
+  // at capacity 0), hands it to every follower waiting on the in-flight
+  // entry and retires that entry. Followers are served from the entry
+  // itself, so they receive the result even when the cache is full or
+  // disabled. Valid without a preceding probe_or_lead() too: a plain
+  // insert.
   void publish(const std::string& key, Report report);
 
   // Leader-side failure: retires the in-flight entry *without* a result,
   // waking every follower with nullopt so they can retry or re-lead. An
   // errored leader must never leave followers waiting forever.
   void abandon(const std::string& key);
-
-  // The cached Report under `key`, promoting it to MRU; nullopt on miss.
-  // Hit/miss counters update on every call. (Plain lookup: does not
-  // coalesce; the server path uses probe_or_lead.)
-  std::optional<Report> get(const std::string& key);
-
-  // Inserts (or refreshes) `key`. Evicts LRU entries beyond capacity; a
-  // capacity of 0 disables caching entirely.
-  void put(const std::string& key, Report report);
 
   // Serializes every entry to `path` (atomic temp+rename; see
   // common/serialize.h). Line 1 is a versioned header, then one
@@ -151,14 +150,20 @@ class ReportCache {
   // warning on stderr) on IO failure; never throws.
   bool save(const std::string& path) const;
 
-  // Loads a save() snapshot into the cache, preserving recency order and
-  // respecting capacity. Corruption-tolerant: a missing file is a silent
-  // cold start, a bad header ignores the whole file with a stderr
-  // warning, and a corrupt entry line is skipped with a warning - load
-  // never throws. Loaded entries do not count as insertions (the
-  // counters describe this process's traffic). Returns the number of
-  // entries loaded.
-  size_t load(const std::string& path);
+  // Loads a save() snapshot - optionally followed by appended entry
+  // lines, the cache journal - into the cache. Lines replay in file
+  // order as inserts (a repeated key is a refresh), so the snapshot's
+  // recency order is rebuilt and capacity is respected. Corruption-
+  // tolerant: a missing file is a silent cold start, a bad header
+  // ignores the whole file with a stderr warning, and a corrupt or torn
+  // entry line is skipped with a warning - load never throws. Loaded
+  // entries do not count as insertions (the counters describe this
+  // process's traffic). Returns the number of entry lines loaded. When
+  // `compact` is given, sets it to whether the file is exactly one
+  // snapshot of what the cache now holds: a valid header whose
+  // "entries" count matches its entry lines, each of which loaded into
+  // a distinct retained entry.
+  size_t load(const std::string& path, bool* compact = nullptr);
 
   struct Stats {
     size_t entries = 0;
@@ -177,9 +182,9 @@ class ReportCache {
   [[nodiscard]] Stats stats() const;
 
  private:
-  // The one insert/promote/evict LRU body, shared by put() (which turns
-  // the outcome into counter updates) and load() (which deliberately
-  // leaves the counters alone).
+  // The one insert/promote/evict LRU body, shared by publish() (which
+  // turns the outcome into counter updates) and load() (which
+  // deliberately leaves the counters alone).
   struct InsertOutcome {
     bool inserted = false;  // false: an existing key was refreshed
     uint64_t evicted = 0;
@@ -230,10 +235,10 @@ struct ServeOptions {
   int port = 7070;          // TCP port on 127.0.0.1 (0 = ephemeral)
   int jobs = 0;             // default --jobs for requests that set none
   size_t cache_capacity = 1024;  // ReportCache entries (0 disables)
-  // Concurrent TCP connections the event loop admits (--max-connections;
-  // --max-clients is the documented legacy alias). A connection beyond
-  // the cap is answered with one {"ok":false,...} line and closed -
-  // never left to rot invisibly in the kernel backlog - and counted in
+  // Concurrent TCP connections the event loop admits
+  // (--max-connections). A connection beyond the cap is answered with
+  // one {"ok":false,...} line and closed - never left to rot invisibly
+  // in the kernel backlog - and counted in
   // ServeStats::Connections::rejected.
   int max_connections = 1024;
   // Requests one connection may have queued-or-executing before the
@@ -242,15 +247,15 @@ struct ServeOptions {
   // an unbounded server-side queue, and cannot starve quieter clients.
   int max_inflight_per_client = 4;
   std::string cache_file;   // durable cache path ("" = in-memory only)
-  // Seconds between background cache checkpoints. 0 (the default) keeps
-  // the write-through behaviour: the cache is saved after every request
-  // that inserted cells. > 0 moves saving to a dedicated checkpoint
-  // thread that persists the cache every interval iff it is dirty -
-  // write-heavy workloads then pay one save per interval instead of one
-  // per request. The final shutdown save happens in both modes.
-  int checkpoint_interval = 0;
   RunOptions run;           // default backend for requests that set none
 };
+
+// The longest request line a TCP connection may send (1 MiB). A client
+// that buffers more without a newline is answered with one
+// {"ok":false,...} line and closed, so a trickling or hostile client
+// cannot grow server memory without bound. A fixed protocol limit, not
+// an option.
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
 
 // One versioned snapshot of the server's observable state - the shared
 // wire schema behind both the `stats` and the `metrics` response (the
@@ -339,25 +344,16 @@ class Server {
 
   // Initiates an orderly shutdown from any thread: wakes the event
   // loop, which stops accepting and reading, finishes dispatched
-  // requests, flushes every response and persists the cache.
+  // requests, flushes every response and compacts the cache file.
   void request_shutdown();
 
-  // Persists the cache to options.cache_file now (no-op returning false
-  // when no cache file is configured). serve loops call this after
-  // cache-mutating requests and on shutdown; exposed so embedders and
-  // tests can checkpoint explicitly.
-  bool persist_cache();
-
-  // Starts / stops the background checkpoint thread (a no-op unless
-  // both options.cache_file and options.checkpoint_interval are set).
-  // The serve loops bracket their transport loop with these; exposed so
-  // embedders driving handle() directly (and tests) can run the
-  // checkpointer too. stop_checkpointer() joins the thread; the final
-  // shutdown save is the caller's persist_cache(). Both are idempotent.
-  void start_checkpointer()
-      BFPP_EXCLUDES(checkpoint_lifecycle_mutex_, checkpoint_mutex_);
-  void stop_checkpointer()
-      BFPP_EXCLUDES(checkpoint_lifecycle_mutex_, checkpoint_mutex_);
+  // Compacts options.cache_file now: rewrites it as one snapshot of the
+  // cache (atomic temp + rename) and restarts the journal after it.
+  // Returns false when no cache file is configured or the save failed.
+  // Both serve loops call this on shutdown; exposed so embedders and
+  // tests can snapshot explicitly. Inserted cells never wait for it:
+  // handle() journals each one as it is computed.
+  bool persist_cache() BFPP_EXCLUDES(journal_mutex_);
 
   [[nodiscard]] bool shutdown_requested() const { return shutdown_; }
   [[nodiscard]] ReportCache::Stats cache_stats() const {
@@ -371,13 +367,10 @@ class Server {
  private:
   std::string handle_or_throw(std::string& id_echo, const std::string& line);
 
-  // Saves the cache iff it changed since the last save (cheap no-op
-  // otherwise). Called by the checkpoint thread, and - through
-  // persist_after_request(), which defers to the checkpointer when a
-  // checkpoint interval is configured - after every handled request on
-  // both transports.
-  void persist_if_dirty() BFPP_EXCLUDES(persist_mutex_);
-  void persist_after_request() BFPP_EXCLUDES(persist_mutex_);
+  // Leader-side completion of one computed cell: ReportCache::publish,
+  // plus the journal append when the cache is durable.
+  void publish(const std::string& key, const Report& report)
+      BFPP_EXCLUDES(journal_mutex_);
 
   // Executes one batch of cells (a single run/search, or a whole sweep
   // grid) through the cache: probe serially, compute misses in parallel
@@ -401,65 +394,53 @@ class Server {
   // ---- Event-loop serving core (serve_on only) ----
   //
   // One poll() loop owns every connection; a small fixed pool of
-  // executor threads runs handle(). The split of Conn state mirrors
-  // that: the parse-side fields belong exclusively to the event-loop
-  // thread, while the response-handoff fields cross between an executor
-  // (which appends the response and clears `busy`) and the event loop
-  // (which flushes) and are guarded by conn_mutex_.
+  // executor threads runs handle(). Every Conn field belongs to the
+  // event-loop thread alone: executors see only the line they were
+  // handed and return the response through the completion queue, so
+  // no Conn state is shared and none of it needs a lock.
   struct Conn {
     explicit Conn(net::Stream&& s);
     ~Conn();
     std::unique_ptr<net::Stream> stream;  // fd + read buffer
-
-    // Event-loop-thread-only state (single writer, no concurrent
-    // reader - deliberately unguarded, see docs/CONCURRENCY.md).
     std::deque<std::string> input;  // parsed, not yet dispatched lines
+    std::string outbox;             // response bytes queued for the socket
+    size_t out_off = 0;             // flush offset into outbox
+    bool busy = false;              // a dispatched request is pending
     bool read_eof = false;          // peer half-closed; input may remain
+    bool overlong = false;          // sent a line over kMaxRequestLineBytes
     bool dead = false;              // I/O error: close without flushing
     bool stalled = false;           // outbox pending with zero progress
     std::chrono::steady_clock::time_point stalled_since{};
     size_t last_pending = 0;        // outbox remainder at last stall check
-
-    // Guarded by the owning Server's conn_mutex_ (nested structs cannot
-    // name an outer instance member in BFPP_GUARDED_BY; TSan covers
-    // these at runtime): response bytes queued for the socket, the
-    // flush offset into them, and whether a dispatched request is
-    // still pending for this connection.
-    std::string outbox;
-    size_t out_off = 0;
-    bool busy = false;
   };
-  // One parsed request line bound for an executor. The shared_ptr keeps
-  // the Conn alive even if the event loop closes and unregisters the
-  // connection while the request is still computing.
+  // One parsed request line bound for an executor, and on the way back
+  // its response. The shared_ptr keeps the Conn alive even if the event
+  // loop closes and unregisters the connection while the request is
+  // still computing; executors never touch the Conn itself.
   struct DispatchItem {
     std::shared_ptr<Conn> conn;
     std::string line;
   };
 
-  // Executor threads: each pops DispatchItems, runs handle() and hands
-  // the response back through the Conn outbox + a wake_ signal. Started
-  // and joined by serve_on (executors_ itself is touched only by the
-  // serve_on thread).
-  void executor_loop() BFPP_EXCLUDES(dispatch_mutex_, conn_mutex_);
+  // Executor threads: each pops DispatchItems, runs handle() and pushes
+  // the response onto completions_ (in the same critical section as its
+  // next pop) plus a wake_ signal. Started and joined by serve_on
+  // (executors_ itself is touched only by the serve_on thread).
+  void executor_loop() BFPP_EXCLUDES(dispatch_mutex_);
   void start_executors() BFPP_EXCLUDES(dispatch_mutex_);
   void stop_executors() BFPP_EXCLUDES(dispatch_mutex_);
 
   // Builds the ServeStats snapshot behind the stats/metrics responses.
   [[nodiscard]] ServeStats snapshot_stats() const;
 
-  // conn_mutex_ guards the executor-to-event-loop response handoff: the
-  // outbox/out_off/busy fields of every Conn. Leaf lock: nothing else
-  // is ever acquired while it is held.
-  Mutex conn_mutex_;
-
-  // dispatch_mutex_ guards the parsed-request queue executors pop from
-  // and their stop flag; dispatch_ready_ signals a new item or stop.
-  // Leaf lock, disjoint from conn_mutex_: the event loop collects under
-  // one, releases, then takes the other.
+  // dispatch_mutex_ guards both directions of the executor handoff: the
+  // parsed-request queue executors pop from, the completion queue they
+  // push responses onto, and their stop flag. dispatch_ready_ signals a
+  // new request or stop; wake_ signals a completion. Leaf lock.
   Mutex dispatch_mutex_;
   CondVar dispatch_ready_;
   std::deque<DispatchItem> dispatch_queue_ BFPP_GUARDED_BY(dispatch_mutex_);
+  std::deque<DispatchItem> completions_ BFPP_GUARDED_BY(dispatch_mutex_);
   bool executors_stop_ BFPP_GUARDED_BY(dispatch_mutex_) = false;
   std::vector<std::thread> executors_;  // serve_on-thread only
 
@@ -488,25 +469,21 @@ class Server {
   };
   Metrics metrics_;
 
-  // Persistence bookkeeping: persist_mutex_ serializes whole
-  // snapshot-then-save sequences (so two savers cannot interleave their
-  // dirty checks) and guards the last insertion count written to disk.
-  // Lock order: persist_mutex_ is taken *before* the cache mutex (save()
-  // locks it internally); never the other way around.
-  Mutex persist_mutex_;
-  uint64_t persisted_insertions_ BFPP_GUARDED_BY(persist_mutex_) = 0;
-
-  // Background checkpointer (--checkpoint-interval). checkpoint_mutex_
-  // guards checkpoint_stop_ and the thread handle; checkpoint_wake_
-  // interrupts the interval sleep on stop; the lifecycle mutex
-  // serializes whole start/stop calls against each other (it is held
-  // across the join, which checkpoint_mutex_ cannot be).
-  void checkpoint_loop() BFPP_EXCLUDES(checkpoint_mutex_);
-  Mutex checkpoint_lifecycle_mutex_;
-  Mutex checkpoint_mutex_;
-  CondVar checkpoint_wake_;
-  std::thread checkpoint_thread_ BFPP_GUARDED_BY(checkpoint_mutex_);
-  bool checkpoint_stop_ BFPP_GUARDED_BY(checkpoint_mutex_) = false;
+  // ---- The cache journal (--cache-file with a nonzero capacity) ----
+  //
+  // journal_mutex_ guards the append handle on options.cache_file and
+  // the count of lines appended since the last compaction. An append
+  // and the publish() it records happen under it together, and so does
+  // a compaction, so no cell can fall between a snapshot and the file
+  // that replaces it. Lock order: journal_mutex_ is taken *before* the
+  // cache mutex (publish() and save() lock it internally).
+  [[nodiscard]] bool journaled() const {
+    return !options_.cache_file.empty() && options_.cache_capacity > 0;
+  }
+  bool compact_locked() BFPP_REQUIRES(journal_mutex_);
+  Mutex journal_mutex_;
+  std::FILE* journal_ BFPP_GUARDED_BY(journal_mutex_) = nullptr;
+  size_t journal_lines_ BFPP_GUARDED_BY(journal_mutex_) = 0;
 };
 
 }  // namespace bfpp::api

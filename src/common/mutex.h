@@ -27,9 +27,8 @@
 
 namespace bfpp {
 
-// An annotated std::mutex. Prefer LockGuard over manual lock()/unlock();
-// manual calls are for the rare unlock-around-a-slow-call shapes (see
-// Server::checkpoint_loop).
+// An annotated std::mutex. Lock it through LockGuard; lock()/unlock()
+// exist for LockGuard and CondVar.
 class BFPP_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -76,14 +75,6 @@ class CondVar {
   bool wait_for(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout)
       BFPP_REQUIRES(mu) {
     return cv_.wait_for(mu, timeout) == std::cv_status::no_timeout;
-  }
-
-  // wait() with a deadline; returns false once the deadline has passed.
-  template <typename Clock, typename Duration>
-  bool wait_until(Mutex& mu,
-                  const std::chrono::time_point<Clock, Duration>& deadline)
-      BFPP_REQUIRES(mu) {
-    return cv_.wait_until(mu, deadline) == std::cv_status::no_timeout;
   }
 
   void notify_one() { cv_.notify_one(); }

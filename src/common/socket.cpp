@@ -3,14 +3,11 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <csignal>
 #include <utility>
 
 #include "common/error.h"
@@ -35,26 +32,24 @@ Stream::~Stream() {
 }
 
 Stream::Stream(Stream&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), buffer_(std::move(other.buffer_)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      buffer_(std::move(other.buffer_)),
+      head_(std::exchange(other.head_, 0)),
+      scanned_(std::exchange(other.scanned_, 0)) {}
 
 Stream& Stream::operator=(Stream&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
     buffer_ = std::move(other.buffer_);
+    head_ = std::exchange(other.head_, 0);
+    scanned_ = std::exchange(other.scanned_, 0);
   }
   return *this;
 }
 
 bool Stream::read_line(std::string& line) {
-  while (true) {
-    const size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return true;
-    }
+  while (!next_line(line)) {
     char chunk[4096];
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n > 0) {
@@ -64,10 +59,9 @@ bool Stream::read_line(std::string& line) {
     if (n < 0 && errno == EINTR) continue;
     // EOF (or a dead peer): hand back a non-empty unterminated final
     // line, exactly like read_stdio_line.
-    line = std::move(buffer_);
-    buffer_.clear();
-    return finish_eof_line(line);
+    return take_final_line(line);
   }
+  return true;
 }
 
 bool Stream::write_all(const std::string& data) {
@@ -84,12 +78,6 @@ bool Stream::write_all(const std::string& data) {
     written += static_cast<size_t>(n);
   }
   return true;
-}
-
-bool Stream::set_send_timeout(int seconds) {
-  timeval tv{};
-  tv.tv_sec = seconds;
-  return ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) == 0;
 }
 
 bool Stream::set_nonblocking() {
@@ -121,17 +109,25 @@ IoStatus Stream::fill() {
 }
 
 bool Stream::next_line(std::string& line) {
-  const size_t newline = buffer_.find('\n');
-  if (newline == std::string::npos) return false;
-  line = buffer_.substr(0, newline);
-  buffer_.erase(0, newline + 1);
+  const size_t newline = buffer_.find('\n', scanned_);
+  if (newline == std::string::npos) {
+    // Drop the returned lines once per batch, not once per line, and
+    // remember how far the unterminated tail has been searched.
+    buffer_.erase(0, head_);
+    head_ = 0;
+    scanned_ = buffer_.size();
+    return false;
+  }
+  line.assign(buffer_, head_, newline - head_);
+  head_ = scanned_ = newline + 1;
   if (!line.empty() && line.back() == '\r') line.pop_back();
   return true;
 }
 
 bool Stream::take_final_line(std::string& line) {
-  line = std::move(buffer_);
+  line.assign(buffer_, head_);
   buffer_.clear();
+  head_ = scanned_ = 0;
   return finish_eof_line(line);
 }
 
@@ -147,13 +143,6 @@ IoStatus Stream::write_some(const std::string& data, size_t& offset) {
     offset += static_cast<size_t>(n);
   }
   return IoStatus::kOk;
-}
-
-void Stream::shutdown_read() {
-  // Errors (ENOTCONN on an already-gone peer, ENOTSOCK on a pipe-backed
-  // Stream in tests) are harmless: the goal is only to nudge a blocked
-  // reader towards EOF.
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
 }
 
 bool read_stdio_line(std::FILE* in, std::string& line) {
@@ -182,18 +171,16 @@ Listener::Listener(int port, int backlog) {
   addr.sin_port = htons(static_cast<uint16_t>(port));
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
           0 ||
-      ::listen(fd_, std::max(backlog, 16)) < 0 || ::pipe(wake_fds_) < 0) {
+      ::listen(fd_, std::max(backlog, 16)) < 0) {
     const std::string why = errno_string(errno);
     ::close(fd_);
     fd_ = -1;
     throw ConfigError(str_format("socket: cannot listen on 127.0.0.1:%d: %s",
                                  port, why.c_str()));
   }
-  // Non-blocking listener: accept() multiplexes it with the wake pipe
-  // through poll(), so a shutdown request can unblock the accept loop.
+  // Non-blocking listener: try_accept() must return at once when no
+  // connection is pending.
   ::fcntl(fd_, F_SETFL, ::fcntl(fd_, F_GETFL, 0) | O_NONBLOCK);
-  ::fcntl(wake_fds_[0], F_SETFD, FD_CLOEXEC);
-  ::fcntl(wake_fds_[1], F_SETFD, FD_CLOEXEC);
 
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
@@ -206,45 +193,6 @@ Listener::Listener(int port, int backlog) {
 
 Listener::~Listener() {
   if (fd_ >= 0) ::close(fd_);
-  if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-  if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
-}
-
-std::optional<Stream> Listener::accept() {
-  while (true) {
-    if (woken_.load(std::memory_order_acquire)) {
-      last_error_ = 0;
-      return std::nullopt;
-    }
-    pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      last_error_ = errno;
-      return std::nullopt;
-    }
-    if ((fds[1].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-      last_error_ = 0;  // woken for shutdown, not an error
-      return std::nullopt;
-    }
-    if ((fds[0].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-    const int client = ::accept(fd_, nullptr, nullptr);
-    if (client >= 0) {
-      // BSD-derived systems let accepted sockets inherit the listener's
-      // O_NONBLOCK (Linux does not); sessions need blocking reads, so
-      // clear it explicitly either way.
-      ::fcntl(client, F_SETFL,
-              ::fcntl(client, F_GETFL, 0) & ~O_NONBLOCK);
-      return Stream(client);
-    }
-    // The ready connection can vanish between poll() and accept():
-    // EAGAIN and ECONNABORTED are routine, not failures.
-    if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
-        errno == EWOULDBLOCK) {
-      continue;
-    }
-    last_error_ = errno;
-    return std::nullopt;
-  }
 }
 
 std::optional<Stream> Listener::try_accept() {
@@ -266,14 +214,6 @@ std::optional<Stream> Listener::try_accept() {
     last_error_ = errno;
     return std::nullopt;
   }
-}
-
-void Listener::wake() {
-  woken_.store(true, std::memory_order_release);
-  const char byte = 'w';
-  // A full pipe means a wake byte is already pending; either way every
-  // accept() call observes woken_.
-  [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &byte, 1);
 }
 
 WakePipe::WakePipe() {

@@ -7,13 +7,10 @@
 // Scope is one local server - no TLS. The listener binds 127.0.0.1
 // only: the experiment server is a local tool, not an internet-facing
 // daemon (front it with an SSH tunnel or a reverse proxy to share it).
-// Two accept styles are offered: the blocking accept() (wakeable via
-// wake(), for simple one-at-a-time loops and tests) and the
-// non-blocking try_accept() the event-driven serve loop multiplexes
-// with fd() readiness.
+// Connections are accepted with the non-blocking try_accept(), which
+// the event-driven serve loop multiplexes with fd() readiness.
 #pragma once
 
-#include <atomic>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -50,22 +47,6 @@ class Stream {
   // once the peer is gone (EPIPE & friends).
   bool write_all(const std::string& data);
 
-  // Half-closes the read side (::shutdown SHUT_RD): a concurrent or
-  // future read_line() drains the buffer and then sees EOF, while
-  // in-flight write_all() calls still reach the peer. This is how the
-  // server wakes sessions blocked on idle clients at shutdown; safe to
-  // call from another thread while read_line() is blocked.
-  void shutdown_read();
-
-  // Bounds every blocking ::send (SO_SNDTIMEO): once the peer stops
-  // reading for `seconds`, write_all gives up and reports the peer
-  // gone. Without it a client that never drains its socket could block
-  // a writer - and the server's shutdown join - forever. Returns false
-  // when the kernel rejects the option (e.g. ENOTSOCK on a pipe-backed
-  // Stream): writes are then unbounded and the caller must not rely on
-  // the timeout for liveness.
-  [[nodiscard]] bool set_send_timeout(int seconds);
-
   // Flips O_NONBLOCK on: fill()/write_some() below then never block.
   // Returns false when fcntl rejects the flag.
   bool set_nonblocking();
@@ -81,8 +62,14 @@ class Stream {
   // Extracts the next *complete* buffered line (terminated by '\n',
   // which is consumed; a preceding '\r' is stripped). No syscall:
   // returns false when the buffer holds no full line - pair with
-  // fill(). A line may be empty (bare newline).
+  // fill(). A line may be empty (bare newline). Each buffered byte is
+  // searched for '\n' once, however many fill() calls a line spans.
   bool next_line(std::string& line);
+
+  // Bytes buffered but not yet returned as a line. Right after
+  // next_line() returned false, the length of the unterminated line in
+  // progress - what a line-length cap checks.
+  [[nodiscard]] size_t buffered() const { return buffer_.size() - head_; }
 
   // After fill() reported kEof: hands back the final unterminated line
   // left in the buffer, iff non-empty after '\r' stripping - the same
@@ -100,7 +87,9 @@ class Stream {
 
  private:
   int fd_ = -1;
-  std::string buffer_;  // bytes read past the last returned line
+  std::string buffer_;  // bytes read; [0, head_) were already returned
+  size_t head_ = 0;     // start of the first byte not yet returned
+  size_t scanned_ = 0;  // buffer_[head_, scanned_) holds no '\n'
 };
 
 // The stdio twin of Stream::read_line, used by `bfpp serve --stdio`:
@@ -120,14 +109,6 @@ class Listener {
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
 
-  // Blocks for the next client. Returns nullopt when wake() was called
-  // (last_error() == 0, the orderly-shutdown path) or on an
-  // unrecoverable accept error (last_error() == the errno, so the
-  // caller can tell EMFILE from shutdown). Transient errors (EINTR,
-  // ECONNABORTED) are retried internally. Accepted sockets are
-  // blocking.
-  std::optional<Stream> accept();
-
   // Non-blocking accept for poll() loops that watch fd() for POLLIN.
   // Returns the next pending connection as a *non-blocking* Stream, or
   // nullopt with last_error() == 0 when no connection is pending (or
@@ -135,32 +116,20 @@ class Listener {
   // an unrecoverable accept failure.
   std::optional<Stream> try_accept();
 
-  // Makes every current and future accept() return nullopt. Callable
-  // from any thread (a self-pipe write under the hood); idempotent.
-  // Blocking-accept() machinery only: the event loop wakes through its
-  // own WakePipe instead.
-  void wake();
-
   // The listening descriptor (non-blocking), for poll()-based loops.
   [[nodiscard]] int fd() const { return fd_; }
   [[nodiscard]] int port() const { return port_; }
-  // errno of the last accept()/try_accept() failure; 0 after a wake()
-  // or a no-connection-pending try_accept().
+  // errno of the last try_accept() failure; 0 after a
+  // no-connection-pending try_accept().
   [[nodiscard]] int last_error() const { return last_error_; }
 
  private:
-  // Deliberately mutex-free (nothing here to BFPP_GUARDED_BY, see
-  // common/thread_annotations.h): fd_, port_ and wake_fds_ are immutable
-  // after the constructor; cross-thread wake() is one atomic store plus
-  // a write() to the self-pipe (both async-signal-safe, no lock to rank
-  // against session/cache mutexes); last_error_ is only ever touched by
-  // the single accept()ing thread. The static analysis therefore has no
-  // lock discipline to check here - TSan covers the wake() handshake.
+  // Single-threaded by contract (nothing here to BFPP_GUARDED_BY):
+  // fd_ and port_ are immutable after the constructor, and last_error_
+  // is only touched by the one thread that calls try_accept().
   int fd_ = -1;
   int port_ = 0;
-  int wake_fds_[2] = {-1, -1};  // self-pipe: [0] polled, [1] written
-  std::atomic<bool> woken_{false};  // makes wake() idempotent + sticky
-  int last_error_ = 0;  // written only by the accept()ing thread
+  int last_error_ = 0;
 };
 
 // A reusable self-pipe: the standard way to interrupt a poll() loop
@@ -187,7 +156,7 @@ class WakePipe {
   void drain();
 
  private:
-  // Deliberately mutex-free (see net::Listener above): both fds are
+  // Deliberately mutex-free: both fds are
   // immutable after the constructor and both ends are non-blocking, so
   // signal() is one async-signal-safe write() with no lock to rank
   // against the server's mutexes. TSan covers the cross-thread

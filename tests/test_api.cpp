@@ -463,34 +463,33 @@ TEST(Cli, ServeFlagsParse) {
   // fields.
   const CliOptions serve = parse_cli(
       {"serve", "--port", "0", "--cache-size", "16", "--max-connections", "4",
-       "--max-inflight-per-client", "2", "--cache-file", "reports.jsonl",
-       "--checkpoint-interval", "30"});
+       "--max-inflight-per-client", "2", "--cache-file", "reports.jsonl"});
   EXPECT_EQ(serve.serve.port, 0);
   EXPECT_EQ(serve.serve.cache_capacity, 16u);
   EXPECT_EQ(serve.serve.max_connections, 4);
   EXPECT_EQ(serve.serve.max_inflight_per_client, 2);
   EXPECT_EQ(serve.serve.cache_file, "reports.jsonl");
-  EXPECT_EQ(serve.serve.checkpoint_interval, 30);
-  // --max-clients survives as a documented legacy alias.
-  EXPECT_EQ(parse_cli({"serve", "--max-clients", "7"}).serve.max_connections,
-            7);
   EXPECT_THROW(parse_cli({"serve", "--max-connections", "0"}), ConfigError);
-  EXPECT_THROW(parse_cli({"serve", "--max-clients", "0"}), ConfigError);
   EXPECT_THROW(parse_cli({"serve", "--max-inflight-per-client", "0"}),
                ConfigError);
   EXPECT_THROW(parse_cli({"run", "--max-connections", "4"}), ConfigError);
   EXPECT_THROW(parse_cli({"run", "--max-inflight-per-client", "4"}),
                ConfigError);
   EXPECT_THROW(parse_cli({"run", "--cache-file", "f"}), ConfigError);
-  // A checkpoint interval needs somewhere to write, a positive period,
-  // and only makes sense for serve.
-  EXPECT_THROW(parse_cli({"serve", "--checkpoint-interval", "30"}),
-               ConfigError);
-  EXPECT_THROW(parse_cli({"serve", "--cache-file", "f",
-                          "--checkpoint-interval", "0"}),
-               ConfigError);
-  EXPECT_THROW(parse_cli({"run", "--checkpoint-interval", "30"}),
-               ConfigError);
+}
+
+TEST(Cli, RetiredServeFlagsAreUnknown) {
+  // Neither flag exists: each is rejected as unknown, never silently
+  // accepted and ignored.
+  for (const char* flag : {"--max-clients", "--checkpoint-interval"}) {
+    try {
+      (void)parse_cli({"serve", "--cache-file", "f", flag, "7"});
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown flag"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Cli, PresetAndListForms) {

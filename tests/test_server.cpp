@@ -8,6 +8,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -85,11 +86,19 @@ Report tagged_report(const std::string& tag) {
   return r;
 }
 
+// A plain lookup through the single-flight probe: the hit, or nullopt
+// after releasing the leadership a miss appoints.
+std::optional<Report> lookup(ReportCache& cache, const std::string& key) {
+  ReportCache::Probe probe = cache.probe_or_lead(key);
+  if (probe.leader) cache.abandon(key);
+  return probe.report;
+}
+
 TEST(ReportCache, RoundTripsAndCounts) {
   ReportCache cache(4);
-  EXPECT_FALSE(cache.get("a").has_value());
-  cache.put("a", tagged_report("a"));
-  const auto hit = cache.get("a");
+  EXPECT_FALSE(lookup(cache, "a").has_value());
+  cache.publish("a", tagged_report("a"));
+  const auto hit = lookup(cache, "a");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->scenario, "a");
   const ReportCache::Stats s = cache.stats();
@@ -103,32 +112,32 @@ TEST(ReportCache, RoundTripsAndCounts) {
 
 TEST(ReportCache, EvictsLeastRecentlyUsedFirst) {
   ReportCache cache(2);
-  cache.put("a", tagged_report("a"));
-  cache.put("b", tagged_report("b"));
-  EXPECT_TRUE(cache.get("a").has_value());   // promote a: LRU order b, a
-  cache.put("c", tagged_report("c"));        // evicts b
-  EXPECT_FALSE(cache.get("b").has_value());
-  EXPECT_TRUE(cache.get("a").has_value());
-  EXPECT_TRUE(cache.get("c").has_value());
+  cache.publish("a", tagged_report("a"));
+  cache.publish("b", tagged_report("b"));
+  EXPECT_TRUE(lookup(cache, "a").has_value());   // promote a: LRU order b, a
+  cache.publish("c", tagged_report("c"));        // evicts b
+  EXPECT_FALSE(lookup(cache, "b").has_value());
+  EXPECT_TRUE(lookup(cache, "a").has_value());
+  EXPECT_TRUE(lookup(cache, "c").has_value());
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 
-TEST(ReportCache, PutRefreshesExistingKeysWithoutEvicting) {
+TEST(ReportCache, PublishRefreshesExistingKeysWithoutEvicting) {
   ReportCache cache(2);
-  cache.put("a", tagged_report("a"));
-  cache.put("b", tagged_report("b"));
-  cache.put("a", tagged_report("a2"));  // refresh, promote a: LRU order b, a
+  cache.publish("a", tagged_report("a"));
+  cache.publish("b", tagged_report("b"));
+  cache.publish("a", tagged_report("a2"));  // refresh, promote a: LRU order b, a
   EXPECT_EQ(cache.stats().insertions, 2u);
-  cache.put("c", tagged_report("c"));  // evicts b, not a
-  EXPECT_EQ(cache.get("a")->scenario, "a2");
-  EXPECT_FALSE(cache.get("b").has_value());
+  cache.publish("c", tagged_report("c"));  // evicts b, not a
+  EXPECT_EQ(lookup(cache, "a")->scenario, "a2");
+  EXPECT_FALSE(lookup(cache, "b").has_value());
 }
 
 TEST(ReportCache, CapacityZeroDisablesCaching) {
   ReportCache cache(0);
-  cache.put("a", tagged_report("a"));
-  EXPECT_FALSE(cache.get("a").has_value());
+  cache.publish("a", tagged_report("a"));
+  EXPECT_FALSE(lookup(cache, "a").has_value());
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
@@ -175,7 +184,7 @@ TEST(ReportCache, SingleFlightLeaderComputesOnceFollowersCoalesce) {
   EXPECT_EQ(stats.hits, 0u);        // followers are not counted as hits
   EXPECT_EQ(stats.inflight, 0u);    // the entry retired with the publish
   // After the flight lands, the cell is a plain LRU hit.
-  EXPECT_EQ(cache.get("cell")->scenario, "computed");
+  EXPECT_EQ(lookup(cache, "cell")->scenario, "computed");
 }
 
 TEST(ReportCache, AbandonedLeaderReleasesFollowerToRelead) {
@@ -202,7 +211,7 @@ TEST(ReportCache, AbandonedLeaderReleasesFollowerToRelead) {
 
   EXPECT_FALSE(followed.has_value());  // woken with "no result"
   EXPECT_TRUE(reled);
-  EXPECT_EQ(cache.get("cell")->scenario, "recomputed");
+  EXPECT_EQ(lookup(cache, "cell")->scenario, "recomputed");
   const ReportCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, 2u);  // original leader + the re-lead
   EXPECT_EQ(stats.coalesced, 1u);
@@ -285,7 +294,7 @@ TEST(ReportCache, AbandonWithManyFollowersMidWaitReleadsExactlyOnce) {
   EXPECT_EQ(stats.misses, 2u);  // abandoned leader + the one re-lead
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.inflight, 0u);
-  EXPECT_EQ(cache.get("cell")->scenario, "recomputed");
+  EXPECT_EQ(lookup(cache, "cell")->scenario, "recomputed");
 }
 
 TEST(ReportCache, SaveRacesSingleFlightAtCapacityZero) {
@@ -426,10 +435,10 @@ TEST(ReportCache, SaveLoadRoundTripsEntriesRecencyOrderAndNegatives) {
       testing::TempDir() + "bfpp_cache_roundtrip.jsonl";
   std::remove(path.c_str());
   ReportCache cache(4);
-  cache.put("b", full_report());
-  cache.put("neg", negative_report());
-  cache.put("a", tagged_report("a"));
-  (void)cache.get("b");  // recency (MRU first): b, a, neg
+  cache.publish("b", full_report());
+  cache.publish("neg", negative_report());
+  cache.publish("a", tagged_report("a"));
+  (void)lookup(cache, "b");  // recency (MRU first): b, a, neg
   ASSERT_TRUE(cache.save(path));
 
   ReportCache loaded(3);
@@ -442,15 +451,15 @@ TEST(ReportCache, SaveLoadRoundTripsEntriesRecencyOrderAndNegatives) {
   EXPECT_EQ(stats.misses, 0u);
 
   // The negative (found=false) cell survived with its reason.
-  const std::optional<Report> neg = loaded.get("neg");
+  const std::optional<Report> neg = lookup(loaded, "neg");
   ASSERT_TRUE(neg.has_value());
   EXPECT_FALSE(neg->found);
   EXPECT_EQ(neg->error, "[oom] 52B does not fit on one GPU");
   // Recency order survived the round trip: "neg" was LRU at save time,
   // and get("neg") above promoted it, leaving "a" as LRU now.
-  loaded.put("d", tagged_report("d"));  // beyond capacity: evicts LRU
-  EXPECT_FALSE(loaded.get("a").has_value());
-  EXPECT_TRUE(loaded.get("b").has_value());
+  loaded.publish("d", tagged_report("d"));  // beyond capacity: evicts LRU
+  EXPECT_FALSE(lookup(loaded, "a").has_value());
+  EXPECT_TRUE(lookup(loaded, "b").has_value());
   std::remove(path.c_str());
 }
 
@@ -472,8 +481,8 @@ TEST(ReportCache, LoadToleratesMissingGarbageAndPartiallyCorruptFiles) {
   // A corrupt entry line is skipped; intact neighbours still load.
   const std::string partial = dir + "bfpp_cache_partial.jsonl";
   ReportCache donor(4);
-  donor.put("k1", tagged_report("k1"));
-  donor.put("k2", full_report());
+  donor.publish("k1", tagged_report("k1"));
+  donor.publish("k2", full_report());
   ASSERT_TRUE(donor.save(partial));
   std::optional<std::string> content = serialize::read_file(partial);
   ASSERT_TRUE(content.has_value());
@@ -484,9 +493,9 @@ TEST(ReportCache, LoadToleratesMissingGarbageAndPartiallyCorruptFiles) {
       partial, join(lines, "\n") + "\n"));
   ReportCache repaired(8);
   EXPECT_EQ(repaired.load(partial), 2u);
-  EXPECT_TRUE(repaired.get("k1").has_value());
-  EXPECT_TRUE(repaired.get("k2").has_value());
-  EXPECT_FALSE(repaired.get("kx").has_value());
+  EXPECT_TRUE(lookup(repaired, "k1").has_value());
+  EXPECT_TRUE(lookup(repaired, "k2").has_value());
+  EXPECT_FALSE(lookup(repaired, "kx").has_value());
   std::remove(garbage.c_str());
   std::remove(partial.c_str());
 }
@@ -922,41 +931,6 @@ TEST(Transports, LoneCarriageReturnAtEofIsEofOnBothLineReaders) {
   std::fclose(file);
 }
 
-TEST(Transports, SendTimeoutReportsWhetherTheKernelTookIt) {
-  // The server leans on SO_SNDTIMEO for its bounded-shutdown guarantee,
-  // so a rejected setsockopt (here: ENOTSOCK on a pipe-backed Stream)
-  // must be reported, not silently swallowed as if the bound held.
-  int pipe_fds[2];
-  ASSERT_EQ(::pipe(pipe_fds), 0);
-  net::Stream pipe_end(pipe_fds[0]);
-  EXPECT_FALSE(pipe_end.set_send_timeout(1));
-  ::close(pipe_fds[1]);
-
-  int sock_fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sock_fds), 0);
-  net::Stream writer(sock_fds[0]);
-  net::Stream reader(sock_fds[1]);
-  EXPECT_TRUE(writer.set_send_timeout(1));
-}
-
-TEST(Transports, SendTimeoutUnblocksWritersOnStuckPeers) {
-  // A peer that never reads must not be able to block write_all forever
-  // (it would also wedge the server's shutdown join). With a 1s send
-  // timeout, flooding the socket reports the peer gone instead.
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  net::Stream writer(fds[0]);
-  net::Stream reader(fds[1]);  // never reads a byte
-  ASSERT_TRUE(writer.set_send_timeout(1));
-  const std::string blob(4 << 20, 'x');
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(writer.write_all(blob));
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_LT(seconds, 20.0);  // bounded, not hung (generous for CI)
-}
-
 TEST(Server, StdioAnswersAFinalRequestLackingItsNewline) {
   std::FILE* in = std::tmpfile();
   std::FILE* out = std::tmpfile();
@@ -976,56 +950,6 @@ TEST(Server, StdioAnswersAFinalRequestLackingItsNewline) {
   std::fclose(in);
   std::fclose(out);
   EXPECT_EQ(output, "{\"id\":1,\"ok\":true,\"type\":\"pong\"}\n");
-}
-
-TEST(Server, TcpTransportServesALoopbackClient) {
-  // An ephemeral-port listener; skip (not fail) where the sandbox forbids
-  // binding loopback sockets.
-  std::unique_ptr<net::Listener> listener;
-  try {
-    listener = std::make_unique<net::Listener>(0);
-  } catch (const ConfigError& e) {
-    GTEST_SKIP() << e.what();
-  }
-  const int port = listener->port();
-  ASSERT_GT(port, 0);
-
-  std::string got_ping, got_stats;
-  std::thread client([&] {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-    net::Stream stream(fd);
-    ASSERT_TRUE(stream.write_all("{\"type\":\"ping\"}\n"));
-    ASSERT_TRUE(stream.read_line(got_ping));
-    ASSERT_TRUE(stream.write_all("{\"type\":\"stats\"}\n"));
-    ASSERT_TRUE(stream.read_line(got_stats));
-    ASSERT_TRUE(stream.write_all("{\"type\":\"shutdown\"}\n"));
-    std::string bye;
-    ASSERT_TRUE(stream.read_line(bye));
-  });
-
-  // Serve the one client on this thread (the accept loop exits once the
-  // shutdown request lands).
-  ServeOptions options;
-  Server server(options);
-  std::optional<net::Stream> stream = listener->accept();
-  ASSERT_TRUE(stream.has_value());
-  std::string line;
-  while (!server.shutdown_requested() && stream->read_line(line)) {
-    const std::string response = server.handle(line);
-    if (!response.empty() && !stream->write_all(response)) break;
-  }
-  client.join();
-  EXPECT_EQ(got_ping, "{\"ok\":true,\"type\":\"pong\"}");
-  EXPECT_NE(got_stats.find("\"requests\":2"), std::string::npos);
-  EXPECT_TRUE(server.shutdown_requested());
 }
 
 // ---- Concurrent clients + persistence ----
@@ -1055,6 +979,79 @@ bool read_lines(net::Stream& stream, size_t n, std::string& out) {
     out += line + "\n";
   }
   return true;
+}
+
+TEST(Server, TcpTransportServesALoopbackClient) {
+  // An ephemeral-port listener; skip (not fail) where the sandbox forbids
+  // binding loopback sockets.
+  std::unique_ptr<net::Listener> listener;
+  try {
+    listener = std::make_unique<net::Listener>(0);
+  } catch (const ConfigError& e) {
+    GTEST_SKIP() << e.what();
+  }
+  ASSERT_GT(listener->port(), 0);
+  Server server;
+  std::thread serve_thread([&] { EXPECT_EQ(server.serve_on(*listener), 0); });
+
+  const int fd = connect_loopback(listener->port());
+  ASSERT_GE(fd, 0);
+  net::Stream stream(fd);
+  std::string got_ping, got_stats, bye;
+  ASSERT_TRUE(stream.write_all("{\"type\":\"ping\"}\n"));
+  ASSERT_TRUE(stream.read_line(got_ping));
+  ASSERT_TRUE(stream.write_all("{\"type\":\"stats\"}\n"));
+  ASSERT_TRUE(stream.read_line(got_stats));
+  ASSERT_TRUE(stream.write_all("{\"type\":\"shutdown\"}\n"));
+  ASSERT_TRUE(stream.read_line(bye));
+  serve_thread.join();  // the event loop exits once the shutdown lands
+  EXPECT_EQ(got_ping, "{\"ok\":true,\"type\":\"pong\"}");
+  EXPECT_NE(got_stats.find("\"requests\":2"), std::string::npos);
+  EXPECT_EQ(bye, "{\"ok\":true,\"type\":\"shutdown\"}");
+  EXPECT_TRUE(server.shutdown_requested());
+}
+
+TEST(Server, OverlongRequestLineIsAnsweredAndClosedWhileOthersAreServed) {
+  std::unique_ptr<net::Listener> listener;
+  try {
+    listener = std::make_unique<net::Listener>(0);
+  } catch (const ConfigError& e) {
+    GTEST_SKIP() << e.what();
+  }
+  Server server;
+  std::thread serve_thread([&] { EXPECT_EQ(server.serve_on(*listener), 0); });
+
+  const int other_fd = connect_loopback(listener->port());
+  const int hog_fd = connect_loopback(listener->port());
+  ASSERT_GE(other_fd, 0);
+  ASSERT_GE(hog_fd, 0);
+  net::Stream other(other_fd);
+  net::Stream hog(hog_fd);
+  // A server that buffers without bound never answers; time the reads
+  // out so that shows up as a failure, not a hang.
+  timeval timeout{};
+  timeout.tv_sec = 20;
+  ASSERT_EQ(::setsockopt(hog_fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+
+  // One byte over the cap and no newline. Exactly that many, so the
+  // server has read all of it when it closes (unread bytes would turn
+  // the close into a reset that can swallow the error line).
+  ASSERT_TRUE(hog.write_all(std::string(kMaxRequestLineBytes + 1, 'x')));
+  std::string line;
+  ASSERT_TRUE(hog.read_line(line));
+  EXPECT_NE(line.find("\"ok\":false"), std::string::npos);
+  EXPECT_NE(line.find("request line exceeds"), std::string::npos);
+  EXPECT_FALSE(hog.read_line(line));  // closed after the error line
+
+  // The other client never noticed.
+  ASSERT_TRUE(other.write_all("{\"type\":\"ping\"}\n"));
+  ASSERT_TRUE(other.read_line(line));
+  EXPECT_EQ(line, "{\"ok\":true,\"type\":\"pong\"}");
+  ASSERT_TRUE(other.write_all("{\"type\":\"shutdown\"}\n"));
+  ASSERT_TRUE(other.read_line(line));
+  serve_thread.join();
 }
 
 TEST(Server, ConcurrentClientsMatchSerialExecutionAndShareOneCache) {
@@ -1750,97 +1747,197 @@ TEST(Server, PersistCacheWithoutACacheFileIsANoOp) {
   EXPECT_FALSE(server.persist_cache());
 }
 
-// ---- Periodic checkpoints (--checkpoint-interval) ----
+// ---- The cache journal (--cache-file) ----
 
-TEST(Server, CheckpointerPersistsDirtyCacheWhileHandlersRace) {
-  // The background checkpoint thread must pick up a dirty cache on its
-  // own: handle() never saves (write-through lives in the serve loops,
-  // which are not involved here), so the snapshot appearing on disk
-  // proves the checkpointer wrote it - while racing mutating requests
-  // from several session-like threads (the TSan job runs this test).
-  const std::string path = testing::TempDir() + "bfpp_checkpoint.jsonl";
+// Distinct analytic run requests, one cell each.
+std::string journal_run(int k) {
+  return str_format(
+      R"({"type":"run","model":"6.6b","cluster":"dgx1-v100-ib","pp":4,)"
+      R"("tp":2,"dp":8,"nmb":%d,"schedule":"bf","loop":2,)"
+      R"("backend":"analytic"})",
+      4 * (k + 1));
+}
+
+// The entry lines of a cache file (header dropped), sorted: the set of
+// cells the file restores, independent of recency order.
+std::vector<std::string> sorted_entry_lines(const std::string& path) {
+  const std::optional<std::string> content = serialize::read_file(path);
+  if (!content.has_value()) return {};
+  std::vector<std::string> lines = serialize::split_lines(*content);
+  if (!lines.empty()) lines.erase(lines.begin());
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(Server, JournalRestoresEveryAnsweredInsertWithoutPersistCache) {
+  // handle() journals each inserted cell before it answers, so a server
+  // that dies without its shutdown save (here: destroyed without
+  // persist_cache(), as after a kill -9) loses no answered cell.
+  const std::string path = testing::TempDir() + "bfpp_journal_crash.jsonl";
   std::remove(path.c_str());
   ServeOptions options;
   options.cache_file = path;
-  options.checkpoint_interval = 1;
-  options.run.backend = Backend::kAnalytic;
-
+  const std::vector<std::string> requests = {
+      journal_run(0), journal_run(1),
+      R"({"type":"sweep","model":"6.6b","cluster":"dgx1-v100-ib","pp":4,)"
+      R"("tp":2,"dp":8,"nmb":[16,24],"schedule":"bf","loop":2,)"
+      R"("backend":"analytic","format":"csv"})"};
+  std::vector<std::string> first;
   {
     Server server(options);
-    server.start_checkpointer();
-    constexpr int kThreads = 3;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&server, t] {
-        for (int i = 0; i < 4; ++i) {
-          const std::string response = server.handle(str_format(
-              R"({"type":"run","model":"6.6b","cluster":"dgx1-v100-ib",)"
-              R"("pp":4,"tp":2,"dp":8,"nmb":%d,"schedule":"bf","loop":2})",
-              4 * (4 * t + i + 1)));
-          EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
-        }
-      });
+    for (const std::string& request : requests) {
+      first.push_back(server.handle(request));
+      EXPECT_NE(first.back().find("\"ok\":true"), std::string::npos);
     }
-    for (std::thread& thread : threads) thread.join();
-    ASSERT_TRUE(poll_until([&] {
-      ReportCache probe(64);
-      return probe.load(path) == 12u;  // every cell checkpointed
-    }));
-    server.stop_checkpointer();
+    EXPECT_EQ(server.cache_stats().insertions, 4u);
   }
 
-  // The checkpointed snapshot warm-starts a fresh server: pure hits.
   Server restarted(options);
-  const std::string again = restarted.handle(
-      R"({"type":"run","model":"6.6b","cluster":"dgx1-v100-ib",)"
-      R"("pp":4,"tp":2,"dp":8,"nmb":4,"schedule":"bf","loop":2})");
-  EXPECT_NE(again.find("\"ok\":true"), std::string::npos);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(restarted.handle(requests[i]), first[i]);
+  }
   const ReportCache::Stats stats = restarted.cache_stats();
-  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.hits, 4u);  // every cell, sweep rows included
   EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.insertions, 0u);
   std::remove(path.c_str());
 }
 
-TEST(Server, CheckpointIntervalSuppressesWriteThroughUntilShutdown) {
-  // With an interval configured, the serve loops stop saving after every
-  // mutating request - the checkpointer owns periodic saves (its 3600 s
-  // interval never fires here) and the shutdown save still runs.
-  const std::string path =
-      testing::TempDir() + "bfpp_checkpoint_suppress.jsonl";
+TEST(Server, JournalSkipsATornLineAndCompactsAtStartup) {
+  // A kill -9 mid-append leaves a torn last line. The next start skips
+  // it (with a warning), serves the intact lines, and rewrites the file
+  // so no later append can land after the torn bytes.
+  const std::string path = testing::TempDir() + "bfpp_journal_torn.jsonl";
   std::remove(path.c_str());
   ServeOptions options;
   options.cache_file = path;
-  options.checkpoint_interval = 3600;
-  options.run.backend = Backend::kAnalytic;
+  std::vector<std::string> first;
+  {
+    Server server(options);
+    for (int k = 0; k < 3; ++k) first.push_back(server.handle(journal_run(k)));
+  }
+  std::optional<std::string> content = serialize::read_file(path);
+  ASSERT_TRUE(content.has_value());
+  ASSERT_EQ(serialize::split_lines(*content).size(), 4u);  // header + 3
+  content->resize(content->size() - 20);  // tear the last entry line
+  ASSERT_TRUE(serialize::write_file_atomic(path, *content));
 
-  int in_fds[2], out_fds[2];
-  ASSERT_EQ(::pipe(in_fds), 0);
-  ASSERT_EQ(::pipe(out_fds), 0);
-  std::FILE* in = ::fdopen(in_fds[0], "r");
-  std::FILE* out = ::fdopen(out_fds[1], "w");
+  Server restarted(options);
+  content = serialize::read_file(path);
+  ASSERT_TRUE(content.has_value());
+  const std::vector<std::string> lines = serialize::split_lines(*content);
+  ASSERT_EQ(lines.size(), 3u);  // compacted: header + the 2 intact cells
+  EXPECT_EQ(json::parse(lines[0]).get("entries")->as_int(), 2);
+
+  EXPECT_EQ(restarted.handle(journal_run(0)), first[0]);
+  EXPECT_EQ(restarted.handle(journal_run(1)), first[1]);
+  EXPECT_EQ(restarted.cache_stats().hits, 2u);
+  EXPECT_EQ(restarted.handle(journal_run(2)), first[2]);  // recomputed
+  EXPECT_EQ(restarted.cache_stats().misses, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(Server, JournalStaysBoundedAndCompleteUnderConcurrentHandlers) {
+  // Several handler threads insert far past the compaction threshold
+  // (the capacity) at once: appends and compactions interleave, yet the
+  // file never exceeds one snapshot plus one capacity of appends, and
+  // it restores exactly the cells the live cache holds. The TSan job
+  // runs this test.
+  const std::string path = testing::TempDir() + "bfpp_journal_bound.jsonl";
+  std::remove(path.c_str());
+  constexpr size_t kCapacity = 4;
+  ServeOptions options;
+  options.cache_file = path;
+  options.cache_capacity = kCapacity;
+  Server server(options);
+  constexpr int kThreads = 3;
+  constexpr int kPerThread = 6;
+  std::atomic<size_t> max_lines{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&server, &max_lines, &path, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const std::string response =
+            server.handle(journal_run(t * kPerThread + i));
+        EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
+        const size_t lines = sorted_entry_lines(path).size();
+        size_t seen = max_lines.load();
+        while (lines > seen && !max_lines.compare_exchange_weak(seen, lines)) {
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(server.cache_stats().insertions,
+            static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_LE(max_lines.load(), 2 * kCapacity);
+  EXPECT_LE(sorted_entry_lines(path).size(), 2 * kCapacity);
+
+  // Replaying the file rebuilds the live cache cell for cell.
+  ReportCache restored(kCapacity);
+  (void)restored.load(path);
+  const std::string live_file = path + ".live";
+  const std::string restored_file = path + ".restored";
+  ASSERT_TRUE(server.cache().save(live_file));
+  ASSERT_TRUE(restored.save(restored_file));
+  EXPECT_EQ(sorted_entry_lines(restored_file), sorted_entry_lines(live_file));
+  EXPECT_EQ(sorted_entry_lines(live_file).size(), kCapacity);
+  std::remove(path.c_str());
+  std::remove(live_file.c_str());
+  std::remove(restored_file.c_str());
+}
+
+TEST(Server, PristineSnapshotIsServedWithoutARewrite) {
+  // A snapshot persist_cache() wrote is already compact: a restart
+  // appends to it as it is instead of rewriting it at startup.
+  const std::string path = testing::TempDir() + "bfpp_journal_pristine.jsonl";
+  std::remove(path.c_str());
+  ServeOptions options;
+  options.cache_file = path;
+  {
+    Server server(options);
+    (void)server.handle(journal_run(0));
+    (void)server.handle(journal_run(1));
+    ASSERT_TRUE(server.persist_cache());
+  }
+  const std::optional<std::string> before = serialize::read_file(path);
+  ASSERT_TRUE(before.has_value());
+  {
+    Server restarted(options);
+    EXPECT_EQ(serialize::read_file(path), before);  // untouched at startup
+    (void)restarted.handle(journal_run(2));          // one appended line
+  }
+  const std::optional<std::string> after = serialize::read_file(path);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->rfind(*before, 0), 0u);  // the snapshot is a prefix
+  EXPECT_EQ(serialize::split_lines(*after).size(), 4u);
+  std::remove(path.c_str());
+}
+
+TEST(Server, StdioTransportCompactsTheJournalOnShutdown) {
+  const std::string path = testing::TempDir() + "bfpp_journal_stdio.jsonl";
+  std::remove(path.c_str());
+  ServeOptions options;
+  options.cache_file = path;
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
   ASSERT_NE(in, nullptr);
   ASSERT_NE(out, nullptr);
-
-  Server server(options);
-  std::thread serving([&] { EXPECT_EQ(server.serve_stdio(in, out), 0); });
-  const std::string request =
-      R"({"type":"run","model":"6.6b","cluster":"dgx1-v100-ib","pp":4,)"
-      R"("tp":2,"dp":8,"nmb":8,"schedule":"bf","loop":2})"
-      "\n";
-  ASSERT_EQ(::write(in_fds[1], request.data(), request.size()),
-            static_cast<ssize_t>(request.size()));
-  net::Stream reader(out_fds[0]);
-  std::string response;
-  ASSERT_TRUE(reader.read_line(response));
-  EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
-  // The request inserted a cell, but write-through is off: no snapshot.
-  EXPECT_FALSE(serialize::read_file(path).has_value());
-
-  ::close(in_fds[1]);  // EOF ends the serve loop -> final shutdown save
-  serving.join();
-  EXPECT_TRUE(serialize::read_file(path).has_value());
+  std::fputs((journal_run(0) + "\n" + journal_run(0) + "\n").c_str(), in);
+  std::rewind(in);
+  {
+    Server server(options);
+    EXPECT_EQ(server.serve_stdio(in, out), 0);
+  }
   std::fclose(in);
   std::fclose(out);
+  // One cell, one entry line: the shutdown compaction folded the journal
+  // into a snapshot whose header counts it.
+  const std::optional<std::string> content = serialize::read_file(path);
+  ASSERT_TRUE(content.has_value());
+  const std::vector<std::string> lines = serialize::split_lines(*content);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(json::parse(lines[0]).get("entries")->as_int(), 1);
   std::remove(path.c_str());
 }
 

@@ -20,7 +20,6 @@ passes that fail CI:
                    documented pair is actually exercised
   determinism      no rand()/time(nullptr)/std::random_device or
                    range-for over unordered containers in src/
-                   (formerly tools/lint_determinism.py)
 
 Everything is stdlib-only and driven off the source tree (plus
 build/compile_commands.json for the analyzer driver in analyzers.py).

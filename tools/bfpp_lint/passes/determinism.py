@@ -16,9 +16,8 @@ Checks, over every *.h/*.cpp under src/:
      unordered_set - iteration order feeding an emitter would make
      output depend on the hash seed; use a vector or sort first
 
-Formerly the standalone tools/lint_determinism.py (now a shim onto this
-pass); intentional exceptions stay in tools/determinism_allowlist.txt
-and stale entries still fail the run.
+Intentional exceptions go in tools/determinism_allowlist.txt; stale
+entries fail the run.
 """
 from __future__ import annotations
 
