@@ -57,8 +57,8 @@ int main() {
       // Every Figure 6 cell is feasible; a failed cell means the grid is
       // wrong, so fail loudly (as the pre-sweep api::run did).
       check(reports[row * 2].found && reports[row * 2 + 1].found,
-            "fig6: infeasible cell: " + reports[row * 2].error +
-                reports[row * 2 + 1].error);
+            "fig6: infeasible cell: %s%s", reports[row * 2].error.c_str(),
+            reports[row * 2 + 1].error.c_str());
       const double bf = reports[row * 2 + 0].result.utilization;
       const double df = reports[row * 2 + 1].result.utilization;
       if (loops[row] == 1) df1 = df;

@@ -18,39 +18,24 @@
 // cell: the `Coalesced` column counts the duplicate computations the
 // in-flight table absorbed.
 //
-// A final *saturation* pass exercises the real TCP event loop instead
-// of handle(): N non-blocking loopback clients (default 256, --sat-clients)
-// driven from one poll()-based harness thread fire a cold wave and then
-// a warm wave over the same held-open connections, every response is
-// checked byte-identical against a serial handle() reference, and the
-// per-request sojourn times are reported as p50/p99 - the number CI
-// asserts on (>= 256 concurrent clients sustained).
+// Socket transport and sojourn over real TCP are perfbench's job
+// (perfbench/README.md); 256 concurrent clients held open and answered
+// byte-identically is a test_server case.
 //
 // Usage: serve_throughput [requests_per_pass] [concurrent_clients]
-//                         [--sat-clients N] [--json FILE]
-//        (defaults 64, 4 and 256; --json additionally writes the table
-//        as a machine-readable JSON document, the artifact CI archives)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
+//                         [--json FILE]
+//        (defaults 64 and 4; --json additionally writes the table as a
+//        machine-readable JSON document, the artifact CI archives)
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/server.h"
 #include "common/serialize.h"
-#include "common/socket.h"
 #include "common/strings.h"
 #include "common/table.h"
 
@@ -141,225 +126,8 @@ struct BackendResult {
   size_t cold_bytes = 0;
 };
 
-// ---- TCP saturation: the serve_on event loop under N real sockets ----
-
-struct WaveStats {
-  double seconds = 0.0;
-  double rps = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-};
-
-struct ScaleResult {
-  int clients = 0;
-  WaveStats cold;
-  WaveStats warm;
-};
-
-struct SaturationResult {
-  int clients = 0;  // the largest scale actually sustained
-  bool byte_identical = true;
-  std::vector<ScaleResult> scales;
-};
-
-int connect_loopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-double percentile_ms(std::vector<double> xs, double q) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const auto rank = static_cast<size_t>(
-      std::ceil(q * static_cast<double>(xs.size())));
-  return xs[std::min(xs.size(), std::max<size_t>(rank, 1)) - 1];
-}
-
-// One saturation client: a non-blocking connection with a single
-// request line to send and one response line to collect per wave.
-struct SatClient {
-  std::unique_ptr<net::Stream> stream;
-  const std::string* request = nullptr;   // newline-terminated line
-  const std::string* expected = nullptr;  // the serial handle() bytes
-  size_t sent = 0;
-  bool done = false;
-};
-
-// Fires every client's request at once and collects every response,
-// all from this one thread via poll() - the harness mirrors the server
-// design, so neither side ever spends a thread per connection. Records
-// each client's sojourn (wave start to response complete).
-bool run_wave(std::vector<SatClient>& clients, WaveStats& out,
-              bool& byte_identical) {
-  for (SatClient& client : clients) {
-    client.sent = 0;
-    client.done = false;
-  }
-  size_t remaining = clients.size();
-  std::vector<pollfd> fds;
-  std::vector<size_t> idx;
-  std::vector<double> latencies_ms(clients.size(), 0.0);
-  const auto start = std::chrono::steady_clock::now();
-  while (remaining > 0) {
-    fds.clear();
-    idx.clear();
-    for (size_t i = 0; i < clients.size(); ++i) {
-      if (clients[i].done) continue;
-      const short events =
-          clients[i].sent < clients[i].request->size() ? POLLOUT : POLLIN;
-      fds.push_back({clients[i].stream->fd(), events, 0});
-      idx.push_back(i);
-    }
-    if (::poll(fds.data(), static_cast<nfds_t>(fds.size()), 30000) <= 0) {
-      return false;  // a stuck wave is a failed pass, not a hang
-    }
-    for (size_t f = 0; f < fds.size(); ++f) {
-      if (fds[f].revents == 0) continue;
-      SatClient& client = clients[idx[f]];
-      if (client.sent < client.request->size()) {
-        if (client.stream->write_some(*client.request, client.sent) ==
-            net::IoStatus::kError) {
-          return false;
-        }
-        continue;
-      }
-      const net::IoStatus status = client.stream->fill();
-      if (status == net::IoStatus::kError) return false;
-      std::string line;
-      if (client.stream->next_line(line)) {
-        client.done = true;
-        --remaining;
-        latencies_ms[idx[f]] =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (line + "\n" != *client.expected) byte_identical = false;
-      } else if (status == net::IoStatus::kEof) {
-        return false;  // server closed on us mid-wave
-      }
-    }
-  }
-  out.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  out.rps = out.seconds > 0.0
-                ? static_cast<double>(clients.size()) / out.seconds
-                : 0.0;
-  out.p50_ms = percentile_ms(latencies_ms, 0.50);
-  out.p99_ms = percentile_ms(latencies_ms, 0.99);
-  return true;
-}
-
-// One scale of the saturation grid: a fresh server (cold cache), N
-// connections held open across a cold wave and a warm wave. nullopt if
-// sockets fail (sandboxes) or a wave stalls.
-std::optional<ScaleResult> run_saturation_scale(
-    int n_clients, const std::vector<std::string>& request_lines,
-    const std::vector<std::string>& expected, bool& byte_identical) {
-  api::ServeOptions options;
-  options.run.backend = api::parse_backend("analytic");
-  options.max_connections = n_clients + 8;
-  api::Server server(options);
-  std::unique_ptr<net::Listener> listener;
-  try {
-    listener = std::make_unique<net::Listener>(0);
-  } catch (const std::exception&) {
-    return std::nullopt;  // sandboxed: no loopback sockets
-  }
-  std::thread serve_thread([&] { (void)server.serve_on(*listener); });
-
-  std::vector<SatClient> clients(static_cast<size_t>(n_clients));
-  bool ok = true;
-  for (size_t i = 0; i < clients.size(); ++i) {
-    const int fd = connect_loopback(listener->port());
-    if (fd < 0) {
-      ok = false;
-      break;
-    }
-    clients[i].stream = std::make_unique<net::Stream>(fd);
-    ok = clients[i].stream->set_nonblocking();
-    if (!ok) break;
-    clients[i].request = &request_lines[i % request_lines.size()];
-    clients[i].expected = &expected[i % expected.size()];
-  }
-
-  ScaleResult result;
-  result.clients = n_clients;
-  ok = ok && run_wave(clients, result.cold, byte_identical) &&
-       run_wave(clients, result.warm, byte_identical);
-  server.request_shutdown();
-  serve_thread.join();
-  if (!ok) return std::nullopt;
-  return result;
-}
-
-std::optional<SaturationResult> run_saturation(int sat_clients,
-                                               int requests_per_pass) {
-  const std::vector<std::string> requests =
-      distinct_run_requests(requests_per_pass);
-  std::vector<std::string> request_lines;
-  request_lines.reserve(requests.size());
-  for (const std::string& request : requests) {
-    request_lines.push_back(request + "\n");
-  }
-  // The byte-identity reference: the same cells through handle() on one
-  // thread of an unrelated server.
-  std::vector<std::string> expected;
-  expected.reserve(requests.size());
-  {
-    api::ServeOptions options;
-    options.run.backend = api::parse_backend("analytic");
-    api::Server reference(options);
-    for (const std::string& request : requests) {
-      expected.push_back(reference.handle(request));
-    }
-  }
-
-  SaturationResult result;
-  std::vector<int> scales = {std::max(sat_clients / 4, 1), sat_clients};
-  if (scales[0] == scales[1]) scales.erase(scales.begin());
-  for (const int n_clients : scales) {
-    const std::optional<ScaleResult> scale = run_saturation_scale(
-        n_clients, request_lines, expected, result.byte_identical);
-    if (!scale.has_value()) return std::nullopt;
-    result.scales.push_back(*scale);
-    result.clients = std::max(result.clients, n_clients);
-  }
-  return result;
-}
-
-std::string saturation_json(const SaturationResult& sat) {
-  std::string out = str_format(
-      "\"saturation\":{\"clients\":%d,\"byte_identical\":%s,\"scales\":[",
-      sat.clients, sat.byte_identical ? "true" : "false");
-  for (size_t i = 0; i < sat.scales.size(); ++i) {
-    const ScaleResult& s = sat.scales[i];
-    out += str_format(
-        "%s{\"clients\":%d,"
-        "\"cold\":{\"seconds\":%.4f,\"rps\":%.1f,\"p50_ms\":%.3f,"
-        "\"p99_ms\":%.3f},"
-        "\"warm\":{\"seconds\":%.4f,\"rps\":%.1f,\"p50_ms\":%.3f,"
-        "\"p99_ms\":%.3f}}",
-        i == 0 ? "" : ",", s.clients, s.cold.seconds, s.cold.rps,
-        s.cold.p50_ms, s.cold.p99_ms, s.warm.seconds, s.warm.rps,
-        s.warm.p50_ms, s.warm.p99_ms);
-  }
-  out += "]}";
-  return out;
-}
-
 std::string to_json(const std::vector<BackendResult>& results, int n,
-                    int clients,
-                    const std::optional<SaturationResult>& sat) {
+                    int clients) {
   std::string out = str_format(
       "{\"bench\":\"serve_throughput\",\"requests_per_pass\":%d,"
       "\"clients\":%d,\"results\":[",
@@ -377,13 +145,7 @@ std::string to_json(const std::vector<BackendResult>& results, int n,
         static_cast<unsigned long long>(r.coalesced), r.hit_rate,
         r.cold_bytes);
   }
-  out += "]";
-  if (sat.has_value()) {
-    out += "," + saturation_json(*sat);
-  } else {
-    out += ",\"saturation\":{\"skipped\":true}";
-  }
-  out += "}\n";
+  out += "]}\n";
   return out;
 }
 
@@ -392,14 +154,11 @@ std::string to_json(const std::vector<BackendResult>& results, int n,
 int main(int argc, char** argv) {
   int n = 64;
   int clients = 4;
-  int sat_clients = 256;
   std::string json_path;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--sat-clients") == 0 && i + 1 < argc) {
-      sat_clients = std::atoi(argv[++i]);
     } else if (positional == 0) {
       n = std::atoi(argv[i]);
       ++positional;
@@ -411,10 +170,10 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  if (n <= 0 || clients <= 0 || sat_clients <= 0) {
+  if (n <= 0 || clients <= 0) {
     std::fprintf(stderr,
                  "usage: serve_throughput [requests_per_pass] "
-                 "[concurrent_clients] [--sat-clients N] [--json FILE]\n");
+                 "[concurrent_clients] [--json FILE]\n");
     return 1;
   }
   const std::vector<std::string> requests = distinct_run_requests(n);
@@ -482,38 +241,9 @@ int main(int argc, char** argv) {
       "flight coalescing computes each cell once and the Coalesced\n"
       "column counts the duplicate computations it absorbed.\n");
 
-  // The event-loop saturation grid: real loopback sockets against
-  // serve_on, each scale a fresh server driven cold then warm over the
-  // same held-open connections (analytic backend, so the numbers
-  // measure the serving core, not the simulator).
-  std::printf("\n== TCP saturation: %d clients, poll() event loop ==\n\n",
-              sat_clients);
-  const std::optional<SaturationResult> saturation =
-      run_saturation(sat_clients, n);
-  if (saturation.has_value()) {
-    Table sat_table({"Clients", "Cold (req/s)", "Cold p50/p99 (ms)",
-                     "Warm (req/s)", "Warm p50/p99 (ms)"});
-    for (const ScaleResult& scale : saturation->scales) {
-      sat_table.add_row(
-          {str_format("%d", scale.clients),
-           str_format("%.0f", scale.cold.rps),
-           str_format("%.2f / %.2f", scale.cold.p50_ms, scale.cold.p99_ms),
-           str_format("%.0f", scale.warm.rps),
-           str_format("%.2f / %.2f", scale.warm.p50_ms, scale.warm.p99_ms)});
-    }
-    std::fputs(sat_table.to_string().c_str(), stdout);
-    std::printf("\nEvery transport response was %s the serial handle() "
-                "reference.\n",
-                saturation->byte_identical ? "byte-identical to"
-                                           : "DIFFERENT from");
-  } else {
-    std::printf("saturation pass skipped (loopback sockets unavailable "
-                "or a wave stalled)\n");
-  }
-
   if (!json_path.empty()) {
     if (!serialize::write_file_atomic(
-            json_path, to_json(results, n, clients, saturation))) {
+            json_path, to_json(results, n, clients))) {
       std::fprintf(stderr, "serve_throughput: cannot write '%s'\n",
                    json_path.c_str());
       return 1;

@@ -38,9 +38,8 @@ std::vector<int> parse_int_list(const std::string& flag,
     out.push_back(parse_int_flag(flag, item));
   }
   check_config(!out.empty(),
-               str_format("cli: %s expects a comma-separated list of "
-                          "integers, got '%s'",
-                          flag.c_str(), value.c_str()));
+               "cli: %s expects a comma-separated list of integers, got '%s'",
+               flag.c_str(), value.c_str());
   return out;
 }
 
@@ -48,9 +47,8 @@ std::vector<std::string> parse_name_list(const std::string& flag,
                                          const std::string& value) {
   std::vector<std::string> out = split(value, ',');
   check_config(!out.empty(),
-               str_format("cli: %s expects a comma-separated list of names, "
-                          "got '%s'",
-                          flag.c_str(), value.c_str()));
+               "cli: %s expects a comma-separated list of names, got '%s'",
+               flag.c_str(), value.c_str());
   return out;
 }
 
@@ -74,18 +72,14 @@ void emit_text(const std::string& text, const CliOptions& options) {
     return;
   }
   std::FILE* file = std::fopen(options.output.c_str(), "w");
-  check_config(file != nullptr,
-               str_format("cli: cannot open --output file '%s': %s",
-                          options.output.c_str(),
-                          errno_string(errno).c_str()));
+  check_config(file != nullptr, "cli: cannot open --output file '%s': %s",
+               options.output.c_str(), errno_string(errno).c_str());
   int err = std::fputs(text.c_str(), file) < 0 ? errno : 0;
   // stdio buffers: a full disk usually surfaces at the fclose flush,
   // so its result is part of the write, not cleanup.
   if (std::fclose(file) != 0 && err == 0) err = errno;
-  check_config(err == 0,
-               str_format("cli: failed to write --output file '%s': %s",
-                          options.output.c_str(),
-                          errno_string(err).c_str()));
+  check_config(err == 0, "cli: failed to write --output file '%s': %s",
+               options.output.c_str(), errno_string(err).c_str());
 }
 
 void emit_report(const Report& report, const CliOptions& options) {
@@ -324,9 +318,9 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
                    options.command == "validate" ||
                    options.command == "serve" ||
                    options.command == "list" || options.command == "help",
-               str_format("cli: unknown command '%s' (run, search, sweep, "
-                          "compare, validate, serve, list or help)",
-                          args[0].c_str()));
+               "cli: unknown command '%s' (run, search, sweep, "
+               "compare, validate, serve, list or help)",
+               args[0].c_str());
   const bool sweeping = options.command == "sweep";
 
   size_t i = 1;
@@ -335,8 +329,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     options.list_what = args[i++];
   }
   auto value = [&](const std::string& flag) -> std::string {
-    check_config(i + 1 < args.size(),
-                 str_format("cli: %s expects a value", flag.c_str()));
+    check_config(i + 1 < args.size(), "cli: %s expects a value", flag.c_str());
     return args[++i];
   };
   for (; i < args.size(); ++i) {

@@ -220,10 +220,10 @@ class ThreadedEngine : public Engine {
     const int n_stages = cfg.n_stages();
     check_config(
         n_stages <= kMaxThreadedStages && cfg.n_mb <= kMaxThreadedMicroBatches,
-        str_format("threaded backend executes small shapes only "
-                   "(N_stage <= %d, N_mb <= %d); got N_stage = %d, N_mb = %d",
-                   kMaxThreadedStages, kMaxThreadedMicroBatches, n_stages,
-                   cfg.n_mb));
+        "threaded backend executes small shapes only "
+        "(N_stage <= %d, N_mb <= %d); got N_stage = %d, N_mb = %d",
+        kMaxThreadedStages, kMaxThreadedMicroBatches, n_stages,
+        cfg.n_mb);
 
     // Proxy model and data: one block per stage, deterministic seed.
     Rng model_rng(kProxySeed);
@@ -265,9 +265,8 @@ class ThreadedEngine : public Engine {
       auto want = reference.blocks[static_cast<size_t>(b)].gradients();
       for (size_t k = 0; k < got.size(); ++k) {
         check(tensor::max_abs_diff(*got[k], *want[k]) == 0.0f,
-              str_format("threaded backend: gradients of block %d diverge "
-                         "from serial execution",
-                         b));
+              "threaded backend: gradients of block %d diverge from serial "
+              "execution", b);
       }
     }
 

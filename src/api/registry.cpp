@@ -26,13 +26,12 @@ ClusterKey parse_cluster_key(const std::string& name) {
     // uncaught std::invalid_argument / std::out_of_range.
     const std::optional<int> n_nodes = parse_int(digits);
     check_config(n_nodes.has_value(),
-                 str_format("registry: bad node count ':%s' in cluster '%s' "
-                            "(expected a positive integer)",
-                            digits.c_str(), name.c_str()));
+                 "registry: bad node count ':%s' in cluster '%s' (expected a "
+                 "positive integer)", digits.c_str(), name.c_str());
     key.n_nodes = *n_nodes;
     check_config(key.n_nodes >= 1,
-                 str_format("registry: cluster '%s' needs at least one node",
-                            name.c_str()));
+                 "registry: cluster '%s' needs at least one node",
+                 name.c_str());
   }
   return key;
 }

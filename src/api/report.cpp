@@ -1,5 +1,7 @@
 #include "api/report.h"
 
+#include <utility>
+
 #include "common/error.h"
 #include "common/json.h"
 #include "common/strings.h"
@@ -12,50 +14,64 @@ namespace {
 // trailing noise ("0.25", "36280000000000").
 std::string fmt_double(double x) { return str_format("%.10g", x); }
 
-// Escaping lives in common/strings.h (json_escape/json_quote), shared
-// with the serve protocol emitter.
-std::string json_str(const std::string& s) { return json_quote(s); }
+// An object's fields in order: the quoted key with its colon, then the
+// rendered value.
+using Fields = std::vector<std::pair<const char*, std::string>>;
 
-std::string config_json(const parallel::ParallelConfig& cfg,
-                        const std::string& indent) {
-  std::vector<std::string> fields = {
-      "\"schedule\": " + json_str(parallel::to_string(cfg.schedule)),
-      "\"sharding\": " + json_str(parallel::to_string(cfg.sharding)),
-      str_format("\"n_pp\": %d", cfg.n_pp),
-      str_format("\"n_tp\": %d", cfg.n_tp),
-      str_format("\"n_dp\": %d", cfg.n_dp),
-      str_format("\"s_mb\": %d", cfg.s_mb),
-      str_format("\"n_mb\": %d", cfg.n_mb),
-      str_format("\"n_loop\": %d", cfg.n_loop),
-      str_format("\"overlap_dp\": %s", cfg.overlap_dp ? "true" : "false"),
-      str_format("\"overlap_pp\": %s", cfg.overlap_pp ? "true" : "false"),
-      "\"describe\": " + json_str(cfg.describe())};
-  return "{\n" + indent + "  " + join(fields, ",\n" + indent + "  ") + "\n" +
-         indent + "}";
+// One JSON object: pretty puts each field on its own line, indented two
+// spaces past `indent`, with a space after each colon; compact adds no
+// whitespace at all.
+std::string json_object(const Fields& fields, const std::string& indent,
+                        bool pretty) {
+  std::string out = "{";
+  for (const auto& [key, value] : fields) {
+    if (out.size() > 1) out += ',';
+    if (pretty) out += "\n" + indent + "  ";
+    out += key;
+    if (pretty) out += ' ';
+    out += value;
+  }
+  if (pretty) out += "\n" + indent;
+  return out + "}";
 }
 
-std::string result_json(const runtime::RunResult& r,
-                        const std::string& indent) {
-  std::vector<std::string> fields = {
-      "\"batch_time_s\": " + fmt_double(r.batch_time),
-      "\"throughput_per_gpu\": " + fmt_double(r.throughput_per_gpu),
-      "\"utilization\": " + fmt_double(r.utilization),
-      "\"compute_idle_fraction\": " + fmt_double(r.compute_idle_fraction)};
-  return "{\n" + indent + "  " + join(fields, ",\n" + indent + "  ") + "\n" +
-         indent + "}";
+std::string config_json(const parallel::ParallelConfig& cfg,
+                        const std::string& indent, bool pretty) {
+  return json_object(
+      {{"\"schedule\":", json_quote(parallel::to_string(cfg.schedule))},
+       {"\"sharding\":", json_quote(parallel::to_string(cfg.sharding))},
+       {"\"n_pp\":", std::to_string(cfg.n_pp)},
+       {"\"n_tp\":", std::to_string(cfg.n_tp)},
+       {"\"n_dp\":", std::to_string(cfg.n_dp)},
+       {"\"s_mb\":", std::to_string(cfg.s_mb)},
+       {"\"n_mb\":", std::to_string(cfg.n_mb)},
+       {"\"n_loop\":", std::to_string(cfg.n_loop)},
+       {"\"overlap_dp\":", cfg.overlap_dp ? "true" : "false"},
+       {"\"overlap_pp\":", cfg.overlap_pp ? "true" : "false"},
+       {"\"describe\":", json_quote(cfg.describe())}},
+      indent, pretty);
+}
+
+std::string result_json(const runtime::RunResult& r, const std::string& indent,
+                        bool pretty) {
+  return json_object(
+      {{"\"batch_time_s\":", fmt_double(r.batch_time)},
+       {"\"throughput_per_gpu\":", fmt_double(r.throughput_per_gpu)},
+       {"\"utilization\":", fmt_double(r.utilization)},
+       {"\"compute_idle_fraction\":", fmt_double(r.compute_idle_fraction)}},
+      indent, pretty);
 }
 
 std::string memory_json(const memmodel::MemoryEstimate& m,
-                        const std::string& indent) {
-  std::vector<std::string> fields = {
-      "\"total_bytes\": " + fmt_double(m.total()),
-      "\"state_bytes\": " + fmt_double(m.state_bytes),
-      "\"buffer_bytes\": " + fmt_double(m.buffer_bytes),
-      "\"activation_bytes\": " + fmt_double(m.activation_bytes),
-      "\"checkpoint_bytes\": " + fmt_double(m.checkpoint_bytes),
-      "\"p2p_buffer_bytes\": " + fmt_double(m.p2p_buffer_bytes)};
-  return "{\n" + indent + "  " + join(fields, ",\n" + indent + "  ") + "\n" +
-         indent + "}";
+                        const std::string& indent, bool pretty) {
+  return json_object(
+      {{"\"total_bytes\":", fmt_double(m.total())},
+       {"\"state_bytes\":", fmt_double(m.state_bytes)},
+       {"\"buffer_bytes\":", fmt_double(m.buffer_bytes)},
+       {"\"activation_bytes\":", fmt_double(m.activation_bytes)},
+       {"\"checkpoint_bytes\":", fmt_double(m.checkpoint_bytes)},
+       {"\"p2p_buffer_bytes\":", fmt_double(m.p2p_buffer_bytes)}},
+      indent, pretty);
 }
 
 std::string csv_quote(const std::string& s) {
@@ -71,41 +87,40 @@ std::string csv_quote(const std::string& s) {
 
 }  // namespace
 
-std::string Report::to_json() const {
-  std::vector<std::string> fields = {
-      "\"scenario\": " + json_str(scenario),
-      "\"model\": " + json_str(model),
-      "\"cluster\": " + json_str(cluster),
-      "\"method\": " + (method.empty() ? "null" : json_str(method)),
-      str_format("\"n_gpus\": %d", n_gpus),
-      str_format("\"batch_size\": %d", batch_size),
-      "\"beta\": " + fmt_double(beta()),
-      str_format("\"found\": %s", found ? "true" : "false")};
+std::string Report::to_json(bool pretty) const {
+  Fields fields = {
+      {"\"scenario\":", json_quote(scenario)},
+      {"\"model\":", json_quote(model)},
+      {"\"cluster\":", json_quote(cluster)},
+      {"\"method\":", method.empty() ? "null" : json_quote(method)},
+      {"\"n_gpus\":", std::to_string(n_gpus)},
+      {"\"batch_size\":", std::to_string(batch_size)},
+      {"\"beta\":", fmt_double(beta())},
+      {"\"found\":", found ? "true" : "false"}};
   if (!found && !error.empty()) {
-    fields.push_back("\"error\": " + json_str(error));
+    fields.push_back({"\"error\":", json_quote(error)});
   }
   if (found) {
-    fields.push_back("\"config\": " + config_json(config, "  "));
-    fields.push_back("\"result\": " + result_json(result, "  "));
-    fields.push_back("\"memory\": " + memory_json(memory, "  "));
-    fields.push_back("\"memory_min\": " + memory_json(memory_min, "  "));
+    fields.push_back({"\"config\":", config_json(config, "  ", pretty)});
+    fields.push_back({"\"result\":", result_json(result, "  ", pretty)});
+    fields.push_back({"\"memory\":", memory_json(memory, "  ", pretty)});
+    fields.push_back(
+        {"\"memory_min\":", memory_json(memory_min, "  ", pretty)});
   }
   if (!method.empty()) {
-    std::vector<std::string> search = {
-        str_format("\"evaluated\": %d", evaluated),
-        str_format("\"infeasible\": %d", infeasible)};
+    Fields search = {{"\"evaluated\":", std::to_string(evaluated)},
+                     {"\"infeasible\":", std::to_string(infeasible)}};
     if (frugal.has_value()) {
-      std::vector<std::string> fr = {
-          "\"config\": " + config_json(frugal->config, "    "),
-          "\"result\": " + result_json(frugal->result, "    "),
-          "\"memory_min\": " + memory_json(frugal->memory_min, "    ")};
-      search.push_back("\"frugal\": {\n      " + join(fr, ",\n      ") +
-                       "\n    }");
+      // Indented one level shallower than they nest, as always printed.
+      const Fields fr = {
+          {"\"config\":", config_json(frugal->config, "    ", pretty)},
+          {"\"result\":", result_json(frugal->result, "    ", pretty)},
+          {"\"memory_min\":", memory_json(frugal->memory_min, "    ", pretty)}};
+      search.push_back({"\"frugal\":", json_object(fr, "    ", pretty)});
     }
-    fields.push_back("\"search\": {\n    " + join(search, ",\n    ") +
-                     "\n  }");
+    fields.push_back({"\"search\":", json_object(search, "  ", pretty)});
   }
-  return "{\n  " + join(fields, ",\n  ") + "\n}\n";
+  return json_object(fields, "", pretty) + (pretty ? "\n" : "");
 }
 
 std::string Report::csv_header() {
@@ -163,15 +178,16 @@ namespace {
 // %.10g display emitters.
 std::string wire_double(double x) { return str_format("%.17g", x); }
 
+// std::string("["): avoids gcc 12's false -Wrestrict (GCC bug 105651).
 std::string wire_result(const runtime::RunResult& r) {
-  return "[" + wire_double(r.batch_time) + "," +
+  return std::string("[") + wire_double(r.batch_time) + "," +
          wire_double(r.throughput_per_gpu) + "," +
          wire_double(r.utilization) + "," +
          wire_double(r.compute_idle_fraction) + "]";
 }
 
 std::string wire_memory(const memmodel::MemoryEstimate& m) {
-  return "[" + wire_double(m.state_bytes) + "," +
+  return std::string("[") + wire_double(m.state_bytes) + "," +
          wire_double(m.buffer_bytes) + "," +
          wire_double(m.activation_bytes) + "," +
          wire_double(m.checkpoint_bytes) + "," +
@@ -180,8 +196,7 @@ std::string wire_memory(const memmodel::MemoryEstimate& m) {
 
 const json::Value& wire_field(const json::Value& v, const char* key) {
   const json::Value* field = v.get(key);
-  check_config(field != nullptr,
-               str_format("report: wire form is missing \"%s\"", key));
+  check_config(field != nullptr, "report: wire form is missing \"%s\"", key);
   return *field;
 }
 
@@ -189,8 +204,7 @@ std::vector<double> wire_doubles(const json::Value& v, const char* key,
                                  size_t n) {
   const json::Value& field = wire_field(v, key);
   check_config(field.is_array() && field.size() == n,
-               str_format("report: \"%s\" must be an array of %zu numbers",
-                          key, n));
+               "report: \"%s\" must be an array of %zu numbers", key, n);
   std::vector<double> out;
   out.reserve(n);
   for (const json::Value& item : field.items()) {
@@ -246,7 +260,7 @@ std::string Report::to_wire() const {
                      ",\"memory_min\":" + wire_memory(frugal->memory_min) +
                      "}");
   }
-  return "{" + join(fields, ",") + "}";
+  return std::string("{") + join(fields, ",") + "}";
 }
 
 Report Report::from_wire(const json::Value& value) {
@@ -308,15 +322,12 @@ std::string to_csv(const std::vector<Report>& reports) {
 
 std::string to_json(const std::vector<Report>& reports) {
   if (reports.empty()) return "[]\n";
-  std::string out = "[\n";
-  for (size_t i = 0; i < reports.size(); ++i) {
-    std::string one = reports[i].to_json();
-    if (!one.empty() && one.back() == '\n') one.pop_back();
-    out += one;
-    out += i + 1 < reports.size() ? ",\n" : "\n";
+  std::vector<std::string> items;
+  for (const Report& r : reports) {
+    items.push_back(r.to_json());
+    items.back().pop_back();  // the object's trailing newline
   }
-  out += "]\n";
-  return out;
+  return std::string("[\n") + join(items, ",\n") + "\n]\n";
 }
 
 }  // namespace bfpp::api

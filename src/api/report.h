@@ -62,9 +62,10 @@ struct Report {
     return n_gpus > 0 ? static_cast<double>(batch_size) / n_gpus : 0.0;
   }
 
-  // Single JSON object (pretty-printed, two-space indent, stable key
-  // order, C-locale numbers).
-  [[nodiscard]] std::string to_json() const;
+  // Single JSON object, stable key order, C-locale numbers: pretty by
+  // default (two-space indent, trailing newline), or compact (no
+  // whitespace outside strings, no newline) as serve responses embed it.
+  [[nodiscard]] std::string to_json(bool pretty = true) const;
 
   // CSV: fixed column set, stable across runs and locales.
   static std::string csv_header();

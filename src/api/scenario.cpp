@@ -8,9 +8,8 @@ namespace bfpp::api {
 
 const parallel::ParallelConfig& Scenario::require_config() const {
   check_config(config.has_value(),
-               str_format("scenario '%s' has no parallel configuration "
-                          "(search-only); use api::search or set the grid",
-                          name.c_str()));
+               "scenario '%s' has no parallel configuration (search-only); "
+               "use api::search or set the grid", name.c_str());
   return *config;
 }
 
@@ -166,9 +165,8 @@ Scenario ScenarioBuilder::build() const {
     const int grid = cfg.n_tp * cfg.n_pp;
     const int total = scenario.cluster.total_gpus();
     check_config(grid >= 1 && total % grid == 0,
-                 str_format("scenario: N_TP*N_PP = %d does not divide the "
-                            "cluster's %d GPUs; set dp() explicitly",
-                            grid, total));
+                 "scenario: N_TP*N_PP = %d does not divide the cluster's %d "
+                 "GPUs; set dp() explicitly", grid, total);
     cfg.n_dp = total / grid;
   }
 
@@ -178,9 +176,8 @@ Scenario ScenarioBuilder::build() const {
     // Derive the micro-batch count from the requested global batch.
     const int per_replica = cfg.n_dp * cfg.s_mb;
     check_config(*batch_ % per_replica == 0,
-                 str_format("scenario: batch %d is not divisible by "
-                            "N_DP*S_mb = %d",
-                            *batch_, per_replica));
+                 "scenario: batch %d is not divisible by N_DP*S_mb = %d",
+                 *batch_, per_replica);
     cfg.n_mb = *batch_ / per_replica;
   }
 
@@ -189,9 +186,8 @@ Scenario ScenarioBuilder::build() const {
   parallel::validate(cfg, scenario.model, scenario.cluster);
   if (batch_) {
     check_config(*batch_ == cfg.batch_size(),
-                 str_format("scenario: batch %d contradicts the grid's "
-                            "N_DP*N_mb*S_mb = %d",
-                            *batch_, cfg.batch_size()));
+                 "scenario: batch %d contradicts the grid's "
+                 "N_DP*N_mb*S_mb = %d", *batch_, cfg.batch_size());
   }
   scenario.config = cfg;
   scenario.batch_size = cfg.batch_size();

@@ -277,17 +277,14 @@ namespace {
 // present, so its absence is a parse error naming the key.
 const json::Value& serve_wire_field(const json::Value& v, const char* key) {
   const json::Value* field = v.get(key);
-  check_config(field != nullptr,
-               str_format("serve stats wire: missing \"%s\"", key));
+  check_config(field != nullptr, "serve stats wire: missing \"%s\"", key);
   return *field;
 }
 
 uint64_t serve_wire_u64(const json::Value& v, const char* key) {
   const double x = serve_wire_field(v, key).as_number(key);
   check_config(x >= 0 && x == std::floor(x),
-               str_format("serve stats wire: \"%s\" must be a non-negative "
-                          "integer",
-                          key));
+               "serve stats wire: \"%s\" must be a non-negative integer", key);
   return static_cast<uint64_t>(x);
 }
 
@@ -383,34 +380,6 @@ ServeStats ServeStats::from_wire(const json::Value& value) {
 
 namespace {
 
-// Strips all whitespace outside string literals: turns the pretty-printed
-// Report::to_json() into one protocol line. Safe because the emitter
-// escapes every control character, so no raw newline can appear inside a
-// JSON string.
-std::string json_compact(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : s) {
-    if (in_string) {
-      out += c;
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == ' ' || c == '\n' || c == '\t' || c == '\r') continue;
-    out += c;
-    if (c == '"') in_string = true;
-  }
-  return out;
-}
-
 std::string json_names(const std::vector<std::string>& names) {
   std::vector<std::string> quoted;
   quoted.reserve(names.size());
@@ -432,14 +401,22 @@ std::string error_line(const std::string& id_echo, const std::string& what) {
   return response_line(id_echo, "\"ok\":false,\"error\":" + json_quote(what));
 }
 
+// The answer to a request line over net::kMaxRequestLineBytes; either
+// transport stops reading after it.
+std::string overlong_line_error() {
+  return error_line("", str_format("serve: request line exceeds %zu bytes "
+                                   "without a newline; closing the "
+                                   "connection",
+                                   net::kMaxRequestLineBytes));
+}
+
 std::vector<std::string> names_from(const json::Value& v, const char* key) {
   if (v.is_array()) {
     std::vector<std::string> out;
     for (const json::Value& item : v.items()) {
       out.push_back(item.as_string(key));
     }
-    check_config(!out.empty(),
-                 str_format("serve: \"%s\" must not be an empty list", key));
+    check_config(!out.empty(), "serve: \"%s\" must not be an empty list", key);
     return out;
   }
   return {v.as_string(key)};
@@ -449,8 +426,7 @@ std::vector<int> ints_from(const json::Value& v, const char* key) {
   if (v.is_array()) {
     std::vector<int> out;
     for (const json::Value& item : v.items()) out.push_back(item.as_int(key));
-    check_config(!out.empty(),
-                 str_format("serve: \"%s\" must not be an empty list", key));
+    check_config(!out.empty(), "serve: \"%s\" must not be an empty list", key);
     return out;
   }
   return {v.as_int(key)};
@@ -530,10 +506,9 @@ Request parse_request(const json::Value& root, const ServeOptions& defaults) {
   check_config(scenario_request || req.type == "stats" ||
                    req.type == "metrics" || req.type == "list" ||
                    req.type == "ping" || req.type == "shutdown",
-               str_format("serve: unknown request type '%s' (run, search, "
-                          "sweep, compare, stats, metrics, list, ping or "
-                          "shutdown)",
-                          req.type.c_str()));
+               "serve: unknown request type '%s' (run, search, sweep, "
+               "compare, stats, metrics, list, ping or shutdown)",
+               req.type.c_str());
   const bool sweeping = req.type == "sweep";
   req.cli.command = req.type;
 
@@ -544,9 +519,8 @@ Request parse_request(const json::Value& root, const ServeOptions& defaults) {
       continue;
     }
     check_config(scenario_request,
-                 str_format("serve: field \"%s\" is not valid for a '%s' "
-                            "request",
-                            key.c_str(), req.type.c_str()));
+                 "serve: field \"%s\" is not valid for a '%s' request",
+                 key.c_str(), req.type.c_str());
     if (key == "format") {
       req.format = to_lower(v.as_string("format"));
       check_config(req.format == "json" || req.format == "csv",
@@ -676,21 +650,18 @@ std::string rows_response(const std::string& id_echo, const char* type,
         "\"ok\":true,\"type\":\"%s\",\"format\":\"csv\",\"rows\":%zu,"
         "\"lines\":%zu",
         type, reports.size(), reports.size() + 1);
-    std::string out = response_line(id_echo, head);
-    out += Report::csv_header() + "\n";
-    for (const Report& r : reports) out += r.to_csv_row() + "\n";
-    return out;
+    return response_line(id_echo, head) + to_csv(reports);
   }
   if (single) {
     return response_line(id_echo,
                          str_format("\"ok\":true,\"type\":\"%s\",", type) +
-                             "\"report\":" + json_compact(reports[0].to_json()));
+                             "\"report\":" + reports[0].to_json(false));
   }
   std::string head = str_format(
       "\"ok\":true,\"type\":\"%s\",\"rows\":%zu,\"lines\":%zu", type,
       reports.size(), reports.size());
   std::string out = response_line(id_echo, head);
-  for (const Report& r : reports) out += json_compact(r.to_json()) + "\n";
+  for (const Report& r : reports) out += r.to_json(false) + "\n";
   return out;
 }
 
@@ -957,9 +928,8 @@ std::string Server::handle_or_throw(std::string& id_echo,
     const std::string what = to_lower(req.list_what);
     check_config(what == "models" || what == "clusters" ||
                      what == "scenarios" || what == "all",
-                 str_format("serve: unknown list target '%s' (models, "
-                            "clusters, scenarios or all)",
-                            req.list_what.c_str()));
+                 "serve: unknown list target '%s' (models, clusters, "
+                 "scenarios or all)", req.list_what.c_str());
     std::vector<std::string> fields = {"\"ok\":true", "\"type\":\"list\""};
     if (what == "models" || what == "all") {
       fields.push_back("\"models\":" + json_names(model_names()));
@@ -1083,11 +1053,14 @@ ServeStats Server::snapshot_stats() const {
 int Server::serve_stdio(std::FILE* in, std::FILE* out) {
   std::string line;
   while (!shutdown_ && net::read_stdio_line(in, line)) {
-    const std::string response = handle(line);
+    const bool overlong = line.size() > net::kMaxRequestLineBytes;
+    const std::string response = overlong ? overlong_line_error()
+                                          : handle(line);
     if (!response.empty()) {
       std::fputs(response.c_str(), out);
       std::fflush(out);
     }
+    if (overlong) break;
   }
   persist_cache();
   return 0;
@@ -1268,7 +1241,7 @@ int Server::serve_on(net::Listener& listener) {
       while (conn.stream->next_line(line)) {
         conn.input.push_back(std::move(line));
       }
-      if (conn.stream->buffered() > kMaxRequestLineBytes) {
+      if (conn.stream->buffered() > net::kMaxRequestLineBytes) {
         // Stop reading; the requests before the overlong line are still
         // answered, then one error line, then the close.
         conn.overlong = true;
@@ -1359,10 +1332,7 @@ int Server::serve_on(net::Listener& listener) {
       }
       if (conn.overlong && !conn.busy && conn.input.empty()) {
         conn.overlong = false;
-        conn.outbox += error_line(
-            "", str_format("serve: request line exceeds %zu bytes without "
-                           "a newline; closing the connection",
-                           kMaxRequestLineBytes));
+        conn.outbox += overlong_line_error();
       }
       const size_t left = conn.dead ? 0 : conn.outbox.size() - conn.out_off;
       if (left == 0) {

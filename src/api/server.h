@@ -27,10 +27,10 @@
 // owns every connection's state; all computation funnels through the
 // shared ThreadPool exactly as in single-client mode, so concurrent
 // clients share one thread budget instead of oversubscribing the
-// machine. Request lines are capped at kMaxRequestLineBytes. handle()
+// machine. A request line over net::kMaxRequestLineBytes (1 MiB) gets
+// one {"ok":false,...} line and a close (stdio: serving stops). handle()
 // is fully thread-safe, and a `metrics` request exposes latency
-// histograms, queue depths and connection-state counts (see
-// ServeStats).
+// histograms, queue depths and connection-state counts (see ServeStats).
 //
 // Repeated cells are served from an LRU ReportCache keyed by
 // (model, cluster, config, backend, kernel-override) - the simulator is
@@ -250,13 +250,6 @@ struct ServeOptions {
   RunOptions run;           // default backend for requests that set none
 };
 
-// The longest request line a TCP connection may send (1 MiB). A client
-// that buffers more without a newline is answered with one
-// {"ok":false,...} line and closed, so a trickling or hostile client
-// cannot grow server memory without bound. A fixed protocol limit, not
-// an option.
-inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
-
 // One versioned snapshot of the server's observable state - the shared
 // wire schema behind both the `stats` and the `metrics` response (the
 // two responses splice the same to_wire() fields after their
@@ -327,7 +320,8 @@ class Server {
   // threads call this concurrently.
   std::string handle(const std::string& request_line);
 
-  // Serves line requests from `in` until EOF or a shutdown request,
+  // Serves line requests from `in` until EOF, a shutdown request or a
+  // line over net::kMaxRequestLineBytes (answered with one error line),
   // writing responses to `out` (flushed per response). Returns 0.
   int serve_stdio(std::FILE* in = stdin, std::FILE* out = stdout);
 
@@ -407,7 +401,7 @@ class Server {
     size_t out_off = 0;             // flush offset into outbox
     bool busy = false;              // a dispatched request is pending
     bool read_eof = false;          // peer half-closed; input may remain
-    bool overlong = false;          // sent a line over kMaxRequestLineBytes
+    bool overlong = false;          // sent a line over the request cap
     bool dead = false;              // I/O error: close without flushing
     bool stalled = false;           // outbox pending with zero progress
     std::chrono::steady_clock::time_point stalled_since{};

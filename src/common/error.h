@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/strings.h"
+
 namespace bfpp {
 
 // Base exception for all library errors.
@@ -42,14 +44,23 @@ class OutOfMemoryError : public Error {
   explicit OutOfMemoryError(const std::string& what) : Error(what) {}
 };
 
-// Throws Error with `message` when `condition` is false.
-inline void check(bool condition, const std::string& message) {
+// Throw Error (check) or ConfigError (check_config) when `condition` is
+// false. A lone message is used verbatim ('%' prints as itself); a printf
+// format is -Wformat-checked like str_format and formatted only on
+// failure (its arguments are still evaluated: pass cheap ones). The
+// format forms are templates only so that a lone message picks the
+// verbatim overload; strings.cpp defines them.
+inline void check(bool condition, const char* message) {
   if (!condition) throw Error(message);
 }
+template <int = 0>
+void check(bool condition, const char* fmt, ...) BFPP_PRINTF_LIKE(2, 3);
 
-// Throws ConfigError with `message` when `condition` is false.
-inline void check_config(bool condition, const std::string& message) {
+inline void check_config(bool condition, const char* message) {
   if (!condition) throw ConfigError(message);
 }
+template <int = 0>
+void check_config(bool condition, const char* fmt, ...)
+    BFPP_PRINTF_LIKE(2, 3);
 
 }  // namespace bfpp

@@ -16,28 +16,25 @@ constexpr int kMaxDepth = 64;
 
 }  // namespace
 
-bool Value::as_bool(const std::string& what) const {
-  check_config(is_bool(), str_format("json: %s must be true or false",
-                                     what.c_str()));
+bool Value::as_bool(const char* what) const {
+  check_config(is_bool(), "json: %s must be true or false", what);
   return bool_;
 }
 
-double Value::as_number(const std::string& what) const {
-  check_config(is_number(),
-               str_format("json: %s must be a number", what.c_str()));
+double Value::as_number(const char* what) const {
+  check_config(is_number(), "json: %s must be a number", what);
   return number_;
 }
 
-int Value::as_int(const std::string& what) const {
+int Value::as_int(const char* what) const {
   const double x = as_number(what);
   check_config(x == std::floor(x) && x >= -2147483648.0 && x <= 2147483647.0,
-               str_format("json: %s must be an integer", what.c_str()));
+               "json: %s must be an integer", what);
   return static_cast<int>(x);
 }
 
-const std::string& Value::as_string(const std::string& what) const {
-  check_config(is_string(),
-               str_format("json: %s must be a string", what.c_str()));
+const std::string& Value::as_string(const char* what) const {
+  check_config(is_string(), "json: %s must be a string", what);
   return string_;
 }
 
@@ -56,14 +53,17 @@ class Parser {
   Value parse_document() {
     Value v = parse_value(0);
     skip_ws();
-    check_config(pos_ == text_.size(),
-                 err("trailing content after the JSON document"));
+    require(pos_ == text_.size(), "trailing content after the JSON document");
     return v;
   }
 
  private:
-  [[nodiscard]] std::string err(const char* what) const {
-    return str_format("json: %s (at byte %zu)", what, pos_);
+  // Formats only once the document is known to be bad. Inline, not the
+  // varargs check_config: it runs per character, and gcc never inlines
+  // a varargs function.
+  void require(bool ok, const char* what) const {
+    if (ok) return;
+    throw ConfigError(str_format("json: %s (at byte %zu)", what, pos_));
   }
 
   void skip_ws() {
@@ -76,13 +76,13 @@ class Parser {
 
   char peek() {
     skip_ws();
-    check_config(pos_ < text_.size(), err("unexpected end of input"));
+    require(pos_ < text_.size(), "unexpected end of input");
     return text_[pos_];
   }
 
   void expect(char c) {
-    check_config(peek() == c,
-                 str_format("json: expected '%c' (at byte %zu)", c, pos_));
+    const size_t at = pos_;  // before peek() skips whitespace, always
+    check_config(peek() == c, "json: expected '%c' (at byte %zu)", c, at);
     ++pos_;
   }
 
@@ -104,7 +104,7 @@ class Parser {
   }
 
   Value parse_value(int depth) {
-    check_config(depth < kMaxDepth, err("nesting too deep"));
+    require(depth < kMaxDepth, "nesting too deep");
     const char c = peek();
     Value v;
     switch (c) {
@@ -117,17 +117,17 @@ class Parser {
         v.string_ = parse_string();
         return v;
       case 't':
-        check_config(consume_word("true"), err("invalid literal"));
+        require(consume_word("true"), "invalid literal");
         v.type_ = Value::Type::kBool;
         v.bool_ = true;
         return v;
       case 'f':
-        check_config(consume_word("false"), err("invalid literal"));
+        require(consume_word("false"), "invalid literal");
         v.type_ = Value::Type::kBool;
         v.bool_ = false;
         return v;
       case 'n':
-        check_config(consume_word("null"), err("invalid literal"));
+        require(consume_word("null"), "invalid literal");
         return v;  // kNull
       default:
         return parse_number();
@@ -140,7 +140,7 @@ class Parser {
     v.type_ = Value::Type::kObject;
     if (consume('}')) return v;
     while (true) {
-      check_config(peek() == '"', err("object keys must be strings"));
+      require(peek() == '"', "object keys must be strings");
       std::string key = parse_string();
       expect(':');
       v.object_.emplace_back(std::move(key), parse_value(depth + 1));
@@ -167,11 +167,11 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      check_config(pos_ < text_.size(), err("unterminated string"));
+      require(pos_ < text_.size(), "unterminated string");
       const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
       if (c == '"') return out;
       if (c == '\\') {
-        check_config(pos_ < text_.size(), err("unterminated escape"));
+        require(pos_ < text_.size(), "unterminated escape");
         const char e = text_[pos_++];
         switch (e) {
           case '"': out += '"'; break;
@@ -184,17 +184,17 @@ class Parser {
           case 't': out += '\t'; break;
           case 'u': out += parse_unicode_escape(); break;
           default:
-            throw ConfigError(err("invalid escape sequence"));
+            require(false, "invalid escape sequence");
         }
         continue;
       }
-      check_config(c >= 0x20, err("unescaped control character in string"));
+      require(c >= 0x20, "unescaped control character in string");
       out += static_cast<char>(c);
     }
   }
 
   unsigned parse_hex4() {
-    check_config(pos_ + 4 <= text_.size(), err("truncated \\u escape"));
+    require(pos_ + 4 <= text_.size(), "truncated \\u escape");
     unsigned code = 0;
     for (int i = 0; i < 4; ++i) {
       const char h = text_[pos_++];
@@ -206,7 +206,7 @@ class Parser {
       } else if (h >= 'A' && h <= 'F') {
         code |= static_cast<unsigned>(h - 'A' + 10);
       } else {
-        throw ConfigError(err("invalid \\u escape"));
+        require(false, "invalid \\u escape");
       }
     }
     return code;
@@ -217,17 +217,17 @@ class Parser {
   std::string parse_unicode_escape() {
     unsigned code = parse_hex4();
     if (code >= 0xD800 && code <= 0xDBFF) {  // high surrogate
-      check_config(pos_ + 2 <= text_.size() && text_[pos_] == '\\' &&
-                       text_[pos_ + 1] == 'u',
-                   err("unpaired surrogate in \\u escape"));
+      require(pos_ + 2 <= text_.size() && text_[pos_] == '\\' &&
+                  text_[pos_ + 1] == 'u',
+              "unpaired surrogate in \\u escape");
       pos_ += 2;
       const unsigned low = parse_hex4();
-      check_config(low >= 0xDC00 && low <= 0xDFFF,
-                   err("invalid low surrogate in \\u escape"));
+      require(low >= 0xDC00 && low <= 0xDFFF,
+              "invalid low surrogate in \\u escape");
       code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
     } else {
-      check_config(!(code >= 0xDC00 && code <= 0xDFFF),
-                   err("unpaired surrogate in \\u escape"));
+      require(!(code >= 0xDC00 && code <= 0xDFFF),
+              "unpaired surrogate in \\u escape");
     }
     std::string out;
     if (code < 0x80) {
@@ -258,17 +258,17 @@ class Parser {
       }
       return pos_ > before;
     };
-    check_config(digits(), err("invalid number"));
+    require(digits(), "invalid number");
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
-      check_config(digits(), err("invalid number"));
+      require(digits(), "invalid number");
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
         ++pos_;
       }
-      check_config(digits(), err("invalid number"));
+      require(digits(), "invalid number");
     }
     // The grammar above admits exactly what strtod parses; the C locale
     // guard keeps '.' the radix point everywhere.

@@ -39,11 +39,10 @@ class Value {
   // Typed reads. Each throws bfpp::ConfigError naming `what` when the
   // value is not of the requested type (as_int additionally requires an
   // exact integer).
-  [[nodiscard]] bool as_bool(const std::string& what = "value") const;
-  [[nodiscard]] double as_number(const std::string& what = "value") const;
-  [[nodiscard]] int as_int(const std::string& what = "value") const;
-  [[nodiscard]] const std::string& as_string(
-      const std::string& what = "value") const;
+  [[nodiscard]] bool as_bool(const char* what = "value") const;
+  [[nodiscard]] double as_number(const char* what = "value") const;
+  [[nodiscard]] int as_int(const char* what = "value") const;
+  [[nodiscard]] const std::string& as_string(const char* what = "value") const;
 
   // Array access.
   [[nodiscard]] size_t size() const { return array_.size(); }

@@ -154,14 +154,15 @@ bool read_stdio_line(std::FILE* in, std::string& line) {
       return true;
     }
     line += static_cast<char>(c);
+    if (line.size() > kMaxRequestLineBytes) return true;
   }
   return finish_eof_line(line);
 }
 
 Listener::Listener(int port, int backlog) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  check_config(fd_ >= 0, str_format("socket: cannot create socket: %s",
-                                    errno_string(errno).c_str()));
+  check_config(fd_ >= 0, "socket: cannot create socket: %s",
+               errno_string(errno).c_str());
   const int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -217,9 +218,8 @@ std::optional<Stream> Listener::try_accept() {
 }
 
 WakePipe::WakePipe() {
-  check_config(::pipe(fds_) == 0,
-               str_format("socket: cannot create wake pipe: %s",
-                          errno_string(errno).c_str()));
+  check_config(::pipe(fds_) == 0, "socket: cannot create wake pipe: %s",
+               errno_string(errno).c_str());
   for (const int fd : fds_) {
     ::fcntl(fd, F_SETFD, FD_CLOEXEC);
     // Non-blocking on both ends: signal() must never stall a worker on

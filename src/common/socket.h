@@ -92,9 +92,14 @@ class Stream {
   size_t scanned_ = 0;  // buffer_[head_, scanned_) holds no '\n'
 };
 
+// The longest request line `bfpp serve` reads on either transport (see
+// api/server.h): a fixed protocol limit, not an option.
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
+
 // The stdio twin of Stream::read_line, used by `bfpp serve --stdio`:
 // identical semantics (strip '\n' and a preceding '\r'; a non-empty
-// final unterminated line is returned, then EOF reports false).
+// final unterminated line is returned, then EOF reports false). A line
+// over kMaxRequestLineBytes comes back cut one byte past it, rest unread.
 bool read_stdio_line(std::FILE* in, std::string& line);
 
 // A listening TCP socket on 127.0.0.1:`port`. Port 0 picks an ephemeral

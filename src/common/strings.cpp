@@ -6,6 +6,8 @@
 #include <limits>
 #include <system_error>
 
+#include "common/error.h"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <locale.h>
 #endif
@@ -44,23 +46,50 @@ ScopedCLocale::~ScopedCLocale() = default;
 
 }  // namespace detail
 
-std::string str_format(const char* fmt, ...) {
+namespace {
+std::string vformat(const char* fmt, va_list args) {
   const detail::ScopedCLocale c_locale;
-  va_list args;
-  va_start(args, fmt);
   va_list sizing;
   va_copy(sizing, args);
   const int n = std::vsnprintf(nullptr, 0, fmt, sizing);
   va_end(sizing);
-  if (n <= 0) {
-    va_end(args);
-    return {};
-  }
+  if (n <= 0) return {};
   std::string out(static_cast<size_t>(n), '\0');
   std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+  return out;
+}
+}  // namespace
+
+std::string str_format(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  std::string out = vformat(fmt, args);
   va_end(args);
   return out;
 }
+
+template <int>
+void check(bool condition, const char* fmt, ...) {
+  if (condition) return;
+  va_list args;
+  va_start(args, fmt);
+  std::string message = vformat(fmt, args);
+  va_end(args);
+  throw Error(message);
+}
+
+template <int>
+void check_config(bool condition, const char* fmt, ...) {
+  if (condition) return;
+  va_list args;
+  va_start(args, fmt);
+  std::string message = vformat(fmt, args);
+  va_end(args);
+  throw ConfigError(message);
+}
+
+template void check<0>(bool, const char*, ...);
+template void check_config<0>(bool, const char*, ...);
 
 std::string join(const std::vector<std::string>& parts, const std::string& sep) {
   std::string out;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <utility>
 
 #include "common/mutex.h"
 
@@ -142,12 +143,12 @@ void ThreadPool::parallel_for(int n, int jobs,
     }
   }
 
-  // The drain above completed-fences every worker's error store, but the
-  // slot itself is guarded: snapshot it under the loop mutex.
+  // The drain above completed-fences every worker's error store; move the
+  // error out under the loop mutex so no late ForLoop owner destroys it.
   std::exception_ptr error;
   {
     const LockGuard lock(loop->mutex);
-    error = loop->error;
+    error = std::exchange(loop->error, nullptr);
   }
   if (error) std::rethrow_exception(error);
 }

@@ -1,7 +1,6 @@
 #include "model/transformer.h"
 
 #include "common/error.h"
-#include "common/strings.h"
 
 namespace bfpp::model {
 
@@ -12,11 +11,10 @@ void validate(const TransformerSpec& spec) {
   check_config(spec.hidden_size > 0, "model: hidden_size must be positive");
   check_config(spec.seq_len > 0, "model: seq_len must be positive");
   check_config(spec.vocab_size > 0, "model: vocab_size must be positive");
-  check_config(
-      spec.n_heads * spec.head_size == spec.hidden_size,
-      str_format("model %s: n_heads (%d) * head_size (%d) != hidden (%d)",
-                 spec.name.c_str(), spec.n_heads, spec.head_size,
-                 spec.hidden_size));
+  check_config(spec.n_heads * spec.head_size == spec.hidden_size,
+               "model %s: n_heads (%d) * head_size (%d) != hidden (%d)",
+               spec.name.c_str(), spec.n_heads, spec.head_size,
+               spec.hidden_size);
 }
 
 TransformerSpec model_52b() {

@@ -88,7 +88,7 @@ int parse_grid_count(const std::string& token, size_t prefix_len) {
   const std::string digits = token.substr(prefix_len);
   check_config(!digits.empty() && digits.size() <= 9 &&
                    digits.find_first_not_of("0123456789") == std::string::npos,
-               str_format("parallel: malformed token '%s'", token.c_str()));
+               "parallel: malformed token '%s'", token.c_str());
   return std::stoi(digits);
 }
 
@@ -156,17 +156,16 @@ void validate(const ParallelConfig& cfg, const model::TransformerSpec& spec,
   check_config(cfg.n_mb >= 1, "parallel: micro-batch count must be >= 1");
   check_config(cfg.n_loop >= 1, "parallel: loop count must be >= 1");
   check_config(cfg.n_gpus() == cluster.total_gpus(),
-               str_format("parallel: grid %dx%dx%d = %d GPUs != cluster %d",
-                          cfg.n_dp, cfg.n_tp, cfg.n_pp, cfg.n_gpus(),
-                          cluster.total_gpus()));
+               "parallel: grid %dx%dx%d = %d GPUs != cluster %d", cfg.n_dp,
+               cfg.n_tp, cfg.n_pp, cfg.n_gpus(), cluster.total_gpus());
   check_config(cfg.n_tp <= cluster.gpus_per_node,
                "parallel: tensor parallelism cannot span nodes");
   check_config(cluster.gpus_per_node % cfg.n_tp == 0,
                "parallel: N_TP must divide the node size");
   check_config(spec.n_layers % cfg.n_stages() == 0 ||
                    spec.n_layers > cfg.n_stages(),
-               str_format("parallel: %d stages for %d layers", cfg.n_stages(),
-                          spec.n_layers));
+               "parallel: %d stages for %d layers", cfg.n_stages(),
+               spec.n_layers);
   check_config(cfg.n_stages() <= spec.n_layers,
                "parallel: more stages than layers");
   if (cfg.schedule == ScheduleKind::kGpipe ||

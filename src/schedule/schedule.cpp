@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "common/error.h"
-#include "common/strings.h"
 
 namespace bfpp::schedule {
 
@@ -95,9 +94,8 @@ Schedule breadth_first(int n_pp, int n_loop, int n_mb) {
 Schedule depth_first(int n_pp, int n_loop, int n_mb) {
   check_shape(n_pp, n_loop, n_mb);
   check_config(n_mb % n_pp == 0,
-               str_format("depth-first schedule requires n_mb (%d) divisible "
-                          "by n_pp (%d)",
-                          n_mb, n_pp));
+               "depth-first schedule requires n_mb (%d) divisible by n_pp (%d)",
+               n_mb, n_pp);
   Schedule s = make_empty(n_pp, n_loop, n_mb);
   const int total = n_loop * n_mb;  // chunk-passes per device per direction
   const int group = n_pp * n_loop;  // one "sequence" of chunk-passes
@@ -150,9 +148,8 @@ Schedule hybrid(int n_pp, int n_loop, int n_mb, int seq_len) {
   check_config(seq_len % n_pp == 0,
                "hybrid schedule requires seq_len divisible by n_pp");
   check_config(n_mb % seq_len == 0,
-               str_format("hybrid schedule requires n_mb (%d) divisible by "
-                          "seq_len (%d)",
-                          n_mb, seq_len));
+               "hybrid schedule requires n_mb (%d) divisible by seq_len (%d)",
+               n_mb, seq_len);
   Schedule s = make_empty(n_pp, n_loop, n_mb);
   const int n_seq = n_mb / seq_len;
   for (int r = 0; r < n_pp; ++r) {
@@ -411,14 +408,14 @@ void validate(const Schedule& s) {
           "schedule: stage-device map size mismatch");
     for (int d : s.stage_device) {
       check(d >= 0 && d < s.n_pp,
-            str_format("schedule: stage mapped to invalid device %d", d));
+            "schedule: stage mapped to invalid device %d", d);
     }
   }
   std::vector<int> owned(static_cast<size_t>(s.n_pp), 0);
   for (int st = 0; st < n_stages; ++st) ++owned[static_cast<size_t>(s.device_of(st))];
   for (int r = 0; r < s.n_pp; ++r) {
     check(owned[static_cast<size_t>(r)] >= 1,
-          str_format("schedule: device %d hosts no stage (stage gap)", r));
+          "schedule: device %d hosts no stage (stage gap)", r);
   }
 
   // 2. Completeness and ownership.
@@ -426,10 +423,9 @@ void validate(const Schedule& s) {
     std::set<std::tuple<int, int, int>> seen;
     for (const Op& op : s.device_ops[static_cast<size_t>(r)]) {
       check(op.stage >= 0 && op.stage < n_stages,
-            str_format("schedule: stage %d out of range", op.stage));
+            "schedule: stage %d out of range", op.stage);
       check(s.device_of(op.stage) == r,
-            str_format("schedule: stage %d does not belong to device %d",
-                       op.stage, r));
+            "schedule: stage %d does not belong to device %d", op.stage, r);
       check(op.micro_batch >= 0 && op.micro_batch < s.n_mb,
             "schedule: micro-batch out of range");
       if (s.split_backward) {
@@ -443,13 +439,13 @@ void validate(const Schedule& s) {
       const bool inserted =
           seen.insert({static_cast<int>(op.kind), op.stage, op.micro_batch})
               .second;
-      check(inserted, str_format("schedule: duplicate op (stage %d, mb %d)",
-                                 op.stage, op.micro_batch));
+      check(inserted, "schedule: duplicate op (stage %d, mb %d)", op.stage,
+            op.micro_batch);
     }
     const int expected = s.passes() * owned[static_cast<size_t>(r)] * s.n_mb;
     check(static_cast<int>(seen.size()) == expected,
-          str_format("schedule: device %d has %zu ops, expected %d", r,
-                     seen.size(), expected));
+          "schedule: device %d has %zu ops, expected %d", r,
+          seen.size(), expected);
   }
 
   // 3. Executability under blocking in-order execution. This also
@@ -508,8 +504,8 @@ void validate(const Schedule& s) {
   for (int r = 0; r < s.n_pp; ++r) {
     check(next[static_cast<size_t>(r)] ==
               s.device_ops[static_cast<size_t>(r)].size(),
-          str_format("schedule: deadlock - device %d blocked at op %zu", r,
-                     next[static_cast<size_t>(r)]));
+          "schedule: deadlock - device %d blocked at op %zu", r,
+          next[static_cast<size_t>(r)]);
   }
 }
 

@@ -86,7 +86,7 @@ SimResult run(const TaskGraph& graph) {
   const int n = graph.task_count();
   for (int i = 0; i < n; ++i) {
     check(graph.defined_[static_cast<size_t>(i)],
-          "run: reserved task was never defined: id " + std::to_string(i));
+          "run: reserved task was never defined: id %d", i);
   }
 
   // Full dependency structure: explicit deps plus the implicit

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/strings.h"
 
 namespace bfpp::tensor {
 
@@ -12,8 +11,8 @@ namespace {
 
 void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
   check(a.rows() == b.rows() && a.cols() == b.cols(),
-        str_format("tensor %s: shape mismatch [%d,%d] vs [%d,%d]", op,
-                   a.rows(), a.cols(), b.rows(), b.cols()));
+        "tensor %s: shape mismatch [%d,%d] vs [%d,%d]", op,
+        a.rows(), a.cols(), b.rows(), b.cols());
 }
 
 }  // namespace

@@ -181,6 +181,23 @@ TEST(Error, CheckThrowsWithMessage) {
   }
 }
 
+TEST(Error, FormatFormsFormatAndMessageFormsStayVerbatim) {
+  // A message alone is never a format: its '%' prints as itself.
+  try {
+    check(false, "100% of %d cells");
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "100% of %d cells");
+  }
+  EXPECT_NO_THROW(check_config(true, "cell %d of %s", 3, "grid"));
+  try {
+    check_config(false, "cell %d of %s (%.1f%%)", 3, "grid", 12.5);
+    FAIL() << "expected throw";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "cell 3 of grid (12.5%)");
+  }
+}
+
 TEST(Error, ConfigErrorIsDistinguishable) {
   try {
     check_config(false, "bad config");

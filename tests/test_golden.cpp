@@ -1,6 +1,7 @@
 // Golden-report regression suite: the `fig5-quick` compare grid (all six
 // schedule families on the 6.6B point, batches 64 and 128) serialized to
-// JSON and CSV must byte-match the files checked into tests/golden/.
+// JSON and CSV, and the `bfpp serve` response lines for the same grid,
+// must byte-match the files checked into tests/golden/.
 // Any intentional change to costs, schedules, or serialization shows up
 // here as a diff that has to be re-recorded, reviewed, and committed.
 //
@@ -21,7 +22,9 @@
 #include <vector>
 
 #include "api/compare.h"
+#include "api/engine.h"
 #include "api/report.h"
+#include "api/server.h"
 #include "api/sweep.h"
 #include "golden_util.h"
 
@@ -62,6 +65,69 @@ TEST(Golden, Fig5QuickJsonIsByteStable) {
 
 TEST(Golden, Fig5QuickCsvIsByteStable) {
   bfpp::testing::check_golden("fig5_quick.csv", to_csv(fig5_quick_reports()));
+}
+
+// The pretty forms no other golden reaches: a search Report (with its
+// "search" and "frugal" blocks) and an infeasible cell (with "error"),
+// as `bfpp sweep --json` prints them.
+TEST(Golden, SearchAndInfeasibleJsonAreByteStable) {
+  ScenarioGrid grid;
+  grid.push({ScenarioBuilder().model("6.6b").cluster("dgx1-v100-ib").batch(64),
+             autotune::Method::kBreadthFirst, "search"});
+  grid.push({ScenarioBuilder()
+                 .model("52b")
+                 .cluster("dgx1-v100-ib")
+                 .pp(1)
+                 .tp(1)
+                 .dp(64)
+                 .nmb(1)
+                 .schedule("gpipe"),
+             std::nullopt, "oom"});
+  SweepOptions options;
+  options.jobs = 1;
+  options.run.backend = parse_backend("analytic");
+  bfpp::testing::check_golden("search_and_oom.json",
+                              to_json(sweep(grid, options)));
+}
+
+// The protocol's report bytes: run, sweep and compare responses over the
+// fig5-quick point in both formats, one infeasible cell (its Report
+// carries "error") and one search (its Report carries "search" and
+// "frugal"), answered in order by one fresh server.
+TEST(Golden, ServeResponsesAreByteStable) {
+  const std::string point =
+      R"("model":"6.6b","cluster":"dgx1-v100-ib","pp":4,"tp":2,"dp":8)";
+  const std::string oom =
+      R"("model":"52b","cluster":"dgx1-v100-ib","pp":1,"tp":1,"dp":64,)"
+      R"("nmb":1,"schedule":"gpipe")";
+  const std::vector<std::string> requests = {
+      R"({"id":1,"type":"run",)" + point +
+          R"(,"nmb":8,"schedule":"bf","loop":4})",
+      R"({"type":"run",)" + point +
+          R"(,"nmb":16,"schedule":"df","loop":4,"megatron":true})",
+      R"({"type":"run",)" + point + R"(,"nmb":8,"schedule":"1f1b-async"})",
+      R"({"type":"run",)" + point + R"(,"nmb":16,"schedule":"unbalanced"})",
+      R"({"type":"run",)" + point + R"(,"nmb":8,"schedule":"v","loop":2})",
+      R"({"type":"run",)" + point + R"(,"nmb":16,"schedule":"2bp"})",
+      R"({"id":"csv","type":"run",)" + point +
+          R"(,"nmb":8,"schedule":"bf","loop":4,"format":"csv"})",
+      R"({"type":"run",)" + oom + "}",
+      R"({"type":"run",)" + oom + R"(,"format":"csv"})",
+      R"({"id":2,"type":"sweep",)" + point +
+          R"(,"nmb":[8,16],"schedule":["bf","df"],"loop":4})",
+      R"({"type":"sweep",)" + point +
+          R"(,"nmb":[8,16],"schedule":["bf","df"],"loop":4,"format":"csv"})",
+      R"({"type":"compare","grid":"fig5-quick"})",
+      R"({"type":"compare","grid":"fig5-quick","format":"csv"})",
+      R"({"type":"search","model":"6.6b","batch":64,"method":"bf",)"
+      R"("backend":"analytic"})",
+  };
+  Server server;
+  std::string responses;
+  for (const std::string& request : requests) {
+    responses += server.handle(request);
+  }
+  bfpp::testing::check_golden("serve_responses.jsonl", responses);
 }
 
 }  // namespace

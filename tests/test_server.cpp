@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -67,6 +68,21 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("01x"), ConfigError);
   EXPECT_THROW(json::parse(std::string(100, '[')), ConfigError);  // depth cap
   EXPECT_THROW(json::parse("{\"a\":\"\\ud800\"}"), ConfigError);
+}
+
+TEST(Json, ExpectedCharacterErrorsNameAFixedByte) {
+  // Clients read these messages, so the offset must not depend on the
+  // compiler's argument evaluation order.
+  auto message = [](const char* text) {
+    try {
+      (void)json::parse(text);
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string("parsed");
+  };
+  EXPECT_EQ(message(R"({"type"   1})"), "json: expected ':' (at byte 7)");
+  EXPECT_EQ(message(R"({"type":1   2})"), "json: expected '}' (at byte 12)");
 }
 
 TEST(Json, TypedAccessorsThrowOnMismatch) {
@@ -931,12 +947,14 @@ TEST(Transports, LoneCarriageReturnAtEofIsEofOnBothLineReaders) {
   std::fclose(file);
 }
 
-TEST(Server, StdioAnswersAFinalRequestLackingItsNewline) {
+// Everything a fresh server's serve_stdio writes for `input`.
+std::string stdio_output(const std::string& input) {
   std::FILE* in = std::tmpfile();
   std::FILE* out = std::tmpfile();
-  ASSERT_NE(in, nullptr);
-  ASSERT_NE(out, nullptr);
-  std::fputs("{\"id\":1,\"type\":\"ping\"}", in);  // no trailing newline
+  EXPECT_NE(in, nullptr);
+  EXPECT_NE(out, nullptr);
+  if (in == nullptr || out == nullptr) return "";
+  std::fwrite(input.data(), 1, input.size(), in);
   std::rewind(in);
   Server server;
   EXPECT_EQ(server.serve_stdio(in, out), 0);
@@ -949,7 +967,24 @@ TEST(Server, StdioAnswersAFinalRequestLackingItsNewline) {
   }
   std::fclose(in);
   std::fclose(out);
-  EXPECT_EQ(output, "{\"id\":1,\"ok\":true,\"type\":\"pong\"}\n");
+  return output;
+}
+
+TEST(Server, StdioAnswersAFinalRequestLackingItsNewline) {
+  EXPECT_EQ(stdio_output("{\"id\":1,\"type\":\"ping\"}"),  // no newline
+            "{\"id\":1,\"ok\":true,\"type\":\"pong\"}\n");
+}
+
+TEST(Server, StdioCapsTheRequestLineLikeTcp) {
+  // The request before the overlong line is answered, then one error
+  // line, then serving stops: the ping after it is never read.
+  EXPECT_EQ(stdio_output("{\"id\":1,\"type\":\"ping\"}\n" +
+                         std::string(net::kMaxRequestLineBytes + 1, 'x') +
+                         "\n{\"id\":2,\"type\":\"ping\"}\n"),
+            "{\"id\":1,\"ok\":true,\"type\":\"pong\"}\n"
+            "{\"ok\":false,\"error\":\"serve: request line exceeds " +
+                std::to_string(net::kMaxRequestLineBytes) +
+                " bytes without a newline; closing the connection\"}\n");
 }
 
 // ---- Concurrent clients + persistence ----
@@ -1038,7 +1073,8 @@ TEST(Server, OverlongRequestLineIsAnsweredAndClosedWhileOthersAreServed) {
   // One byte over the cap and no newline. Exactly that many, so the
   // server has read all of it when it closes (unread bytes would turn
   // the close into a reset that can swallow the error line).
-  ASSERT_TRUE(hog.write_all(std::string(kMaxRequestLineBytes + 1, 'x')));
+  ASSERT_TRUE(
+      hog.write_all(std::string(net::kMaxRequestLineBytes + 1, 'x')));
   std::string line;
   ASSERT_TRUE(hog.read_line(line));
   EXPECT_NE(line.find("\"ok\":false"), std::string::npos);
@@ -1594,26 +1630,32 @@ TEST(Server, ClientVanishingMidResponseDoesNotDisturbOthers) {
   serve_thread.join();
 }
 
-TEST(Server, SaturationSixtyFourMixedClientsGetByteIdenticalResponses) {
+// `clients` connections, all open before the first request and held
+// open through a cold wave (each client's own cell plus one cell every
+// client races on) and a warm wave (the same two again). Even clients
+// pipeline each wave in one write; odd clients trickle it one round trip
+// at a time. Every response must be byte-identical to a serial handle()
+// reference, and the shared cache must account for every request.
+void expect_saturated_clients_match_serial(int clients) {
   std::unique_ptr<net::Listener> listener;
   try {
-    listener = std::make_unique<net::Listener>(0);
+    listener = std::make_unique<net::Listener>(0, clients);
   } catch (const ConfigError& e) {
     GTEST_SKIP() << e.what();
   }
-  constexpr int kClients = 64;
   constexpr int kIdle = 4;
+  const auto n = static_cast<size_t>(clients);
   ServeOptions options;
-  options.max_connections = kClients + kIdle + 2;
+  options.max_connections = clients + kIdle + 2;
   Server server(options);
   std::thread serve_thread([&] { EXPECT_EQ(server.serve_on(*listener), 0); });
 
-  // Per-client unique cells plus one cell every client races on (nmb=6,
-  // disjoint from the unique nmb=4*(i+1) series).
-  auto unique_run = [](int i) {
+  // Per-client unique cells plus the shared cell (nmb=6, disjoint from
+  // the unique nmb=4*(i+1) series).
+  auto unique_run = [](size_t i) {
     return str_format(
         R"({"type":"run","model":"6.6b","cluster":"dgx1-v100-ib","pp":4,)"
-        R"("tp":2,"dp":8,"nmb":%d,"schedule":"bf","loop":2,)"
+        R"("tp":2,"dp":8,"nmb":%zu,"schedule":"bf","loop":2,)"
         R"("backend":"analytic"})",
         4 * (i + 1));
   };
@@ -1624,12 +1666,12 @@ TEST(Server, SaturationSixtyFourMixedClientsGetByteIdenticalResponses) {
 
   // The serial reference a fresh server produces on one thread: every
   // concurrent transport response must be byte-identical to it.
-  std::vector<std::string> expected(kClients);
+  std::vector<std::string> expected(n);
   std::string expected_shared;
   {
     Server reference(options);
-    for (int i = 0; i < kClients; ++i) {
-      expected[static_cast<size_t>(i)] = reference.handle(unique_run(i));
+    for (size_t i = 0; i < n; ++i) {
+      expected[i] = reference.handle(unique_run(i));
     }
     expected_shared = reference.handle(shared_run);
   }
@@ -1643,51 +1685,55 @@ TEST(Server, SaturationSixtyFourMixedClientsGetByteIdenticalResponses) {
     idles.push_back(std::make_unique<net::Stream>(fd));
   }
 
-  // Mixed traffic: even clients pipeline all three requests in one
-  // write; odd clients trickle them one round trip at a time.
-  std::vector<std::string> got(kClients);
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&, i] {
+  std::vector<std::string> got(n);
+  std::barrier all_connected(clients);
+  std::barrier cold_done(clients);
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    threads.emplace_back([&, i] {
       const int fd = connect_loopback(listener->port());
       EXPECT_GE(fd, 0);
-      if (fd < 0) return;
-      net::Stream stream(fd);
-      const std::string requests =
-          unique_run(i) + "\n" + shared_run + "\n" + unique_run(i) + "\n";
-      std::string lines;
-      if (i % 2 == 0) {
-        EXPECT_TRUE(stream.write_all(requests));
-        if (read_lines(stream, 3, lines)) got[static_cast<size_t>(i)] = lines;
-        return;
-      }
-      for (const std::string& request :
-           {unique_run(i), shared_run, unique_run(i)}) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        EXPECT_TRUE(stream.write_all(request + "\n"));
-        if (!read_lines(stream, 1, lines)) return;
-        got[static_cast<size_t>(i)] += lines;
-      }
+      std::unique_ptr<net::Stream> stream;
+      if (fd >= 0) stream = std::make_unique<net::Stream>(fd);
+      auto wave = [&] {
+        if (stream == nullptr) return;
+        const std::string requests[] = {unique_run(i), shared_run};
+        std::string lines;
+        if (i % 2 == 0) {
+          EXPECT_TRUE(stream->write_all(requests[0] + "\n" + requests[1] +
+                                        "\n"));
+          if (read_lines(*stream, 2, lines)) got[i] += lines;
+          return;
+        }
+        for (const std::string& request : requests) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          EXPECT_TRUE(stream->write_all(request + "\n"));
+          if (!read_lines(*stream, 1, lines)) return;
+          got[i] += lines;
+        }
+      };
+      all_connected.arrive_and_wait();
+      wave();  // cold
+      cold_done.arrive_and_wait();
+      wave();  // warm
     });
   }
-  for (std::thread& client : clients) client.join();
+  for (std::thread& thread : threads) thread.join();
 
-  for (int i = 0; i < kClients; ++i) {
-    EXPECT_EQ(got[static_cast<size_t>(i)],
-              expected[static_cast<size_t>(i)] + expected_shared +
-                  expected[static_cast<size_t>(i)])
-        << "client " << i;
+  for (size_t i = 0; i < n; ++i) {
+    const std::string one_wave = expected[i] + expected_shared;
+    EXPECT_EQ(got[i], one_wave + one_wave) << "client " << i;
   }
 
-  // Exact shared-cache accounting: 64 unique cells each missed once and
-  // hit once, plus the shared cell - computed exactly once, with the
-  // other 63 requests split between coalesced waits and plain hits
+  // Exact shared-cache accounting: each unique cell missed once and hit
+  // once, plus the shared cell - computed exactly once, with the other
+  // requests for it split between coalesced waits and plain hits
   // depending on arrival time (the split is timing, the sum is not).
   const ReportCache::Stats stats = server.cache_stats();
-  EXPECT_EQ(stats.misses, kClients + 1u);
-  EXPECT_EQ(stats.insertions, kClients + 1u);
-  EXPECT_EQ(stats.hits + stats.coalesced, 2u * kClients - 1u);
+  EXPECT_EQ(stats.misses, n + 1);
+  EXPECT_EQ(stats.insertions, n + 1);
+  EXPECT_EQ(stats.hits + stats.coalesced, 3 * n - 1);
   EXPECT_EQ(stats.inflight, 0u);
 
   // Orderly drain: the idle clients get EOF, not abandonment.
@@ -1703,6 +1749,14 @@ TEST(Server, SaturationSixtyFourMixedClientsGetByteIdenticalResponses) {
     std::string nothing;
     EXPECT_FALSE(idle->read_line(nothing));
   }
+}
+
+TEST(Server, SaturationSixtyFourMixedClientsGetByteIdenticalResponses) {
+  expect_saturated_clients_match_serial(64);
+}
+
+TEST(Server, Saturation256HeldOpenClientsGetByteIdenticalResponses) {
+  expect_saturated_clients_match_serial(256);
 }
 
 TEST(Server, CacheFileWarmRestartServesEntirelyFromCache) {

@@ -279,7 +279,7 @@ def _check_report_surfaces(members: list[str], cpp_rel: str,
                 "such member - remove the stale map entry"))
 
     json_body = _function_body(
-        raw_cpp, r"std::string\s+Report::to_json\(\)\s*const\s*{")
+        raw_cpp, r"std::string\s+Report::to_json\([^)]*\)\s*const\s*{")
     if json_body is None:
         findings.append(Finding(cpp_rel, 0,
                                 "Report::to_json() definition not found"))
