@@ -1,13 +1,12 @@
 #include "runtime/pipeline_sim.h"
 
 #include <algorithm>
-#include <map>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "collectives/collectives.h"
 #include "common/error.h"
-#include "common/strings.h"
 #include "memmodel/memory.h"
 
 namespace bfpp::runtime {
@@ -171,9 +170,9 @@ const sim::SimResult& PipelineSim::result() const {
 
 std::vector<sim::StreamId> PipelineSim::display_streams() const {
   std::vector<sim::StreamId> out;
-  for (size_t r = 0; r < compute_streams_.size(); ++r) {
-    out.push_back(compute_streams_[r]);
-    if (r < dp_streams_.size()) out.push_back(dp_streams_[r]);
+  for (size_t r = 0; r < compute_streams().size(); ++r) {
+    out.push_back(compute_streams()[r]);
+    if (r < dp_streams().size()) out.push_back(dp_streams()[r]);
   }
   return out;
 }
@@ -254,6 +253,7 @@ SimSkeleton PipelineSim::build_skeleton() const {
 
   SimSkeleton sk;
   sim::TaskGraph& graph = sk.graph;
+  sk.table = table_;
   const OpCostTable& table = *table_;
 
   // Pre-size the arenas from the schedule's emission bounds so graph
@@ -289,19 +289,20 @@ SimSkeleton PipelineSim::build_skeleton() const {
 
   // ---- Streams.
   for (int r = 0; r < n_pp; ++r) {
-    sk.compute_streams.push_back(
-        graph.add_stream(str_format("gpu%d.compute", r)));
-    sk.dp_streams.push_back(graph.add_stream(str_format("gpu%d.dp", r)));
+    const std::string gpu = "gpu" + std::to_string(r);
+    sk.compute_streams.push_back(graph.add_stream(gpu + ".compute"));
+    sk.dp_streams.push_back(graph.add_stream(gpu + ".dp"));
   }
-  // Directed pipeline links, created on demand (forward and backward
-  // traffic between the same device pair shares the physical link).
-  std::map<std::pair<int, int>, sim::StreamId> links;
+  // Directed pipeline links (from * n_pp + to), created on demand
+  // (forward and backward traffic between the same device pair shares
+  // the physical link).
+  std::vector<sim::StreamId> links(static_cast<size_t>(n_pp) * n_pp, -1);
   auto link_stream = [&](int from, int to) {
-    auto it = links.find({from, to});
-    if (it != links.end()) return it->second;
-    const sim::StreamId s =
-        graph.add_stream(str_format("link.%d->%d", from, to));
-    links.emplace(std::pair{from, to}, s);
+    sim::StreamId& s = links[static_cast<size_t>(from) * n_pp + to];
+    if (s < 0) {
+      s = graph.add_stream("link." + std::to_string(from) + "->" +
+                           std::to_string(to));
+    }
     return s;
   };
   auto link_intra = [&](int from, int to) {
@@ -346,18 +347,17 @@ SimSkeleton PipelineSim::build_skeleton() const {
     }
   }
 
-  // Last gradient-producing op index per (device, stage), for DP_0/DP_PS
-  // overlapped gradient reduction. With split backward a stage's
-  // gradients are final only after its last weight-gradient op.
+  // Index of each stage's last gradient-producing op in its device's
+  // list, for DP_0/DP_PS overlapped gradient reduction. With split
+  // backward a stage's gradients are final only after its last
+  // weight-gradient op.
   const OpKind final_grad_kind =
       split ? OpKind::kBackwardWeight : OpKind::kBackward;
-  std::vector<std::map<int, size_t>> last_bwd_of_stage(
-      static_cast<size_t>(n_pp));
-  for (int r = 0; r < n_pp; ++r) {
-    const auto& ops = sched.device_ops[static_cast<size_t>(r)];
+  std::vector<size_t> last_bwd_of_stage(static_cast<size_t>(n_stages), 0);
+  for (const auto& ops : sched.device_ops) {
     for (size_t i = 0; i < ops.size(); ++i) {
       if (ops[i].kind == final_grad_kind)
-        last_bwd_of_stage[static_cast<size_t>(r)][ops[i].stage] = i;
+        last_bwd_of_stage[static_cast<size_t>(ops[i].stage)] = i;
     }
   }
 
@@ -549,7 +549,7 @@ SimSkeleton PipelineSim::build_skeleton() const {
           }
         } else if (cfg_.overlap_dp) {
           // One reduction per stage, as soon as its gradients are final.
-          if (last_bwd_of_stage[static_cast<size_t>(r)].at(s) == i) {
+          if (last_bwd_of_stage[static_cast<size_t>(s)] == i) {
             reduce_tasks.push_back(
                 add(ds,
                     {cfg_.sharding == DpSharding::kNone
@@ -595,37 +595,33 @@ void PipelineSim::build() {
   if (cache_ != nullptr) {
     table_ = cache_->costs(op_cost_key(spec_, cfg_, cluster_, kernel_),
                            [this] { return build_cost_table(); });
-    const std::shared_ptr<const SimSkeleton> skel =
-        cache_->skeleton(sim_topology_key(spec_, cfg_, cluster_),
-                         [this] { return build_skeleton(); });
-    // Incremental re-simulation: clone the cached topology and re-time
-    // it through each task's recorded CostRef. When the skeleton was
-    // built for this exact operating point the refill reproduces the
-    // same durations; when it came from an S_mb/kernel neighbor the
-    // refill is what adapts it - either way the result is identical to
-    // a from-scratch build.
-    graph_ = skel->graph;
-    compute_streams_ = skel->compute_streams;
-    dp_streams_ = skel->dp_streams;
-    const int n = graph_.task_count();
-    for (int t = 0; t < n; ++t) {
-      graph_.set_duration(
-          t, resolve(skel->cost_refs[static_cast<size_t>(t)], *table_));
-    }
+    skeleton_ = cache_->skeleton(sim_topology_key(spec_, cfg_, cluster_),
+                                 [this] { return build_skeleton(); });
   } else {
     table_ = std::make_shared<const OpCostTable>(build_cost_table());
-    SimSkeleton sk = build_skeleton();
-    graph_ = std::move(sk.graph);
-    compute_streams_ = std::move(sk.compute_streams);
-    dp_streams_ = std::move(sk.dp_streams);
+    skeleton_ = std::make_shared<const SimSkeleton>(build_skeleton());
   }
-
-  built_ = true;
+  if (skeleton_->table == table_) {
+    // Timed with this very table (a miss, or an exact repeat): run the
+    // skeleton's graph read-only, shared with every other reader.
+    graph_ = std::shared_ptr<const sim::TaskGraph>(skeleton_,
+                                                   &skeleton_->graph);
+    return;
+  }
+  // Incremental re-simulation: a skeleton built for an S_mb/kernel
+  // neighbour is cloned and re-timed through each task's recorded
+  // CostRef, which yields exactly the graph a from-scratch build would.
+  auto graph = std::make_shared<sim::TaskGraph>(skeleton_->graph);
+  for (int t = 0; t < graph->task_count(); ++t) {
+    graph->set_duration(
+        t, resolve(skeleton_->cost_refs[static_cast<size_t>(t)], *table_));
+  }
+  graph_ = std::move(graph);
 }
 
 RunResult PipelineSim::run() {
-  if (!built_) build();
-  result_ = std::make_unique<sim::SimResult>(sim::run(graph_));
+  if (graph_ == nullptr) build();
+  result_ = std::make_unique<sim::SimResult>(sim::run(*graph_));
 
   RunResult out;
   out.batch_time = result_->makespan();
@@ -634,12 +630,12 @@ RunResult PipelineSim::run() {
   out.throughput_per_gpu = total_flops / cfg_.n_gpus() / out.batch_time;
   out.utilization = out.throughput_per_gpu / cluster_.gpu.peak_flops;
   double idle_sum = 0.0;
-  for (sim::StreamId cs : compute_streams_) {
+  for (sim::StreamId cs : compute_streams()) {
     const auto& st = result_->stream(cs);
     const double span = st.last_end - st.first_start;
     if (span > 0.0) idle_sum += st.idle_within_span() / span;
   }
-  out.compute_idle_fraction = idle_sum / compute_streams_.size();
+  out.compute_idle_fraction = idle_sum / compute_streams().size();
   return out;
 }
 

@@ -39,12 +39,13 @@
 // static label tags, and when a SimCache is attached (api sweeps share
 // one per engine) both the cost table and the graph topology are reused
 // across cells: cells sharing a model x cluster pair skip the cost
-// evaluation, and cells differing only in batch/micro-batch split clone
-// a cached skeleton and re-time it instead of rebuilding. All of this is
-// semantics-preserving - simulated times are bit-identical to the
-// pre-rework implementation, pinned byte-for-byte at the Report level
-// by the golden corpus in tests/test_sim_diff.cpp (recorded while the
-// frozen pre-rework simulator still existed to diff against).
+// evaluation, an exact repeat runs the cached graph itself, and cells
+// differing only in batch/micro-batch split clone a cached skeleton and
+// re-time it instead of rebuilding. All of this is semantics-preserving
+// - simulated times are bit-identical to the pre-rework implementation,
+// pinned byte-for-byte at the Report level by the golden corpus in
+// tests/test_sim_diff.cpp (recorded while the frozen pre-rework
+// simulator still existed to diff against).
 #pragma once
 
 #include <memory>
@@ -84,13 +85,14 @@ class PipelineSim {
   // bfpp::OutOfMemoryError for invalid or infeasible configurations.
   RunResult run();
 
-  [[nodiscard]] const sim::TaskGraph& graph() const { return graph_; }
+  // The graph and stream accessors are valid once run() has returned.
+  [[nodiscard]] const sim::TaskGraph& graph() const { return *graph_; }
   [[nodiscard]] const sim::SimResult& result() const;
   [[nodiscard]] const std::vector<sim::StreamId>& compute_streams() const {
-    return compute_streams_;
+    return skeleton_->compute_streams;
   }
   [[nodiscard]] const std::vector<sim::StreamId>& dp_streams() const {
-    return dp_streams_;
+    return skeleton_->dp_streams;
   }
   // Streams interleaved for display: compute[0], dp[0], compute[1], ...
   [[nodiscard]] std::vector<sim::StreamId> display_streams() const;
@@ -131,11 +133,10 @@ class PipelineSim {
 
   std::shared_ptr<SimCache> cache_;
   std::shared_ptr<const OpCostTable> table_;
-  sim::TaskGraph graph_;
+  std::shared_ptr<const SimSkeleton> skeleton_;
+  // Aliases skeleton_->graph, or owns its re-timed copy; null until built.
+  std::shared_ptr<const sim::TaskGraph> graph_;
   std::unique_ptr<sim::SimResult> result_;
-  std::vector<sim::StreamId> compute_streams_;
-  std::vector<sim::StreamId> dp_streams_;
-  bool built_ = false;
 };
 
 // Convenience wrapper: build, run, summarize.

@@ -1,21 +1,17 @@
 #include "runtime/sim_cache.h"
 
-#include "common/error.h"
-#include "common/strings.h"
+#include <type_traits>
 
 namespace bfpp::runtime {
 
 namespace {
 
-// %.17g round-trips doubles exactly, so two inputs serialize to the same
-// key iff every field is bit-equal (modulo -0.0/0.0, which no spec uses).
-void put(std::string& key, double v) {
-  key += str_format("%.17g;", v);
-}
-
-void put(std::string& key, int v) {
-  key += std::to_string(v);
-  key += ';';
+// Each field's raw bytes, so two inputs pack to the same key iff every
+// field is bit-equal. Every field has a fixed width, so no separators.
+template <typename T>
+void put(std::string& key, T v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  key.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
 void put_tier(std::string& key, const hw::NetTier& tier) {
@@ -48,11 +44,14 @@ void put_common(std::string& key, const model::TransformerSpec& spec,
   put(key, cfg.n_tp);
   put(key, cfg.n_pp);
   put(key, cfg.n_loop);
-  put(key, static_cast<int>(cfg.schedule));
-  put(key, static_cast<int>(cfg.sharding));
-  put(key, cfg.overlap_dp ? 1 : 0);
-  put(key, cfg.overlap_pp ? 1 : 0);
+  put(key, cfg.schedule);
+  put(key, cfg.sharding);
+  put(key, cfg.overlap_dp);
+  put(key, cfg.overlap_pp);
 }
+
+// Both keys pack to under this many bytes: one allocation per key.
+constexpr size_t kKeyBytes = 256;
 
 }  // namespace
 
@@ -116,7 +115,8 @@ std::string op_cost_key(const model::TransformerSpec& spec,
                         const parallel::ParallelConfig& cfg,
                         const hw::ClusterSpec& cluster,
                         const hw::KernelModel& kernel) {
-  std::string key = "cost:";
+  std::string key;
+  key.reserve(kKeyBytes);
   put_common(key, spec, cfg, cluster);
   put(key, cfg.s_mb);  // N_mb deliberately excluded: no table input reads it
   put(key, kernel.max_efficiency);
@@ -128,7 +128,8 @@ std::string op_cost_key(const model::TransformerSpec& spec,
 std::string sim_topology_key(const model::TransformerSpec& spec,
                              const parallel::ParallelConfig& cfg,
                              const hw::ClusterSpec& cluster) {
-  std::string key = "topo:";
+  std::string key;
+  key.reserve(kKeyBytes);
   put_common(key, spec, cfg, cluster);
   put(key, cfg.n_mb);  // S_mb and kernel deliberately excluded: they only
                        // scale durations, never the graph structure

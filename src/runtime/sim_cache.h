@@ -14,20 +14,25 @@
 //                share a model x cluster pair (e.g. the fig5 grids) hit.
 //
 //   SimSkeleton  a fully built task graph plus one CostRef per task
-//                (which table entry timed it). Memoized under
-//                sim_topology_key(), which covers every input the graph
-//                *structure* depends on - everything except S_mb and the
-//                kernel model, which only scale durations. A sweep
+//                (which table entry timed it) and the table it was timed
+//                with. Memoized under sim_topology_key(), which covers
+//                every input the graph *structure* depends on -
+//                everything except S_mb and the kernel model, which only
+//                scale durations. A cell timed by that same table (a
+//                miss, or an exact repeat) runs the graph read-only; a
 //                neighbor differing only in batch/micro-batch split
-//                clones the skeleton and re-times it through set_duration
-//                instead of rebuilding (incremental re-simulation).
+//                clones it and re-times it through set_duration instead
+//                of rebuilding (incremental re-simulation).
 //
+// Both keys pack each field's raw bytes, so they format nothing.
 // SimCache is shared by one api::SimulatorEngine across all cells of a
 // sweep, which runs cells concurrently on the shared thread pool - so
 // both maps are guarded by a bfpp::Mutex with Clang Thread Safety
 // annotations (see docs/CONCURRENCY.md). Builders run outside the lock;
 // when two threads race to fill the same key the first insert wins,
 // which is safe because builders are deterministic functions of the key.
+// Entries are immutable once inserted, and concurrent cells read them
+// without a lock.
 //
 // Composition with api::ReportCache (server.h): ReportCache memoizes
 // whole Reports keyed on the full request and never re-simulates on a
@@ -116,6 +121,7 @@ struct SimSkeleton {
   std::vector<CostRef> cost_refs;  // one per task
   std::vector<sim::StreamId> compute_streams;
   std::vector<sim::StreamId> dp_streams;
+  std::shared_ptr<const OpCostTable> table;  // the table graph is timed with
 };
 
 // Cache key covering every OpCostTable input except N_mb.

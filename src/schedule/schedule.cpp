@@ -1,8 +1,7 @@
 #include "schedule/schedule.h"
 
 #include <algorithm>
-#include <set>
-#include <tuple>
+#include <cstdint>
 
 #include "common/error.h"
 
@@ -241,21 +240,30 @@ Schedule v_schedule(int n_pp, int n_mb, int in_flight_budget) {
   // device emits at most one op whose dependencies are already emitted.
   // Any emitted order whose ops were ready at emission time is executable
   // under blocking in-order execution, so the result cannot deadlock.
-  std::vector<std::vector<bool>> fwd(
-      static_cast<size_t>(n_stages),
-      std::vector<bool>(static_cast<size_t>(n_mb), false));
-  std::vector<std::vector<bool>> bwd = fwd;
+  // Taking the earliest ready micro-batch keeps every stage's forwards and
+  // backwards in micro-batch order, so a per-stage count of emitted ops
+  // is a cursor to the only candidate of each direction.
+  std::vector<int> fwd(static_cast<size_t>(n_stages), 0);
+  std::vector<int> bwd(static_cast<size_t>(n_stages), 0);
   std::vector<int> in_flight(static_cast<size_t>(n_pp), 0);
-  auto fwd_ready = [&](int st, int m) {
-    return !fwd[static_cast<size_t>(st)][static_cast<size_t>(m)] &&
-           (st == 0 ||
-            fwd[static_cast<size_t>(st) - 1][static_cast<size_t>(m)]);
+  auto fwd_ready = [&](int st) {
+    const int m = fwd[static_cast<size_t>(st)];
+    return m < n_mb && (st == 0 || fwd[static_cast<size_t>(st) - 1] > m);
   };
-  auto bwd_ready = [&](int st, int m) {
-    return !bwd[static_cast<size_t>(st)][static_cast<size_t>(m)] &&
-           fwd[static_cast<size_t>(st)][static_cast<size_t>(m)] &&
-           (st == n_stages - 1 ||
-            bwd[static_cast<size_t>(st) + 1][static_cast<size_t>(m)]);
+  auto bwd_ready = [&](int st) {
+    const int m = bwd[static_cast<size_t>(st)];
+    return m < n_mb && fwd[static_cast<size_t>(st)] > m &&
+           (st == n_stages - 1 || bwd[static_cast<size_t>(st) + 1] > m);
+  };
+  // The ready stage of {first, second} with the earlier micro-batch,
+  // `first` on a tie; -1 when neither is ready.
+  auto earliest = [](const std::vector<int>& next, int first, bool first_ok,
+                     int second, bool second_ok) {
+    if (!second_ok) return first_ok ? first : -1;
+    return first_ok && next[static_cast<size_t>(first)] <=
+                           next[static_cast<size_t>(second)]
+               ? first
+               : second;
   };
 
   int remaining = 2 * n_stages * n_mb;
@@ -266,40 +274,22 @@ Schedule v_schedule(int n_pp, int n_mb, int in_flight_budget) {
       const int up = n_stages - 1 - r;  // up-leg stage of device r
       // First ready forward, earliest micro-batch first, down leg before
       // up leg; first ready backward, earliest micro-batch, up leg first.
-      Op fwd_op{}, bwd_op{};
-      bool has_fwd = false, has_bwd = false;
-      for (int m = 0; m < n_mb && !has_fwd; ++m) {
-        for (int st : {down, up}) {
-          if (fwd_ready(st, m)) {
-            fwd_op = {OpKind::kForward, st, m};
-            has_fwd = true;
-            break;
-          }
-        }
-      }
-      for (int m = 0; m < n_mb && !has_bwd; ++m) {
-        for (int st : {up, down}) {
-          if (bwd_ready(st, m)) {
-            bwd_op = {OpKind::kBackward, st, m};
-            has_bwd = true;
-            break;
-          }
-        }
-      }
+      const int fwd_st =
+          earliest(fwd, down, fwd_ready(down), up, fwd_ready(up));
+      const int bwd_st = earliest(bwd, up, bwd_ready(up), down, bwd_ready(down));
       // Prefer backward once the in-flight budget is reached (the
       // controllable-memory knob); fall back to forward to keep global
       // progress whenever no backward is ready.
       const bool take_bwd =
-          has_bwd && (in_flight[static_cast<size_t>(r)] >= budget || !has_fwd);
+          bwd_st >= 0 &&
+          (in_flight[static_cast<size_t>(r)] >= budget || fwd_st < 0);
       if (take_bwd) {
-        s.device_ops[static_cast<size_t>(r)].push_back(bwd_op);
-        bwd[static_cast<size_t>(bwd_op.stage)]
-           [static_cast<size_t>(bwd_op.micro_batch)] = true;
+        s.device_ops[static_cast<size_t>(r)].push_back(
+            {OpKind::kBackward, bwd_st, bwd[static_cast<size_t>(bwd_st)]++});
         --in_flight[static_cast<size_t>(r)];
-      } else if (has_fwd) {
-        s.device_ops[static_cast<size_t>(r)].push_back(fwd_op);
-        fwd[static_cast<size_t>(fwd_op.stage)]
-           [static_cast<size_t>(fwd_op.micro_batch)] = true;
+      } else if (fwd_st >= 0) {
+        s.device_ops[static_cast<size_t>(r)].push_back(
+            {OpKind::kForward, fwd_st, fwd[static_cast<size_t>(fwd_st)]++});
         ++in_flight[static_cast<size_t>(r)];
       } else {
         continue;
@@ -418,10 +408,16 @@ void validate(const Schedule& s) {
           "schedule: device %d hosts no stage (stage gap)", r);
   }
 
-  // 2. Completeness and ownership.
+  // 2. Completeness and ownership. One seen-flag per (kind, stage,
+  // micro-batch) serves every device: ownership is checked before the
+  // flag, so an op can only collide with an op of its own device. A
+  // negative shape sizes nothing: every op then fails a range check.
+  const auto n_mb = static_cast<size_t>(std::max(s.n_mb, 0));
+  const size_t cells = static_cast<size_t>(std::max(n_stages, 0)) * n_mb;
+  std::vector<uint8_t> seen(4 * cells, 0);
   for (int r = 0; r < s.n_pp; ++r) {
-    std::set<std::tuple<int, int, int>> seen;
-    for (const Op& op : s.device_ops[static_cast<size_t>(r)]) {
+    const auto& ops = s.device_ops[static_cast<size_t>(r)];
+    for (const Op& op : ops) {
       check(op.stage >= 0 && op.stage < n_stages,
             "schedule: stage %d out of range", op.stage);
       check(s.device_of(op.stage) == r,
@@ -436,62 +432,60 @@ void validate(const Schedule& s) {
                   op.kind != OpKind::kBackwardWeight,
               "schedule: split backward op in a fused-backward schedule");
       }
-      const bool inserted =
-          seen.insert({static_cast<int>(op.kind), op.stage, op.micro_batch})
-              .second;
-      check(inserted, "schedule: duplicate op (stage %d, mb %d)", op.stage,
+      uint8_t& flag = seen[static_cast<size_t>(op.kind) * cells +
+                           static_cast<size_t>(op.stage) * n_mb +
+                           static_cast<size_t>(op.micro_batch)];
+      check(flag == 0, "schedule: duplicate op (stage %d, mb %d)", op.stage,
             op.micro_batch);
+      flag = 1;
     }
+    // Every op that got this far is distinct.
     const int expected = s.passes() * owned[static_cast<size_t>(r)] * s.n_mb;
-    check(static_cast<int>(seen.size()) == expected,
-          "schedule: device %d has %zu ops, expected %d", r,
-          seen.size(), expected);
+    check(static_cast<int>(ops.size()) == expected,
+          "schedule: device %d has %zu ops, expected %d", r, ops.size(),
+          expected);
   }
 
   // 3. Executability under blocking in-order execution. This also
   // subsumes local ordering (a B before its own F would deadlock).
+  // fwd_done/bwd_done are (stage, micro-batch) grids; bwd_done marks the
+  // upstream-blocking backward: kBackward when fused, kBackwardInput when
+  // split.
   std::vector<size_t> next(static_cast<size_t>(s.n_pp), 0);
-  const auto make_grid = [&] {
-    return std::vector<std::vector<bool>>(
-        static_cast<size_t>(n_stages),
-        std::vector<bool>(static_cast<size_t>(s.n_mb), false));
-  };
-  auto fwd_done = make_grid();
-  // Completion of the upstream-blocking backward: kBackward when fused,
-  // kBackwardInput when split.
-  auto bwd_done = make_grid();
+  std::vector<uint8_t> fwd_done(cells, 0);
+  std::vector<uint8_t> bwd_done(cells, 0);
 
   bool progress = true;
   while (progress) {
     progress = false;
     for (int r = 0; r < s.n_pp; ++r) {
-      auto& ops = s.device_ops[static_cast<size_t>(r)];
+      const auto& ops = s.device_ops[static_cast<size_t>(r)];
       while (next[static_cast<size_t>(r)] < ops.size()) {
         const Op& op = ops[next[static_cast<size_t>(r)]];
-        const auto st = static_cast<size_t>(op.stage);
-        const auto mb = static_cast<size_t>(op.micro_batch);
+        const size_t cell = static_cast<size_t>(op.stage) * n_mb +
+                            static_cast<size_t>(op.micro_batch);
         bool ready = false;
         switch (op.kind) {
           case OpKind::kForward:
-            ready = op.stage == 0 || fwd_done[st - 1][mb];
+            ready = op.stage == 0 || fwd_done[cell - n_mb];
             break;
           case OpKind::kBackward:
           case OpKind::kBackwardInput:
-            ready = fwd_done[st][mb] &&
-                    (op.stage == n_stages - 1 || bwd_done[st + 1][mb]);
+            ready = fwd_done[cell] &&
+                    (op.stage == n_stages - 1 || bwd_done[cell + n_mb]);
             break;
           case OpKind::kBackwardWeight:
-            ready = bwd_done[st][mb];
+            ready = bwd_done[cell];
             break;
         }
         if (!ready) break;
         switch (op.kind) {
           case OpKind::kForward:
-            fwd_done[st][mb] = true;
+            fwd_done[cell] = 1;
             break;
           case OpKind::kBackward:
           case OpKind::kBackwardInput:
-            bwd_done[st][mb] = true;
+            bwd_done[cell] = 1;
             break;
           case OpKind::kBackwardWeight:
             break;  // nothing downstream waits on a weight gradient

@@ -7,6 +7,7 @@
 // paper's experiments.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "common/error.h"
@@ -16,6 +17,17 @@ namespace bfpp::schedule {
 namespace {
 
 using parallel::ScheduleKind;
+
+// The exact diagnostic validate() rejects `s` with; clients and tests
+// read these messages, so each rejection test pins its text.
+std::string validate_error(const Schedule& s) {
+  try {
+    validate(s);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "(accepted)";
+}
 
 TEST(BreadthFirst, MatchesFigure4dOrdering) {
   // 16-layer model on 4 devices, 4 loops, 8 micro-batches (Figure 4d):
@@ -151,20 +163,27 @@ TEST(MakeSchedule, DispatchesAllKinds) {
 TEST(Validate, CatchesDuplicateOps) {
   Schedule s = gpipe(2, 2);
   s.device_ops[0].push_back(s.device_ops[0][0]);
-  EXPECT_THROW(validate(s), Error);
+  EXPECT_EQ(validate_error(s), "schedule: duplicate op (stage 0, mb 0)");
 }
 
 TEST(Validate, CatchesMissingOps) {
   Schedule s = gpipe(2, 2);
   s.device_ops[0].pop_back();
-  EXPECT_THROW(validate(s), Error);
+  EXPECT_EQ(validate_error(s), "schedule: device 0 has 3 ops, expected 4");
 }
 
 TEST(Validate, CatchesWrongDevice) {
   Schedule s = gpipe(2, 2);
   // Move an op of device 1 onto device 0.
   s.device_ops[0][0].stage = 1;
-  EXPECT_THROW(validate(s), Error);
+  EXPECT_EQ(validate_error(s),
+            "schedule: stage 1 does not belong to device 0");
+}
+
+TEST(Validate, RejectsANegativeMicroBatchCount) {
+  Schedule s = gpipe(2, 2);
+  s.n_mb = -1;
+  EXPECT_EQ(validate_error(s), "schedule: micro-batch out of range");
 }
 
 TEST(Validate, CatchesBackwardBeforeForward) {
@@ -173,7 +192,7 @@ TEST(Validate, CatchesBackwardBeforeForward) {
   s.n_loop = 1;
   s.n_mb = 1;
   s.device_ops = {{{OpKind::kBackward, 0, 0}, {OpKind::kForward, 0, 0}}};
-  EXPECT_THROW(validate(s), Error);
+  EXPECT_EQ(validate_error(s), "schedule: deadlock - device 0 blocked at op 0");
 }
 
 TEST(Validate, CatchesCrossDeviceDeadlock) {
@@ -188,7 +207,7 @@ TEST(Validate, CatchesCrossDeviceDeadlock) {
   s.n_mb = 1;
   s.device_ops = {{{OpKind::kBackward, 0, 0}, {OpKind::kForward, 0, 0}},
                   {{OpKind::kForward, 1, 0}, {OpKind::kBackward, 1, 0}}};
-  EXPECT_THROW(validate(s), Error);
+  EXPECT_EQ(validate_error(s), "schedule: deadlock - device 0 blocked at op 0");
 }
 
 // ---- Property sweep over the experiment space ----
@@ -393,13 +412,14 @@ TEST(ValidateZoo, CatchesStageGapInTheMap) {
   s.device_ops[0].insert(s.device_ops[0].end(), s.device_ops[1].begin(),
                          s.device_ops[1].end());
   s.device_ops[1].clear();
-  EXPECT_THROW(validate(s), Error);
+  EXPECT_EQ(validate_error(s),
+            "schedule: device 1 hosts no stage (stage gap)");
 }
 
 TEST(ValidateZoo, CatchesMapOutOfRange) {
   Schedule s = unbalanced(2, 2);
   s.stage_device[1] = 5;
-  EXPECT_THROW(validate(s), Error);
+  EXPECT_EQ(validate_error(s), "schedule: stage mapped to invalid device 5");
 }
 
 TEST(ValidateZoo, CatchesFusedSplitMixing) {
@@ -409,13 +429,21 @@ TEST(ValidateZoo, CatchesFusedSplitMixing) {
       if (op.kind == OpKind::kBackwardInput) op.kind = OpKind::kBackward;
     }
   }
-  EXPECT_THROW(validate(s), Error);
+  EXPECT_EQ(validate_error(s),
+            "schedule: fused backward in a split-backward schedule");
+}
+
+TEST(ValidateZoo, CatchesSplitOpsInAFusedSchedule) {
+  Schedule s = gpipe(2, 2);
+  s.device_ops[0].back().kind = OpKind::kBackwardInput;
+  EXPECT_EQ(validate_error(s),
+            "schedule: split backward op in a fused-backward schedule");
 }
 
 TEST(ValidateZoo, CatchesWeightGradBeforeInputGrad) {
   Schedule s = two_bp(1, 1);  // single device: F, B_x, B_w
   std::swap(s.device_ops[0][1], s.device_ops[0][2]);
-  EXPECT_THROW(validate(s), Error);
+  EXPECT_EQ(validate_error(s), "schedule: deadlock - device 0 blocked at op 1");
 }
 
 TEST(ValidateZoo, CatchesDeadlockUnderExplicitMap) {
@@ -435,7 +463,7 @@ TEST(ValidateZoo, CatchesDeadlockUnderExplicitMap) {
                    {OpKind::kForward, 2, 0},
                    {OpKind::kBackward, 2, 0},
                    {OpKind::kBackward, 1, 0}}};
-  EXPECT_THROW(validate(s), Error);
+  EXPECT_EQ(validate_error(s), "schedule: deadlock - device 0 blocked at op 0");
 }
 
 TEST(ZooOpCounts, SplitBackwardCountsThreePasses) {

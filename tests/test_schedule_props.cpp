@@ -169,6 +169,93 @@ TEST(ScheduleProps, SeededPointsValidateConserveAndSimulate) {
   }
 }
 
+// The V-schedule's greedy emission as first written: every round, each
+// device scans every micro-batch for its earliest ready forward (down
+// leg first) and backward (up leg first). v_schedule() must emit exactly
+// this order; it finds the same ops through per-stage cursors.
+std::vector<std::vector<Op>> reference_v_ops(int n_pp, int n_mb,
+                                             int in_flight_budget) {
+  const int n_stages = 2 * n_pp;
+  const int budget = in_flight_budget > 0 ? in_flight_budget : n_pp;
+  std::vector<std::vector<Op>> device_ops(static_cast<size_t>(n_pp));
+  std::vector<std::vector<bool>> fwd(
+      static_cast<size_t>(n_stages),
+      std::vector<bool>(static_cast<size_t>(n_mb), false));
+  std::vector<std::vector<bool>> bwd = fwd;
+  std::vector<int> in_flight(static_cast<size_t>(n_pp), 0);
+  auto done = [](const std::vector<std::vector<bool>>& grid, int st, int m) {
+    return grid[static_cast<size_t>(st)][static_cast<size_t>(m)];
+  };
+  auto fwd_ready = [&](int st, int m) {
+    return !done(fwd, st, m) && (st == 0 || done(fwd, st - 1, m));
+  };
+  auto bwd_ready = [&](int st, int m) {
+    return !done(bwd, st, m) && done(fwd, st, m) &&
+           (st == n_stages - 1 || done(bwd, st + 1, m));
+  };
+  int remaining = 2 * n_stages * n_mb;
+  while (remaining > 0) {
+    bool progress = false;
+    for (int r = 0; r < n_pp; ++r) {
+      const int down = r;
+      const int up = n_stages - 1 - r;
+      Op fwd_op{}, bwd_op{};
+      bool has_fwd = false, has_bwd = false;
+      for (int m = 0; m < n_mb && !has_fwd; ++m) {
+        for (int st : {down, up}) {
+          if (fwd_ready(st, m)) {
+            fwd_op = {OpKind::kForward, st, m};
+            has_fwd = true;
+            break;
+          }
+        }
+      }
+      for (int m = 0; m < n_mb && !has_bwd; ++m) {
+        for (int st : {up, down}) {
+          if (bwd_ready(st, m)) {
+            bwd_op = {OpKind::kBackward, st, m};
+            has_bwd = true;
+            break;
+          }
+        }
+      }
+      const auto ri = static_cast<size_t>(r);
+      if (has_bwd && (in_flight[ri] >= budget || !has_fwd)) {
+        device_ops[ri].push_back(bwd_op);
+        bwd[static_cast<size_t>(bwd_op.stage)]
+           [static_cast<size_t>(bwd_op.micro_batch)] = true;
+        --in_flight[ri];
+      } else if (has_fwd) {
+        device_ops[ri].push_back(fwd_op);
+        fwd[static_cast<size_t>(fwd_op.stage)]
+           [static_cast<size_t>(fwd_op.micro_batch)] = true;
+        ++in_flight[ri];
+      } else {
+        continue;
+      }
+      --remaining;
+      progress = true;
+    }
+    if (!progress) break;  // v_schedule() throws here; the diff shows it
+  }
+  return device_ops;
+}
+
+TEST(ScheduleProps, VScheduleEmitsTheGreedyReferenceOrder) {
+  int cases = 0;
+  for (int n_pp = 1; n_pp <= 8; ++n_pp) {
+    for (int n_mb = 1; n_mb <= 64; ++n_mb) {
+      for (int budget = 0; budget <= n_pp + 2; ++budget) {
+        ASSERT_EQ(v_schedule(n_pp, n_mb, budget).device_ops,
+                  reference_v_ops(n_pp, n_mb, budget))
+            << "pp" << n_pp << " mb" << n_mb << " budget" << budget;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3840);
+}
+
 TEST(ScheduleProps, ArenaBoundsCoverEmission) {
   // The pre-sizing bounds advertised to the simulator must dominate the
   // actual emission for every family (the reserve contract: no growth

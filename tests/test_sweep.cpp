@@ -354,6 +354,31 @@ TEST(Sweep, RunCellsAreDeterministicAcrossJobCountsOnTheSimulator) {
   EXPECT_EQ(to_csv(sweep(grid, serial)), to_csv(sweep(grid, wide)));
 }
 
+TEST(Sweep, CellsSharingASkeletonAreDeterministicAcrossJobCounts) {
+  // Per schedule, the repeated S_mb values share one topology key, so at
+  // jobs=8 concurrent cells run the one cached skeleton graph read-only
+  // (exact repeats) or re-time their own copies of it (S_mb neighbours).
+  // TSan runs this suite.
+  const ScenarioGrid grid =
+      SweepBuilder()
+          .base(ScenarioBuilder().model("6.6b").cluster("dgx1-v100-ib"))
+          .schedules({"bf", "v"})
+          .pp({4})
+          .tp({2})
+          .smb({1, 2, 1, 2, 1, 2, 1, 2})
+          .nmb({8})
+          .loops({2})
+          .build();
+  SweepOptions serial;
+  serial.jobs = 1;
+  SweepOptions wide;
+  wide.jobs = 8;
+  const std::vector<Report> reports = sweep(grid, serial);
+  ASSERT_EQ(reports.size(), 16u);
+  for (const Report& report : reports) EXPECT_TRUE(report.found);
+  EXPECT_EQ(to_csv(reports), to_csv(sweep(grid, wide)));
+}
+
 // ---- Compare: the schedule-zoo head-to-head surface ----
 
 TEST(Compare, GridIsRowMajorPointBatchFamily) {
