@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 
 #include "api/api.h"
 #include "api/compare.h"
@@ -237,10 +238,13 @@ int do_validate(const CliOptions& options) {
         "batch_time_%s_s,batch_time_deviation\n",
         candidate_name.c_str(), candidate_name.c_str());
     for (const BackendComparison& row : rows) {
-      out += str_format("%s,%d,%.6g,%.6g,%.6g,%.6g,%.6g\n", row.label.c_str(),
-                        row.config.batch_size(), row.reference.utilization,
-                        row.candidate.utilization, row.reference.batch_time,
-                        row.candidate.batch_time, row.batch_time_deviation);
+      out += str_format("%s,%d", row.label.c_str(), row.config.batch_size());
+      for (double x : {row.reference.utilization, row.candidate.utilization,
+                       row.reference.batch_time, row.candidate.batch_time,
+                       row.batch_time_deviation}) {
+        append_general(out += ',', x, 6);
+      }
+      out += '\n';
     }
   } else {
     Table t({"Scenario", "B", "Util (sim)",
@@ -252,17 +256,17 @@ int do_validate(const CliOptions& options) {
     for (const BackendComparison& row : rows) {
       worst = std::max(worst, std::abs(row.batch_time_deviation));
       t.add_row({row.label, std::to_string(row.config.batch_size()),
-                 str_format("%5.1f%%", 100.0 * row.reference.utilization),
-                 str_format("%5.1f%%", 100.0 * row.candidate.utilization),
+                 format_percent(row.reference.utilization, 5),
+                 format_percent(row.candidate.utilization, 5),
                  format_time(row.reference.batch_time),
                  format_time(row.candidate.batch_time),
-                 str_format("%+.1f%%", 100.0 * row.batch_time_deviation)});
+                 format_percent(row.batch_time_deviation, 0, true)});
     }
     out = str_format("== %s-vs-simulator batch-time deviation, paper fixed "
                      "configs (Figure 5) ==\n\n",
                      candidate_name.c_str()) +
-          t.to_string() +
-          str_format("\nworst |deviation|: %.1f%%\n", 100.0 * worst);
+          t.to_string() + "\nworst |deviation|: " + format_percent(worst) +
+          "\n";
   }
   emit_text(out, options);
   return 0;

@@ -112,10 +112,9 @@ Table compare_table(const std::vector<Report>& reports) {
     }
     row_cells[family] =
         report.found
-            ? str_format("%5.1f%% %4.1f%% %5.1fG",
-                         100.0 * report.result.utilization,
-                         100.0 * report.result.compute_idle_fraction,
-                         report.memory.total() / kGiB)
+            ? format_percent(report.result.utilization, 5) + ' ' +
+                  format_percent(report.result.compute_idle_fraction, 4) +
+                  ' ' + format_fixed(report.memory.total() / kGiB, 1, 5) + 'G'
             : "-";
   }
 

@@ -1,5 +1,6 @@
 #include "api/report.h"
 
+#include <initializer_list>
 #include <utility>
 
 #include "common/error.h"
@@ -10,68 +11,72 @@ namespace bfpp::api {
 
 namespace {
 
-// Compact, locale-independent double: up to 10 significant digits, no
-// trailing noise ("0.25", "36280000000000").
-std::string fmt_double(double x) { return str_format("%.10g", x); }
+// One JSON object written straight into `out`, opened by the first
+// key(): pretty puts each field on its own line, indented two spaces past
+// `indent`, with a space after each colon; compact adds no whitespace.
+// Display doubles carry up to 10 significant digits and no trailing
+// noise ("0.25", "36280000000000").
+struct JsonObject {
+  std::string& out;
+  const char* indent;
+  bool pretty;
+  bool open = false;
 
-// An object's fields in order: the quoted key with its colon, then the
-// rendered value.
-using Fields = std::vector<std::pair<const char*, std::string>>;
-
-// One JSON object: pretty puts each field on its own line, indented two
-// spaces past `indent`, with a space after each colon; compact adds no
-// whitespace at all.
-std::string json_object(const Fields& fields, const std::string& indent,
-                        bool pretty) {
-  std::string out = "{";
-  for (const auto& [key, value] : fields) {
-    if (out.size() > 1) out += ',';
-    if (pretty) out += "\n" + indent + "  ";
+  // Starts the next field (`key` is quoted, colon included); the caller
+  // appends the value to the returned string.
+  std::string& key(const char* key) {
+    out += open ? ',' : '{';
+    open = true;
+    if (pretty) out.append("\n").append(indent).append("  ");
     out += key;
     if (pretty) out += ' ';
-    out += value;
+    return out;
   }
-  if (pretty) out += "\n" + indent;
-  return out + "}";
+
+  void close() {
+    if (pretty) out.append("\n").append(indent);
+    out += '}';
+  }
+};
+
+void config_json(std::string& out, const parallel::ParallelConfig& cfg,
+                 const char* indent, bool pretty) {
+  JsonObject o{out, indent, pretty};
+  o.key("\"schedule\":") += json_quote(parallel::to_string(cfg.schedule));
+  o.key("\"sharding\":") += json_quote(parallel::to_string(cfg.sharding));
+  o.key("\"n_pp\":") += std::to_string(cfg.n_pp);
+  o.key("\"n_tp\":") += std::to_string(cfg.n_tp);
+  o.key("\"n_dp\":") += std::to_string(cfg.n_dp);
+  o.key("\"s_mb\":") += std::to_string(cfg.s_mb);
+  o.key("\"n_mb\":") += std::to_string(cfg.n_mb);
+  o.key("\"n_loop\":") += std::to_string(cfg.n_loop);
+  o.key("\"overlap_dp\":") += cfg.overlap_dp ? "true" : "false";
+  o.key("\"overlap_pp\":") += cfg.overlap_pp ? "true" : "false";
+  o.key("\"describe\":") += json_quote(cfg.describe());
+  o.close();
 }
 
-std::string config_json(const parallel::ParallelConfig& cfg,
-                        const std::string& indent, bool pretty) {
-  return json_object(
-      {{"\"schedule\":", json_quote(parallel::to_string(cfg.schedule))},
-       {"\"sharding\":", json_quote(parallel::to_string(cfg.sharding))},
-       {"\"n_pp\":", std::to_string(cfg.n_pp)},
-       {"\"n_tp\":", std::to_string(cfg.n_tp)},
-       {"\"n_dp\":", std::to_string(cfg.n_dp)},
-       {"\"s_mb\":", std::to_string(cfg.s_mb)},
-       {"\"n_mb\":", std::to_string(cfg.n_mb)},
-       {"\"n_loop\":", std::to_string(cfg.n_loop)},
-       {"\"overlap_dp\":", cfg.overlap_dp ? "true" : "false"},
-       {"\"overlap_pp\":", cfg.overlap_pp ? "true" : "false"},
-       {"\"describe\":", json_quote(cfg.describe())}},
-      indent, pretty);
+void result_json(std::string& out, const runtime::RunResult& r,
+                 const char* indent, bool pretty) {
+  JsonObject o{out, indent, pretty};
+  append_general(o.key("\"batch_time_s\":"), r.batch_time, 10);
+  append_general(o.key("\"throughput_per_gpu\":"), r.throughput_per_gpu, 10);
+  append_general(o.key("\"utilization\":"), r.utilization, 10);
+  append_general(o.key("\"compute_idle_fraction\":"), r.compute_idle_fraction,
+                 10);
+  o.close();
 }
 
-std::string result_json(const runtime::RunResult& r, const std::string& indent,
-                        bool pretty) {
-  return json_object(
-      {{"\"batch_time_s\":", fmt_double(r.batch_time)},
-       {"\"throughput_per_gpu\":", fmt_double(r.throughput_per_gpu)},
-       {"\"utilization\":", fmt_double(r.utilization)},
-       {"\"compute_idle_fraction\":", fmt_double(r.compute_idle_fraction)}},
-      indent, pretty);
-}
-
-std::string memory_json(const memmodel::MemoryEstimate& m,
-                        const std::string& indent, bool pretty) {
-  return json_object(
-      {{"\"total_bytes\":", fmt_double(m.total())},
-       {"\"state_bytes\":", fmt_double(m.state_bytes)},
-       {"\"buffer_bytes\":", fmt_double(m.buffer_bytes)},
-       {"\"activation_bytes\":", fmt_double(m.activation_bytes)},
-       {"\"checkpoint_bytes\":", fmt_double(m.checkpoint_bytes)},
-       {"\"p2p_buffer_bytes\":", fmt_double(m.p2p_buffer_bytes)}},
-      indent, pretty);
+void memory_json(std::string& out, const memmodel::MemoryEstimate& m,
+                 const char* indent, bool pretty) {
+  JsonObject o{out, indent, pretty};
+  append_general(o.key("\"total_bytes\":"), m.total(), 10);
+  append_general(o.key("\"state_bytes\":"), m.state_bytes, 10);
+  append_general(o.key("\"buffer_bytes\":"), m.buffer_bytes, 10);
+  append_general(o.key("\"activation_bytes\":"), m.activation_bytes, 10);
+  append_general(o.key("\"checkpoint_bytes\":"), m.checkpoint_bytes, 10);
+  append_general(o.key("\"p2p_buffer_bytes\":"), m.p2p_buffer_bytes, 10);
+  o.close();
 }
 
 std::string csv_quote(const std::string& s) {
@@ -88,39 +93,42 @@ std::string csv_quote(const std::string& s) {
 }  // namespace
 
 std::string Report::to_json(bool pretty) const {
-  Fields fields = {
-      {"\"scenario\":", json_quote(scenario)},
-      {"\"model\":", json_quote(model)},
-      {"\"cluster\":", json_quote(cluster)},
-      {"\"method\":", method.empty() ? "null" : json_quote(method)},
-      {"\"n_gpus\":", std::to_string(n_gpus)},
-      {"\"batch_size\":", std::to_string(batch_size)},
-      {"\"beta\":", fmt_double(beta())},
-      {"\"found\":", found ? "true" : "false"}};
-  if (!found && !error.empty()) {
-    fields.push_back({"\"error\":", json_quote(error)});
-  }
+  std::string out;
+  out.reserve(pretty ? 1536 : 1024);
+  JsonObject o{out, "", pretty};
+  o.key("\"scenario\":") += json_quote(scenario);
+  o.key("\"model\":") += json_quote(model);
+  o.key("\"cluster\":") += json_quote(cluster);
+  o.key("\"method\":") += method.empty() ? "null" : json_quote(method);
+  o.key("\"n_gpus\":") += std::to_string(n_gpus);
+  o.key("\"batch_size\":") += std::to_string(batch_size);
+  append_general(o.key("\"beta\":"), beta(), 10);
+  o.key("\"found\":") += found ? "true" : "false";
+  if (!found && !error.empty()) o.key("\"error\":") += json_quote(error);
   if (found) {
-    fields.push_back({"\"config\":", config_json(config, "  ", pretty)});
-    fields.push_back({"\"result\":", result_json(result, "  ", pretty)});
-    fields.push_back({"\"memory\":", memory_json(memory, "  ", pretty)});
-    fields.push_back(
-        {"\"memory_min\":", memory_json(memory_min, "  ", pretty)});
+    config_json(o.key("\"config\":"), config, "  ", pretty);
+    result_json(o.key("\"result\":"), result, "  ", pretty);
+    memory_json(o.key("\"memory\":"), memory, "  ", pretty);
+    memory_json(o.key("\"memory_min\":"), memory_min, "  ", pretty);
   }
   if (!method.empty()) {
-    Fields search = {{"\"evaluated\":", std::to_string(evaluated)},
-                     {"\"infeasible\":", std::to_string(infeasible)}};
+    JsonObject search{o.key("\"search\":"), "  ", pretty};
+    search.key("\"evaluated\":") += std::to_string(evaluated);
+    search.key("\"infeasible\":") += std::to_string(infeasible);
     if (frugal.has_value()) {
       // Indented one level shallower than they nest, as always printed.
-      const Fields fr = {
-          {"\"config\":", config_json(frugal->config, "    ", pretty)},
-          {"\"result\":", result_json(frugal->result, "    ", pretty)},
-          {"\"memory_min\":", memory_json(frugal->memory_min, "    ", pretty)}};
-      search.push_back({"\"frugal\":", json_object(fr, "    ", pretty)});
+      JsonObject fr{search.key("\"frugal\":"), "    ", pretty};
+      config_json(fr.key("\"config\":"), frugal->config, "    ", pretty);
+      result_json(fr.key("\"result\":"), frugal->result, "    ", pretty);
+      memory_json(fr.key("\"memory_min\":"), frugal->memory_min, "    ",
+                  pretty);
+      fr.close();
     }
-    fields.push_back({"\"search\":", json_object(search, "  ", pretty)});
+    search.close();
   }
-  return json_object(fields, "", pretty) + (pretty ? "\n" : "");
+  o.close();
+  if (pretty) out += '\n';
+  return out;
 }
 
 std::string Report::csv_header() {
@@ -132,37 +140,40 @@ std::string Report::csv_header() {
 }
 
 std::string Report::to_csv_row() const {
-  std::vector<std::string> cells = {
-      csv_quote(scenario),
-      csv_quote(model),
-      csv_quote(cluster),
-      csv_quote(method),
-      std::to_string(n_gpus),
-      std::to_string(batch_size),
-      fmt_double(beta()),
-      found ? "1" : "0"};
+  std::string out = csv_quote(scenario);
+  out.reserve(256);
+  // Starts the next cell; the caller appends its text.
+  auto cell = [&out]() -> std::string& { return out += ','; };
+  cell() += csv_quote(model);
+  cell() += csv_quote(cluster);
+  cell() += csv_quote(method);
+  cell() += std::to_string(n_gpus);
+  cell() += std::to_string(batch_size);
+  append_general(cell(), beta(), 10);
+  cell() += found ? "1" : "0";
   if (found) {
-    cells.insert(cells.end(),
-                 {parallel::to_string(config.schedule),
-                  parallel::to_string(config.sharding),
-                  std::to_string(config.n_pp), std::to_string(config.n_tp),
-                  std::to_string(config.n_dp), std::to_string(config.s_mb),
-                  std::to_string(config.n_mb), std::to_string(config.n_loop),
-                  config.overlap_dp ? "1" : "0",
-                  config.overlap_pp ? "1" : "0", fmt_double(result.batch_time),
-                  fmt_double(result.throughput_per_gpu),
-                  fmt_double(result.utilization),
-                  fmt_double(result.compute_idle_fraction),
-                  fmt_double(memory.total()), fmt_double(memory_min.total())});
+    cell() += parallel::to_string(config.schedule);
+    cell() += parallel::to_string(config.sharding);
+    for (int v : {config.n_pp, config.n_tp, config.n_dp, config.s_mb,
+                  config.n_mb, config.n_loop}) {
+      cell() += std::to_string(v);
+    }
+    cell() += config.overlap_dp ? "1" : "0";
+    cell() += config.overlap_pp ? "1" : "0";
+    for (double v : {result.batch_time, result.throughput_per_gpu,
+                     result.utilization, result.compute_idle_fraction,
+                     memory.total(), memory_min.total()}) {
+      append_general(cell(), v, 10);
+    }
   } else {
-    cells.insert(cells.end(), 16, "");
+    out.append(16, ',');  // the 16 empty config/result/memory cells
   }
-  cells.push_back(std::to_string(evaluated));
-  cells.push_back(std::to_string(infeasible));
+  cell() += std::to_string(evaluated);
+  cell() += std::to_string(infeasible);
   // Explicit (usually empty) error column, quoted like every other text
   // field, so failed sweep cells never change the CSV schema.
-  cells.push_back(csv_quote(error));
-  return join(cells, ",");
+  cell() += csv_quote(error);
+  return out;
 }
 
 std::string Report::to_csv() const {
@@ -173,25 +184,28 @@ std::string Report::to_csv() const {
 
 namespace {
 
-// %.17g: enough digits that parsing the decimal back yields the exact
-// same double, which keeps reloaded Reports byte-identical under the
-// %.10g display emitters.
-std::string wire_double(double x) { return str_format("%.17g", x); }
-
-// std::string("["): avoids gcc 12's false -Wrestrict (GCC bug 105651).
-std::string wire_result(const runtime::RunResult& r) {
-  return std::string("[") + wire_double(r.batch_time) + "," +
-         wire_double(r.throughput_per_gpu) + "," +
-         wire_double(r.utilization) + "," +
-         wire_double(r.compute_idle_fraction) + "]";
+// 17 significant digits: enough that parsing the decimal back yields
+// the exact same double, which keeps reloaded Reports byte-identical
+// under the 10-digit display emitters.
+void wire_array(std::string& out, std::initializer_list<double> xs) {
+  char sep = '[';
+  for (double x : xs) {
+    out += sep;
+    sep = ',';
+    append_general(out, x, 17);
+  }
+  out += ']';
 }
 
-std::string wire_memory(const memmodel::MemoryEstimate& m) {
-  return std::string("[") + wire_double(m.state_bytes) + "," +
-         wire_double(m.buffer_bytes) + "," +
-         wire_double(m.activation_bytes) + "," +
-         wire_double(m.checkpoint_bytes) + "," +
-         wire_double(m.p2p_buffer_bytes) + "]";
+// Field order as result_from_wire/memory_from_wire read it back.
+void wire_result(std::string& out, const runtime::RunResult& r) {
+  wire_array(out, {r.batch_time, r.throughput_per_gpu, r.utilization,
+                   r.compute_idle_fraction});
+}
+
+void wire_memory(std::string& out, const memmodel::MemoryEstimate& m) {
+  wire_array(out, {m.state_bytes, m.buffer_bytes, m.activation_bytes,
+                   m.checkpoint_bytes, m.p2p_buffer_bytes});
 }
 
 const json::Value& wire_field(const json::Value& v, const char* key) {
@@ -238,29 +252,32 @@ memmodel::MemoryEstimate memory_from_wire(const json::Value& v,
 }  // namespace
 
 std::string Report::to_wire() const {
-  std::vector<std::string> fields = {
-      "\"scenario\":" + json_quote(scenario),
-      "\"model\":" + json_quote(model),
-      "\"cluster\":" + json_quote(cluster),
-      "\"method\":" + json_quote(method),
-      str_format("\"n_gpus\":%d", n_gpus),
-      str_format("\"batch_size\":%d", batch_size),
-      std::string("\"found\":") + (found ? "true" : "false"),
-      "\"error\":" + json_quote(error),
-      "\"config\":" + json_quote(config.describe()),
-      "\"result\":" + wire_result(result),
-      "\"memory\":" + wire_memory(memory),
-      "\"memory_min\":" + wire_memory(memory_min),
-      str_format("\"evaluated\":%d", evaluated),
-      str_format("\"infeasible\":%d", infeasible)};
+  std::string out;
+  out.reserve(768);
+  JsonObject o{out, "", false};
+  o.key("\"scenario\":") += json_quote(scenario);
+  o.key("\"model\":") += json_quote(model);
+  o.key("\"cluster\":") += json_quote(cluster);
+  o.key("\"method\":") += json_quote(method);
+  o.key("\"n_gpus\":") += std::to_string(n_gpus);
+  o.key("\"batch_size\":") += std::to_string(batch_size);
+  o.key("\"found\":") += found ? "true" : "false";
+  o.key("\"error\":") += json_quote(error);
+  o.key("\"config\":") += json_quote(config.describe());
+  wire_result(o.key("\"result\":"), result);
+  wire_memory(o.key("\"memory\":"), memory);
+  wire_memory(o.key("\"memory_min\":"), memory_min);
+  o.key("\"evaluated\":") += std::to_string(evaluated);
+  o.key("\"infeasible\":") += std::to_string(infeasible);
   if (frugal.has_value()) {
-    fields.push_back("\"frugal\":{\"config\":" +
-                     json_quote(frugal->config.describe()) +
-                     ",\"result\":" + wire_result(frugal->result) +
-                     ",\"memory_min\":" + wire_memory(frugal->memory_min) +
-                     "}");
+    JsonObject fr{o.key("\"frugal\":"), "", false};
+    fr.key("\"config\":") += json_quote(frugal->config.describe());
+    wire_result(fr.key("\"result\":"), frugal->result);
+    wire_memory(fr.key("\"memory_min\":"), frugal->memory_min);
+    fr.close();
   }
-  return std::string("{") + join(fields, ",") + "}";
+  o.close();
+  return out;
 }
 
 Report Report::from_wire(const json::Value& value) {
@@ -306,8 +323,8 @@ Table to_table(const std::vector<Report>& reports) {
     }
     t.add_row({r.scenario, r.method, r.model, std::to_string(r.batch_size),
                format_number(r.beta(), 3), r.config.describe(),
-               str_format("%.2f", r.result.throughput_per_gpu / 1e12),
-               str_format("%.1f%%", 100.0 * r.result.utilization),
+               format_fixed(r.result.throughput_per_gpu / 1e12, 2),
+               format_percent(r.result.utilization),
                format_bytes(r.memory.total()),
                format_bytes(r.memory_min.total())});
   }
@@ -321,13 +338,13 @@ std::string to_csv(const std::vector<Report>& reports) {
 }
 
 std::string to_json(const std::vector<Report>& reports) {
-  if (reports.empty()) return "[]\n";
-  std::vector<std::string> items;
+  std::string out = "[";
   for (const Report& r : reports) {
-    items.push_back(r.to_json());
-    items.back().pop_back();  // the object's trailing newline
+    out += out.size() == 1 ? "\n" : ",\n";
+    out += r.to_json();
+    out.pop_back();  // the object's trailing newline
   }
-  return std::string("[\n") + join(items, ",\n") + "\n]\n";
+  return out + (reports.empty() ? "]\n" : "\n]\n");
 }
 
 }  // namespace bfpp::api

@@ -62,9 +62,9 @@ struct Report {
     return n_gpus > 0 ? static_cast<double>(batch_size) / n_gpus : 0.0;
   }
 
-  // Single JSON object, stable key order, C-locale numbers: pretty by
-  // default (two-space indent, trailing newline), or compact (no
-  // whitespace outside strings, no newline) as serve responses embed it.
+  // Single JSON object, stable key order, locale-free 10-digit doubles:
+  // pretty by default (two-space indent, trailing newline), or compact
+  // (no whitespace outside strings, no newline) as serve responses embed.
   [[nodiscard]] std::string to_json(bool pretty = true) const;
 
   // CSV: fixed column set, stable across runs and locales.
@@ -73,12 +73,13 @@ struct Report {
   [[nodiscard]] std::string to_csv() const;  // header + this row
 
   // Lossless single-line wire form for ReportCache persistence
-  // (api/server.h). Unlike to_json() - a *display* format with %.10g
+  // (api/server.h). Unlike to_json() - a *display* format with 10-digit
   // doubles and found-dependent keys - the wire form always carries
-  // every field, emits doubles with %.17g (so the parsed double is
-  // bit-identical and a reloaded Report renders byte-for-byte like the
-  // original), and encodes the ParallelConfig as its describe() string
-  // (describe() round-trips through ParallelConfig::parse).
+  // every field, emits 17-digit doubles (the bytes of %.17g, so the
+  // parsed double is bit-identical and a reloaded Report renders
+  // byte-for-byte like the original), and encodes the ParallelConfig as
+  // its describe() string (which round-trips through
+  // ParallelConfig::parse).
   [[nodiscard]] std::string to_wire() const;
   // Inverse of to_wire(). Throws bfpp::ConfigError on a malformed or
   // truncated value (the cache loader skips such entries).

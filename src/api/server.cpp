@@ -253,11 +253,13 @@ std::string cache_key(const Scenario& scenario,
   // specs sharing a display name; total_gpus covers ':<n_nodes>' resizes.
   const std::string cfg =
       scenario.config.has_value() ? scenario.config->describe() : "-";
-  const std::string kernel =
-      options.kernel.has_value()
-          ? str_format("%.17g/%.17g/%.17g", options.kernel->max_efficiency,
-                       options.kernel->narrow_half, options.kernel->rows_half)
-          : "default";
+  std::string kernel = "default";
+  if (options.kernel.has_value()) {
+    kernel.clear();
+    append_general(kernel, options.kernel->max_efficiency, 17) += '/';
+    append_general(kernel, options.kernel->narrow_half, 17) += '/';
+    append_general(kernel, options.kernel->rows_half, 17);
+  }
   return str_format(
       "model=%s#l%dh%ds%dv%d|cluster=%s#%dgpus|cfg=%s|batch=%d|method=%s|"
       "backend=%s|kernel=%s",
@@ -485,7 +487,8 @@ std::string id_echo_from(const json::Value& root) {
     if (x == std::floor(x) && std::abs(x) <= 9007199254740992.0) {
       return str_format("%lld", static_cast<long long>(x));
     }
-    return str_format("%.17g", x);
+    std::string echo;
+    return append_general(echo, x, 17);
   }
   throw ConfigError("serve: \"id\" must be a string or a number");
 }

@@ -1,7 +1,9 @@
 #include "common/json.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <system_error>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -13,6 +15,27 @@ namespace {
 // Hostile-input guard: a request line of nothing but '[' would otherwise
 // recurse once per byte.
 constexpr int kMaxDepth = 64;
+
+// strtod's answer for a number literal that from_chars reports out of
+// range (from_chars then leaves its output unset): +-inf on overflow,
+// +-0 on underflow. The literal overflows iff its leading nonzero digit,
+// once the exponent is applied, lies left of the decimal point.
+double out_of_range_value(const char* first, const char* last) {
+  const char* e =
+      std::find_if(first, last, [](char c) { return c == 'e' || c == 'E'; });
+  const char* point = std::find(first, e, '.');
+  const char* lead =
+      std::find_if(first, e, [](char c) { return c >= '1' && c <= '9'; });
+  // The mantissa lies in [10^(digits-1), 10^digits).
+  const long long digits = lead < point ? point - lead : point + 1 - lead;
+  long long exponent = 0;  // saturates where from_chars overflows
+  if (e != last && std::from_chars(e + (e[1] == '+' ? 2 : 1), last, exponent)
+                           .ec != std::errc()) {
+    exponent = e[1] == '-' ? -(1LL << 62) : 1LL << 62;
+  }
+  return std::copysign(digits + exponent > 0 ? HUGE_VAL : 0.0,
+                       *first == '-' ? -1.0 : 1.0);
+}
 
 }  // namespace
 
@@ -270,12 +293,15 @@ class Parser {
       }
       require(digits(), "invalid number");
     }
-    // The grammar above admits exactly what strtod parses; the C locale
-    // guard keeps '.' the radix point everywhere.
-    const detail::ScopedCLocale c_locale;
+    // The grammar above admits only what from_chars parses in full.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
     Value v;
     v.type_ = Value::Type::kNumber;
-    v.number_ = std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+    if (std::from_chars(first, last, v.number_).ec ==
+        std::errc::result_out_of_range) {
+      v.number_ = out_of_range_value(first, last);
+    }
     return v;
   }
 

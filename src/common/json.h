@@ -4,7 +4,7 @@
 // Scope is deliberately small: parse one complete JSON document into an
 // immutable tree of Values and read it back with typed accessors. The
 // emitting direction stays where it always was (Report::to_json and the
-// str_format helpers); this module only *reads* client requests.
+// common/strings.h formatter); this module only *reads* client requests.
 //
 //   const json::Value v = json::parse(R"({"type":"run","pp":8})");
 //   v.get("type")->as_string();   // "run"

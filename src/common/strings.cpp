@@ -1,64 +1,71 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
+#include <cstdio>
 #include <limits>
 #include <system_error>
 
 #include "common/error.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <locale.h>
-#endif
-
 namespace bfpp {
-namespace detail {
-
-#if defined(__unix__) || defined(__APPLE__)
 
 namespace {
-locale_t c_locale_handle() {
-  static locale_t loc = newlocale(LC_ALL_MASK, "C", static_cast<locale_t>(0));
-  return loc;
-}
-}  // namespace
-
-ScopedCLocale::ScopedCLocale() {
-  locale_t loc = c_locale_handle();
-  if (loc != static_cast<locale_t>(0)) {
-    previous_ = reinterpret_cast<void*>(uselocale(loc));
-  }
-}
-
-ScopedCLocale::~ScopedCLocale() {
-  if (previous_ != nullptr) {
-    uselocale(reinterpret_cast<locale_t>(previous_));
-  }
-}
-
-#else  // no per-thread locales: snprintf already uses the global locale
-
-ScopedCLocale::ScopedCLocale() = default;
-ScopedCLocale::~ScopedCLocale() = default;
-
-#endif
-
-}  // namespace detail
-
-namespace {
+// One vsnprintf pass into a stack buffer; a second, sized pass only for
+// output that does not fit.
 std::string vformat(const char* fmt, va_list args) {
-  const detail::ScopedCLocale c_locale;
-  va_list sizing;
-  va_copy(sizing, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, sizing);
-  va_end(sizing);
-  if (n <= 0) return {};
-  std::string out(static_cast<size_t>(n), '\0');
-  std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+  char buf[256];
+  va_list retry;
+  va_copy(retry, args);
+  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
+  std::string out;
+  if (n >= static_cast<int>(sizeof buf)) {
+    out.resize(static_cast<size_t>(n));
+    std::vsnprintf(out.data(), out.size() + 1, fmt, retry);
+  } else if (n > 0) {
+    out.assign(buf, static_cast<size_t>(n));
+  }
+  va_end(retry);
   return out;
 }
+
+std::string& append_chars(std::string& out, double x, std::chars_format form,
+                          int precision) {
+  // Sign, 309 integer digits, point and 17 decimals: the longest
+  // "%.17f"; every "%.17g" is far shorter.
+  char buf[328];
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, x, form, precision);
+  check(ec == std::errc(), "number formatter: precision %d out of range",
+        precision);
+  return out.append(buf, end);
+}
 }  // namespace
+
+std::string& append_general(std::string& out, double x, int precision) {
+  return append_chars(out, x, std::chars_format::general, precision);
+}
+
+std::string& append_fixed(std::string& out, double x, int precision) {
+  return append_chars(out, x, std::chars_format::fixed, precision);
+}
+
+std::string format_fixed(double x, int precision, int width) {
+  std::string out;
+  append_fixed(out, x, precision);
+  const auto pad = static_cast<size_t>(width);
+  if (width > 0 && out.size() < pad) out.insert(0, pad - out.size(), ' ');
+  return out;
+}
+
+std::string format_percent(double fraction, int width, bool plus) {
+  const double x = 100.0 * fraction;
+  std::string out = format_fixed(x, 1, width);
+  if (plus && !std::signbit(x)) out.insert(out.begin(), '+');
+  return out += '%';
+}
 
 std::string str_format(const char* fmt, ...) {
   va_list args;
@@ -190,30 +197,30 @@ std::vector<std::string> split(const std::string& s, char sep) {
 }
 
 std::string format_bytes(double bytes) {
-  if (bytes >= 1e12) return str_format("%.2f TB", bytes / 1e12);
-  if (bytes >= 1e9) return str_format("%.2f GB", bytes / 1e9);
-  if (bytes >= 1e6) return str_format("%.2f MB", bytes / 1e6);
-  if (bytes >= 1e3) return str_format("%.2f KB", bytes / 1e3);
-  return str_format("%.0f B", bytes);
+  if (bytes >= 1e12) return format_fixed(bytes / 1e12, 2) + " TB";
+  if (bytes >= 1e9) return format_fixed(bytes / 1e9, 2) + " GB";
+  if (bytes >= 1e6) return format_fixed(bytes / 1e6, 2) + " MB";
+  if (bytes >= 1e3) return format_fixed(bytes / 1e3, 2) + " KB";
+  return format_fixed(bytes, 0) + " B";
 }
 
-std::string format_flops(double flops_per_s) {
-  if (flops_per_s >= 1e15) return str_format("%.2f Pflop/s", flops_per_s / 1e15);
-  if (flops_per_s >= 1e12) return str_format("%.2f Tflop/s", flops_per_s / 1e12);
-  if (flops_per_s >= 1e9) return str_format("%.2f Gflop/s", flops_per_s / 1e9);
-  return str_format("%.0f flop/s", flops_per_s);
+std::string format_flops(double flops) {
+  if (flops >= 1e15) return format_fixed(flops / 1e15, 2) + " Pflop/s";
+  if (flops >= 1e12) return format_fixed(flops / 1e12, 2) + " Tflop/s";
+  if (flops >= 1e9) return format_fixed(flops / 1e9, 2) + " Gflop/s";
+  return format_fixed(flops, 0) + " flop/s";
 }
 
 std::string format_time(double seconds) {
   const double a = std::fabs(seconds);
-  if (a >= 1.0) return str_format("%.3f s", seconds);
-  if (a >= 1e-3) return str_format("%.3f ms", seconds * 1e3);
-  if (a >= 1e-6) return str_format("%.3f us", seconds * 1e6);
-  return str_format("%.1f ns", seconds * 1e9);
+  if (a >= 1.0) return format_fixed(seconds, 3) + " s";
+  if (a >= 1e-3) return format_fixed(seconds * 1e3, 3) + " ms";
+  if (a >= 1e-6) return format_fixed(seconds * 1e6, 3) + " us";
+  return format_fixed(seconds * 1e9, 1) + " ns";
 }
 
 std::string format_number(double x, int digits) {
-  std::string s = str_format("%.*f", digits, x);
+  std::string s = format_fixed(x, digits);
   if (s.find('.') != std::string::npos) {
     while (!s.empty() && s.back() == '0') s.pop_back();
     if (!s.empty() && s.back() == '.') s.pop_back();

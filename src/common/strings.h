@@ -1,34 +1,15 @@
 // Small string-formatting helpers used across the library.
 //
 // libstdc++ 12 does not ship std::format, so we provide a checked
-// snprintf wrapper plus the handful of helpers the table printers need.
+// snprintf wrapper, a locale-free number formatter and the handful of
+// helpers the table printers need.
 #pragma once
 
-#include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace bfpp {
-
-namespace detail {
-
-// RAII guard that switches the calling thread to the "C" locale, so that
-// printf-style float formatting always uses '.' as the decimal separator
-// regardless of the process locale. Report CSV/JSON emitters depend on
-// this for stable output across environments.
-class ScopedCLocale {
- public:
-  ScopedCLocale();
-  ~ScopedCLocale();
-  ScopedCLocale(const ScopedCLocale&) = delete;
-  ScopedCLocale& operator=(const ScopedCLocale&) = delete;
-
- private:
-  void* previous_ = nullptr;  // locale_t of the displaced locale
-};
-
-}  // namespace detail
 
 // Marks a varargs function as printf-like so the compiler type-checks
 // format string against arguments at every call site (-Wformat).
@@ -39,12 +20,28 @@ class ScopedCLocale {
 #define BFPP_PRINTF_LIKE(fmt_index, first_arg)
 #endif
 
-// vsnprintf into a std::string. The result is exact (no truncation) and
-// locale-independent (always C-locale number formatting). A real
-// varargs function rather than a template so BFPP_PRINTF_LIKE applies:
-// the compiler rejects specifier/argument mismatches at the call site
-// instead of silently formatting garbage at runtime.
+// vsnprintf into a std::string, exact (no truncation). Doubles print
+// with the process locale's radix point, so src/ formats them with
+// append_general/append_fixed below instead (the bfpp-lint determinism
+// pass rejects a float conversion there). A real varargs function rather
+// than a template so BFPP_PRINTF_LIKE applies: the compiler rejects
+// specifier/argument mismatches at the call site.
 std::string str_format(const char* fmt, ...) BFPP_PRINTF_LIKE(1, 2);
+
+// The number formatter: appends `x` to `out` (and returns `out`) exactly
+// as printf's "%.{precision}g" (general) or "%.{precision}f" (fixed)
+// prints it in the "C" locale, whatever the process locale; precision
+// is 0..17. std::to_chars is specified that way.
+std::string& append_general(std::string& out, double x, int precision);
+std::string& append_fixed(std::string& out, double x, int precision);
+
+// printf's "%{width}.{precision}f": append_fixed into a fresh string,
+// left-padded with spaces to `width` characters.
+std::string format_fixed(double x, int precision, int width = 0);
+
+// 100 * `fraction` as printf's "%{width}.1f%%" prints it ("42.0%");
+// `plus` prefixes '+' when the sign bit is clear, as "%+.1f%%" does.
+std::string format_percent(double fraction, int width = 0, bool plus = false);
 
 // Joins `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);

@@ -3,9 +3,16 @@
 
 #include <clocale>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/table.h"
@@ -17,6 +24,7 @@ namespace {
 TEST(Strings, StrFormatBasic) {
   EXPECT_EQ(str_format("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(str_format("%.2f", 3.14159), "3.14");
+  EXPECT_EQ(str_format("%5s%%", "3.1"), "  3.1%");  // a padded number
   EXPECT_EQ(str_format("empty"), "empty");
 }
 
@@ -50,18 +58,112 @@ TEST(Strings, FormatTime) {
   EXPECT_EQ(format_time(5e-9), "5.0 ns");
 }
 
+TEST(Strings, FormatPercent) {
+  EXPECT_EQ(format_percent(0.4217), "42.2%");
+  EXPECT_EQ(format_percent(1.0 / 3.0, 5), " 33.3%");
+  EXPECT_EQ(format_percent(0.05, 0, true), "+5.0%");
+  EXPECT_EQ(format_percent(-0.0004, 0, true), "-0.0%");
+  EXPECT_EQ(format_fixed(2.25, 1, 5), "  2.2");
+  EXPECT_EQ(format_fixed(123456.0, 1, 5), "123456.0");
+  // The widths printf pads the validate and compare tables to.
+  char want[32];
+  for (double x : {0.0, 0.0049, 0.42, 0.999, 1.0, 12.5, -0.3}) {
+    std::snprintf(want, sizeof want, "%5.1f%%", 100.0 * x);
+    EXPECT_EQ(format_percent(x, 5), want);
+    std::snprintf(want, sizeof want, "%+.1f%%", 100.0 * x);
+    EXPECT_EQ(format_percent(x, 0, true), want);
+  }
+}
+
 TEST(Strings, FormattingIsLocaleIndependent) {
   // A locale with ',' as decimal separator must not leak into the
-  // formatters (Report CSV/JSON depend on stable '.' output). Skipped
-  // silently when no such locale is installed.
-  const char* previous = std::setlocale(LC_NUMERIC, "de_DE.UTF-8");
-  if (previous == nullptr) {
-    previous = std::setlocale(LC_NUMERIC, "fr_FR.UTF-8");
+  // formatters (Report CSV/JSON depend on stable '.' output) or the JSON
+  // number parser.
+  if (std::setlocale(LC_NUMERIC, "de_DE.UTF-8") == nullptr &&
+      std::setlocale(LC_NUMERIC, "fr_FR.UTF-8") == nullptr) {
+    GTEST_SKIP() << "neither de_DE.UTF-8 nor fr_FR.UTF-8 is installed, so "
+                    "no ','-radix locale can be switched to";
   }
-  EXPECT_EQ(str_format("%.2f", 3.14159), "3.14");
+  EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
+  std::string general;
+  append_general(general, 0.25, 10);
+  EXPECT_EQ(general, "0.25");
+  EXPECT_EQ(json::parse("2.5").as_number(), 2.5);
   EXPECT_EQ(format_number(42.77), "42.77");
   EXPECT_EQ(format_bytes(15.96e9), "15.96 GB");
   std::setlocale(LC_NUMERIC, "C");
+}
+
+TEST(Strings, NumberFormatterMatchesPrintf) {
+  // The formatter's contract: exactly the bytes printf's "%.10g",
+  // "%.17g" and "%.0f".."%.3f" print in the C locale, which the wire
+  // form, the golden files and the cache keys rest on. snprintf is the
+  // reference here only.
+  std::vector<double> values = {
+      0.0,      -0.0,     5e-324, -5e-324, 2.2250738585072009e-308,
+      HUGE_VAL, -HUGE_VAL, 1.7976931348623157e308, std::nan("")};
+  // Where %g switches notation (1e-4/1e-5; 1e10 at 10 digits; 1e16/1e17
+  // at 17), where rounding carries into a new digit, and %.Nf halves.
+  const double edges[] = {1e-5, 1e-4, 9.9999999995e-5, 1e10, 9.9999999995e9,
+                          1e16, 1e17, 9.99999999999999e16, 0.5, 0.0005, 0.125,
+                          2.5e-3};
+  Rng rng(18);
+  while (values.size() < 1'000'000) {
+    const uint64_t bits = rng.next_u64();
+    double x = 0.0;
+    switch (values.size() % 5) {
+      case 0:  // any bit pattern: NaNs, infinities, subnormals, 1e308
+        std::memcpy(&x, &bits, sizeof x);
+        break;
+      case 1: {  // subnormals
+        const uint64_t mantissa = bits & ((uint64_t{1} << 52) - 1);
+        std::memcpy(&x, &mantissa, sizeof x);
+        break;
+      }
+      case 2:  // integers >= 1e10
+        x = std::floor(rng.uniform(1e10, 1e18));
+        break;
+      case 3: {  // up to 63 ulps either side of an edge
+        x = edges[bits % std::size(edges)];
+        const double toward = (bits >> 8) % 2 ? 0.0 : HUGE_VAL;
+        for (uint64_t k = (bits >> 16) % 64; k > 0; --k) {
+          x = std::nextafter(x, toward);
+        }
+        break;
+      }
+      default:  // decimal magnitudes 1e-30..1e31
+        x = rng.uniform(1.0, 10.0) *
+            std::pow(10.0, static_cast<double>(bits % 61) - 30.0);
+    }
+    values.push_back(bits >> 63 ? -x : x);
+  }
+
+  std::string got;
+  char want[400];
+  int mismatches = 0;
+  auto compare = [&](double x, const char* form, int precision) {
+    if (got == want) return;
+    if (++mismatches <= 5) {
+      ADD_FAILURE() << form << " precision " << precision << " of "
+                    << std::hexfloat << x << ": formatter " << got
+                    << ", printf " << want;
+    }
+  };
+  for (double x : values) {
+    for (int precision : {10, 17}) {
+      got.clear();
+      append_general(got, x, precision);
+      std::snprintf(want, sizeof want, "%.*g", precision, x);
+      compare(x, "general", precision);
+    }
+    for (int precision = 0; precision <= 3; ++precision) {
+      got.clear();
+      append_fixed(got, x, precision);
+      std::snprintf(want, sizeof want, "%.*f", precision, x);
+      compare(x, "fixed", precision);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Strings, ToLower) {

@@ -15,7 +15,10 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -91,6 +94,27 @@ TEST(Json, TypedAccessorsThrowOnMismatch) {
   EXPECT_THROW((void)v.get("f")->as_int("f"), ConfigError);  // not integral
   EXPECT_THROW((void)v.get("s")->as_bool("s"), ConfigError);
   EXPECT_THROW((void)v.get("f")->as_string("f"), ConfigError);
+}
+
+TEST(Json, NumbersParseBitForBitLikeStrtod) {
+  // strtod is the reference. Out-of-range literals keep its answer:
+  // +-inf on overflow, +-0 on underflow (2.4e-324 rounds to zero,
+  // 4.9e-324 to the smallest subnormal).
+  const std::string nines(400, '9');
+  const std::vector<std::string> literals = {
+      "1e400", "-1e400", "1e-400", "-1e-400", "2.4e-324", "4.9e-324", "-0",
+      "0.5", "-2.5e-3", "1.7976931348623157e308", "1.7976931348623159e308",
+      std::string(300, '7'), nines, nines + "e-10",
+      "0." + std::string(400, '0') + "1e2", "-1000e-99999999999999999999",
+      "0.001e99999999999999999999"};
+  for (const std::string& text : literals) {
+    const double got = json::parse(text).as_number();
+    const double want = std::strtod(text.c_str(), nullptr);
+    uint64_t got_bits = 0, want_bits = 0;
+    std::memcpy(&got_bits, &got, sizeof got);
+    std::memcpy(&want_bits, &want, sizeof want);
+    EXPECT_EQ(got_bits, want_bits) << text.substr(0, 40);
+  }
 }
 
 // ---- ReportCache ----

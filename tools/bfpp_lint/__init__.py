@@ -18,8 +18,9 @@ passes that fail CI:
   lock-order       nested lock acquisitions in src/ respect the order
                    documented in docs/CONCURRENCY.md, and every
                    documented pair is actually exercised
-  determinism      no rand()/time(nullptr)/std::random_device or
-                   range-for over unordered containers in src/
+  determinism      no rand()/time(nullptr)/std::random_device,
+                   range-for over unordered containers or float printf
+                   conversions in src/
 
 Everything is stdlib-only and driven off the source tree (plus
 build/compile_commands.json for the analyzer driver in analyzers.py).

@@ -46,9 +46,11 @@ class Pass:
     allowlist: str | None = None
 
 
-def strip_comments(text: str) -> str:
+def strip_comments(text: str, keep_strings: bool = False) -> str:
     """Blanks out // and /* */ comments and string/char literal bodies,
     preserving line structure, so regex passes never match inside either.
+    keep_strings keeps string literal bodies verbatim, for passes that
+    look inside them.
     """
     out: list[str] = []
     i, n = 0, len(text)
@@ -63,14 +65,15 @@ def strip_comments(text: str) -> str:
             i = j
         elif text[i] in "\"'":
             quote = text[i]
+            keep = keep_strings and quote == '"'
             out.append(quote)
             i += 1
             while i < n and text[i] != quote:
                 if text[i] == "\\":
-                    out.append("..")
+                    out.append(text[i:i + 2] if keep else "..")
                     i += 2
                 else:
-                    out.append("." if text[i] != "\n" else "\n")
+                    out.append(text[i] if keep or text[i] == "\n" else ".")
                     i += 1
             if i < n:
                 out.append(quote)

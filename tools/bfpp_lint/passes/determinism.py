@@ -15,6 +15,9 @@ Checks, over every *.h/*.cpp under src/:
   4. range-for over a variable whose declaration says unordered_map /
      unordered_set - iteration order feeding an emitter would make
      output depend on the hash seed; use a vector or sort first
+  5. a float printf conversion (%f, %.17g, %5.1e, ...) inside a string
+     literal - printf prints the process locale's radix point, so
+     doubles go through the to_chars formatter (common/strings.h)
 
 Intentional exceptions go in tools/determinism_allowlist.txt; stale
 entries fail the run.
@@ -49,11 +52,20 @@ DECL_NAME = re.compile(
     r"(\w+)\s*(?:[;={(,)]|$)")
 RANGE_FOR = re.compile(r"\bfor\s*\([^;)]*?:\s*([\w.\->]+)\s*\)")
 
+STRING_LITERAL = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+# Matched after dropping `%%` (a literal percent sign) from the literal.
+# No space flag, so prose such as "50% full" is not a conversion.
+FLOAT_PRINTF = re.compile(
+    r"%[-+#0]*(?:\d+|\*)?(?:\.(?:\d+|\*)?)?(?:hh|h|ll|l|L|j|z|t)?"
+    r"[eEfFgGaA]")
+
 
 def _file_findings(root: Path, path: Path) -> list[Finding]:
     rel = path.relative_to(root).as_posix()
     raw_lines = path.read_text(encoding="utf-8").splitlines()
     code_lines = strip_comments("\n".join(raw_lines) + "\n").splitlines()
+    string_lines = strip_comments("\n".join(raw_lines) + "\n",
+                                  keep_strings=True).splitlines()
     findings: list[Finding] = []
 
     unordered_vars: set[str] = set()
@@ -68,6 +80,14 @@ def _file_findings(root: Path, path: Path) -> list[Finding]:
         for label, pattern in LINE_BANS:
             if pattern.search(line):
                 findings.append(Finding(rel, lineno, label, source=src))
+        for match in STRING_LITERAL.finditer(string_lines[lineno - 1]):
+            conversion = FLOAT_PRINTF.search(match.group(1).replace("%%", ""))
+            if conversion:
+                findings.append(Finding(
+                    rel, lineno,
+                    f"float printf conversion '{conversion.group(0)}' "
+                    "[locale-dependent; use the to_chars formatter]",
+                    source=src))
         for match in RANGE_FOR.finditer(line):
             target = match.group(1).split(".")[-1].split(">")[-1]
             if target in unordered_vars:
@@ -88,8 +108,9 @@ def run(root: Path) -> list[Finding]:
 
 PASS = Pass(
     name=NAME,
-    description="no rand()/wall-clock/std::random_device or range-for "
-                "over unordered containers in src/",
+    description="no rand()/wall-clock/std::random_device, range-for "
+                "over unordered containers or float printf conversions "
+                "in src/",
     run=run,
     allowlist=ALLOWLIST,
 )
