@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <utility>
 
 #include "api/api.h"
@@ -46,7 +47,13 @@ constexpr size_t kOutboxHighWater = 4u << 20;
 // backlog.
 constexpr int kListenBacklog = 128;
 
-// How many executor threads run handle(). Matching the compute pool
+// Cached requests of more cells than this are computed by an executor
+// (execute() answers their cached cells too) rather than answered on the
+// event loop, so one large cached compare cannot stall every client
+// while it renders.
+constexpr size_t kMaxInlineCells = 64;
+
+// How many executor threads run compute(). Matching the compute pool
 // keeps a fully-busy server from queueing behind fewer dispatchers,
 // the floor keeps several coalescing followers (which block their
 // executor in ReportCache::wait) from starving unrelated requests,
@@ -99,6 +106,26 @@ ReportCache::Probe ReportCache::probe_or_lead(const std::string& key) {
   inflight_.emplace(key, std::make_shared<InFlight>());
   probe.leader = true;
   return probe;
+}
+
+std::optional<std::vector<Report>> ReportCache::find_all(
+    const std::vector<std::string>& keys) {
+  const LockGuard lock(mutex_);
+  std::vector<decltype(lru_)::iterator> nodes;
+  nodes.reserve(keys.size());
+  for (const std::string& key : keys) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return std::nullopt;
+    nodes.push_back(it->second);
+  }
+  std::vector<Report> reports;
+  reports.reserve(nodes.size());
+  for (const auto node : nodes) {
+    lru_.splice(lru_.begin(), lru_, node);  // promote to MRU, in key order
+    reports.push_back(node->second);
+  }
+  counters_.hits += keys.size();
+  return reports;
 }
 
 std::optional<Report> ReportCache::wait(
@@ -403,6 +430,18 @@ std::string error_line(const std::string& id_echo, const std::string& what) {
   return response_line(id_echo, "\"ok\":false,\"error\":" + json_quote(what));
 }
 
+// The error line for the exception being handled: call only inside a
+// catch block. Anything that is not a std::exception propagates.
+std::string current_error_line(const std::string& id_echo) {
+  try {
+    throw;
+  } catch (const Error& e) {
+    return error_line(id_echo, e.what());
+  } catch (const std::exception& e) {
+    return error_line(id_echo, std::string("internal: ") + e.what());
+  }
+}
+
 // The answer to a request line over net::kMaxRequestLineBytes; either
 // transport stops reading after it.
 std::string overlong_line_error() {
@@ -434,12 +473,10 @@ std::vector<int> ints_from(const json::Value& v, const char* key) {
   return {v.as_int(key)};
 }
 
-// Everything one run/search/sweep/compare request carries, after
-// validation.
-struct Request {
-  std::string type;     // run | search | sweep | compare | stats | metrics |
-                        // list | ping | shutdown
-  std::string id_echo;  // compact JSON to echo back ("" = no id)
+// Everything one request line carries, after validation.
+struct RequestFields {
+  std::string type;  // run | search | sweep | compare | stats | metrics |
+                     // list | ping | shutdown
   std::string format = "json";  // json | csv
   CliOptions cli;               // scenario / grid / method fields
   RunOptions run;               // backend + kernel + threads
@@ -493,8 +530,9 @@ std::string id_echo_from(const json::Value& root) {
   throw ConfigError("serve: \"id\" must be a string or a number");
 }
 
-Request parse_request(const json::Value& root, const ServeOptions& defaults) {
-  Request req;
+RequestFields parse_request(const json::Value& root,
+                            const ServeOptions& defaults) {
+  RequestFields req;
   req.run = defaults.run;
   req.jobs = defaults.jobs;
 
@@ -640,29 +678,63 @@ Request parse_request(const json::Value& root, const ServeOptions& defaults) {
           key.c_str(), req.type.c_str()));
     }
   }
+  if (req.type == "list") {
+    const std::string what = to_lower(req.list_what);
+    check_config(what == "models" || what == "clusters" ||
+                     what == "scenarios" || what == "all",
+                 "serve: unknown list target '%s' (models, clusters, "
+                 "scenarios or all)", req.list_what.c_str());
+    req.list_what = what;
+  }
   req.run.threads = req.jobs;
   return req;
 }
 
-// Payload rendering shared by run/search/sweep responses.
-std::string rows_response(const std::string& id_echo, const char* type,
+// The number of cells a sweep's axis lists name: the product of their
+// lengths (an unset axis counts once), exactly what SweepBuilder::build
+// would materialise. Stops counting past `cap`, so no product of 1 MiB of
+// axis values can overflow.
+size_t sweep_cells(const CliOptions& cli, size_t cap) {
+  size_t cells = 1;
+  for (const size_t n :
+       {cli.models.size(), cli.clusters.size(), cli.methods.size(),
+        cli.batches.size(), cli.schedules.size(), cli.shardings.size(),
+        cli.pps.size(), cli.tps.size(), cli.dps.size(), cli.smbs.size(),
+        cli.nmbs.size(), cli.loops.size()}) {
+    cells *= std::max<size_t>(n, 1);
+    if (cells > cap) return cap + 1;
+  }
+  return cells;
+}
+
+// A cached Report under the label its cell asks for: the cache key
+// deliberately excludes the cosmetic label, so a sweep cell can satisfy
+// a later run request and vice versa.
+void relabel(Report& report, const std::string& label,
+             const Scenario& scenario) {
+  report.scenario = label.empty() ? scenario.name : label;
+}
+
+// Payload rendering shared by run/search/sweep/compare responses: a run
+// or search answers with its one report inline.
+std::string rows_response(const std::string& id_echo, const std::string& type,
                           const std::vector<Report>& reports,
-                          const std::string& format, bool single) {
+                          const std::string& format) {
   if (format == "csv") {
     std::string head = str_format(
         "\"ok\":true,\"type\":\"%s\",\"format\":\"csv\",\"rows\":%zu,"
         "\"lines\":%zu",
-        type, reports.size(), reports.size() + 1);
+        type.c_str(), reports.size(), reports.size() + 1);
     return response_line(id_echo, head) + to_csv(reports);
   }
-  if (single) {
-    return response_line(id_echo,
-                         str_format("\"ok\":true,\"type\":\"%s\",", type) +
-                             "\"report\":" + reports[0].to_json(false));
+  if (type == "run" || type == "search") {
+    return response_line(
+        id_echo, str_format("\"ok\":true,\"type\":\"%s\",", type.c_str()) +
+                     "\"report\":" + reports[0].to_json(false));
   }
   std::string head = str_format(
-      "\"ok\":true,\"type\":\"%s\",\"rows\":%zu,\"lines\":%zu", type,
-      reports.size(), reports.size());
+      "\"ok\":true,\"type\":\"%s\",\"rows\":%zu,\"lines\":%zu",
+      type.c_str(), reports.size(), reports.size());
   std::string out = response_line(id_echo, head);
   for (const Report& r : reports) out += r.to_json(false) + "\n";
   return out;
@@ -758,8 +830,6 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
                                     const RunOptions& run, int jobs) {
   struct Slot {
     std::optional<Report> report;
-    std::optional<Scenario> scenario;
-    std::string key;
     std::shared_ptr<ReportCache::InFlight> waiting;  // follower: wait here
     bool leader = false;     // this request computes (and publishes) it
     bool published = false;  // publish() reached the cache
@@ -772,42 +842,35 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
   // forever. publish() flips `published`, so the normal path is a no-op.
   struct AbandonGuard {
     ReportCache& cache;
+    const std::vector<Cell>& cells;
     std::vector<Slot>& slots;
     ~AbandonGuard() {
-      for (const Slot& slot : slots) {
-        if (slot.leader && !slot.published) cache.abandon(slot.key);
+      for (size_t i = 0; i < slots.size(); ++i) {
+        if (slots[i].leader && !slots[i].published) {
+          cache.abandon(cells[i].key);
+        }
       }
     }
-  } guard{cache_, slots};
+  } guard{cache_, cells, slots};
 
   std::vector<int> owned;    // cells this request leads (computed below)
   std::vector<int> waits;    // cells in flight on another session
 
-  // Phase 1, serial: build scenarios and single-flight-probe the cache.
-  // Cells that hit are relabelled (the cache key deliberately excludes
-  // the cosmetic label, so a sweep cell can satisfy a later run request
-  // and vice versa); uncached cells are either claimed (this request
-  // leads and computes them) or joined (another session is already
-  // computing the identical cell - overlapping sweeps share cells).
+  // Phase 1, serial: single-flight-probe the cache. Cells that hit are
+  // relabelled; uncached cells are either claimed (this request leads
+  // and computes them) or joined (another session is already computing
+  // the identical cell - overlapping sweeps share cells). A cell that
+  // did not build is its [config] row already.
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
     Slot& slot = slots[i];
-    if (cell.built.has_value()) {
-      slot.scenario = cell.built;
-    } else {
-      try {
-        slot.scenario = cell.recipe.build();
-      } catch (const ConfigError& e) {
-        slot.report = failed_report(nullptr, cell.label, cell.method,
-                                    "[config] ", e.what());
-        continue;
-      }
+    if (cell.failed.has_value()) {
+      slot.report = cell.failed;
+      continue;
     }
-    slot.key = cache_key(*slot.scenario, cell.method, run);
-    ReportCache::Probe probe = cache_.probe_or_lead(slot.key);
+    ReportCache::Probe probe = cache_.probe_or_lead(cell.key);
     if (probe.report.has_value()) {
-      probe.report->scenario =
-          cell.label.empty() ? slot.scenario->name : cell.label;
+      relabel(*probe.report, cell.label, *cell.built);
       slot.report = std::move(probe.report);
     } else if (probe.waiting != nullptr) {
       slot.waiting = std::move(probe.waiting);
@@ -825,18 +888,17 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
   const std::unique_ptr<Engine> engine = make_engine(run);
   auto compute_cell = [&](size_t i) -> Report {
     const Cell& cell = cells[i];
-    Slot& slot = slots[i];
     try {
       Report report = cell.method.has_value()
-                          ? search(*slot.scenario, *cell.method, run)
-                          : run_with(*slot.scenario, *engine);
+                          ? search(*cell.built, *cell.method, run)
+                          : run_with(*cell.built, *engine);
       if (!cell.label.empty()) report.scenario = cell.label;
       return report;
     } catch (const ConfigError& e) {
-      return failed_report(&*slot.scenario, cell.label, cell.method,
+      return failed_report(&*cell.built, cell.label, cell.method,
                            "[config] ", e.what());
     } catch (const OutOfMemoryError& e) {
-      return failed_report(&*slot.scenario, cell.label, cell.method,
+      return failed_report(&*cell.built, cell.label, cell.method,
                            "[oom] ", e.what());
     }
   };
@@ -850,7 +912,7 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
         const size_t i = static_cast<size_t>(owned[static_cast<size_t>(j)]);
         Slot& slot = slots[i];
         slot.report = compute_cell(i);
-        publish(slot.key, *slot.report);
+        publish(cells[i].key, *slot.report);
         slot.published = true;
       });
 
@@ -869,23 +931,21 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
         std::optional<Report> result = cache_.wait(slot.waiting);
         slot.waiting = nullptr;
         if (result.has_value()) {
-          result->scenario =
-              cell.label.empty() ? slot.scenario->name : cell.label;
+          relabel(*result, cell.label, *cell.built);
           slot.report = std::move(result);
         }
         continue;
       }
-      ReportCache::Probe probe = cache_.probe_or_lead(slot.key);
+      ReportCache::Probe probe = cache_.probe_or_lead(cell.key);
       if (probe.report.has_value()) {
-        probe.report->scenario =
-            cell.label.empty() ? slot.scenario->name : cell.label;
+        relabel(*probe.report, cell.label, *cell.built);
         slot.report = std::move(probe.report);
       } else if (probe.waiting != nullptr) {
         slot.waiting = std::move(probe.waiting);
       } else {
         slot.leader = true;
         slot.report = compute_cell(i);
-        publish(slot.key, *slot.report);
+        publish(cell.key, *slot.report);
         slot.published = true;
       }
     }
@@ -900,39 +960,86 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
   return reports;
 }
 
-std::string Server::handle_or_throw(std::string& id_echo,
-                                    const std::string& line) {
+void Server::parse(const std::string& line, Request& req) const {
   const json::Value root = json::parse(line);
-  id_echo = id_echo_from(root);
-  Request req = parse_request(root, options_);
-  req.id_echo = id_echo;
+  req.id_echo = id_echo_from(root);
+  RequestFields fields = parse_request(root, options_);
+  req.type = std::move(fields.type);
+  req.format = std::move(fields.format);
+  req.list_what = std::move(fields.list_what);
+  req.run = std::move(fields.run);
+  req.jobs = fields.jobs;
 
+  if (req.type == "sweep" || req.type == "compare") {
+    // A compare request is a named sweep: the grid comes from
+    // compare_grid instead of axis fields, but the cells run through the
+    // same cached, coalesced path, so a warm cache serves a repeated
+    // compare without recomputing any cell. A sweep's size is checked
+    // from its axis lists, before the grid exists.
+    if (req.type == "sweep") {
+      check_config(
+          sweep_cells(fields.cli, kMaxCellsPerRequest) <= kMaxCellsPerRequest,
+          "serve: a sweep may name at most %zu cells (the product of its "
+          "axis lengths); split it into smaller sweeps",
+          kMaxCellsPerRequest);
+    }
+    const ScenarioGrid grid = req.type == "compare"
+                                  ? compare_grid(fields.cli.grid)
+                                  : grid_from_cli(fields.cli);
+    req.cells.reserve(grid.size());
+    for (const SweepCell& sc : grid.cells()) {
+      Cell& cell = req.cells.emplace_back();
+      cell.method = sc.method;
+      cell.label = sc.label;
+      try {
+        cell.built = sc.scenario.build();
+      } catch (const ConfigError& e) {
+        cell.failed = failed_report(nullptr, cell.label, cell.method,
+                                    "[config] ", e.what());
+        continue;
+      }
+      cell.key = cache_key(*cell.built, cell.method, req.run);
+    }
+  } else if (req.type == "run" || req.type == "search") {
+    // One fully-validated cell. A structurally invalid scenario throws
+    // here and becomes an {"ok":false} line; infeasibility discovered
+    // during execution becomes a found=false report instead.
+    Cell& cell = req.cells.emplace_back();
+    cell.built = scenario_from_cli(fields.cli);
+    cell.label = fields.cli.preset.empty() ? "serve" : "";
+    if (req.type == "search") {
+      cell.method = autotune::parse_method(fields.cli.method);
+    }
+    cell.key = cache_key(*cell.built, cell.method, req.run);
+  }
+}
+
+bool Server::answer_from_cache(const Request& req, std::string& response) {
+  const std::string& id_echo = req.id_echo;
   if (req.type == "ping") {
-    return response_line(id_echo, "\"ok\":true,\"type\":\"pong\"");
+    response = response_line(id_echo, "\"ok\":true,\"type\":\"pong\"");
+    return true;
   }
   if (req.type == "shutdown") {
-    // Wakes the accept loop (self-pipe) and capacity waiters; the
-    // requesting session still gets this acknowledgement before its
-    // stream is drained.
+    // Wakes the event loop (self-pipe); the requesting session still
+    // gets this acknowledgement before its stream is drained.
     request_shutdown();
-    return response_line(id_echo, "\"ok\":true,\"type\":\"shutdown\"");
+    response = response_line(id_echo, "\"ok\":true,\"type\":\"shutdown\"");
+    return true;
   }
   if (req.type == "stats" || req.type == "metrics") {
     // Both responses splice the one versioned ServeStats emitter (outer
     // braces stripped) after the preamble, so the two surfaces share a
     // single schema and cannot drift apart field by field.
     const std::string wire = snapshot_stats().to_wire();
-    return response_line(
+    response = response_line(
         id_echo,
         str_format("\"ok\":true,\"type\":\"%s\",", req.type.c_str()) +
             wire.substr(1, wire.size() - 2));
+    return true;
   }
   if (req.type == "list") {
-    const std::string what = to_lower(req.list_what);
-    check_config(what == "models" || what == "clusters" ||
-                     what == "scenarios" || what == "all",
-                 "serve: unknown list target '%s' (models, clusters, "
-                 "scenarios or all)", req.list_what.c_str());
+    const std::string& what = req.list_what;
     std::vector<std::string> fields = {"\"ok\":true", "\"type\":\"list\""};
     if (what == "models" || what == "all") {
       fields.push_back("\"models\":" + json_names(model_names()));
@@ -943,75 +1050,94 @@ std::string Server::handle_or_throw(std::string& id_echo,
     if (what == "scenarios" || what == "all") {
       fields.push_back("\"scenarios\":" + json_names(scenario_names()));
     }
-    return response_line(id_echo, join(fields, ","));
+    response = response_line(id_echo, join(fields, ","));
+    return true;
   }
 
-  if (req.type == "sweep" || req.type == "compare") {
-    // A compare request is a named sweep: the grid comes from
-    // compare_grid instead of axis fields, but the cells run through the
-    // same cached, coalesced execute() path, so a warm cache serves a
-    // repeated compare without recomputing any cell.
-    const ScenarioGrid grid = req.type == "compare"
-                                  ? compare_grid(req.cli.grid)
-                                  : grid_from_cli(req.cli);
-    std::vector<Cell> cells;
-    cells.reserve(grid.size());
-    for (const SweepCell& sc : grid.cells()) {
-      Cell cell;
-      cell.recipe = sc.scenario;
-      cell.method = sc.method;
-      cell.label = sc.label;
-      cells.push_back(std::move(cell));
+  // run / search / sweep / compare: all cells cached, or compute.
+  if (req.cells.size() > kMaxInlineCells) return false;
+  std::vector<std::string> keys;
+  keys.reserve(req.cells.size());
+  for (const Cell& cell : req.cells) {
+    if (!cell.failed.has_value()) keys.push_back(cell.key);
+  }
+  std::optional<std::vector<Report>> hits = cache_.find_all(keys);
+  if (!hits.has_value()) return false;
+  std::vector<Report> reports;
+  reports.reserve(req.cells.size());
+  size_t next_hit = 0;
+  for (const Cell& cell : req.cells) {
+    if (cell.failed.has_value()) {
+      reports.push_back(*cell.failed);
+      continue;
     }
-    const std::vector<Report> reports = execute(cells, req.run, req.jobs);
-    return rows_response(id_echo, req.type.c_str(), reports, req.format,
-                         /*single=*/false);
+    Report& hit = (*hits)[next_hit++];
+    relabel(hit, cell.label, *cell.built);
+    reports.push_back(std::move(hit));
   }
+  response = rows_response(id_echo, req.type, reports, req.format);
+  return true;
+}
 
-  // run / search: one fully-validated cell. A structurally invalid
-  // scenario throws here and becomes an {"ok":false} line; infeasibility
-  // discovered during execution becomes a found=false report instead.
-  Cell cell;
-  cell.built = scenario_from_cli(req.cli);
-  cell.label = req.cli.preset.empty() ? "serve" : "";
-  if (req.type == "search") {
-    cell.method = autotune::parse_method(req.cli.method);
+std::optional<Server::Request> Server::answer(const std::string& line,
+                                              std::string& response) {
+  response.clear();
+  if (line.find_first_not_of(" \t\r\n") == std::string::npos) {
+    return std::nullopt;  // blank keep-alive line: no response, no count
   }
-  const std::vector<Report> reports = execute({cell}, req.run, req.jobs);
-  return rows_response(id_echo, req.type.c_str(), reports, req.format,
-                       /*single=*/true);
+  ++requests_;
+  const auto started = std::chrono::steady_clock::now();
+  Request req;
+  try {
+    parse(line, req);
+    if (!answer_from_cache(req, response)) {
+      req.answered_in = std::chrono::steady_clock::now() - started;
+      return req;
+    }
+  } catch (...) {
+    response = current_error_line(req.id_echo);
+  }
+  record_service(std::chrono::steady_clock::now() - started);
+  return std::nullopt;
+}
+
+std::string Server::compute(const Request& req) {
+  const auto started = std::chrono::steady_clock::now();
+  std::string response;
+  try {
+    response = rows_response(req.id_echo, req.type,
+                             execute(req.cells, req.run, req.jobs), req.format);
+  } catch (...) {
+    response = current_error_line(req.id_echo);
+  }
+  record_service(req.answered_in +
+                 (std::chrono::steady_clock::now() - started));
+  return response;
 }
 
 std::string Server::handle(const std::string& request_line) {
-  const size_t begin = request_line.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return {};  // blank keep-alive line
-  ++requests_;
-  const auto started = std::chrono::steady_clock::now();
-  std::string id_echo;
   std::string response;
-  try {
-    response = handle_or_throw(id_echo, request_line);
-  } catch (const Error& e) {
-    response = error_line(id_echo, e.what());
-  } catch (const std::exception& e) {
-    response = error_line(id_echo, std::string("internal: ") + e.what());
+  if (std::optional<Request> req = answer(request_line, response)) {
+    return compute(*req);
   }
-  // Service time (parse to response built), bucketed into the log2
-  // histogram behind the metrics request. Lock-free: every transport
-  // (event loop executors, stdio, embedders driving handle() directly)
-  // feeds the same histogram.
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - started)
-                      .count();
-  const auto elapsed = static_cast<uint64_t>(std::max<int64_t>(us, 0));
-  const size_t bucket =
-      elapsed < 2 ? 0
-                  : std::min<size_t>(std::bit_width(elapsed) - 1,
-                                     ServeStats::kLatencyBuckets - 1);
-  metrics_.latency_count.fetch_add(1, std::memory_order_relaxed);
-  metrics_.latency_sum_us.fetch_add(elapsed, std::memory_order_relaxed);
-  metrics_.latency_buckets[bucket].fetch_add(1, std::memory_order_relaxed);
   return response;
+}
+
+void Server::record_service(std::chrono::steady_clock::duration elapsed) {
+  // Service time, bucketed into the log2 histogram behind the metrics
+  // request. Lock-free: every transport (the event loop, executors,
+  // stdio, embedders driving handle() directly) feeds the same
+  // histogram.
+  const auto us =
+      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count();
+  const auto micros = static_cast<uint64_t>(std::max<int64_t>(us, 0));
+  const size_t bucket =
+      micros < 2 ? 0
+                 : std::min<size_t>(std::bit_width(micros) - 1,
+                                    ServeStats::kLatencyBuckets - 1);
+  metrics_.latency_count.fetch_add(1, std::memory_order_relaxed);
+  metrics_.latency_sum_us.fetch_add(micros, std::memory_order_relaxed);
+  metrics_.latency_buckets[bucket].fetch_add(1, std::memory_order_relaxed);
 }
 
 ServeStats Server::snapshot_stats() const {
@@ -1100,9 +1226,8 @@ void Server::executor_loop() {
     }
     metrics_.dispatch_backlog.fetch_sub(1, std::memory_order_relaxed);
     metrics_.executing.fetch_add(1, std::memory_order_relaxed);
-    // The response travels back in place of the request line; the
-    // event loop owns the socket and does the flush.
-    item.line = handle(item.line);
+    // The event loop owns the socket and does the flush.
+    item.response = compute(item.request);
     metrics_.executing.fetch_sub(1, std::memory_order_relaxed);
     done = std::move(item);
   }
@@ -1155,19 +1280,39 @@ int Server::serve_on(net::Listener& listener) {
   std::vector<std::shared_ptr<Conn>> conns;
   std::vector<pollfd> fds;
   std::vector<size_t> fd_to_conn;  // fds index -> conns index
-  std::vector<Conn*> writable;     // conns to flush this tick
   std::deque<DispatchItem> completed;
-  std::vector<DispatchItem> to_dispatch;
+  std::string response;
   bool draining = false;
+  // Work is ready without any fd turning ready - a connection holds a
+  // line the last tick did not answer (one line per connection per
+  // tick), or a drain began and idle connections must close: poll
+  // without sleeping.
+  bool poll_now = false;
+  // Writes what the socket takes of a connection's pending response
+  // bytes; a write error marks the peer gone.
+  const auto flush = [](Conn& conn) {
+    if (conn.dead || conn.out_off == conn.outbox.size()) return;
+    if (conn.stream->write_some(conn.outbox, conn.out_off) ==
+        net::IoStatus::kError) {
+      conn.dead = true;  // peer vanished mid-response
+    } else if (conn.out_off == conn.outbox.size()) {
+      conn.outbox.clear();
+      conn.out_off = 0;
+    } else if (conn.out_off >= kOutboxHighWater) {
+      conn.outbox.erase(0, conn.out_off);
+      conn.out_off = 0;
+    }
+  };
 
   while (true) {
     if (shutdown_ && !draining) {
       draining = true;
       // The drain contract: stop accepting and reading, answer what was
-      // already dispatched, flush every outbox, then close. Parsed but
-      // undispatched lines are dropped - a drain finishes work, it does
+      // already dispatched, flush every outbox, then close. Read but
+      // unanswered lines are dropped - a drain finishes work, it does
       // not start more.
       for (const std::shared_ptr<Conn>& conn : conns) conn->input.clear();
+      poll_now = true;
     }
     if (draining && conns.empty()) break;
 
@@ -1199,7 +1344,8 @@ int Server::serve_on(net::Listener& listener) {
 
     // Finite timeout: the stalled-writer clock below must keep ticking
     // even when no fd turns ready.
-    if (::poll(fds.data(), static_cast<nfds_t>(fds.size()), 500) < 0) {
+    if (::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+               poll_now ? 0 : 500) < 0) {
       for (pollfd& pfd : fds) pfd.revents = 0;  // undefined after failure
       if (errno != EINTR) {
         std::fprintf(stderr, "bfpp serve: poll() failed: %s; shutting down\n",
@@ -1212,8 +1358,8 @@ int Server::serve_on(net::Listener& listener) {
     // ---- Completions: responses handed back by the executors ----
     // Executors push before they signal, so every completion behind a
     // drained wake byte is visible once the lock is taken; one pushed
-    // later leaves a fresh byte for the next poll().
-    writable.clear();
+    // later leaves a fresh byte for the next poll(). Each response is
+    // flushed at once, without a poll trip.
     if ((fds[0].revents & POLLIN) != 0) {
       wake_.drain();
       {
@@ -1221,17 +1367,18 @@ int Server::serve_on(net::Listener& listener) {
         completed.swap(completions_);
       }
       for (DispatchItem& done : completed) {
-        done.conn->outbox += done.line;
+        done.conn->outbox += done.response;
         done.conn->busy = false;
-        writable.push_back(done.conn.get());  // flush without a poll trip
+        flush(*done.conn);
       }
+      completed.clear();
     }
 
-    // ---- Read: parse complete request lines off readable sockets ----
+    // ---- Read: split complete request lines off readable sockets ----
     for (size_t fi = first_conn_fd; fi < fds.size(); ++fi) {
       Conn& conn = *conns[fd_to_conn[fi - first_conn_fd]];
       if ((fds[fi].revents & (POLLOUT | POLLERR | POLLHUP)) != 0) {
-        writable.push_back(&conn);
+        flush(conn);
       }
       if ((fds[fi].events & POLLIN) == 0) continue;
       if ((fds[fi].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
@@ -1300,24 +1447,32 @@ int Server::serve_on(net::Listener& listener) {
       }
     }
 
-    // ---- Flush: only connections with a completion or POLLOUT ----
-    for (Conn* conn : writable) {
-      if (conn->dead || conn->out_off == conn->outbox.size()) continue;
-      if (conn->stream->write_some(conn->outbox, conn->out_off) ==
-          net::IoStatus::kError) {
-        conn->dead = true;  // peer vanished mid-response
-      } else if (conn->out_off == conn->outbox.size()) {
-        conn->outbox.clear();
-        conn->out_off = 0;
-      } else if (conn->out_off >= kOutboxHighWater) {
-        conn->outbox.erase(0, conn->out_off);
-        conn->out_off = 0;
+    // ---- Answer: on this thread when nothing needs computing ----
+    // One line per idle connection per tick, round-robin. A connection
+    // with a request at an executor waits for its response first, so
+    // responses go out in request order. Each answer is flushed at once;
+    // a request that must compute goes to an executor, already parsed,
+    // before the next connection's line is answered.
+    for (const std::shared_ptr<Conn>& conn : conns) {
+      if (conn->dead || conn->busy || conn->input.empty()) continue;
+      std::optional<Request> req = answer(conn->input.front(), response);
+      conn->input.pop_front();
+      if (req.has_value()) {
+        conn->busy = true;
+        metrics_.dispatch_backlog.fetch_add(1, std::memory_order_relaxed);
+        {
+          const LockGuard lock(dispatch_mutex_);
+          dispatch_queue_.push_back({conn, std::move(*req), {}});
+        }
+        dispatch_ready_.notify_one();
+      } else {
+        conn->outbox += response;
+        flush(*conn);
       }
     }
-    completed.clear();  // after the flush: it kept `writable` alive
 
-    // ---- Dispatch, stall clock, close, classify: one unlocked pass ----
-    to_dispatch.clear();
+    // ---- Stall clock, close, classify: one unlocked pass ----
+    poll_now = false;
     int reading = 0;
     int processing = 0;
     int writing = 0;
@@ -1325,14 +1480,6 @@ int Server::serve_on(net::Listener& listener) {
     const auto now = std::chrono::steady_clock::now();
     for (size_t i = 0; i < conns.size(); ++i) {
       Conn& conn = *conns[i];
-      // One request per connection in flight at a time: responses come
-      // back in request order with no per-connection reordering
-      // machinery, and one client cannot flood the dispatch queue.
-      if (!conn.dead && !conn.busy && !conn.input.empty()) {
-        conn.busy = true;
-        to_dispatch.push_back({conns[i], std::move(conn.input.front())});
-        conn.input.pop_front();
-      }
       if (conn.overlong && !conn.busy && conn.input.empty()) {
         conn.overlong = false;
         conn.outbox += overlong_line_error();
@@ -1355,6 +1502,7 @@ int Server::serve_on(net::Listener& listener) {
                         conn.input.empty() && left == 0)) {
         continue;  // dropped from the registry: the socket closes
       }
+      poll_now = poll_now || (!conn.busy && !conn.input.empty());
       if (conn.busy) {
         ++processing;
       } else if (left > 0) {
@@ -1365,21 +1513,6 @@ int Server::serve_on(net::Listener& listener) {
       conns[kept++] = std::move(conns[i]);
     }
     conns.resize(kept);
-    if (!to_dispatch.empty()) {
-      metrics_.dispatch_backlog.fetch_add(to_dispatch.size(),
-                                          std::memory_order_relaxed);
-      {
-        const LockGuard lock(dispatch_mutex_);
-        for (DispatchItem& item : to_dispatch) {
-          dispatch_queue_.push_back(std::move(item));
-        }
-      }
-      // One wake per request: waking every idle executor for a single
-      // item only has them contend for dispatch_mutex_ and sleep again.
-      for (size_t k = 0; k < to_dispatch.size(); ++k) {
-        dispatch_ready_.notify_one();
-      }
-    }
     metrics_.active.store(static_cast<int>(conns.size()),
                           std::memory_order_relaxed);
     metrics_.reading.store(reading, std::memory_order_relaxed);

@@ -14,22 +14,28 @@
 //
 // Clients are served concurrently by an event loop, not by threads:
 // serve() runs one poll() loop over every connection, parsing
-// line-delimited requests from non-blocking sockets, handing each
-// parsed line to a small fixed pool of executor threads, and streaming
-// the response bytes back as each socket becomes writable - so
-// thousands of mostly-idle clients cost file descriptors, not threads.
-// Admission control caps concurrency at --max-connections (over-cap
-// connects get an explicit JSON error, counted in `rejected`), and
-// per-connection fairness stops reading from a client with
-// --max-inflight-per-client requests pending (backpressure instead of
-// unbounded queueing). Executor threads only run handle() and hand each
-// response back through a completion queue, so the loop thread alone
-// owns every connection's state; all computation funnels through the
-// shared ThreadPool exactly as in single-client mode, so concurrent
-// clients share one thread budget instead of oversubscribing the
-// machine. A request line over net::kMaxRequestLineBytes (1 MiB) gets
-// one {"ok":false,...} line and a close (stdio: serving stops). handle()
-// is fully thread-safe, and a `metrics` request exposes latency
+// line-delimited requests from non-blocking sockets and streaming the
+// response bytes back as each socket becomes writable - so thousands of
+// mostly-idle clients cost file descriptors, not threads. The loop
+// parses each request itself and answers every one that needs no
+// computation on the spot: ping, shutdown, stats, metrics, list, and a
+// run/search/sweep/compare of at most a few dozen cells that are all
+// cached - through the same parse and answer steps handle() runs, so
+// the bytes are identical. Only a request that must compute goes,
+// already parsed, to a small fixed pool of executor threads, which run
+// execute() and hand the response back through a completion queue, so
+// the loop thread alone owns every connection's state; all computation
+// funnels through the shared ThreadPool exactly as in single-client
+// mode, so concurrent clients share one thread budget instead of
+// oversubscribing the machine. Admission control caps concurrency at
+// --max-connections (over-cap connects get an explicit JSON error,
+// counted in `rejected`), and per-connection fairness stops reading
+// from a client with --max-inflight-per-client requests pending
+// (backpressure instead of unbounded queueing). A request line over
+// net::kMaxRequestLineBytes (1 MiB) gets one {"ok":false,...} line and
+// a close (stdio: serving stops), and a sweep naming more than
+// kMaxCellsPerRequest cells gets one {"ok":false,...} line. handle() is
+// fully thread-safe, and a `metrics` request exposes latency
 // histograms, queue depths and connection-state counts (see ServeStats).
 //
 // Repeated cells are served from an LRU ReportCache keyed by
@@ -121,6 +127,16 @@ class ReportCache {
   // leader and registers the in-flight entry; an uncached key that is
   // already being computed returns that entry to wait() on.
   [[nodiscard]] Probe probe_or_lead(const std::string& key);
+
+  // All-or-nothing lookup under one lock, which never appoints a leader.
+  // When every key is cached, promotes each to MRU in key order, counts
+  // one hit per key (as probe_or_lead() would) and returns the Reports
+  // in key order. Otherwise returns nullopt and changes nothing: no
+  // counter, no recency, no in-flight entry. A key that is being
+  // computed is not cached, so misses and coalesced waits are counted
+  // by probe_or_lead() alone.
+  [[nodiscard]] std::optional<std::vector<Report>> find_all(
+      const std::vector<std::string>& keys);
 
   // Blocks until the in-flight computation behind `entry` publishes or
   // abandons. Returns the published Report (byte-identical to what the
@@ -270,15 +286,18 @@ struct ServeStats {
     uint64_t rejected = 0;  // connections refused over --max-connections
   };
   // Dispatch-queue depths: requests parsed but not yet picked up by an
-  // executor, and requests currently inside handle().
+  // executor, and requests an executor is computing. Requests the event
+  // loop answers itself never show here.
   struct Queues {
     uint64_t dispatch_backlog = 0;
     uint64_t executing = 0;
   };
-  // Service-time histogram over handle() (request arrival at an
-  // executor to response bytes queued), microseconds. buckets[i] counts
-  // requests in [2^i, 2^(i+1)) us (bucket 0 is [0, 2)); the percentiles
-  // are bucket-upper-bound estimates derived from the histogram.
+  // Service-time histogram over every answered request, microseconds:
+  // parse to response built, whether the event loop answered it or an
+  // executor computed it (time queued for an executor is excluded).
+  // buckets[i] counts requests in [2^i, 2^(i+1)) us (bucket 0 is
+  // [0, 2)); the percentiles are bucket-upper-bound estimates derived
+  // from the histogram.
   struct Latency {
     uint64_t count = 0;
     uint64_t sum_us = 0;
@@ -309,6 +328,12 @@ struct ServeStats {
 
 class Server {
  public:
+  // The most cells one sweep may name (the product of its axis lengths).
+  // Checked before the grid is built, so a short line cannot make the
+  // server materialise billions of cells; the largest built-in compare
+  // grid has 36.
+  static constexpr size_t kMaxCellsPerRequest = 4096;
+
   explicit Server(ServeOptions options = {});
   ~Server();
 
@@ -316,8 +341,9 @@ class Server {
   // the complete, newline-terminated response (one JSON line, plus
   // payload lines for multi-row responses). Never throws: malformed or
   // failing requests become {"ok":false,"error":...} lines. Blank lines
-  // return the empty string (keep-alive no-ops). Thread-safe: executor
-  // threads call this concurrently.
+  // return the empty string (keep-alive no-ops). Thread-safe. The event
+  // loop runs the same two steps, answer() and compute(), split across
+  // its own thread and the executors.
   std::string handle(const std::string& request_line);
 
   // Serves line requests from `in` until EOF, a shutdown request or a
@@ -346,7 +372,7 @@ class Server {
   // Returns false when no cache file is configured or the save failed.
   // Both serve loops call this on shutdown; exposed so embedders and
   // tests can snapshot explicitly. Inserted cells never wait for it:
-  // handle() journals each one as it is computed.
+  // execute() journals each one as it is computed.
   bool persist_cache() BFPP_EXCLUDES(journal_mutex_);
 
   [[nodiscard]] bool shutdown_requested() const { return shutdown_; }
@@ -359,7 +385,60 @@ class Server {
   [[nodiscard]] ReportCache& cache() { return cache_; }
 
  private:
-  std::string handle_or_throw(std::string& id_echo, const std::string& line);
+  // One cell of a request, built and keyed by the parse step. A sweep
+  // cell whose scenario fails to build carries its [config] row instead
+  // (run/search scenarios are validated eagerly: an invalid one fails
+  // the whole request).
+  struct Cell {
+    std::optional<Scenario> built;  // nullopt: the build failed
+    std::optional<autotune::Method> method;
+    std::string label;
+    std::string key;               // cache_key(); empty when unbuilt
+    std::optional<Report> failed;  // the row of a cell that did not build
+  };
+
+  // A request line after the parse step. Scenario requests carry their
+  // cells; the event loop hands a request it cannot answer to an
+  // executor as is, so nothing is parsed, built or keyed twice.
+  struct Request {
+    std::string id_echo;  // compact JSON to echo back ("" = no id)
+    std::string type;     // run | search | sweep | compare | stats |
+                          // metrics | list | ping | shutdown
+    std::string format;   // json | csv
+    std::string list_what;  // list requests: models|clusters|scenarios|all
+    RunOptions run;
+    int jobs = 0;
+    std::vector<Cell> cells;
+    // Service time spent before compute(): the parse and cache steps.
+    std::chrono::steady_clock::duration answered_in{};
+  };
+
+  // The two steps of every request, shared by handle() and the event
+  // loop. answer() counts the line as a request, parses it and answers
+  // it when nothing needs computing (see answer_from_cache); it returns
+  // nullopt once `response` holds the answer (empty for a blank line),
+  // else the parsed request. compute() runs that request's cells through
+  // execute() and renders the response. Neither throws: a failing
+  // request becomes its {"ok":false,...} line. Each answered request is
+  // timed into the service-time histogram exactly once.
+  std::optional<Request> answer(const std::string& line,
+                                std::string& response);
+  std::string compute(const Request& req);
+
+  // Parse step: the line to a Request, every cell built and keyed.
+  // Throws bfpp::Error on a malformed request (req.id_echo is set as
+  // soon as the id is known).
+  void parse(const std::string& line, Request& req) const;
+
+  // The answer from cache: sets `response` and returns true for a
+  // request that needs no cell (ping, shutdown, stats, metrics, list)
+  // or whose cells - at most kMaxInlineCells of them - are all cached
+  // (ReportCache::find_all); returns false, changing nothing, when the
+  // request must compute.
+  bool answer_from_cache(const Request& req, std::string& response);
+
+  // Counts one answered request in the service-time histogram.
+  void record_service(std::chrono::steady_clock::duration elapsed);
 
   // Leader-side completion of one computed cell: ReportCache::publish,
   // plus the journal append when the cache is durable.
@@ -368,15 +447,7 @@ class Server {
 
   // Executes one batch of cells (a single run/search, or a whole sweep
   // grid) through the cache: probe serially, compute misses in parallel
-  // on the shared pool, insert, and return Reports in cell order. A cell
-  // is either pre-built (run/search requests, validated eagerly) or a
-  // lazy recipe (sweep cells, whose build failures become rows).
-  struct Cell {
-    std::optional<Scenario> built;
-    ScenarioBuilder recipe;
-    std::optional<autotune::Method> method;
-    std::string label;
-  };
+  // on the shared pool, insert, and return Reports in cell order.
   std::vector<Report> execute(const std::vector<Cell>& cells,
                               const RunOptions& run, int jobs);
 
@@ -387,16 +458,17 @@ class Server {
 
   // ---- Event-loop serving core (serve_on only) ----
   //
-  // One poll() loop owns every connection; a small fixed pool of
-  // executor threads runs handle(). Every Conn field belongs to the
-  // event-loop thread alone: executors see only the line they were
-  // handed and return the response through the completion queue, so
-  // no Conn state is shared and none of it needs a lock.
+  // One poll() loop owns every connection and answers what needs no
+  // computation; a small fixed pool of executor threads runs compute()
+  // for the rest. Every Conn field belongs to the event-loop thread
+  // alone: executors see only the request they were handed and return
+  // the response through the completion queue, so no Conn state is
+  // shared and none of it needs a lock.
   struct Conn {
     explicit Conn(net::Stream&& s);
     ~Conn();
     std::unique_ptr<net::Stream> stream;  // fd + read buffer
-    std::deque<std::string> input;  // parsed, not yet dispatched lines
+    std::deque<std::string> input;  // read, not yet answered lines
     std::string outbox;             // response bytes queued for the socket
     size_t out_off = 0;             // flush offset into outbox
     bool busy = false;              // a dispatched request is pending
@@ -407,16 +479,17 @@ class Server {
     std::chrono::steady_clock::time_point stalled_since{};
     size_t last_pending = 0;        // outbox remainder at last stall check
   };
-  // One parsed request line bound for an executor, and on the way back
-  // its response. The shared_ptr keeps the Conn alive even if the event
+  // One parsed request bound for an executor, and on the way back its
+  // response. The shared_ptr keeps the Conn alive even if the event
   // loop closes and unregisters the connection while the request is
   // still computing; executors never touch the Conn itself.
   struct DispatchItem {
     std::shared_ptr<Conn> conn;
-    std::string line;
+    Request request;
+    std::string response;
   };
 
-  // Executor threads: each pops DispatchItems, runs handle() and pushes
+  // Executor threads: each pops DispatchItems, runs compute() and pushes
   // the response onto completions_ (in the same critical section as its
   // next pop) plus a wake_ signal. Started and joined by serve_on
   // (executors_ itself is touched only by the serve_on thread).

@@ -1,6 +1,7 @@
 // Golden-report regression suite: the `fig5-quick` compare grid (all six
 // schedule families on the 6.6B point, batches 64 and 128) serialized to
-// JSON and CSV, and the `bfpp serve` response lines for the same grid,
+// JSON and CSV, and the `bfpp serve` response lines for the same grid
+// (through handle(), and over loopback TCP both computed and cached),
 // must byte-match the files checked into tests/golden/.
 // Any intentional change to costs, schedules, or serialization shows up
 // here as a diff that has to be re-recorded, reviewed, and committed.
@@ -14,11 +15,18 @@
 // then `git diff tests/golden/` to review what moved before committing.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/compare.h"
@@ -26,6 +34,9 @@
 #include "api/report.h"
 #include "api/server.h"
 #include "api/sweep.h"
+#include "common/error.h"
+#include "common/json.h"
+#include "common/socket.h"
 #include "golden_util.h"
 
 namespace bfpp::api {
@@ -94,13 +105,13 @@ TEST(Golden, SearchAndInfeasibleJsonAreByteStable) {
 // fig5-quick point in both formats, one infeasible cell (its Report
 // carries "error") and one search (its Report carries "search" and
 // "frugal"), answered in order by one fresh server.
-TEST(Golden, ServeResponsesAreByteStable) {
+std::vector<std::string> serve_requests() {
   const std::string point =
       R"("model":"6.6b","cluster":"dgx1-v100-ib","pp":4,"tp":2,"dp":8)";
   const std::string oom =
       R"("model":"52b","cluster":"dgx1-v100-ib","pp":1,"tp":1,"dp":64,)"
       R"("nmb":1,"schedule":"gpipe")";
-  const std::vector<std::string> requests = {
+  return {
       R"({"id":1,"type":"run",)" + point +
           R"(,"nmb":8,"schedule":"bf","loop":4})",
       R"({"type":"run",)" + point +
@@ -122,12 +133,84 @@ TEST(Golden, ServeResponsesAreByteStable) {
       R"({"type":"search","model":"6.6b","batch":64,"method":"bf",)"
       R"("backend":"analytic"})",
   };
+}
+
+TEST(Golden, ServeResponsesAreByteStable) {
   Server server;
   std::string responses;
-  for (const std::string& request : requests) {
+  for (const std::string& request : serve_requests()) {
     responses += server.handle(request);
   }
   bfpp::testing::check_golden("serve_responses.jsonl", responses);
+}
+
+// Sends one request line over `stream` and appends its whole response
+// (the header line plus the "lines" it announces) to `out`. Returns the
+// number of cells the response carries.
+uint64_t round_trip(net::Stream& stream, const std::string& request,
+                    std::string& out) {
+  std::string line;
+  EXPECT_TRUE(stream.write_all(request + "\n"));
+  EXPECT_TRUE(stream.read_line(line));
+  out += line + "\n";
+  const json::Value head = json::parse(line);
+  const json::Value* lines = head.get("lines");
+  if (lines == nullptr) return 1;  // a run or search: its report inline
+  for (int i = 0; i < lines->as_int(); ++i) {
+    EXPECT_TRUE(stream.read_line(line));
+    out += line + "\n";
+  }
+  return static_cast<uint64_t>(head.get("rows")->as_int());
+}
+
+ReportCache::Stats tcp_cache_stats(net::Stream& stream) {
+  std::string line;
+  EXPECT_TRUE(stream.write_all("{\"type\":\"stats\"}\n"));
+  EXPECT_TRUE(stream.read_line(line));
+  return ServeStats::from_wire(json::parse(line)).cache;
+}
+
+// The same request list over one loopback connection to a fresh
+// `bfpp serve` event loop, twice. The first pass computes (nearly every
+// request goes to an executor); the second finds every cell cached and
+// is answered on the event loop. Both must be the golden bytes.
+TEST(Golden, ServeResponsesAreByteStableOverTcpComputedAndCached) {
+  std::unique_ptr<net::Listener> listener;
+  try {
+    listener = std::make_unique<net::Listener>(0);
+  } catch (const ConfigError& e) {
+    GTEST_SKIP() << e.what();
+  }
+  Server server;
+  std::thread serve_thread([&] { EXPECT_EQ(server.serve_on(*listener), 0); });
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(listener->port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  net::Stream stream(fd);
+
+  for (int pass = 0; pass < 2; ++pass) {
+    const ReportCache::Stats before = tcp_cache_stats(stream);
+    std::string responses;
+    uint64_t cells = 0;
+    for (const std::string& request : serve_requests()) {
+      cells += round_trip(stream, request, responses);
+    }
+    bfpp::testing::check_golden("serve_responses.jsonl", responses);
+    if (pass == 1) {
+      const ReportCache::Stats after = tcp_cache_stats(stream);
+      EXPECT_EQ(after.hits - before.hits, cells);  // one hit per cell
+      EXPECT_EQ(after.misses, before.misses);
+      EXPECT_EQ(after.coalesced, before.coalesced);
+    }
+  }
+  ASSERT_TRUE(stream.write_all("{\"type\":\"shutdown\"}\n"));
+  std::string bye;
+  ASSERT_TRUE(stream.read_line(bye));
+  serve_thread.join();
 }
 
 }  // namespace

@@ -181,6 +181,72 @@ TEST(ReportCache, CapacityZeroDisablesCaching) {
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
+// ---- ReportCache::find_all (the event loop's all-or-nothing lookup) ----
+
+TEST(ReportCache, FindAllHitPromotesInKeyOrderAndCountsOneHitPerKey) {
+  ReportCache cache(3);
+  cache.publish("a", tagged_report("a"));
+  cache.publish("b", tagged_report("b"));
+  cache.publish("c", tagged_report("c"));  // LRU order a, b, c
+  const auto hits = cache.find_all({"b", "a"});
+  ASSERT_TRUE(hits.has_value());
+  ASSERT_EQ(hits->size(), 2u);
+  EXPECT_EQ((*hits)[0].scenario, "b");
+  EXPECT_EQ((*hits)[1].scenario, "a");
+  const ReportCache::Stats s = cache.stats();
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.misses, 0u);
+  EXPECT_EQ(s.coalesced, 0u);
+  EXPECT_EQ(s.inflight, 0u);
+  // b then a were promoted: LRU order c, b, a, so c goes first, then b.
+  cache.publish("d", tagged_report("d"));
+  EXPECT_FALSE(cache.find_all({"c"}).has_value());
+  cache.publish("e", tagged_report("e"));
+  EXPECT_FALSE(cache.find_all({"b"}).has_value());
+  EXPECT_TRUE(cache.find_all({"a", "d", "e"}).has_value());
+  EXPECT_EQ(cache.stats().evictions, 2u);
+}
+
+TEST(ReportCache, FindAllPartialHitChangesNothing) {
+  ReportCache cache(2);
+  cache.publish("a", tagged_report("a"));
+  cache.publish("b", tagged_report("b"));  // LRU order a, b
+  const ReportCache::Stats before = cache.stats();
+  // "a" is cached, "x" is not: no hit is counted and "a" is not promoted.
+  EXPECT_FALSE(cache.find_all({"a", "x"}).has_value());
+  const ReportCache::Stats after = cache.stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.coalesced, before.coalesced);
+  EXPECT_EQ(after.insertions, before.insertions);
+  EXPECT_EQ(after.inflight, 0u);  // "x" was not claimed
+  // "a" is still the LRU entry, so the next insert evicts it, not "b".
+  cache.publish("c", tagged_report("c"));
+  EXPECT_FALSE(cache.find_all({"a"}).has_value());
+  EXPECT_TRUE(cache.find_all({"b", "c"}).has_value());
+  // Nobody leads "x": the first single-flight probe is appointed leader.
+  EXPECT_TRUE(cache.probe_or_lead("x").leader);
+  cache.abandon("x");
+}
+
+TEST(ReportCache, FindAllTreatsAnInFlightKeyAsNotCached) {
+  ReportCache cache(4);
+  cache.publish("a", tagged_report("a"));
+  ASSERT_TRUE(cache.probe_or_lead("b").leader);  // b is being computed
+  EXPECT_FALSE(cache.find_all({"a", "b"}).has_value());
+  EXPECT_FALSE(cache.find_all({"b"}).has_value());
+  ReportCache::Stats s = cache.stats();
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 1u);     // the leader's probe only
+  EXPECT_EQ(s.coalesced, 0u);  // find_all never joins a flight
+  EXPECT_EQ(s.inflight, 1u);
+  cache.publish("b", tagged_report("b"));
+  EXPECT_TRUE(cache.find_all({"a", "b"}).has_value());
+  s = cache.stats();
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.inflight, 0u);
+}
+
 // ---- Single-flight coalescing (ReportCache layer) ----
 
 // Spins until `pred` holds (or ~timeout_ms passed); returns pred().
@@ -884,6 +950,56 @@ TEST(Server, CacheSizeZeroMeansEveryRequestRecomputes) {
   const std::string stats = server.handle(R"({"type":"stats"})");
   EXPECT_NE(stats.find("\"hits\":0,\"misses\":2"), std::string::npos);
   EXPECT_NE(stats.find("\"capacity\":0"), std::string::npos);
+}
+
+TEST(Server, CachedSweepWithAnUnbuildableCellRepeatsItsRows) {
+  // pp3 does not fit the 64-GPU cluster: that cell is a [config] row
+  // with no cache key, and the repeat is answered from the cache with
+  // the identical row beside the cached one.
+  Server server;
+  const std::string sweep =
+      R"({"type":"sweep","model":"6.6b","cluster":"dgx1-v100-ib",)"
+      R"("pp":[4,3],"tp":[2],"dp":[8],"nmb":[8],"schedule":["bf"],)"
+      R"("loop":[2],"backend":"analytic"})";
+  const std::string first = server.handle(sweep);
+  EXPECT_NE(first.find("[config] parallel: grid 8x2x3"), std::string::npos);
+  EXPECT_EQ(server.handle(sweep), first);
+  const ReportCache::Stats stats = server.cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.insertions, 1u);
+}
+
+// `n` comma-separated integers 1..n: one axis list of a sweep line.
+std::string axis(int n) {
+  std::string out;
+  for (int i = 1; i <= n; ++i) out += (i > 1 ? "," : "") + std::to_string(i);
+  return out;
+}
+
+TEST(Server, SweepsOverTheCellCapAreRefusedBeforeTheGridIsBuilt) {
+  static_assert(Server::kMaxCellsPerRequest == 4096);
+  Server server;
+  // 65 x 65 = 4225 cells: one over-cap sweep, refused with a typed line.
+  const std::string over =
+      R"({"id":9,"type":"sweep","model":"6.6b","cluster":"dgx1-v100-ib",)"
+      R"("pp":[4],"tp":[2],"dp":[8],"nmb":[)" + axis(65) + R"(],"loop":[)" +
+      axis(65) + R"(],"schedule":["bf"]})";
+  EXPECT_EQ(server.handle(over),
+            "{\"id\":9,\"ok\":false,\"error\":\"serve: a sweep may name at "
+            "most 4096 cells (the product of its axis lengths); split it "
+            "into smaller sweeps\"}\n");
+  // Seven 100-value axes and two 3-value ones name 9 x 10^14 cells,
+  // which would never finish materialising. The count stops at the cap,
+  // so this is refused at once.
+  std::string huge =
+      R"({"type":"sweep","model":"6.6b","cluster":"dgx1-v100-ib")";
+  for (const char* key : {"pp", "tp", "dp", "smb", "nmb", "loop", "batch"}) {
+    huge += std::string(",\"") + key + "\":[" + axis(100) + "]";
+  }
+  huge += R"(,"schedule":["bf","df","v"],"sharding":["dp0","dp1","dp2"]})";
+  EXPECT_NE(server.handle(huge).find("at most 4096 cells"), std::string::npos);
+  EXPECT_EQ(server.cache_stats().misses, 0u);  // nothing was built or run
 }
 
 // ---- Transports ----
@@ -1600,6 +1716,114 @@ TEST(Server, BurstyClientIsBackpressuredWithoutStallingOthers) {
   for (int i = 0; i < 6; ++i) six += expected;
   EXPECT_EQ(got, six);
   EXPECT_EQ(server.cache_stats().hits, 5u);
+
+  server.request_shutdown();
+  serve_thread.join();
+}
+
+TEST(Server, EventLoopAnswersCachedRequestsWithTheSameBytesAndCounters) {
+  std::unique_ptr<net::Listener> listener;
+  try {
+    listener = std::make_unique<net::Listener>(0);
+  } catch (const ConfigError& e) {
+    GTEST_SKIP() << e.what();
+  }
+  ServeOptions options;
+  Server server(options);
+  // Held like in the coalescing tests: requests for this cell park at
+  // an executor until the test publishes it.
+  const std::string held =
+      cache_key(coalesced_cell(), std::nullopt, options.run);
+  ASSERT_TRUE(server.cache().probe_or_lead(held).leader);
+  std::thread serve_thread([&] { EXPECT_EQ(server.serve_on(*listener), 0); });
+
+  const std::string run_a =
+      R"({"type":"run","model":"6.6b","cluster":"dgx1-v100-ib","pp":4,)"
+      R"("tp":2,"dp":8,"nmb":4,"schedule":"bf","loop":2,"backend":"analytic"})";
+  const std::string sweep_ab =
+      R"({"type":"sweep","model":"6.6b","cluster":"dgx1-v100-ib","pp":[4],)"
+      R"("tp":[2],"dp":[8],"nmb":[4,12],"schedule":["bf"],"loop":[2],)"
+      R"("backend":"analytic"})";
+  Server reference;
+  const std::string expected_run = reference.handle(run_a);
+  const std::string expected_sweep = reference.handle(sweep_ab);
+  const std::string expected_held = reference.handle(kCoalescedRun);
+
+  const int fd = connect_loopback(listener->port());
+  ASSERT_GE(fd, 0);
+  // A request stuck behind the held cell would hang the reads below;
+  // time them out so that shows up as a failure.
+  timeval timeout{};
+  timeout.tv_sec = 20;
+  ASSERT_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  net::Stream client(fd);
+  uint64_t sent = 0;
+  auto ask = [&](const std::string& request, size_t lines) {
+    ++sent;
+    std::string got;
+    EXPECT_TRUE(client.write_all(request + "\n"));
+    EXPECT_TRUE(read_lines(client, lines, got));
+    return got;
+  };
+  auto metrics = [&] {
+    return ServeStats::from_wire(json::parse(ask(R"({"type":"metrics"})", 1)));
+  };
+
+  // A cold run computes at an executor. A sweep of that cell and a new
+  // one is a partial hit, so it computes too: one hit, one miss, as the
+  // per-cell probes always counted. Its repeat is all hits: one hit per
+  // cell, the same bytes.
+  EXPECT_EQ(ask(run_a, 1), expected_run);
+  EXPECT_EQ(ask(sweep_ab, 3), expected_sweep);
+  ReportCache::Stats stats = server.cache_stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 3u);  // the held claim, A, then B
+  EXPECT_EQ(ask(sweep_ab, 3), expected_sweep);
+  stats = server.cache_stats();
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 3u);
+
+  // An over-cap sweep gets a typed error; the connection keeps serving.
+  const std::string over =
+      R"({"type":"sweep","model":"6.6b","cluster":"dgx1-v100-ib",)"
+      R"("nmb":[)" + axis(65) + R"(],"loop":[)" + axis(65) + R"(]})";
+  EXPECT_NE(ask(over, 1).find("\"ok\":false"), std::string::npos);
+  EXPECT_EQ(ask(R"({"type":"ping"})", 1), "{\"ok\":true,\"type\":\"pong\"}\n");
+
+  // Park one request for the held cell per executor (the pool has at
+  // most 16), each on its own connection, so no executor is free.
+  constexpr size_t kBlockers = 16;
+  std::vector<std::unique_ptr<net::Stream>> blockers;
+  for (size_t i = 0; i < kBlockers; ++i) {
+    const int bfd = connect_loopback(listener->port());
+    ASSERT_GE(bfd, 0);
+    blockers.push_back(std::make_unique<net::Stream>(bfd));
+    ASSERT_TRUE(blockers.back()->write_all(std::string(kCoalescedRun) + "\n"));
+  }
+  ASSERT_TRUE(poll_until(
+      [&] { return metrics().connections.processing == int{kBlockers}; }));
+  // Cached requests are still answered: the event loop serves them.
+  EXPECT_EQ(ask(run_a, 1), expected_run);
+  EXPECT_EQ(ask(sweep_ab, 3), expected_sweep);
+
+  server.cache().publish(held, run(coalesced_cell(), options.run));
+  for (const std::unique_ptr<net::Stream>& blocker : blockers) {
+    std::string got;
+    ASSERT_TRUE(read_lines(*blocker, 1, got));
+    EXPECT_EQ(got, expected_held);
+  }
+  stats = server.cache_stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.insertions, 3u);
+  EXPECT_EQ(stats.hits + stats.coalesced, 3u + 3u + kBlockers);
+  EXPECT_EQ(stats.inflight, 0u);
+
+  // Every request is counted, and every one answered before this
+  // metrics request - on the loop or at an executor - is timed.
+  const ServeStats final_metrics = metrics();
+  EXPECT_EQ(final_metrics.requests, sent + kBlockers);
+  EXPECT_EQ(final_metrics.latency.count, sent + kBlockers - 1);
 
   server.request_shutdown();
   serve_thread.join();
