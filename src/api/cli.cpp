@@ -125,8 +125,8 @@ int do_run(const CliOptions& options) {
 
 int do_search(const CliOptions& options) {
   const Scenario scenario = scenario_from_cli(options);
-  const Report report = search(scenario, autotune::parse_method(options.method),
-                               run_options_from_cli(options));
+  const Report report =
+      search(scenario, search_method(options), run_options_from_cli(options));
   emit_report(report, options);
   return report.found ? 0 : 2;
 }
@@ -338,80 +338,22 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
   };
   for (; i < args.size(); ++i) {
     const std::string& flag = args[i];
-    if (flag == "--model") {
-      if (sweeping) {
-        options.models = parse_name_list(flag, value(flag));
+    const AxisSpec* axis = flag.rfind("--", 0) == 0
+                               ? find_axis(std::string_view(flag).substr(2))
+                               : nullptr;
+    if (axis != nullptr) {
+      const std::string text = value(flag);
+      if (axis->ints != nullptr) {
+        options.axes.*axis->ints =
+            sweeping ? parse_int_list(flag, text)
+                     : std::vector<int>{parse_int_flag(flag, text)};
       } else {
-        options.model = value(flag);
-      }
-    } else if (flag == "--cluster") {
-      if (sweeping) {
-        options.clusters = parse_name_list(flag, value(flag));
-      } else {
-        options.cluster = value(flag);
+        options.axes.*axis->names =
+            sweeping ? parse_name_list(flag, text)
+                     : std::vector<std::string>{text};
       }
     } else if (flag == "--preset") {
       options.preset = value(flag);
-    } else if (flag == "--pp") {
-      if (sweeping) {
-        options.pps = parse_int_list(flag, value(flag));
-      } else {
-        options.pp = parse_int_flag(flag, value(flag));
-      }
-    } else if (flag == "--tp") {
-      if (sweeping) {
-        options.tps = parse_int_list(flag, value(flag));
-      } else {
-        options.tp = parse_int_flag(flag, value(flag));
-      }
-    } else if (flag == "--dp") {
-      if (sweeping) {
-        options.dps = parse_int_list(flag, value(flag));
-      } else {
-        options.dp = parse_int_flag(flag, value(flag));
-      }
-    } else if (flag == "--smb") {
-      if (sweeping) {
-        options.smbs = parse_int_list(flag, value(flag));
-      } else {
-        options.smb = parse_int_flag(flag, value(flag));
-      }
-    } else if (flag == "--nmb") {
-      if (sweeping) {
-        options.nmbs = parse_int_list(flag, value(flag));
-      } else {
-        options.nmb = parse_int_flag(flag, value(flag));
-      }
-    } else if (flag == "--loop") {
-      if (sweeping) {
-        options.loops = parse_int_list(flag, value(flag));
-      } else {
-        options.loop = parse_int_flag(flag, value(flag));
-      }
-    } else if (flag == "--batch") {
-      if (sweeping) {
-        options.batches = parse_int_list(flag, value(flag));
-      } else {
-        options.batch = parse_int_flag(flag, value(flag));
-      }
-    } else if (flag == "--schedule") {
-      if (sweeping) {
-        options.schedules = parse_name_list(flag, value(flag));
-      } else {
-        options.schedule = value(flag);
-      }
-    } else if (flag == "--sharding") {
-      if (sweeping) {
-        options.shardings = parse_name_list(flag, value(flag));
-      } else {
-        options.sharding = value(flag);
-      }
-    } else if (flag == "--method") {
-      if (sweeping) {
-        options.methods = parse_name_list(flag, value(flag));
-      } else {
-        options.method = value(flag);
-      }
     } else if (flag == "--grid") {
       check_config(options.command == "compare",
                    "cli: --grid only applies to 'bfpp compare'");
@@ -489,105 +431,81 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
 }
 
 Scenario scenario_from_cli(const CliOptions& options) {
+  const ScenarioAxes& axes = options.axes;
+  const bool capability_flags =
+      options.megatron || options.no_dp_overlap || options.no_pp_overlap;
   if (!options.preset.empty()) {
     // A preset pins the whole scenario; silently dropping other flags
     // would mislead, so reject the combination.
-    const bool overridden =
-        options.pp || options.tp || options.dp || options.smb ||
-        options.nmb || options.loop || options.batch ||
-        !options.schedule.empty() || !options.sharding.empty() ||
-        options.megatron || options.no_dp_overlap || options.no_pp_overlap;
-    check_config(!overridden,
+    check_config(!pins_configuration(axes) && axes.batch.empty() &&
+                     !capability_flags,
                  "cli: --preset cannot be combined with scenario flags "
                  "(--pp/--tp/--dp/--smb/--nmb/--loop/--batch/--schedule/"
                  "--sharding/--megatron/--no-*-overlap)");
     return lookup_scenario(options.preset);
   }
 
-  ScenarioBuilder builder;
-  builder.name("cli").model(options.model).cluster(options.cluster);
-  if (options.command == "search") {
-    // The search enumerates the grid, schedule and sharding itself;
-    // accepting (and ignoring) flags that pin them would mislead.
-    const bool pinned = options.pp || options.tp || options.dp ||
-                        options.smb || options.nmb || options.loop ||
-                        !options.schedule.empty() ||
-                        !options.sharding.empty() || options.megatron ||
-                        options.no_dp_overlap || options.no_pp_overlap;
-    check_config(!pinned,
+  // A search enumerates the grid, schedule and sharding itself, and its
+  // method is not part of the scenario.
+  const bool search = options.command == "search";
+  SweepCell cell;
+  cell.scenario.name("cli");
+  for (const AxisSpec& axis : scenario_axes()) {
+    if (axis.names == &ScenarioAxes::method || (search && axis.searched)) {
+      continue;
+    }
+    if (axis.size(axes) > 0) axis.apply(axes, 0, cell);
+  }
+  if (search) {
+    // Accepting (and ignoring) flags that pin the configuration would
+    // mislead.
+    check_config(!pins_configuration(axes) && !capability_flags,
                  "cli: search explores the configuration space itself; only "
                  "--model/--cluster/--batch/--method apply");
-    check_config(options.batch.has_value(), "cli: search needs --batch");
-    return builder.batch(*options.batch).build();
+    check_config(!axes.batch.empty(), "cli: search needs --batch");
+    return cell.scenario.build();
   }
-  if (options.pp) builder.pp(*options.pp);
-  if (options.tp) builder.tp(*options.tp);
-  if (options.dp) builder.dp(*options.dp);
-  if (options.smb) builder.smb(*options.smb);
-  if (options.nmb) builder.nmb(*options.nmb);
-  if (options.loop) builder.loop(*options.loop);
-  if (options.batch) builder.batch(*options.batch);
-  if (!options.schedule.empty()) builder.schedule(options.schedule);
-  if (!options.sharding.empty()) builder.sharding(options.sharding);
   if (options.no_dp_overlap || options.no_pp_overlap) {
-    builder.overlap(!options.no_dp_overlap, !options.no_pp_overlap);
+    cell.scenario.overlap(!options.no_dp_overlap, !options.no_pp_overlap);
   }
-  if (options.megatron) builder.megatron();
-  return builder.build();
+  if (options.megatron) cell.scenario.megatron();
+  return cell.scenario.build();
+}
+
+autotune::Method search_method(const CliOptions& options) {
+  return autotune::parse_method(
+      options.axes.method.empty() ? "bf" : options.axes.method.front());
 }
 
 ScenarioGrid grid_from_cli(const CliOptions& options) {
   check_config(options.preset.empty(),
                "cli: sweep grids are described by axis flags, not --preset");
-  SweepBuilder builder;
-  builder.models(options.models.empty()
-                     ? std::vector<std::string>{options.model}
-                     : options.models);
-  builder.clusters(options.clusters.empty()
-                       ? std::vector<std::string>{options.cluster}
-                       : options.clusters);
-  if (!options.batches.empty()) builder.batches(options.batches);
-  if (!options.methods.empty()) {
+  const ScenarioAxes& axes = options.axes;
+  if (!axes.method.empty()) {
     // The per-cell search enumerates grid/schedule/sharding itself;
     // silently dropping flags that pin them would mislead.
-    const bool pinned = !options.schedules.empty() ||
-                        !options.shardings.empty() || !options.pps.empty() ||
-                        !options.tps.empty() || !options.dps.empty() ||
-                        !options.smbs.empty() || !options.nmbs.empty() ||
-                        !options.loops.empty() || options.megatron ||
-                        options.no_dp_overlap || options.no_pp_overlap;
-    check_config(!pinned,
+    check_config(!pins_configuration(axes) && !options.megatron &&
+                     !options.no_dp_overlap && !options.no_pp_overlap,
                  "cli: a --method sweep grid-searches the configuration "
                  "space per cell; only --model/--cluster/--batch axes apply");
-    builder.methods(options.methods);
-  } else {
-    ScenarioBuilder base;
-    if (options.megatron) base.megatron();
-    if (options.no_dp_overlap || options.no_pp_overlap) {
-      base.overlap(!options.no_dp_overlap, !options.no_pp_overlap);
-    }
-    builder.base(base);
-    // A misspelled family name on the --schedule axis would otherwise
-    // surface only as a found=0 row in *every* cell that uses it (easy
-    // to miss in a wide CSV); reject the whole sweep up front instead,
-    // with the malformed-flag exit code (2).
-    for (const std::string& name : options.schedules) {
-      try {
-        parallel::parse_schedule_kind(name);
-      } catch (const ConfigError& e) {
-        throw UsageError(e.what());
-      }
-    }
-    if (!options.schedules.empty()) builder.schedules(options.schedules);
-    if (!options.shardings.empty()) builder.shardings(options.shardings);
-    if (!options.pps.empty()) builder.pp(options.pps);
-    if (!options.tps.empty()) builder.tp(options.tps);
-    if (!options.dps.empty()) builder.dp(options.dps);
-    if (!options.smbs.empty()) builder.smb(options.smbs);
-    if (!options.nmbs.empty()) builder.nmb(options.nmbs);
-    if (!options.loops.empty()) builder.loops(options.loops);
   }
-  return builder.build();
+  ScenarioBuilder base;
+  if (options.megatron) base.megatron();
+  if (options.no_dp_overlap || options.no_pp_overlap) {
+    base.overlap(!options.no_dp_overlap, !options.no_pp_overlap);
+  }
+  // A misspelled family name on the --schedule axis would otherwise
+  // surface only as a found=0 row in *every* cell that uses it (easy
+  // to miss in a wide CSV); reject the whole sweep up front instead,
+  // with the malformed-flag exit code (2).
+  for (const std::string& name : axes.schedule) {
+    try {
+      parallel::parse_schedule_kind(name);
+    } catch (const ConfigError& e) {
+      throw UsageError(e.what());
+    }
+  }
+  return SweepBuilder().base(std::move(base)).axes(axes).build();
 }
 
 std::string cli_usage() {
@@ -641,7 +559,10 @@ std::string cli_usage() {
       "  sweeps run the full grid search per cell (only --model/--cluster/\n"
       "  --batch axes compose with it); without --method the grid axes\n"
       "  (--schedule/--pp/--tp/--dp/--smb/--nmb/--loop/--sharding)\n"
-      "  describe exact configurations. Rows are deterministic and\n"
+      "  describe exact configurations. Every listed value is a cell:\n"
+      "  0 is a value, not 'unset' (--pp 0,4 gives a pp0 cell that fails\n"
+      "  like 'bfpp run --pp 0'). The flags are the serve request's JSON\n"
+      "  fields (docs/PROTOCOL.md). Rows are deterministic and\n"
       "  independent of --jobs; failed cells become found=0 rows with the\n"
       "  reason in the error column. Exit code 2 when no cell is feasible\n"
       "  or a --schedule axis entry is not a known schedule family.\n"

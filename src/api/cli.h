@@ -22,7 +22,6 @@
 // --stdio).
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,26 +36,24 @@ struct CliOptions {
   // "help".
   std::string command;
 
-  // Scenario selection (run/search).
-  std::string preset;                 // --preset <scenario name>
-  std::string model = "52b";          // --model
-  std::string cluster = "dgx1-v100-ib";  // --cluster (supports ":<nodes>")
-  std::optional<int> pp, tp, dp, smb, nmb, loop, batch;
-  std::string schedule;  // --schedule (parse_schedule_kind names)
-  std::string sharding;  // --sharding (parse_sharding names)
+  // Scenario selection.
+  std::string preset;  // --preset <scenario name> (run/search)
+  // The scenario axes (api/sweep.h), one list each, set by the flag that
+  // is the axis name (--model, --pp, ...): run and search take one value
+  // per axis, sweep a comma-separated list. --method defaults to bf for
+  // search; a sweep without it is a run grid.
+  ScenarioAxes axes = [] {
+    ScenarioAxes defaults;
+    defaults.model = {"52b"};
+    defaults.cluster = {"dgx1-v100-ib"};
+    return defaults;
+  }();
   bool megatron = false;
   bool no_dp_overlap = false;
   bool no_pp_overlap = false;
 
-  // Search.
-  std::string method = "bf";  // --method
-
   // Compare (compare only).
   std::string grid = "fig5-quick";  // --grid (compare_grid_names)
-
-  // Sweep axes (the same flags, comma-separated; sweep command only).
-  std::vector<std::string> models, clusters, schedules, shardings, methods;
-  std::vector<int> batches, pps, tps, dps, smbs, nmbs, loops;
 
   // Execution.
   std::string backend = "sim";  // --backend sim|analytic|threaded
@@ -87,6 +84,9 @@ CliOptions parse_cli(const std::vector<std::string>& args);
 
 // Builds the Scenario an option set describes (preset or flag-by-flag).
 Scenario scenario_from_cli(const CliOptions& options);
+
+// The method a search option set names (--method, default bf).
+autotune::Method search_method(const CliOptions& options);
 
 // Builds the sweep campaign a `bfpp sweep` option set describes.
 ScenarioGrid grid_from_cli(const CliOptions& options);

@@ -473,17 +473,6 @@ std::vector<int> ints_from(const json::Value& v, const char* key) {
   return {v.as_int(key)};
 }
 
-// Everything one request line carries, after validation.
-struct RequestFields {
-  std::string type;  // run | search | sweep | compare | stats | metrics |
-                     // list | ping | shutdown
-  std::string format = "json";  // json | csv
-  CliOptions cli;               // scenario / grid / method fields
-  RunOptions run;               // backend + kernel + threads
-  int jobs = 0;
-  std::string list_what = "all";
-};
-
 hw::KernelModel kernel_from(const json::Value& v,
                             const hw::KernelModel& defaults) {
   check_config(v.is_object(), "serve: \"kernel\" must be an object");
@@ -530,178 +519,14 @@ std::string id_echo_from(const json::Value& root) {
   throw ConfigError("serve: \"id\" must be a string or a number");
 }
 
-RequestFields parse_request(const json::Value& root,
-                            const ServeOptions& defaults) {
-  RequestFields req;
-  req.run = defaults.run;
-  req.jobs = defaults.jobs;
-
-  const json::Value* type = root.get("type");
-  check_config(type != nullptr,
-               "serve: a request needs a \"type\" (run, search, sweep, "
-               "compare, stats, metrics, list, ping or shutdown)");
-  req.type = to_lower(type->as_string("type"));
-  const bool scenario_request =
-      req.type == "run" || req.type == "search" || req.type == "sweep" ||
-      req.type == "compare";
-  check_config(scenario_request || req.type == "stats" ||
-                   req.type == "metrics" || req.type == "list" ||
-                   req.type == "ping" || req.type == "shutdown",
-               "serve: unknown request type '%s' (run, search, sweep, "
-               "compare, stats, metrics, list, ping or shutdown)",
-               req.type.c_str());
-  const bool sweeping = req.type == "sweep";
-  req.cli.command = req.type;
-
-  for (const auto& [key, v] : root.members()) {
-    if (key == "id" || key == "type") continue;
-    if (key == "what" && req.type == "list") {
-      req.list_what = v.as_string("what");
-      continue;
-    }
-    check_config(scenario_request,
-                 "serve: field \"%s\" is not valid for a '%s' request",
-                 key.c_str(), req.type.c_str());
-    if (key == "format") {
-      req.format = to_lower(v.as_string("format"));
-      check_config(req.format == "json" || req.format == "csv",
-                   "serve: \"format\" must be \"json\" or \"csv\"");
-    } else if (key == "backend") {
-      req.run.backend = parse_backend(v.as_string("backend"));
-    } else if (key == "kernel") {
-      req.run.kernel =
-          kernel_from(v, req.run.kernel.value_or(hw::KernelModel{}));
-    } else if (key == "jobs") {
-      req.jobs = v.as_int("jobs");
-      check_config(req.jobs >= 0, "serve: \"jobs\" must be >= 0");
-    } else if (key == "grid") {
-      check_config(req.type == "compare",
-                   "serve: \"grid\" applies only to 'compare' requests");
-      req.cli.grid = v.as_string("grid");
-    } else if (req.type == "compare") {
-      // A compare grid is fully named; pinning scenario fields on top of
-      // it would be silently ignored, so reject them.
-      throw ConfigError(str_format(
-          "serve: field \"%s\" is not valid for a 'compare' request "
-          "(format, backend, kernel, jobs or grid)",
-          key.c_str()));
-    } else if (key == "preset") {
-      req.cli.preset = v.as_string("preset");
-    } else if (key == "model") {
-      if (sweeping) {
-        req.cli.models = names_from(v, "model");
-      } else {
-        req.cli.model = v.as_string("model");
-      }
-    } else if (key == "cluster") {
-      if (sweeping) {
-        req.cli.clusters = names_from(v, "cluster");
-      } else {
-        req.cli.cluster = v.as_string("cluster");
-      }
-    } else if (key == "schedule") {
-      if (sweeping) {
-        req.cli.schedules = names_from(v, "schedule");
-      } else {
-        req.cli.schedule = v.as_string("schedule");
-      }
-    } else if (key == "sharding") {
-      if (sweeping) {
-        req.cli.shardings = names_from(v, "sharding");
-      } else {
-        req.cli.sharding = v.as_string("sharding");
-      }
-    } else if (key == "method") {
-      // run simulates one exact configuration; silently ignoring a
-      // search method would mislead (mirrors the CLI's pinned-flag
-      // guards).
-      check_config(req.type != "run",
-                   "serve: \"method\" applies to search and sweep "
-                   "requests, not run");
-      if (sweeping) {
-        req.cli.methods = names_from(v, "method");
-      } else {
-        req.cli.method = v.as_string("method");
-      }
-    } else if (key == "pp") {
-      if (sweeping) {
-        req.cli.pps = ints_from(v, "pp");
-      } else {
-        req.cli.pp = v.as_int("pp");
-      }
-    } else if (key == "tp") {
-      if (sweeping) {
-        req.cli.tps = ints_from(v, "tp");
-      } else {
-        req.cli.tp = v.as_int("tp");
-      }
-    } else if (key == "dp") {
-      if (sweeping) {
-        req.cli.dps = ints_from(v, "dp");
-      } else {
-        req.cli.dp = v.as_int("dp");
-      }
-    } else if (key == "smb") {
-      if (sweeping) {
-        req.cli.smbs = ints_from(v, "smb");
-      } else {
-        req.cli.smb = v.as_int("smb");
-      }
-    } else if (key == "nmb") {
-      if (sweeping) {
-        req.cli.nmbs = ints_from(v, "nmb");
-      } else {
-        req.cli.nmb = v.as_int("nmb");
-      }
-    } else if (key == "loop") {
-      if (sweeping) {
-        req.cli.loops = ints_from(v, "loop");
-      } else {
-        req.cli.loop = v.as_int("loop");
-      }
-    } else if (key == "batch") {
-      if (sweeping) {
-        req.cli.batches = ints_from(v, "batch");
-      } else {
-        req.cli.batch = v.as_int("batch");
-      }
-    } else if (key == "megatron") {
-      req.cli.megatron = v.as_bool("megatron");
-    } else if (key == "no_dp_overlap") {
-      req.cli.no_dp_overlap = v.as_bool("no_dp_overlap");
-    } else if (key == "no_pp_overlap") {
-      req.cli.no_pp_overlap = v.as_bool("no_pp_overlap");
-    } else {
-      throw ConfigError(str_format(
-          "serve: unknown field \"%s\" for a '%s' request (see "
-          "docs/PROTOCOL.md)",
-          key.c_str(), req.type.c_str()));
-    }
-  }
-  if (req.type == "list") {
-    const std::string what = to_lower(req.list_what);
-    check_config(what == "models" || what == "clusters" ||
-                     what == "scenarios" || what == "all",
-                 "serve: unknown list target '%s' (models, clusters, "
-                 "scenarios or all)", req.list_what.c_str());
-    req.list_what = what;
-  }
-  req.run.threads = req.jobs;
-  return req;
-}
-
 // The number of cells a sweep's axis lists name: the product of their
 // lengths (an unset axis counts once), exactly what SweepBuilder::build
 // would materialise. Stops counting past `cap`, so no product of 1 MiB of
 // axis values can overflow.
-size_t sweep_cells(const CliOptions& cli, size_t cap) {
+size_t sweep_cells(const ScenarioAxes& axes, size_t cap) {
   size_t cells = 1;
-  for (const size_t n :
-       {cli.models.size(), cli.clusters.size(), cli.methods.size(),
-        cli.batches.size(), cli.schedules.size(), cli.shardings.size(),
-        cli.pps.size(), cli.tps.size(), cli.dps.size(), cli.smbs.size(),
-        cli.nmbs.size(), cli.loops.size()}) {
-    cells *= std::max<size_t>(n, 1);
+  for (const AxisSpec& axis : scenario_axes()) {
+    cells *= std::max<size_t>(axis.size(axes), 1);
     if (cells > cap) return cap + 1;
   }
   return cells;
@@ -963,12 +788,99 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
 void Server::parse(const std::string& line, Request& req) const {
   const json::Value root = json::parse(line);
   req.id_echo = id_echo_from(root);
-  RequestFields fields = parse_request(root, options_);
-  req.type = std::move(fields.type);
-  req.format = std::move(fields.format);
-  req.list_what = std::move(fields.list_what);
-  req.run = std::move(fields.run);
-  req.jobs = fields.jobs;
+  req.run = options_.run;
+  req.jobs = options_.jobs;
+
+  const json::Value* type = root.get("type");
+  check_config(type != nullptr,
+               "serve: a request needs a \"type\" (run, search, sweep, "
+               "compare, stats, metrics, list, ping or shutdown)");
+  req.type = to_lower(type->as_string("type"));
+  const bool scenario_request =
+      req.type == "run" || req.type == "search" || req.type == "sweep" ||
+      req.type == "compare";
+  check_config(scenario_request || req.type == "stats" ||
+                   req.type == "metrics" || req.type == "list" ||
+                   req.type == "ping" || req.type == "shutdown",
+               "serve: unknown request type '%s' (run, search, sweep, "
+               "compare, stats, metrics, list, ping or shutdown)",
+               req.type.c_str());
+  const bool sweeping = req.type == "sweep";
+  CliOptions cli;  // the scenario, grid and method fields
+  cli.command = req.type;
+
+  for (const auto& [key, v] : root.members()) {
+    if (key == "id" || key == "type") continue;
+    if (key == "what" && req.type == "list") {
+      req.list_what = v.as_string("what");
+      continue;
+    }
+    check_config(scenario_request,
+                 "serve: field \"%s\" is not valid for a '%s' request",
+                 key.c_str(), req.type.c_str());
+    if (key == "format") {
+      req.format = to_lower(v.as_string("format"));
+      check_config(req.format == "json" || req.format == "csv",
+                   "serve: \"format\" must be \"json\" or \"csv\"");
+    } else if (key == "backend") {
+      req.run.backend = parse_backend(v.as_string("backend"));
+    } else if (key == "kernel") {
+      req.run.kernel =
+          kernel_from(v, req.run.kernel.value_or(hw::KernelModel{}));
+    } else if (key == "jobs") {
+      req.jobs = v.as_int("jobs");
+      check_config(req.jobs >= 0, "serve: \"jobs\" must be >= 0");
+    } else if (key == "grid") {
+      check_config(req.type == "compare",
+                   "serve: \"grid\" applies only to 'compare' requests");
+      cli.grid = v.as_string("grid");
+    } else if (req.type == "compare") {
+      // A compare grid is fully named; pinning scenario fields on top of
+      // it would be silently ignored, so reject them.
+      throw ConfigError(str_format(
+          "serve: field \"%s\" is not valid for a 'compare' request "
+          "(format, backend, kernel, jobs or grid)",
+          key.c_str()));
+    } else if (key == "preset") {
+      cli.preset = v.as_string("preset");
+    } else if (const AxisSpec* axis = find_axis(key)) {
+      // run simulates one exact configuration; silently ignoring a
+      // search method would mislead (mirrors the CLI's pinned-flag
+      // guards).
+      check_config(axis->names != &ScenarioAxes::method || req.type != "run",
+                   "serve: \"method\" applies to search and sweep "
+                   "requests, not run");
+      if (axis->ints != nullptr) {
+        cli.axes.*axis->ints = sweeping
+                                   ? ints_from(v, axis->name)
+                                   : std::vector<int>{v.as_int(axis->name)};
+      } else {
+        cli.axes.*axis->names =
+            sweeping ? names_from(v, axis->name)
+                     : std::vector<std::string>{v.as_string(axis->name)};
+      }
+    } else if (key == "megatron") {
+      cli.megatron = v.as_bool("megatron");
+    } else if (key == "no_dp_overlap") {
+      cli.no_dp_overlap = v.as_bool("no_dp_overlap");
+    } else if (key == "no_pp_overlap") {
+      cli.no_pp_overlap = v.as_bool("no_pp_overlap");
+    } else {
+      throw ConfigError(str_format(
+          "serve: unknown field \"%s\" for a '%s' request (see "
+          "docs/PROTOCOL.md)",
+          key.c_str(), req.type.c_str()));
+    }
+  }
+  if (req.type == "list") {
+    const std::string what = to_lower(req.list_what);
+    check_config(what == "models" || what == "clusters" ||
+                     what == "scenarios" || what == "all",
+                 "serve: unknown list target '%s' (models, clusters, "
+                 "scenarios or all)", req.list_what.c_str());
+    req.list_what = what;
+  }
+  req.run.threads = req.jobs;
 
   if (req.type == "sweep" || req.type == "compare") {
     // A compare request is a named sweep: the grid comes from
@@ -978,14 +890,13 @@ void Server::parse(const std::string& line, Request& req) const {
     // from its axis lists, before the grid exists.
     if (req.type == "sweep") {
       check_config(
-          sweep_cells(fields.cli, kMaxCellsPerRequest) <= kMaxCellsPerRequest,
+          sweep_cells(cli.axes, kMaxCellsPerRequest) <= kMaxCellsPerRequest,
           "serve: a sweep may name at most %zu cells (the product of its "
           "axis lengths); split it into smaller sweeps",
           kMaxCellsPerRequest);
     }
-    const ScenarioGrid grid = req.type == "compare"
-                                  ? compare_grid(fields.cli.grid)
-                                  : grid_from_cli(fields.cli);
+    const ScenarioGrid grid = req.type == "compare" ? compare_grid(cli.grid)
+                                                    : grid_from_cli(cli);
     req.cells.reserve(grid.size());
     for (const SweepCell& sc : grid.cells()) {
       Cell& cell = req.cells.emplace_back();
@@ -1005,11 +916,9 @@ void Server::parse(const std::string& line, Request& req) const {
     // here and becomes an {"ok":false} line; infeasibility discovered
     // during execution becomes a found=false report instead.
     Cell& cell = req.cells.emplace_back();
-    cell.built = scenario_from_cli(fields.cli);
-    cell.label = fields.cli.preset.empty() ? "serve" : "";
-    if (req.type == "search") {
-      cell.method = autotune::parse_method(fields.cli.method);
-    }
+    cell.built = scenario_from_cli(cli);
+    cell.label = cli.preset.empty() ? "serve" : "";
+    if (req.type == "search") cell.method = search_method(cli);
     cell.key = cache_key(*cell.built, cell.method, req.run);
   }
 }

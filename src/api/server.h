@@ -404,8 +404,8 @@ class Server {
     std::string id_echo;  // compact JSON to echo back ("" = no id)
     std::string type;     // run | search | sweep | compare | stats |
                           // metrics | list | ping | shutdown
-    std::string format;   // json | csv
-    std::string list_what;  // list requests: models|clusters|scenarios|all
+    std::string format = "json";  // json | csv
+    std::string list_what = "all";  // list: models|clusters|scenarios|all
     RunOptions run;
     int jobs = 0;
     std::vector<Cell> cells;

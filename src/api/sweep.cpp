@@ -9,16 +9,6 @@ namespace bfpp::api {
 
 namespace {
 
-// Sentinel-padded axes: an unset axis contributes one pass-through
-// element so the product loops stay uniform.
-std::vector<std::string> or_blank(const std::vector<std::string>& axis) {
-  return axis.empty() ? std::vector<std::string>{std::string()} : axis;
-}
-
-std::vector<int> or_zero(const std::vector<int>& axis) {
-  return axis.empty() ? std::vector<int>{0} : axis;
-}
-
 Report run_cell(const SweepCell& cell, const Engine& engine,
                 const RunOptions& run_options) {
   Scenario scenario;
@@ -42,6 +32,32 @@ Report run_cell(const SweepCell& cell, const Engine& engine,
                          e.what());
   }
 }
+
+const AxisSpec kAxes[] = {
+    {"model", &ScenarioAxes::model, nullptr, "", false,
+     &ScenarioBuilder::model, nullptr},
+    {"cluster", &ScenarioAxes::cluster, nullptr, "", false,
+     &ScenarioBuilder::cluster, nullptr},
+    {"method", &ScenarioAxes::method, nullptr, "", false, nullptr, nullptr},
+    {"batch", nullptr, &ScenarioAxes::batch, "b", false, nullptr,
+     &ScenarioBuilder::batch},
+    {"schedule", &ScenarioAxes::schedule, nullptr, "", true,
+     &ScenarioBuilder::schedule, nullptr},
+    {"sharding", &ScenarioAxes::sharding, nullptr, "", true,
+     &ScenarioBuilder::sharding, nullptr},
+    {"pp", nullptr, &ScenarioAxes::pp, "pp", true, nullptr,
+     &ScenarioBuilder::pp},
+    {"tp", nullptr, &ScenarioAxes::tp, "tp", true, nullptr,
+     &ScenarioBuilder::tp},
+    {"dp", nullptr, &ScenarioAxes::dp, "dp", true, nullptr,
+     &ScenarioBuilder::dp},
+    {"smb", nullptr, &ScenarioAxes::smb, "smb", true, nullptr,
+     &ScenarioBuilder::smb},
+    {"nmb", nullptr, &ScenarioAxes::nmb, "nmb", true, nullptr,
+     &ScenarioBuilder::nmb},
+    {"loop", nullptr, &ScenarioAxes::loop, "loop", true, nullptr,
+     &ScenarioBuilder::loop},
+};
 
 }  // namespace
 
@@ -68,28 +84,60 @@ ScenarioGrid& ScenarioGrid::push(SweepCell cell) {
   return *this;
 }
 
+void AxisSpec::apply(const ScenarioAxes& axes, size_t i,
+                     SweepCell& cell) const {
+  if (ints != nullptr) {
+    (cell.scenario.*set_int)((axes.*ints)[i]);
+  } else if (set_name != nullptr) {
+    (cell.scenario.*set_name)((axes.*names)[i]);
+  } else {
+    cell.method = autotune::parse_method((axes.*names)[i]);
+  }
+}
+
+std::span<const AxisSpec> scenario_axes() { return kAxes; }
+
+const AxisSpec* find_axis(std::string_view name) {
+  for (const AxisSpec& axis : kAxes) {
+    if (name == axis.name) return &axis;
+  }
+  return nullptr;
+}
+
+bool pins_configuration(const ScenarioAxes& axes) {
+  for (const AxisSpec& axis : kAxes) {
+    if (axis.searched && axis.size(axes) > 0) return true;
+  }
+  return false;
+}
+
 SweepBuilder& SweepBuilder::base(ScenarioBuilder scenario) {
   base_ = std::move(scenario);
   return *this;
 }
 
+SweepBuilder& SweepBuilder::axes(ScenarioAxes values) {
+  axes_ = std::move(values);
+  return *this;
+}
+
 SweepBuilder& SweepBuilder::models(std::vector<std::string> names) {
-  models_ = std::move(names);
+  axes_.model = std::move(names);
   return *this;
 }
 
 SweepBuilder& SweepBuilder::clusters(std::vector<std::string> names) {
-  clusters_ = std::move(names);
+  axes_.cluster = std::move(names);
   return *this;
 }
 
 SweepBuilder& SweepBuilder::batches(std::vector<int> values) {
-  batches_ = std::move(values);
+  axes_.batch = std::move(values);
   return *this;
 }
 
 SweepBuilder& SweepBuilder::methods(std::vector<std::string> names) {
-  methods_ = std::move(names);
+  axes_.method = std::move(names);
   return *this;
 }
 
@@ -99,160 +147,105 @@ SweepBuilder& SweepBuilder::variants(std::vector<SweepVariant> values) {
 }
 
 SweepBuilder& SweepBuilder::schedules(std::vector<std::string> names) {
-  schedules_ = std::move(names);
+  axes_.schedule = std::move(names);
   return *this;
 }
 
 SweepBuilder& SweepBuilder::shardings(std::vector<std::string> names) {
-  shardings_ = std::move(names);
+  axes_.sharding = std::move(names);
   return *this;
 }
 
 SweepBuilder& SweepBuilder::pp(std::vector<int> values) {
-  pp_ = std::move(values);
+  axes_.pp = std::move(values);
   return *this;
 }
 
 SweepBuilder& SweepBuilder::tp(std::vector<int> values) {
-  tp_ = std::move(values);
+  axes_.tp = std::move(values);
   return *this;
 }
 
 SweepBuilder& SweepBuilder::dp(std::vector<int> values) {
-  dp_ = std::move(values);
+  axes_.dp = std::move(values);
   return *this;
 }
 
 SweepBuilder& SweepBuilder::smb(std::vector<int> values) {
-  smb_ = std::move(values);
+  axes_.smb = std::move(values);
   return *this;
 }
 
 SweepBuilder& SweepBuilder::nmb(std::vector<int> values) {
-  nmb_ = std::move(values);
+  axes_.nmb = std::move(values);
   return *this;
 }
 
 SweepBuilder& SweepBuilder::loops(std::vector<int> values) {
-  loops_ = std::move(values);
+  axes_.loop = std::move(values);
   return *this;
 }
 
 ScenarioGrid SweepBuilder::build() const {
-  const bool any_axis = !models_.empty() || !clusters_.empty() ||
-                        !methods_.empty() || !batches_.empty() ||
-                        !variants_.empty() || !schedules_.empty() ||
-                        !shardings_.empty() || !pp_.empty() || !tp_.empty() ||
-                        !dp_.empty() || !smb_.empty() || !nmb_.empty() ||
-                        !loops_.empty();
-  check_config(any_axis, "sweep: the grid is empty (set some axes)");
-  const bool search_mode = !methods_.empty();
-  if (search_mode) {
-    check_config(variants_.empty() && schedules_.empty() &&
-                     shardings_.empty() && pp_.empty() && tp_.empty() &&
-                     dp_.empty() && smb_.empty() && nmb_.empty() &&
-                     loops_.empty(),
-                 "sweep: methods() grid-searches the configuration space "
-                 "itself; it composes only with models/clusters/batches");
-    check_config(!batches_.empty(), "sweep: a search sweep needs batches()");
-  }
-
-  // Pass-through variant for the product loop.
-  std::vector<SweepVariant> variants = variants_;
-  if (variants.empty()) variants.push_back(SweepVariant{});
-
-  ScenarioGrid grid;
-  for (const std::string& model : or_blank(models_)) {
-    for (const std::string& cluster : or_blank(clusters_)) {
-      for (const std::string& method : or_blank(methods_)) {
-        for (int batch : or_zero(batches_)) {
-          for (const SweepVariant& variant : variants) {
-            for (const std::string& schedule : or_blank(schedules_)) {
-              for (const std::string& sharding : or_blank(shardings_)) {
-                for (int n_pp : or_zero(pp_)) {
-                  for (int n_tp : or_zero(tp_)) {
-                    for (int n_dp : or_zero(dp_)) {
-                      for (int s_mb : or_zero(smb_)) {
-                        for (int n_mb : or_zero(nmb_)) {
-                          for (int n_loop : or_zero(loops_)) {
-                            SweepCell cell;
-                            cell.scenario = base_;
-                            std::vector<std::string> parts;
-                            if (!model.empty()) {
-                              cell.scenario.model(model);
-                              parts.push_back(model);
-                            }
-                            if (!cluster.empty()) {
-                              cell.scenario.cluster(cluster);
-                              parts.push_back(cluster);
-                            }
-                            if (!method.empty()) {
-                              cell.method = autotune::parse_method(method);
-                              parts.push_back(method);
-                            }
-                            if (batch > 0) {
-                              cell.scenario.batch(batch);
-                              parts.push_back(str_format("b%d", batch));
-                            }
-                            if (!variant.schedule.empty()) {
-                              cell.scenario.schedule(variant.schedule);
-                              if (variant.loop) {
-                                cell.scenario.loop(*variant.loop);
-                              }
-                              if (variant.megatron) cell.scenario.megatron();
-                              parts.push_back(variant.label.empty()
-                                                  ? variant.schedule
-                                                  : variant.label);
-                            }
-                            if (!schedule.empty()) {
-                              cell.scenario.schedule(schedule);
-                              parts.push_back(schedule);
-                            }
-                            if (!sharding.empty()) {
-                              cell.scenario.sharding(sharding);
-                              parts.push_back(sharding);
-                            }
-                            if (n_pp > 0) {
-                              cell.scenario.pp(n_pp);
-                              parts.push_back(str_format("pp%d", n_pp));
-                            }
-                            if (n_tp > 0) {
-                              cell.scenario.tp(n_tp);
-                              parts.push_back(str_format("tp%d", n_tp));
-                            }
-                            if (n_dp > 0) {
-                              cell.scenario.dp(n_dp);
-                              parts.push_back(str_format("dp%d", n_dp));
-                            }
-                            if (s_mb > 0) {
-                              cell.scenario.smb(s_mb);
-                              parts.push_back(str_format("smb%d", s_mb));
-                            }
-                            if (n_mb > 0) {
-                              cell.scenario.nmb(n_mb);
-                              parts.push_back(str_format("nmb%d", n_mb));
-                            }
-                            if (n_loop > 0) {
-                              cell.scenario.loop(n_loop);
-                              parts.push_back(str_format("loop%d", n_loop));
-                            }
-                            cell.label = join(parts, "/");
-                            cell.scenario.name(cell.label);
-                            grid.push(std::move(cell));
-                          }
-                        }
-                      }
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
+  // One level per set axis, in nesting order, each value's label part
+  // rendered once; the variants() composite (axis == nullptr) sits
+  // after batch.
+  struct Level {
+    const AxisSpec* axis;
+    std::vector<std::string> labels;
+  };
+  std::vector<Level> levels;
+  for (const AxisSpec& axis : kAxes) {
+    if (axis.size(axes_) > 0) {
+      Level& level = levels.emplace_back(Level{&axis, {}});
+      for (size_t i = 0; i < axis.size(axes_); ++i) {
+        level.labels.push_back(axis.ints != nullptr
+                                   ? axis.prefix +
+                                         std::to_string((axes_.*axis.ints)[i])
+                                   : (axes_.*axis.names)[i]);
+      }
+    }
+    if (axis.ints == &ScenarioAxes::batch && !variants_.empty()) {
+      Level& level = levels.emplace_back(Level{nullptr, {}});
+      for (const SweepVariant& v : variants_) {
+        level.labels.push_back(v.label.empty() ? v.schedule : v.label);
       }
     }
   }
-  return grid;
+  check_config(!levels.empty(), "sweep: the grid is empty (set some axes)");
+  if (!axes_.method.empty()) {
+    check_config(variants_.empty() && !pins_configuration(axes_),
+                 "sweep: methods() grid-searches the configuration space "
+                 "itself; it composes only with models/clusters/batches");
+    check_config(!axes_.batch.empty(), "sweep: a search sweep needs batches()");
+  }
+
+  // The row-major product: an odometer over the levels, innermost
+  // fastest.
+  ScenarioGrid grid;
+  std::vector<size_t> at(levels.size(), 0);
+  while (true) {
+    SweepCell cell;
+    cell.scenario = base_;
+    for (size_t l = 0; l < levels.size(); ++l) {
+      const Level& level = levels[l];
+      if (level.axis != nullptr) {
+        level.axis->apply(axes_, at[l], cell);
+      } else {
+        const SweepVariant& variant = variants_[at[l]];
+        cell.scenario.schedule(variant.schedule);
+        if (variant.loop) cell.scenario.loop(*variant.loop);
+        if (variant.megatron) cell.scenario.megatron();
+      }
+      if (l > 0) cell.label += '/';
+      cell.label += level.labels[at[l]];
+    }
+    cell.scenario.name(cell.label);
+    grid.push(std::move(cell));
+    size_t l = levels.size();
+    while (l > 0 && ++at[l - 1] == levels[l - 1].labels.size()) at[--l] = 0;
+    if (l == 0) return grid;
+  }
 }
 
 std::vector<Report> sweep(const ScenarioGrid& grid,

@@ -27,7 +27,9 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/engine.h"
@@ -58,6 +60,52 @@ class ScenarioGrid {
   std::vector<SweepCell> cells_;
 };
 
+// One list per scenario axis. An empty list leaves the axis unset (the
+// cells inherit the base scenario); every listed value, 0 and "" too,
+// is applied and labelled. run and search hold at most one value each.
+struct ScenarioAxes {
+  std::vector<std::string> model, cluster, method;
+  std::vector<int> batch;
+  std::vector<std::string> schedule, sharding;
+  std::vector<int> pp, tp, dp, smb, nmb, loop;
+};
+
+// One row of the axis table: everything the CLI, the serve parser and
+// the grid need to know about an axis.
+struct AxisSpec {
+  const char* name;  // the JSON key, and the CLI flag after "--"
+  // The axis's list in ScenarioAxes: `names` for a name axis, `ints` for
+  // an integer axis (the other is null).
+  std::vector<std::string> ScenarioAxes::*names;
+  std::vector<int> ScenarioAxes::*ints;
+  const char* prefix;  // label prefix of an integer value ("b", "pp", ...)
+  // Part of the configuration a search enumerates itself, so it cannot
+  // be set beside a method.
+  bool searched;
+  // How one value applies to a cell: through the ScenarioBuilder setter
+  // for its kind, or - the method axis, which has none - to
+  // SweepCell::method.
+  ScenarioBuilder& (ScenarioBuilder::*set_name)(const std::string& value);
+  ScenarioBuilder& (ScenarioBuilder::*set_int)(int value);
+
+  [[nodiscard]] size_t size(const ScenarioAxes& axes) const {
+    return names != nullptr ? (axes.*names).size() : (axes.*ints).size();
+  }
+  // Applies value `i` of this axis in `axes` to `cell`.
+  void apply(const ScenarioAxes& axes, size_t i, SweepCell& cell) const;
+};
+
+// The axis table in the grid's nesting order, outermost first:
+//   model > cluster > method > batch > schedule > sharding > pp > tp
+//   > dp > smb > nmb > loop
+std::span<const AxisSpec> scenario_axes();
+
+// The axis called `name`, or nullptr.
+const AxisSpec* find_axis(std::string_view name);
+
+// True when an axis a search enumerates itself is set.
+bool pins_configuration(const ScenarioAxes& axes);
+
 // A coupled point of the schedule axis: schedule kind plus the loop
 // count and capability flags that only make sense together (e.g. the
 // Figure 5 columns: bf/loop4, df/loop4/megatron, gpipe, 1f1b/megatron).
@@ -68,9 +116,10 @@ struct SweepVariant {
   bool megatron = false;
 };
 
-// Fluent axis-product builder. Every list axis defaults to a single
-// "unset" element (inherit base()); build() emits the row-major product
-// in fixed nesting order, outermost first:
+// Fluent axis-product builder. Every list axis defaults to unset
+// (inherit base()); build() emits the row-major product in the axis
+// table's nesting order, with the variants() composite between batch
+// and schedule:
 //   model > cluster > method > batch > variant > schedule > sharding
 //   > pp > tp > dp > smb > nmb > loop
 // The methods() axis switches the grid to search cells; it composes only
@@ -78,6 +127,7 @@ struct SweepVariant {
 class SweepBuilder {
  public:
   SweepBuilder& base(ScenarioBuilder scenario);  // shared cell settings
+  SweepBuilder& axes(ScenarioAxes values);       // every axis at once
 
   SweepBuilder& models(std::vector<std::string> names);
   SweepBuilder& clusters(std::vector<std::string> names);
@@ -99,10 +149,8 @@ class SweepBuilder {
 
  private:
   ScenarioBuilder base_;
-  std::vector<std::string> models_, clusters_, methods_, schedules_,
-      shardings_;
+  ScenarioAxes axes_;
   std::vector<SweepVariant> variants_;
-  std::vector<int> batches_, pp_, tp_, dp_, smb_, nmb_, loops_;
 };
 
 struct SweepOptions {

@@ -408,13 +408,13 @@ std::vector<std::string> acceptance_args() {
 TEST(Cli, ParsesTheAcceptanceCommand) {
   const CliOptions options = parse_cli(acceptance_args());
   EXPECT_EQ(options.command, "run");
-  EXPECT_EQ(options.model, "52b");
-  EXPECT_EQ(options.cluster, "dgx1-v100-ib");
-  EXPECT_EQ(options.pp, 8);
-  EXPECT_EQ(options.tp, 8);
-  EXPECT_EQ(options.nmb, 16);
-  EXPECT_EQ(options.schedule, "bf");
-  EXPECT_EQ(options.loop, 4);
+  EXPECT_EQ(options.axes.model, std::vector<std::string>{"52b"});
+  EXPECT_EQ(options.axes.cluster, std::vector<std::string>{"dgx1-v100-ib"});
+  EXPECT_EQ(options.axes.pp, std::vector<int>{8});
+  EXPECT_EQ(options.axes.tp, std::vector<int>{8});
+  EXPECT_EQ(options.axes.nmb, std::vector<int>{16});
+  EXPECT_EQ(options.axes.schedule, std::vector<std::string>{"bf"});
+  EXPECT_EQ(options.axes.loop, std::vector<int>{4});
   EXPECT_TRUE(options.json);
   EXPECT_FALSE(options.csv);
 

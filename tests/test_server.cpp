@@ -1002,6 +1002,126 @@ TEST(Server, SweepsOverTheCellCapAreRefusedBeforeTheGridIsBuilt) {
   EXPECT_EQ(server.cache_stats().misses, 0u);  // nothing was built or run
 }
 
+TEST(Server, AxisErrorTextsArePinned) {
+  // Clients match on these lines; the axis parsing behind them must not
+  // move them. The cell cap's text is pinned by
+  // SweepsOverTheCellCapAreRefusedBeforeTheGridIsBuilt.
+  Server server;
+  auto error_line = [](const std::string& what) {
+    return "{\"ok\":false,\"error\":\"" + what + "\"}\n";
+  };
+  EXPECT_EQ(server.handle(R"({"type":"compare","pp":8})"),
+            error_line("serve: field \\\"pp\\\" is not valid for a 'compare' "
+                       "request (format, backend, kernel, jobs or grid)"));
+  EXPECT_EQ(
+      server.handle(R"({"type":"run","preset":"fig5a-bf-b16","method":"df"})"),
+      error_line("serve: \\\"method\\\" applies to search and sweep "
+                 "requests, not run"));
+  EXPECT_EQ(
+      server.handle(R"({"type":"run","preset":"fig5a-bf-b16","pp":4})"),
+      error_line("cli: --preset cannot be combined with scenario flags "
+                 "(--pp/--tp/--dp/--smb/--nmb/--loop/--batch/--schedule/"
+                 "--sharding/--megatron/--no-*-overlap)"));
+  EXPECT_EQ(
+      server.handle(R"({"type":"search","model":"6.6b","batch":64,"pp":4})"),
+      error_line("cli: search explores the configuration space itself; "
+                 "only --model/--cluster/--batch/--method apply"));
+  EXPECT_EQ(
+      server.handle(
+          R"({"type":"sweep","method":["bf"],"batch":[16],"pp":[8]})"),
+      error_line("cli: a --method sweep grid-searches the configuration "
+                 "space per cell; only --model/--cluster/--batch axes "
+                 "apply"));
+  EXPECT_EQ(server.handle(R"({"type":"sweep","pp":[]})"),
+            error_line("serve: \\\"pp\\\" must not be an empty list"));
+  EXPECT_EQ(server.handle(R"({"type":"sweep","model":[]})"),
+            error_line("serve: \\\"model\\\" must not be an empty list"));
+  EXPECT_EQ(server.handle(R"({"type":"sweep","pp":["8x"]})"),
+            error_line("json: pp must be a number"));
+  EXPECT_EQ(server.handle(R"({"type":"run","pp":"8x"})"),
+            error_line("json: pp must be a number"));
+  EXPECT_EQ(server.cache_stats().misses, 0u);
+}
+
+TEST(Server, SweepRunsAZeroAxisValueLikeRunDoes) {
+  // "pp":[0,4] is two cells: pp0 is a found=false [config] row with the
+  // message a run with "pp":0 fails with, not a silent pp1 cell.
+  Server server;
+  const std::string run = server.handle(
+      R"({"type":"run","model":"6.6b","pp":0,"tp":2,"nmb":8})");
+  const std::string message =
+      "scenario: N_TP*N_PP = 0 does not divide the cluster's 64 GPUs; set "
+      "dp() explicitly";
+  EXPECT_EQ(run, "{\"ok\":false,\"error\":\"" + message + "\"}\n");
+  const std::string sweep = server.handle(
+      R"({"type":"sweep","model":"6.6b","pp":[0,4],"tp":[2],"nmb":[8],)"
+      R"("backend":"analytic"})");
+  const size_t first = sweep.find('\n') + 1;
+  const json::Value pp0 =
+      json::parse(sweep.substr(first, sweep.find('\n', first) - first));
+  EXPECT_EQ(pp0.get("scenario")->as_string(), "6.6b/dgx1-v100-ib/pp0/tp2/nmb8");
+  EXPECT_FALSE(pp0.get("found")->as_bool());
+  EXPECT_EQ(pp0.get("error")->as_string(), "[config] " + message);
+}
+
+// The scenario labels of a sweep's rows, in row order.
+std::vector<std::string> row_labels(const std::string& response) {
+  std::vector<std::string> labels;
+  size_t pos = response.find('\n') + 1;  // past the header line
+  while (pos < response.size()) {
+    const size_t nl = response.find('\n', pos);
+    labels.push_back(json::parse(response.substr(pos, nl - pos))
+                         .get("scenario")
+                         ->as_string());
+    pos = nl + 1;
+  }
+  return labels;
+}
+
+TEST(Server, EveryAxisSweepsLikeItsCliFlag) {
+  // For every scenario axis, `bfpp sweep --<axis> a,b` and a serve sweep
+  // with "<axis>":[a,b] name the same cells under the same labels.
+  struct Case {
+    const char* axis;
+    const char* cli_values;
+    const char* json_values;
+  };
+  const Case cases[] = {
+      {"model", "52b,6.6b", R"(["52b","6.6b"])"},
+      {"cluster", "dgx1-v100-ib,dgx1-v100-eth",
+       R"(["dgx1-v100-ib","dgx1-v100-eth"])"},
+      {"method", "bf,df", R"(["bf","df"])"},
+      {"batch", "16,64", "[16,64]"},
+      {"schedule", "bf,df", R"(["bf","df"])"},
+      {"sharding", "none,ps", R"(["none","ps"])"},
+      {"pp", "4,8", "[4,8]"},
+      {"tp", "1,2", "[1,2]"},
+      {"dp", "1,2", "[1,2]"},
+      {"smb", "1,2", "[1,2]"},
+      {"nmb", "8,16", "[8,16]"},
+      {"loop", "1,2", "[1,2]"},
+  };
+  Server server;
+  for (const Case& c : cases) {
+    std::vector<std::string> args = {"sweep", std::string("--") + c.axis,
+                                     c.cli_values};
+    std::string request = std::string(R"({"type":"sweep","backend":)") +
+                          R"("analytic",")" + c.axis + "\":" + c.json_values;
+    if (std::string(c.axis) == "method") {  // a search sweep needs batches
+      args.insert(args.end(), {"--batch", "64", "--model", "6.6b"});
+      request += R"(,"batch":[64],"model":["6.6b"])";
+    }
+    request += "}";
+    const ScenarioGrid grid = grid_from_cli(parse_cli(args));
+    std::vector<std::string> cli_labels;
+    for (const SweepCell& cell : grid.cells()) {
+      cli_labels.push_back(cell.label);
+    }
+    EXPECT_EQ(cli_labels.size(), 2u) << c.axis;
+    EXPECT_EQ(row_labels(server.handle(request)), cli_labels) << c.axis;
+  }
+}
+
 // ---- Transports ----
 
 TEST(Server, StdioTransportAnswersLineRequests) {

@@ -22,6 +22,17 @@
 namespace bfpp::api {
 namespace {
 
+// The message of the E that `f` throws ("" when it throws none).
+template <class E, class F>
+std::string error_text(F f) {
+  try {
+    f();
+  } catch (const E& e) {
+    return e.what();
+  }
+  return "";
+}
+
 // ---- Thread pool ----
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
@@ -258,6 +269,49 @@ TEST(SweepBuilder, MethodsRejectGridAxes) {
   EXPECT_THROW(SweepBuilder().build(), ConfigError);  // empty grid
 }
 
+TEST(AxisTable, NamesTheTwelveAxesOnceInNestingOrder) {
+  std::vector<std::string> names;
+  for (const AxisSpec& axis : scenario_axes()) {
+    names.push_back(axis.name);
+    EXPECT_EQ(find_axis(axis.name), &axis);
+    EXPECT_NE(axis.names == nullptr, axis.ints == nullptr) << axis.name;
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "model", "cluster", "method", "batch", "schedule",
+                       "sharding", "pp", "tp", "dp", "smb", "nmb", "loop"}));
+  EXPECT_EQ(find_axis("--pp"), nullptr);
+  // A search may set only model, cluster, method and batch.
+  ScenarioAxes axes;
+  axes.model = {"6.6b"};
+  axes.cluster = {"dgx1-v100-ib"};
+  axes.method = {"bf"};
+  axes.batch = {64};
+  EXPECT_FALSE(pins_configuration(axes));
+  axes.loop = {0};
+  EXPECT_TRUE(pins_configuration(axes));
+}
+
+TEST(SweepBuilder, ZeroAndEmptyValuesAreValuesNotUnset) {
+  // Only an empty list leaves an axis unset: 0 is applied and labelled
+  // (its cell fails to build, a [config] row), and "" is a name that no
+  // schedule has.
+  const ScenarioGrid grid = SweepBuilder()
+                                .models({"6.6b"})
+                                .clusters({"dgx1-v100-ib"})
+                                .pp({0, 4})
+                                .tp({2})
+                                .nmb({8})
+                                .build();
+  ASSERT_EQ(grid.size(), 2u);
+  EXPECT_EQ(grid.cells()[0].label, "6.6b/dgx1-v100-ib/pp0/tp2/nmb8");
+  EXPECT_EQ(grid.cells()[1].label, "6.6b/dgx1-v100-ib/pp4/tp2/nmb8");
+  EXPECT_THROW((void)grid.cells()[0].scenario.build(), ConfigError);
+  EXPECT_EQ(grid.cells()[1].scenario.build().config->n_pp, 4);
+  EXPECT_EQ(SweepBuilder().batches({0}).build().cells()[0].label, "b0");
+  EXPECT_THROW((void)SweepBuilder().models({"6.6b"}).schedules({""}).build(),
+               ConfigError);
+}
+
 // ---- sweep() ----
 
 TEST(Sweep, OneReportPerCellInCellOrder) {
@@ -439,9 +493,9 @@ TEST(Cli, ParsesSweepAxisLists) {
                  "--batch", "16,64,256", "--method", "bf,df", "--jobs", "8",
                  "--csv"});
   EXPECT_EQ(options.command, "sweep");
-  EXPECT_EQ(options.models, std::vector<std::string>{"6.6b"});
-  EXPECT_EQ(options.batches, (std::vector<int>{16, 64, 256}));
-  EXPECT_EQ(options.methods, (std::vector<std::string>{"bf", "df"}));
+  EXPECT_EQ(options.axes.model, std::vector<std::string>{"6.6b"});
+  EXPECT_EQ(options.axes.batch, (std::vector<int>{16, 64, 256}));
+  EXPECT_EQ(options.axes.method, (std::vector<std::string>{"bf", "df"}));
   EXPECT_EQ(options.jobs, 8);
   EXPECT_TRUE(options.csv);
   const ScenarioGrid grid = grid_from_cli(options);
@@ -459,6 +513,29 @@ TEST(Cli, SweepGridFlagsDescribeRunCells) {
   }
 }
 
+TEST(Cli, SweepRunsAZeroAxisValueLikeRunDoes) {
+  // `--pp 0,4` is two cells, pp0 and pp4: the pp0 cell is the found=0
+  // row carrying the message `bfpp run --pp 0` fails with.
+  const std::string run_error = error_text<ConfigError>([] {
+    scenario_from_cli(parse_cli(
+        {"run", "--model", "6.6b", "--pp", "0", "--tp", "2", "--nmb", "8"}));
+  });
+  EXPECT_EQ(run_error,
+            "scenario: N_TP*N_PP = 0 does not divide the cluster's 64 GPUs; "
+            "set dp() explicitly");
+  const ScenarioGrid grid = grid_from_cli(parse_cli(
+      {"sweep", "--model", "6.6b", "--pp", "0,4", "--tp", "2", "--nmb", "8"}));
+  SweepOptions options;
+  options.run.backend = Backend::kAnalytic;
+  const std::vector<Report> reports = sweep(grid, options);
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].scenario, "6.6b/dgx1-v100-ib/pp0/tp2/nmb8");
+  EXPECT_FALSE(reports[0].found);
+  EXPECT_EQ(reports[0].error, "[config] " + run_error);
+  EXPECT_EQ(reports[1].scenario, "6.6b/dgx1-v100-ib/pp4/tp2/nmb8");
+  EXPECT_TRUE(reports[1].found) << reports[1].error;
+}
+
 TEST(Cli, RejectsBadSweepAndBackendFlags) {
   EXPECT_THROW(parse_cli({"sweep", "--batch", "16,sixty-four"}), ConfigError);
   EXPECT_THROW(parse_cli({"run", "--backend", "cuda"}), ConfigError);
@@ -470,6 +547,62 @@ TEST(Cli, RejectsBadSweepAndBackendFlags) {
   EXPECT_THROW(grid_from_cli(parse_cli({"sweep", "--method", "bf", "--batch",
                                         "16", "--pp", "8"})),
                ConfigError);
+}
+
+TEST(Cli, AxisErrorTextsArePinned) {
+  // Scripts match on these texts; the axis parsing behind them must not
+  // move them.
+  EXPECT_EQ(error_text<ConfigError>([] {
+              scenario_from_cli(parse_cli(
+                  {"run", "--preset", "fig5a-bf-b16", "--pp", "4"}));
+            }),
+            "cli: --preset cannot be combined with scenario flags "
+            "(--pp/--tp/--dp/--smb/--nmb/--loop/--batch/--schedule/"
+            "--sharding/--megatron/--no-*-overlap)");
+  EXPECT_EQ(error_text<ConfigError>([] {
+              scenario_from_cli(parse_cli(
+                  {"search", "--model", "6.6b", "--batch", "64", "--pp", "4"}));
+            }),
+            "cli: search explores the configuration space itself; only "
+            "--model/--cluster/--batch/--method apply");
+  EXPECT_EQ(error_text<ConfigError>([] {
+              grid_from_cli(parse_cli(
+                  {"sweep", "--method", "bf", "--batch", "16", "--pp", "8"}));
+            }),
+            "cli: a --method sweep grid-searches the configuration space "
+            "per cell; only --model/--cluster/--batch axes apply");
+  EXPECT_EQ(error_text<ConfigError>(
+                [] { parse_cli({"sweep", "--pp", ","}); }),
+            "cli: --pp expects a comma-separated list of integers, got ','");
+  EXPECT_EQ(error_text<ConfigError>(
+                [] { parse_cli({"sweep", "--model", ","}); }),
+            "cli: --model expects a comma-separated list of names, got ','");
+  for (const char* command : {"run", "sweep"}) {
+    EXPECT_EQ(error_text<UsageError>(
+                  [&] { parse_cli({command, "--pp", "8x"}); }),
+              "cli: --pp expects a non-negative integer, got '8x'")
+        << command;
+  }
+  std::vector<const char*> argv = {"bfpp", "run", "--pp", "8x"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli_main(static_cast<int>(argv.size()),
+                     const_cast<char**>(argv.data())),
+            2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "bfpp: cli: --pp expects a non-negative integer, got '8x'\n");
+}
+
+TEST(SweepBuilder, ErrorTextsArePinned) {
+  EXPECT_EQ(error_text<ConfigError>([] { (void)SweepBuilder().build(); }),
+            "sweep: the grid is empty (set some axes)");
+  EXPECT_EQ(error_text<ConfigError>([] {
+              (void)SweepBuilder().methods({"bf"}).batches({16}).pp({8}).build();
+            }),
+            "sweep: methods() grid-searches the configuration space itself; "
+            "it composes only with models/clusters/batches");
+  EXPECT_EQ(error_text<ConfigError>(
+                [] { (void)SweepBuilder().methods({"bf"}).build(); }),
+            "sweep: a search sweep needs batches()");
 }
 
 TEST(Cli, UsageMentionsTheNewCommands) {
