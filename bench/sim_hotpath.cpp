@@ -6,7 +6,7 @@
 // counts. Each cached pass is timed against a cache-less rebuild of the
 // same cells:
 //
-//   arena cold     the arena/SoA simulator, full rebuild, no cache
+//   arena cold     the simulator, full rebuild, no cache
 //   memoized       exact repeat on a warmed SimCache (cost table and
 //                  skeleton both hit: the cached graph runs as is)
 //   nmb neighbor   a never-seen cell differing only in N_mb (the

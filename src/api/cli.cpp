@@ -341,6 +341,23 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     const AxisSpec* axis = flag.rfind("--", 0) == 0
                                ? find_axis(std::string_view(flag).substr(2))
                                : nullptr;
+    // A flag the command would silently ignore is rejected with exit 2,
+    // as serve rejects the matching request fields.
+    if (options.command == "run" && axis != nullptr &&
+        axis->names == &ScenarioAxes::method) {
+      throw UsageError("cli: --method applies to search and sweep commands, "
+                       "not run");
+    }
+    if (options.command == "compare" &&
+        (axis != nullptr || flag == "--preset" || flag == "--megatron" ||
+         flag == "--no-dp-overlap" || flag == "--no-pp-overlap" ||
+         flag == "--no-overlap" || flag == "--timeline" ||
+         flag == "--width")) {
+      throw UsageError(str_format(
+          "cli: %s is not valid for a 'compare' command (--grid, --jobs, "
+          "--backend, --json, --csv or --output)",
+          flag.c_str()));
+    }
     if (axis != nullptr) {
       const std::string text = value(flag);
       if (axis->ints != nullptr) {
@@ -626,7 +643,8 @@ std::string cli_usage() {
       "  --width N           timeline width in columns (default 100)\n"
       "\n"
       "exit codes: 0 ok; 1 usage/config error; 2 malformed numeric flag\n"
-      "value, or search/sweep found no feasible configuration\n"
+      "value, a flag the command ignores, or search/sweep found no\n"
+      "feasible configuration\n"
       "\n"
       "examples:\n"
       "  bfpp run --model 52b --cluster dgx1-v100-ib --pp 8 --tp 8 \\\n"

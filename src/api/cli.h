@@ -96,7 +96,8 @@ std::string cli_usage();
 
 // Entry point for the `bfpp` binary: parse, dispatch, print. Returns
 // the process exit code (0 success, 1 usage/config error, 2 malformed
-// numeric flag value or nothing feasible anywhere in a search/sweep).
+// numeric flag value, a flag the command ignores, or nothing feasible
+// anywhere in a search/sweep).
 int cli_main(int argc, char** argv);
 
 }  // namespace bfpp::api

@@ -127,15 +127,24 @@ bool ScenarioBuilder::any_grid_field() const {
          loop_.has_value() || schedule_.has_value() || sharding_.has_value();
 }
 
+Scenario ScenarioBuilder::partial() const {
+  Scenario scenario;
+  scenario.name = name_;
+  if (model_) scenario.model = *model_;
+  if (cluster_) {
+    scenario.cluster = *cluster_;
+  } else {
+    scenario.cluster.n_nodes = 0;
+  }
+  scenario.batch_size = batch_.value_or(0);
+  return scenario;
+}
+
 Scenario ScenarioBuilder::build() const {
   check_config(model_.has_value(), "scenario: no model set");
   check_config(cluster_.has_value(), "scenario: no cluster set");
 
-  Scenario scenario;
-  scenario.name = name_;
-  scenario.model = *model_;
-  scenario.cluster = *cluster_;
-
+  Scenario scenario = partial();
   if (!any_grid_field()) {
     // Search-only scenario: just model + cluster + batch. Capability
     // flags would be silently unused here, so reject them.
@@ -144,7 +153,6 @@ Scenario ScenarioBuilder::build() const {
                  "scenario: megatron()/overlap() need a parallel grid");
     check_config(batch_.has_value() && *batch_ >= 1,
                  "scenario: set either a parallel grid or a batch size");
-    scenario.batch_size = *batch_;
     return scenario;
   }
 

@@ -84,6 +84,12 @@ class ScenarioBuilder {
 
   [[nodiscard]] Scenario build() const;
 
+  // What a failed build() still identifies, unvalidated: the name, the
+  // model and cluster set so far (a cluster of no nodes when unset) and
+  // the batch when one is named, with no config. Rows for cells that
+  // fail to build carry it.
+  [[nodiscard]] Scenario partial() const;
+
  private:
   [[nodiscard]] bool any_grid_field() const;
 

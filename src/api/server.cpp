@@ -278,24 +278,39 @@ std::string cache_key(const Scenario& scenario,
   // faithful (injective) encoding of the whole configuration, overlap
   // flags included. Structural model/cluster fields guard against two
   // specs sharing a display name; total_gpus covers ':<n_nodes>' resizes.
-  const std::string cfg =
-      scenario.config.has_value() ? scenario.config->describe() : "-";
-  std::string kernel = "default";
-  if (options.kernel.has_value()) {
-    kernel.clear();
-    append_general(kernel, options.kernel->max_efficiency, 17) += '/';
-    append_general(kernel, options.kernel->narrow_half, 17) += '/';
-    append_general(kernel, options.kernel->rows_half, 17);
+  // Appended piece by piece into one buffer: keys are built on the event
+  // loop's serial path.
+  const model::TransformerSpec& model = scenario.model;
+  std::string key;
+  key.reserve(256 + model.name.size() + scenario.cluster.name.size());
+  key += "model=";
+  key += model.name;
+  append_int(key += "#l", model.n_layers);
+  append_int(key += 'h', model.hidden_size);
+  append_int(key += 's', model.seq_len);
+  append_int(key += 'v', model.vocab_size);
+  key += "|cluster=";
+  key += scenario.cluster.name;
+  append_int(key += '#', scenario.cluster.total_gpus());
+  key += "gpus|cfg=";
+  if (scenario.config.has_value()) {
+    scenario.config->describe(key);
+  } else {
+    key += '-';
   }
-  return str_format(
-      "model=%s#l%dh%ds%dv%d|cluster=%s#%dgpus|cfg=%s|batch=%d|method=%s|"
-      "backend=%s|kernel=%s",
-      scenario.model.name.c_str(), scenario.model.n_layers,
-      scenario.model.hidden_size, scenario.model.seq_len,
-      scenario.model.vocab_size, scenario.cluster.name.c_str(),
-      scenario.cluster.total_gpus(), cfg.c_str(), scenario.batch_size,
-      method.has_value() ? autotune::to_string(*method) : "-",
-      to_string(options.backend), kernel.c_str());
+  append_int(key += "|batch=", scenario.batch_size);
+  key += "|method=";
+  key += method.has_value() ? autotune::to_string(*method) : "-";
+  (key += "|backend=") += to_string(options.backend);
+  key += "|kernel=";
+  if (options.kernel.has_value()) {
+    append_general(key, options.kernel->max_efficiency, 17) += '/';
+    append_general(key, options.kernel->narrow_half, 17) += '/';
+    append_general(key, options.kernel->rows_half, 17);
+  } else {
+    key += "default";
+  }
+  return key;
 }
 
 // ---- ServeStats wire format ----
@@ -720,10 +735,10 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
       if (!cell.label.empty()) report.scenario = cell.label;
       return report;
     } catch (const ConfigError& e) {
-      return failed_report(&*cell.built, cell.label, cell.method,
+      return failed_report(*cell.built, cell.label, cell.method,
                            "[config] ", e.what());
     } catch (const OutOfMemoryError& e) {
-      return failed_report(&*cell.built, cell.label, cell.method,
+      return failed_report(*cell.built, cell.label, cell.method,
                            "[oom] ", e.what());
     }
   };
@@ -905,8 +920,8 @@ void Server::parse(const std::string& line, Request& req) const {
       try {
         cell.built = sc.scenario.build();
       } catch (const ConfigError& e) {
-        cell.failed = failed_report(nullptr, cell.label, cell.method,
-                                    "[config] ", e.what());
+        cell.failed = failed_report(sc.scenario.partial(), cell.label,
+                                    cell.method, "[config] ", e.what());
         continue;
       }
       cell.key = cache_key(*cell.built, cell.method, req.run);

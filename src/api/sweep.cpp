@@ -15,8 +15,8 @@ Report run_cell(const SweepCell& cell, const Engine& engine,
   try {
     scenario = cell.scenario.build();
   } catch (const ConfigError& e) {
-    return failed_report(nullptr, cell.label, cell.method, "[config] ",
-                         e.what());
+    return failed_report(cell.scenario.partial(), cell.label, cell.method,
+                         "[config] ", e.what());
   }
   try {
     Report report = cell.method
@@ -25,10 +25,10 @@ Report run_cell(const SweepCell& cell, const Engine& engine,
     if (!cell.label.empty()) report.scenario = cell.label;
     return report;
   } catch (const ConfigError& e) {
-    return failed_report(&scenario, cell.label, cell.method, "[config] ",
+    return failed_report(scenario, cell.label, cell.method, "[config] ",
                          e.what());
   } catch (const OutOfMemoryError& e) {
-    return failed_report(&scenario, cell.label, cell.method, "[oom] ",
+    return failed_report(scenario, cell.label, cell.method, "[oom] ",
                          e.what());
   }
 }
@@ -61,18 +61,15 @@ const AxisSpec kAxes[] = {
 
 }  // namespace
 
-Report failed_report(const Scenario* scenario, const std::string& label,
+Report failed_report(const Scenario& scenario, const std::string& label,
                      const std::optional<autotune::Method>& method,
                      const char* kind, const char* what) {
   Report report;
-  report.scenario = label;
-  if (scenario != nullptr) {
-    if (report.scenario.empty()) report.scenario = scenario->name;
-    report.model = scenario->model.name;
-    report.cluster = scenario->cluster.name;
-    report.n_gpus = scenario->cluster.total_gpus();
-    report.batch_size = scenario->batch_size;
-  }
+  report.scenario = label.empty() ? scenario.name : label;
+  report.model = scenario.model.name;
+  report.cluster = scenario.cluster.name;
+  report.n_gpus = scenario.cluster.total_gpus();
+  report.batch_size = scenario.batch_size;
   if (method.has_value()) report.method = autotune::to_string(*method);
   report.found = false;
   report.error = std::string(kind) + what;

@@ -169,12 +169,12 @@ std::vector<Report> sweep(const ScenarioGrid& grid,
                           const SweepOptions& options = {});
 
 // The found == false Report for a cell that failed to build or execute:
-// identity fields from `scenario` (when non-null), Report::scenario from
-// `label` (falling back to the scenario's name) and
-// error = kind + what ("[config] " / "[oom] " + the message). sweep()
-// and the serve ReportCache both construct failure rows through this, so
-// failed cells render identically everywhere.
-Report failed_report(const Scenario* scenario, const std::string& label,
+// identity fields from `scenario` (ScenarioBuilder::partial() for a cell
+// that failed to build), Report::scenario from `label` (falling back to
+// the scenario's name) and error = kind + what ("[config] " / "[oom] " +
+// the message). sweep() and the serve ReportCache both construct failure
+// rows through this, so failed cells render identically everywhere.
+Report failed_report(const Scenario& scenario, const std::string& label,
                      const std::optional<autotune::Method>& method,
                      const char* kind, const char* what);
 

@@ -52,6 +52,13 @@ std::string& append_fixed(std::string& out, double x, int precision) {
   return append_chars(out, x, std::chars_format::fixed, precision);
 }
 
+std::string& append_int(std::string& out, long long x) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x);
+  (void)ec;  // 24 bytes hold every long long
+  return out.append(buf, end);
+}
+
 std::string format_fixed(double x, int precision, int width) {
   std::string out;
   append_fixed(out, x, precision);

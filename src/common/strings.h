@@ -34,6 +34,8 @@ std::string str_format(const char* fmt, ...) BFPP_PRINTF_LIKE(1, 2);
 // is 0..17. std::to_chars is specified that way.
 std::string& append_general(std::string& out, double x, int precision);
 std::string& append_fixed(std::string& out, double x, int precision);
+// Appends `x` as printf's "%lld" prints it.
+std::string& append_int(std::string& out, long long x);
 
 // printf's "%{width}.{precision}f": append_fixed into a fresh string,
 // left-padded with spaces to `width` characters.

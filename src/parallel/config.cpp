@@ -134,10 +134,22 @@ ParallelConfig ParallelConfig::parse(const std::string& text) {
 }
 
 std::string ParallelConfig::describe() const {
-  return str_format("%s pp%d tp%d dp%d smb%d nmb%d loop%d %s%s%s",
-                    to_string(schedule), n_pp, n_tp, n_dp, s_mb, n_mb, n_loop,
-                    to_string(sharding), overlap_dp ? "" : " no-dp-overlap",
-                    overlap_pp ? "" : " no-pp-overlap");
+  std::string out;
+  out.reserve(64);
+  describe(out);
+  return out;
+}
+
+void ParallelConfig::describe(std::string& out) const {
+  append_int((out += to_string(schedule)) += " pp", n_pp);
+  append_int(out += " tp", n_tp);
+  append_int(out += " dp", n_dp);
+  append_int(out += " smb", s_mb);
+  append_int(out += " nmb", n_mb);
+  append_int(out += " loop", n_loop);
+  (out += ' ') += to_string(sharding);
+  if (!overlap_dp) out += " no-dp-overlap";
+  if (!overlap_pp) out += " no-pp-overlap";
 }
 
 ParallelConfig with_megatron_flags(ParallelConfig cfg) {

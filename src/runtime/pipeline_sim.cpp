@@ -250,37 +250,150 @@ SimSkeleton PipelineSim::build_skeleton() const {
   const int n_mb = cfg_.n_mb;
   const bool fs = cfg_.sharding == DpSharding::kFull;
   const bool has_dp = cfg_.n_dp > 1;
+  const bool split = sched.split_backward;
+  const bool blocking = !cfg_.overlap_pp;
+  // DP_FS weight reconstruction: one gather per run (see below), whose
+  // first op waits on it and pays the reconstruction stall.
+  const bool gathers = fs && has_dp;
+  const bool fused_reduce = has_dp && !cfg_.overlap_dp;
+  const bool regather = has_dp && cfg_.sharding == DpSharding::kPartial;
+  // The op that finalizes a stage's gradients: the fused backward, or
+  // the weight gradient when the backward is split.
+  const OpKind final_grad_kind =
+      split ? OpKind::kBackwardWeight : OpKind::kBackward;
+
+  // Placement lookups, once per cell: each stage's device, and each
+  // pipeline rank's node (a link is intra-node when both ends share one).
+  std::vector<int> device_of(static_cast<size_t>(n_stages));
+  for (int s = 0; s < n_stages; ++s) {
+    device_of[static_cast<size_t>(s)] = placement_.device_of_stage(s);
+  }
+  std::vector<int> node_of(static_cast<size_t>(n_pp));
+  for (int r = 0; r < n_pp; ++r) {
+    node_of[static_cast<size_t>(r)] =
+        grid.node_of_rank(grid.linear_rank(0, r, 0));
+  }
+  auto dev = [&device_of](int stage) {
+    return device_of[static_cast<size_t>(stage)];
+  };
+  auto link_intra = [&node_of](int from, int to) {
+    return node_of[static_cast<size_t>(from)] ==
+           node_of[static_cast<size_t>(to)];
+  };
+
+  // ---- Sizing. Pass A reserves one block of slots per (stage,
+  // micro-batch) cell, and every cell of a stage has the same layout:
+  // F, B (B_x when split), [B_w], then [edge, [post]] for the forward
+  // transfer into the stage and [edge, [post]] for the backward transfer
+  // into it, when the neighbouring stage lives on another device. The
+  // rendezvous post exists only for blocking transfers.
+  struct StageSlots {
+    int base = 0;       // id of F(s, 0)
+    int stride = 0;     // ids per micro-batch
+    int fwd_edge = -1;  // offset of the incoming forward transfer
+    int bwd_edge = -1;  // offset of the incoming backward transfer
+  };
+  const int edge_slots = blocking ? 2 : 1;
+  std::vector<StageSlots> slots(static_cast<size_t>(n_stages));
+  int reserved = 0;
+  int n_tasks = 0;
+  int n_deps = 0;
+  for (int s = 0; s < n_stages; ++s) {
+    StageSlots& st = slots[static_cast<size_t>(s)];
+    st.base = reserved;
+    st.stride = split ? 3 : 2;
+    if (s > 0 && dev(s - 1) != dev(s)) {
+      st.fwd_edge = st.stride;
+      st.stride += edge_slots;
+    }
+    if (s < n_stages - 1 && dev(s + 1) != dev(s)) {
+      st.bwd_edge = st.stride;
+      st.stride += edge_slots;
+    }
+    reserved += st.stride * n_mb;
+    // F waits on its upstream input; B on its stashed activation and its
+    // downstream gradient; B_w on its B_x.
+    n_deps += n_mb * ((s > 0 ? 1 : 0) + 1 + (s < n_stages - 1 ? 1 : 0) +
+                      (split ? 1 : 0));
+    // Per transfer: the edge waits on its producer (and, blocking, on
+    // the receiver's post); a blocking transfer also adds a receive wait
+    // (one dep) and a send launch to the compute streams.
+    const int transfers =
+        (st.fwd_edge >= 0 ? 1 : 0) + (st.bwd_edge >= 0 ? 1 : 0);
+    n_tasks += transfers * n_mb * (blocking ? 2 : 0);
+    n_deps += transfers * n_mb * (blocking ? 3 : 1);
+  }
+  n_tasks += reserved;
+
+  // Index of each stage's last gradient-producing op in its device's
+  // list, for DP_0/DP_PS overlapped gradient reduction, and the run
+  // counts that size the DP_FS gathers and reduce-scatters.
+  std::vector<size_t> last_bwd_of_stage(static_cast<size_t>(n_stages), 0);
+  int runs_total = 0;
+  int grad_runs = 0;
+  int gather_deps = 0;
+  for (const auto& ops : sched.device_ops) {
+    int runs = 0;
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const Op& op = ops[i];
+      if (op.kind == final_grad_kind)
+        last_bwd_of_stage[static_cast<size_t>(op.stage)] = i;
+      if (i == 0 || op.stage != ops[i - 1].stage ||
+          op.kind != ops[i - 1].kind) {
+        ++runs;
+        if (op.kind == final_grad_kind) ++grad_runs;
+      }
+    }
+    runs_total += runs;
+    // Gathers past the first two wait on the run before the previous one.
+    gather_deps += std::max(runs - 2, 0);
+  }
+  // Overlapped gradient reductions: one per backward run under DP_FS,
+  // else one per stage. Each waits on its gradient op and feeds the
+  // optimizer step; one step per device, plus the fused reduce and the
+  // regather.
+  int reduces = 0;
+  if (has_dp && fs) {
+    reduces = grad_runs;
+  } else if (has_dp && cfg_.overlap_dp) {
+    reduces = n_stages;
+  }
+  n_tasks += reduces +
+             n_pp * (1 + (fused_reduce ? 1 : 0) + (regather ? 1 : 0));
+  n_deps += 2 * reduces + (regather ? n_pp : 0);
+  if (gathers) {
+    n_tasks += runs_total;
+    n_deps += runs_total + gather_deps;
+  }
 
   SimSkeleton sk;
   sim::TaskGraph& graph = sk.graph;
   sk.table = table_;
   const OpCostTable& table = *table_;
-
-  // Pre-size the arenas from the schedule's emission bounds so graph
-  // construction performs no growth reallocation.
-  const int task_bound = schedule::arena_task_bound(sched);
-  graph.reserve(task_bound, schedule::arena_dep_bound(sched));
-
+  // Streams: compute and dp per device, plus at most two directed links
+  // per stage boundary and one per ordered device pair.
+  graph.reserve(n_tasks, n_deps,
+                2 * n_pp + std::min(2 * (n_stages - 1), n_pp * (n_pp - 1)));
   std::vector<CostRef>& refs = sk.cost_refs;
-  refs.reserve(static_cast<size_t>(task_bound));
-  auto set_ref = [&refs](TaskId id, CostRef ref) {
-    if (static_cast<size_t>(id) >= refs.size()) {
-      refs.resize(static_cast<size_t>(id) + 1);
-    }
-    refs[static_cast<size_t>(id)] = ref;
-  };
+  refs.resize(static_cast<size_t>(n_tasks));
   // All task definitions flow through these two helpers so every task's
   // duration comes from resolve(ref, table) and its ref is recorded for
-  // the incremental re-timing path.
+  // the incremental re-timing path. Forced inline (GCC and Clang), so the
+  // constant CostRef class at each call site folds resolve()'s switch
+  // away: about a tenth of emission time.
   auto def = [&](TaskId id, sim::StreamId st, CostRef ref,
-                 std::span<const TaskId> deps, TaskMeta meta) {
+                 std::span<const TaskId> deps, const TaskMeta& meta)
+                 __attribute__((always_inline)) {
     graph.define_task(id, st, resolve(ref, table), deps, meta);
-    set_ref(id, ref);
+    refs[static_cast<size_t>(id)] = ref;
   };
   auto add = [&](sim::StreamId st, CostRef ref, std::span<const TaskId> deps,
-                 TaskMeta meta) {
+                 const TaskMeta& meta) __attribute__((always_inline)) {
     const TaskId id = graph.add_task(st, resolve(ref, table), deps, meta);
-    set_ref(id, ref);
+    // Grows only if the sizing above under-counted; the check at the
+    // end reports that.
+    if (static_cast<size_t>(id) >= refs.size()) refs.resize(id + 1U);
+    refs[static_cast<size_t>(id)] = ref;
     return id;
   };
   using Class = CostRef::Class;
@@ -288,6 +401,8 @@ SimSkeleton PipelineSim::build_skeleton() const {
   auto one = [](const TaskId& t) { return std::span<const TaskId>(&t, 1); };
 
   // ---- Streams.
+  sk.compute_streams.reserve(static_cast<size_t>(n_pp));
+  sk.dp_streams.reserve(static_cast<size_t>(n_pp));
   for (int r = 0; r < n_pp; ++r) {
     const std::string gpu = "gpu" + std::to_string(r);
     sk.compute_streams.push_back(graph.add_stream(gpu + ".compute"));
@@ -305,99 +420,68 @@ SimSkeleton PipelineSim::build_skeleton() const {
     }
     return s;
   };
-  auto link_intra = [&](int from, int to) {
-    return grid.pp_link_intra_node(from, to);
-  };
 
-  // ---- Pass A: reserve compute tasks and cross-device edge transfers.
-  auto idx = [n_mb](int stage, int mb) {
-    return static_cast<size_t>(stage) * static_cast<size_t>(n_mb) +
-           static_cast<size_t>(mb);
+  // ---- Pass A: reserve compute tasks and cross-device edge transfers,
+  // addressed through the stage slot layout above. Rendezvous markers
+  // (posts) model blocking (non-overlapped) transfers: the wire transfer
+  // cannot start before the receiver posts its matching receive, which
+  // is how Megatron-LM-style blocking communication lets delays cascade
+  // around the pipeline ring (Section 5.2).
+  graph.reserve_tasks(reserved);
+  auto fwd_task = [&slots](int s, int m) {
+    const StageSlots& st = slots[static_cast<size_t>(s)];
+    return st.base + m * st.stride;
   };
-  const size_t cells = static_cast<size_t>(n_stages) * n_mb;
-  const bool split = sched.split_backward;
-  std::vector<TaskId> fwd_task(cells, sim::kInvalidTask);
   // The upstream-blocking backward: fused B, or B_x when split.
-  std::vector<TaskId> bwd_task(cells, sim::kInvalidTask);
+  auto bwd_task = [&](int s, int m) { return fwd_task(s, m) + 1; };
   // Deferred weight gradients (split-backward schedules only).
-  std::vector<TaskId> bwd_w_task(split ? cells : 0, sim::kInvalidTask);
-  std::vector<TaskId> fwd_edge(cells, sim::kInvalidTask);  // into stage s
-  std::vector<TaskId> bwd_edge(cells, sim::kInvalidTask);  // into stage s
-  // Rendezvous markers for blocking (non-overlapped) transfers: the wire
-  // transfer cannot start before the receiver posts its matching receive,
-  // which is how Megatron-LM-style blocking communication lets delays
-  // cascade around the pipeline ring (Section 5.2).
-  std::vector<TaskId> fwd_post(cells, sim::kInvalidTask);
-  std::vector<TaskId> bwd_post(cells, sim::kInvalidTask);
-  for (int s = 0; s < n_stages; ++s) {
-    for (int m = 0; m < n_mb; ++m) {
-      fwd_task[idx(s, m)] = graph.reserve_task();
-      bwd_task[idx(s, m)] = graph.reserve_task();
-      if (split) bwd_w_task[idx(s, m)] = graph.reserve_task();
-      if (s > 0 && placement_.device_of_stage(s - 1) !=
-                       placement_.device_of_stage(s)) {
-        fwd_edge[idx(s, m)] = graph.reserve_task();
-        if (!cfg_.overlap_pp) fwd_post[idx(s, m)] = graph.reserve_task();
-      }
-      if (s < n_stages - 1 && placement_.device_of_stage(s + 1) !=
-                                  placement_.device_of_stage(s)) {
-        bwd_edge[idx(s, m)] = graph.reserve_task();
-        if (!cfg_.overlap_pp) bwd_post[idx(s, m)] = graph.reserve_task();
-      }
-    }
-  }
+  auto bwd_w_task = [&](int s, int m) { return fwd_task(s, m) + 2; };
+  auto fwd_edge = [&](int s, int m) {  // into stage s
+    return fwd_task(s, m) + slots[static_cast<size_t>(s)].fwd_edge;
+  };
+  auto bwd_edge = [&](int s, int m) {  // into stage s
+    return fwd_task(s, m) + slots[static_cast<size_t>(s)].bwd_edge;
+  };
+  auto fwd_post = [&](int s, int m) { return fwd_edge(s, m) + 1; };
+  auto bwd_post = [&](int s, int m) { return bwd_edge(s, m) + 1; };
 
-  // Index of each stage's last gradient-producing op in its device's
-  // list, for DP_0/DP_PS overlapped gradient reduction. With split
-  // backward a stage's gradients are final only after its last
-  // weight-gradient op.
-  const OpKind final_grad_kind =
-      split ? OpKind::kBackwardWeight : OpKind::kBackward;
-  std::vector<size_t> last_bwd_of_stage(static_cast<size_t>(n_stages), 0);
-  for (const auto& ops : sched.device_ops) {
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].kind == final_grad_kind)
-        last_bwd_of_stage[static_cast<size_t>(ops[i].stage)] = i;
-    }
-  }
-
-  // Contiguous same-stage same-direction runs per device: the unit of
-  // DP_FS weight reconstruction and gradient reduce-scatter (the
-  // contiguous-run rule, see header).
+  // Contiguous same-stage same-direction runs of the current device:
+  // the unit of DP_FS weight reconstruction and gradient reduce-scatter
+  // (the contiguous-run rule, see header). One buffer, reused per device.
   struct Run {
     int stage = 0;
     OpKind kind = OpKind::kForward;
     size_t first = 0;
     size_t last = 0;
   };
-  std::vector<std::vector<Run>> device_runs(static_cast<size_t>(n_pp));
-  for (int r = 0; r < n_pp; ++r) {
-    const auto& ops = sched.device_ops[static_cast<size_t>(r)];
-    auto& runs = device_runs[static_cast<size_t>(r)];
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (runs.empty() || runs.back().stage != ops[i].stage ||
-          runs.back().kind != ops[i].kind) {
-        runs.push_back({ops[i].stage, ops[i].kind, i, i});
-      } else {
-        runs.back().last = i;
-      }
-    }
-  }
+  std::vector<Run> runs;
+  std::vector<TaskId> run_gather;
+  std::vector<TaskId> reduce_tasks;
 
   // ---- Pass B: define tasks device by device, in schedule order.
   for (int r = 0; r < n_pp; ++r) {
     const auto& ops = sched.device_ops[static_cast<size_t>(r)];
     const sim::StreamId cs = sk.compute_streams[static_cast<size_t>(r)];
     const sim::StreamId ds = sk.dp_streams[static_cast<size_t>(r)];
-    std::vector<TaskId> reduce_tasks;
+    reduce_tasks.clear();
+    runs.clear();
+    if (gathers) {
+      for (size_t i = 0; i < ops.size(); ++i) {
+        if (runs.empty() || runs.back().stage != ops[i].stage ||
+            runs.back().kind != ops[i].kind) {
+          runs.push_back({ops[i].stage, ops[i].kind, i, i});
+        } else {
+          runs.back().last = i;
+        }
+      }
+    }
 
-    const auto& runs = device_runs[static_cast<size_t>(r)];
     // DP_FS weight gathers, one per run. Double-buffered prefetch: the
     // gather for run j+1 is posted when run j starts (so it overlaps run
     // j's compute) and can only begin once run j-1's buffer is free.
     // Posting the prefetch *before* run j's trailing reduce-scatter keeps
     // the reduce from head-of-line-blocking the next reconstruction.
-    std::vector<TaskId> run_gather(runs.size(), sim::kInvalidTask);
+    run_gather.assign(runs.size(), sim::kInvalidTask);
     size_t run_index = 0;  // run containing the current op
     auto post_gather = [&](size_t j, std::span<const TaskId> gather_deps) {
       if (j >= runs.size()) return;
@@ -406,90 +490,96 @@ SimSkeleton PipelineSim::build_skeleton() const {
               {"W", TaskKind::kWeightGather, runs[j].stage, -1});
     };
 
-    std::vector<TaskId> deps;  // scratch, reused across ops
     for (size_t i = 0; i < ops.size(); ++i) {
       const Op& op = ops[i];
       const int s = op.stage;
       const int m = op.micro_batch;
-      deps.clear();
+      // A compute op waits on at most its weight gather, its input and
+      // (backward) its downstream gradient.
+      TaskId deps_buf[3];
+      size_t dep_count = 0;
+      auto deps = [&] {
+        return std::span<const TaskId>(deps_buf, dep_count);
+      };
 
-      if (run_index < runs.size() && i > runs[run_index].last) ++run_index;
       bool op_stall = false;  // FS reconstruction stall (run-first ops)
-      if (fs && has_dp && i == runs[run_index].first) {
-        op_stall = true;
-        if (run_index == 0) {
-          post_gather(0, kNoDeps);
-          post_gather(1, kNoDeps);
-        } else {
-          // Prefetch the next run's weights; buffer frees when the
-          // previous run's compute is done.
-          const Run& prev = runs[run_index - 1];
-          const Op& prev_last = ops[prev.last];
-          const size_t prev_idx = idx(prev_last.stage, prev_last.micro_batch);
-          const TaskId prev_task =
-              prev_last.kind == OpKind::kForward
-                  ? fwd_task[prev_idx]
-                  : (prev_last.kind == OpKind::kBackwardWeight
-                         ? bwd_w_task[prev_idx]
-                         : bwd_task[prev_idx]);
-          post_gather(run_index + 1, one(prev_task));
+      if (gathers) {
+        if (i > runs[run_index].last) ++run_index;
+        if (i == runs[run_index].first) {
+          op_stall = true;
+          if (run_index == 0) {
+            post_gather(0, kNoDeps);
+            post_gather(1, kNoDeps);
+          } else {
+            // Prefetch the next run's weights; buffer frees when the
+            // previous run's compute is done.
+            const Run& prev = runs[run_index - 1];
+            const Op& prev_last = ops[prev.last];
+            const int ps = prev_last.stage;
+            const int pm = prev_last.micro_batch;
+            const TaskId prev_task =
+                prev_last.kind == OpKind::kForward
+                    ? fwd_task(ps, pm)
+                    : (prev_last.kind == OpKind::kBackwardWeight
+                           ? bwd_w_task(ps, pm)
+                           : bwd_task(ps, pm));
+            post_gather(run_index + 1, one(prev_task));
+          }
+          deps_buf[dep_count++] = run_gather[run_index];
         }
-        deps.push_back(run_gather[run_index]);
       }
 
       if (op.kind == OpKind::kForward) {
         if (s > 0) {
-          if (placement_.device_of_stage(s - 1) == r) {
-            deps.push_back(fwd_task[idx(s - 1, m)]);
+          if (dev(s - 1) == r) {
+            deps_buf[dep_count++] = fwd_task(s - 1, m);
           } else {
-            const TaskId edge = fwd_edge[idx(s, m)];
-            if (!cfg_.overlap_pp) {
+            const TaskId edge = fwd_edge(s, m);
+            if (blocking) {
               // Blocking receive: post the receive (rendezvous marker),
               // then wait inline for the transfer plus the sync cost.
-              const int from = placement_.device_of_stage(s - 1);
-              def(fwd_post[idx(s, m)], cs, {Class::kZero, -1, false}, kNoDeps,
+              def(fwd_post(s, m), cs, {Class::kZero, -1, false}, kNoDeps,
                   {"post f", TaskKind::kP2P, s, m});
               add(cs,
-                  {link_intra(from, r) ? Class::kBlockingIntra
-                                       : Class::kBlockingInter,
+                  {link_intra(dev(s - 1), r) ? Class::kBlockingIntra
+                                             : Class::kBlockingInter,
                    -1, false},
                   one(edge), {"recv f", TaskKind::kP2P, s, m});
             }
-            deps.push_back(edge);
+            deps_buf[dep_count++] = edge;
           }
         }
-        def(fwd_task[idx(s, m)], cs, {Class::kForward, s, op_stall}, deps,
+        def(fwd_task(s, m), cs, {Class::kForward, s, op_stall}, deps(),
             {"F", TaskKind::kForward, s, m});
       } else if (op.kind == OpKind::kBackwardWeight) {
         // Deferred weight gradient: local work, gated only on its own
         // B_x (which stashed the output gradient).
-        deps.push_back(bwd_task[idx(s, m)]);
-        def(bwd_w_task[idx(s, m)], cs, {Class::kBackwardWeight, s, op_stall},
-            deps, {"Bw", TaskKind::kBackwardWeight, s, m});
+        deps_buf[dep_count++] = bwd_task(s, m);
+        def(bwd_w_task(s, m), cs, {Class::kBackwardWeight, s, op_stall},
+            deps(), {"Bw", TaskKind::kBackwardWeight, s, m});
       } else {
-        deps.push_back(fwd_task[idx(s, m)]);  // stashed boundary activation
+        deps_buf[dep_count++] = fwd_task(s, m);  // stashed activation
         if (s < n_stages - 1) {
-          if (placement_.device_of_stage(s + 1) == r) {
-            deps.push_back(bwd_task[idx(s + 1, m)]);
+          if (dev(s + 1) == r) {
+            deps_buf[dep_count++] = bwd_task(s + 1, m);
           } else {
-            const TaskId edge = bwd_edge[idx(s, m)];
-            if (!cfg_.overlap_pp) {
-              const int from = placement_.device_of_stage(s + 1);
-              def(bwd_post[idx(s, m)], cs, {Class::kZero, -1, false}, kNoDeps,
+            const TaskId edge = bwd_edge(s, m);
+            if (blocking) {
+              def(bwd_post(s, m), cs, {Class::kZero, -1, false}, kNoDeps,
                   {"post b", TaskKind::kP2P, s, m});
               add(cs,
-                  {link_intra(from, r) ? Class::kBlockingIntra
-                                       : Class::kBlockingInter,
+                  {link_intra(dev(s + 1), r) ? Class::kBlockingIntra
+                                             : Class::kBlockingInter,
                    -1, false},
                   one(edge), {"recv b", TaskKind::kP2P, s, m});
             }
-            deps.push_back(edge);
+            deps_buf[dep_count++] = edge;
           }
         }
         const bool fused = op.kind == OpKind::kBackward;
-        def(bwd_task[idx(s, m)], cs,
+        def(bwd_task(s, m), cs,
             {fused ? Class::kBackward : Class::kBackwardInput, s, op_stall},
-            deps,
+            deps(),
             {fused ? "B" : "Bx",
              fused ? TaskKind::kBackward : TaskKind::kBackwardInput, s, m});
       }
@@ -497,22 +587,19 @@ SimSkeleton PipelineSim::build_skeleton() const {
       // Outgoing cross-device transfer of the op's boundary tensor.
       const bool backward_edge_op = op.kind == OpKind::kBackward ||
                                     op.kind == OpKind::kBackwardInput;
-      const bool sends_fwd = op.kind == OpKind::kForward && s < n_stages - 1 &&
-                             placement_.device_of_stage(s + 1) != r;
-      const bool sends_bwd = backward_edge_op && s > 0 &&
-                             placement_.device_of_stage(s - 1) != r;
+      const bool sends_fwd =
+          op.kind == OpKind::kForward && s < n_stages - 1 && dev(s + 1) != r;
+      const bool sends_bwd = backward_edge_op && s > 0 && dev(s - 1) != r;
       if (sends_fwd || sends_bwd) {
-        const int peer = sends_fwd ? placement_.device_of_stage(s + 1)
-                                   : placement_.device_of_stage(s - 1);
-        const TaskId edge =
-            sends_fwd ? fwd_edge[idx(s + 1, m)] : bwd_edge[idx(s - 1, m)];
+        const int peer = sends_fwd ? dev(s + 1) : dev(s - 1);
+        const TaskId edge = sends_fwd ? fwd_edge(s + 1, m) : bwd_edge(s - 1, m);
         const bool intra = link_intra(r, peer);
         TaskId edge_deps_buf[2];
         size_t edge_dep_count = 0;
-        if (cfg_.overlap_pp) {
+        if (!blocking) {
           edge_deps_buf[edge_dep_count++] = op.kind == OpKind::kForward
-                                                ? fwd_task[idx(s, m)]
-                                                : bwd_task[idx(s, m)];
+                                                ? fwd_task(s, m)
+                                                : bwd_task(s, m);
         } else {
           // Blocking send: a launch on the compute stream (the batched
           // isend), and a rendezvous on the receiver's matching post.
@@ -522,9 +609,8 @@ SimSkeleton PipelineSim::build_skeleton() const {
                    false},
                   kNoDeps, {"send", TaskKind::kP2P, s, m});
           edge_deps_buf[edge_dep_count++] = launch;
-          edge_deps_buf[edge_dep_count++] = sends_fwd
-                                                ? fwd_post[idx(s + 1, m)]
-                                                : bwd_post[idx(s - 1, m)];
+          edge_deps_buf[edge_dep_count++] =
+              sends_fwd ? fwd_post(s + 1, m) : bwd_post(s - 1, m);
         }
         def(edge, link_stream(r, peer),
             {intra ? Class::kXferIntra : Class::kXferInter, -1, false},
@@ -533,10 +619,9 @@ SimSkeleton PipelineSim::build_skeleton() const {
       }
 
       // Gradient reduction, keyed on the op that finalizes a stage's
-      // gradients (the fused backward, or the weight gradient when split).
+      // gradients.
       if (has_dp && op.kind == final_grad_kind) {
-        const TaskId grad_task =
-            split ? bwd_w_task[idx(s, m)] : bwd_task[idx(s, m)];
+        const TaskId grad_task = split ? bwd_w_task(s, m) : bwd_task(s, m);
         if (fs) {
           // Reduce-scatter at the end of each backward run.
           const bool run_end = i + 1 == ops.size() ||
@@ -564,7 +649,7 @@ SimSkeleton PipelineSim::build_skeleton() const {
 
     // Megatron-LM behaviour: a single fused, blocking gradient reduction
     // after all compute (Figure 4a/4b).
-    if (has_dp && !cfg_.overlap_dp) {
+    if (fused_reduce) {
       add(cs, {Class::kFusedReduce, r, false}, kNoDeps,
           {"G fused", TaskKind::kGradReduce, -1, -1});
     }
@@ -576,13 +661,15 @@ SimSkeleton PipelineSim::build_skeleton() const {
 
     // DP_PS: re-gather the updated weights (overlaps the next batch in
     // steady state; charged here, see header).
-    if (has_dp && cfg_.sharding == DpSharding::kPartial) {
+    if (regather) {
       add(cfg_.overlap_dp ? ds : cs, {Class::kRegather, r, false}, one(opt),
           {"W regather", TaskKind::kWeightGather, -1, -1});
     }
   }
 
-  refs.resize(static_cast<size_t>(graph.task_count()));
+  check(graph.task_count() == n_tasks && graph.total_deps() == n_deps,
+        "build_skeleton: emitted %d tasks and %d deps, sized for %d and %d",
+        graph.task_count(), graph.total_deps(), n_tasks, n_deps);
   return sk;
 }
 

@@ -35,17 +35,22 @@
 //
 // Hot path: every task duration is a lookup into an OpCostTable
 // (runtime/sim_cache.h) evaluated once per stage/device instead of once
-// per op, the graph is emitted into sim::TaskGraph's flat arenas with
-// static label tags, and when a SimCache is attached (api sweeps share
-// one per engine) both the cost table and the graph topology are reused
-// across cells: cells sharing a model x cluster pair skip the cost
-// evaluation, an exact repeat runs the cached graph itself, and cells
-// differing only in batch/micro-batch split clone a cached skeleton and
-// re-time it instead of rebuilding. All of this is semantics-preserving
-// - simulated times are bit-identical to the pre-rework implementation,
-// pinned byte-for-byte at the Report level by the golden corpus in
-// tests/test_sim_diff.cpp (recorded while the frozen pre-rework
-// simulator still existed to diff against).
+// per op. build_skeleton() computes the placement lookups (device of
+// each stage, node of each rank) once per cell, counts the cell's tasks
+// and dependencies in closed form, and emits the graph into
+// sim::TaskGraph storage sized exactly to them, with static label tags:
+// (stage, micro-batch) slot ids come from per-stage offsets and each
+// device's contiguous runs are computed into one reused buffer. A count
+// that disagrees with the emission throws. When a SimCache is attached
+// (api sweeps share one per engine) both the cost table and the graph
+// topology are reused across cells: cells sharing a model x cluster pair
+// skip the cost evaluation, an exact repeat runs the cached graph
+// itself, and cells differing only in batch/micro-batch split clone a
+// cached skeleton and re-time it instead of rebuilding. All of this is
+// semantics-preserving - simulated times are bit-identical to the
+// pre-rework implementation, pinned byte-for-byte at the Report level by
+// the golden corpus in tests/test_sim_diff.cpp (recorded while the
+// frozen pre-rework simulator still existed to diff against).
 #pragma once
 
 #include <memory>
@@ -119,8 +124,9 @@ class PipelineSim {
   // Evaluates every cost the graph can reference (one kernel-model and
   // collective evaluation per stage/device - the memoizable unit).
   [[nodiscard]] OpCostTable build_cost_table() const;
-  // Emits the task graph with durations resolved through `table_`,
-  // recording each task's CostRef for incremental re-timing.
+  // Emits the task graph, sized exactly, with durations resolved
+  // through `table_`, recording each task's CostRef for incremental
+  // re-timing.
   [[nodiscard]] SimSkeleton build_skeleton() const;
   [[nodiscard]] double stage_flops(int stage, bool forward) const;
   [[nodiscard]] double tp_comm_seconds() const;

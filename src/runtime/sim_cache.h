@@ -109,11 +109,68 @@ struct CostRef {
   bool fs_stall = false;  // add fs_stall[index] (run-first op under DP_FS)
 };
 
-// Duration of a task timed by `ref` under `table`.
-[[nodiscard]] double resolve(const CostRef& ref, const OpCostTable& table);
+// Duration of a task timed by `ref` under `table`. Inline: graph
+// emission passes a constant class at each call site, and the switch
+// folds away.
+[[nodiscard]] inline double resolve(const CostRef& ref,
+                                    const OpCostTable& table) {
+  const auto i = static_cast<size_t>(ref.index);
+  double base = 0.0;
+  switch (ref.cls) {
+    case CostRef::Class::kZero:
+      base = 0.0;
+      break;
+    case CostRef::Class::kForward:
+      base = table.forward[i];
+      break;
+    case CostRef::Class::kBackward:
+      base = table.backward[i];
+      break;
+    case CostRef::Class::kBackwardInput:
+      base = table.backward_input[i];
+      break;
+    case CostRef::Class::kBackwardWeight:
+      base = table.backward_weight[i];
+      break;
+    case CostRef::Class::kGather:
+      base = table.gather[i];
+      break;
+    case CostRef::Class::kReduceScatter:
+      base = table.reduce_scatter[i];
+      break;
+    case CostRef::Class::kAllReduce:
+      base = table.all_reduce[i];
+      break;
+    case CostRef::Class::kFusedReduce:
+      base = table.fused_reduce[i];
+      break;
+    case CostRef::Class::kOptimizer:
+      base = table.optimizer[i];
+      break;
+    case CostRef::Class::kRegather:
+      base = table.regather[i];
+      break;
+    case CostRef::Class::kXferIntra:
+      base = table.xfer_intra;
+      break;
+    case CostRef::Class::kXferInter:
+      base = table.xfer_inter;
+      break;
+    case CostRef::Class::kBlockingIntra:
+      base = table.blocking_intra;
+      break;
+    case CostRef::Class::kBlockingInter:
+      base = table.blocking_inter;
+      break;
+  }
+  // Matches the pre-rework `op + op_stall` sum (op_stall == 0.0 when the op
+  // is not the first of a DP_FS run), so refilled durations are
+  // bit-identical to freshly built ones.
+  return ref.fs_stall ? base + table.fs_stall[i] : base;
+}
 
 // A built task graph with its timing provenance: cost_refs[t] says which
-// table entry produced graph.duration(t). Cloning the graph and
+// table entry produced task t's duration. Cloning the graph and
 // re-resolving every ref against a new table yields the graph PipelineSim
 // would have built from scratch for the new operating point.
 struct SimSkeleton {

@@ -368,22 +368,6 @@ Schedule make_schedule(parallel::ScheduleKind kind, int n_pp, int n_loop,
   throw Error("make_schedule: unknown schedule kind");
 }
 
-int arena_task_bound(const Schedule& s) {
-  const int cells = s.n_stages() * s.n_mb;
-  // Per cell: the compute ops themselves (total_ops), plus at most one
-  // incoming edge transfer, one send launch and two rendezvous markers
-  // in each direction. Per device: one weight gather per run (bounded by
-  // ops), plus reductions, fused reduce, optimizer and regather.
-  return s.total_ops() + 8 * cells + s.total_ops() + 4 * s.n_pp;
-}
-
-int arena_dep_bound(const Schedule& s) {
-  // Compute ops carry at most 3 deps (gather, producer, edge); edges at
-  // most 2 (launch, post); collectives at most one per reduce feeding
-  // the optimizer plus one each.
-  return 3 * arena_task_bound(s);
-}
-
 void validate(const Schedule& s) {
   check(static_cast<int>(s.device_ops.size()) == s.n_pp,
         "schedule: device count mismatch");
@@ -401,8 +385,12 @@ void validate(const Schedule& s) {
             "schedule: stage mapped to invalid device %d", d);
     }
   }
+  std::vector<int> device_of(static_cast<size_t>(std::max(n_stages, 0)));
   std::vector<int> owned(static_cast<size_t>(s.n_pp), 0);
-  for (int st = 0; st < n_stages; ++st) ++owned[static_cast<size_t>(s.device_of(st))];
+  for (int st = 0; st < n_stages; ++st) {
+    device_of[static_cast<size_t>(st)] = s.device_of(st);
+    ++owned[static_cast<size_t>(device_of[static_cast<size_t>(st)])];
+  }
   for (int r = 0; r < s.n_pp; ++r) {
     check(owned[static_cast<size_t>(r)] >= 1,
           "schedule: device %d hosts no stage (stage gap)", r);
@@ -418,10 +406,16 @@ void validate(const Schedule& s) {
   for (int r = 0; r < s.n_pp; ++r) {
     const auto& ops = s.device_ops[static_cast<size_t>(r)];
     for (const Op& op : ops) {
-      check(op.stage >= 0 && op.stage < n_stages,
-            "schedule: stage %d out of range", op.stage);
-      check(s.device_of(op.stage) == r,
-            "schedule: stage %d does not belong to device %d", op.stage, r);
+      // Formatted checks cost a call per op even when they pass; this
+      // loop runs per simulated cell, so they throw from a branch.
+      if (op.stage < 0 || op.stage >= n_stages) {
+        throw Error(str_format("schedule: stage %d out of range", op.stage));
+      }
+      if (device_of[static_cast<size_t>(op.stage)] != r) {
+        throw Error(
+            str_format("schedule: stage %d does not belong to device %d",
+                       op.stage, r));
+      }
       check(op.micro_batch >= 0 && op.micro_batch < s.n_mb,
             "schedule: micro-batch out of range");
       if (s.split_backward) {
@@ -435,8 +429,10 @@ void validate(const Schedule& s) {
       uint8_t& flag = seen[static_cast<size_t>(op.kind) * cells +
                            static_cast<size_t>(op.stage) * n_mb +
                            static_cast<size_t>(op.micro_batch)];
-      check(flag == 0, "schedule: duplicate op (stage %d, mb %d)", op.stage,
-            op.micro_batch);
+      if (flag != 0) {
+        throw Error(str_format("schedule: duplicate op (stage %d, mb %d)",
+                               op.stage, op.micro_batch));
+      }
       flag = 1;
     }
     // Every op that got this far is distinct.

@@ -185,18 +185,6 @@ Schedule grad_accumulation_breadth_first(int n_stages, int n_mb);
 Schedule make_schedule(parallel::ScheduleKind kind, int n_pp, int n_loop,
                        int n_mb);
 
-// ---- Arena pre-sizing ----
-//
-// Upper bounds on the task and dependency counts of the simulator graph
-// a schedule emits into sim::TaskGraph's flat arenas: compute ops plus
-// their worst-case per-cell companions (edge transfer, send launch and
-// both rendezvous markers per cross-device boundary) plus the per-device
-// collectives (weight gathers, gradient reductions, optimizer step,
-// regather). Used by runtime::PipelineSim to reserve the arenas once, so
-// graph emission performs no growth reallocation.
-int arena_task_bound(const Schedule& s);
-int arena_dep_bound(const Schedule& s);
-
 // Structural validation:
 //  1. placement - the stage->device map (when present) covers every
 //     device and assigns every stage; ops live on their owning device

@@ -21,144 +21,132 @@ std::string TaskMeta::label() const {
 }
 
 StreamId TaskGraph::add_stream(std::string name) {
-  stream_names_.push_back(std::move(name));
-  stream_order_.emplace_back();
-  return static_cast<StreamId>(stream_names_.size()) - 1;
+  streams_.push_back({std::move(name)});
+  return static_cast<StreamId>(streams_.size()) - 1;
 }
 
-void TaskGraph::reserve(int tasks, int total_deps) {
-  const auto n = static_cast<size_t>(std::max(tasks, 0));
-  stream_.reserve(n);
-  duration_.reserve(n);
-  meta_.reserve(n);
-  dep_begin_.reserve(n);
-  dep_count_.reserve(n);
-  defined_.reserve(n);
+void TaskGraph::reserve(int tasks, int total_deps, int streams) {
+  tasks_.reserve(static_cast<size_t>(std::max(tasks, 0)));
   deps_arena_.reserve(static_cast<size_t>(std::max(total_deps, 0)));
+  streams_.reserve(static_cast<size_t>(std::max(streams, 0)));
 }
 
-TaskId TaskGraph::reserve_task() {
-  stream_.push_back(-1);
-  duration_.push_back(0.0);
-  meta_.emplace_back();
-  dep_begin_.push_back(0);
-  dep_count_.push_back(0);
-  defined_.push_back(0);
-  return static_cast<TaskId>(duration_.size()) - 1;
+TaskId TaskGraph::reserve_tasks(int count) {
+  check(count >= 0, "reserve_tasks: negative count");
+  const auto first = static_cast<TaskId>(tasks_.size());
+  tasks_.resize(tasks_.size() + static_cast<size_t>(count));
+  return first;
 }
 
 void TaskGraph::define_task(TaskId id, StreamId stream, double duration,
-                            std::span<const TaskId> deps, TaskMeta meta) {
+                            std::span<const TaskId> deps,
+                            const TaskMeta& meta) {
   check(id >= 0 && id < task_count(), "define_task: invalid task id");
   check(stream >= 0 && stream < stream_count(),
         "define_task: invalid stream id");
   check(duration >= 0.0, "define_task: negative duration");
-  check(!defined_[static_cast<size_t>(id)],
-        "define_task: task already defined");
+  Task& t = tasks_[static_cast<size_t>(id)];
+  check(t.stream < 0, "define_task: task already defined");
   for (TaskId d : deps) {
     check(d >= 0 && d < task_count(), "define_task: invalid dependency id");
   }
-  stream_[static_cast<size_t>(id)] = stream;
-  duration_[static_cast<size_t>(id)] = duration;
-  meta_[static_cast<size_t>(id)] = meta;
-  dep_begin_[static_cast<size_t>(id)] = static_cast<int>(deps_arena_.size());
-  dep_count_[static_cast<size_t>(id)] = static_cast<int>(deps.size());
-  deps_arena_.insert(deps_arena_.end(), deps.begin(), deps.end());
-  defined_[static_cast<size_t>(id)] = 1;
-  stream_order_[static_cast<size_t>(stream)].push_back(id);
+  t.duration = duration;
+  t.meta = meta;
+  t.stream = stream;
+  t.dep_begin = static_cast<int>(deps_arena_.size());
+  t.dep_count = static_cast<int>(deps.size());
+  for (TaskId d : deps) deps_arena_.push_back(d);
+  Stream& s = streams_[static_cast<size_t>(stream)];
+  if (s.tail == kInvalidTask) {
+    s.head = id;
+  } else {
+    tasks_[static_cast<size_t>(s.tail)].next = id;
+  }
+  s.tail = id;
 }
 
 TaskId TaskGraph::add_task(StreamId stream, double duration,
-                           std::span<const TaskId> deps, TaskMeta meta) {
-  const TaskId id = reserve_task();
+                           std::span<const TaskId> deps,
+                           const TaskMeta& meta) {
+  const auto id = static_cast<TaskId>(tasks_.size());
+  tasks_.emplace_back();
   define_task(id, stream, duration, deps, meta);
   return id;
 }
 
 void TaskGraph::set_duration(TaskId t, double duration) {
   check(t >= 0 && t < task_count(), "set_duration: invalid task id");
-  check(defined_[static_cast<size_t>(t)], "set_duration: task not defined");
+  check(task(t).stream >= 0, "set_duration: task not defined");
   check(duration >= 0.0, "set_duration: negative duration");
-  duration_[static_cast<size_t>(t)] = duration;
+  tasks_[static_cast<size_t>(t)].duration = duration;
 }
 
 SimResult run(const TaskGraph& graph) {
   const int n = graph.task_count();
-  for (int i = 0; i < n; ++i) {
-    check(graph.defined_[static_cast<size_t>(i)],
-          "run: reserved task was never defined: id %d", i);
-  }
+  const auto un = static_cast<size_t>(n);
+  const std::vector<TaskGraph::Task>& tasks = graph.tasks_;
 
-  // Full dependency structure: explicit deps plus the implicit
-  // same-stream predecessor edge, as a CSR successor table
-  // (count, prefix-sum, fill) - no per-task successor vectors.
-  std::vector<int> indegree(static_cast<size_t>(n), 0);
-  std::vector<int> succ_offset(static_cast<size_t>(n) + 1, 0);
+  // One scratch buffer: indegree[n], succ_begin[n + 1], succ[explicit
+  // deps], ready[n]. The CSR table holds the explicit dependency edges
+  // only; a task's in-stream successor is its `next` link.
+  std::vector<int> scratch(3 * un + 1 + graph.deps_arena_.size(), 0);
+  int* const indegree = scratch.data();
+  int* const succ_begin = indegree + n;
+  int* const succ = succ_begin + n + 1;
+  int* const ready = succ + graph.deps_arena_.size();
   for (int i = 0; i < n; ++i) {
-    indegree[static_cast<size_t>(i)] =
-        graph.dep_count_[static_cast<size_t>(i)];
-    for (TaskId d : graph.deps(i)) ++succ_offset[static_cast<size_t>(d) + 1];
-  }
-  for (StreamId s = 0; s < graph.stream_count(); ++s) {
-    const auto& order = graph.stream_tasks(s);
-    for (size_t k = 1; k < order.size(); ++k) {
-      ++succ_offset[static_cast<size_t>(order[k - 1]) + 1];
-      ++indegree[static_cast<size_t>(order[k])];
+    const TaskGraph::Task& t = tasks[static_cast<size_t>(i)];
+    if (t.stream < 0) {
+      throw Error(
+          str_format("run: reserved task was never defined: id %d", i));
     }
+    indegree[i] += t.dep_count;
+    if (t.next != kInvalidTask) ++indegree[t.next];
+    for (TaskId d : graph.deps(i)) ++succ_begin[d];
   }
-  for (int i = 0; i < n; ++i) {
-    succ_offset[static_cast<size_t>(i) + 1] +=
-        succ_offset[static_cast<size_t>(i)];
-  }
-  std::vector<TaskId> succ(static_cast<size_t>(succ_offset.back()));
-  std::vector<int> succ_fill(succ_offset.begin(), succ_offset.end() - 1);
-  for (int i = 0; i < n; ++i) {
-    for (TaskId d : graph.deps(i)) {
-      succ[static_cast<size_t>(succ_fill[static_cast<size_t>(d)]++)] = i;
-    }
-  }
-  for (StreamId s = 0; s < graph.stream_count(); ++s) {
-    const auto& order = graph.stream_tasks(s);
-    for (size_t k = 1; k < order.size(); ++k) {
-      succ[static_cast<size_t>(
-          succ_fill[static_cast<size_t>(order[k - 1])]++)] = order[k];
-    }
+  // Inclusive prefix sum: succ_begin[d] is the end of d's successor
+  // list; filling backwards leaves it at the list's start.
+  for (int i = 1; i <= n; ++i) succ_begin[i] += succ_begin[i - 1];
+  for (int i = n - 1; i >= 0; --i) {
+    for (TaskId d : graph.deps(i)) succ[--succ_begin[d]] = i;
   }
 
   // Kahn's algorithm, propagating times. Processing order does not matter
   // for correctness because start times only depend on predecessors (a
   // max over end times), so the flat ready list below yields exactly the
-  // times the pre-arena std::queue implementation produced.
-  std::vector<TaskTime> times(static_cast<size_t>(n));
-  std::vector<TaskId> ready;
-  ready.reserve(static_cast<size_t>(n));
+  // times the pre-arena std::queue implementation produced. A task is
+  // processed only after its stream predecessor (the next link is an
+  // edge), so each stream's busy time sums its durations in stream order.
+  std::vector<TaskTime> times(un);
+  std::vector<StreamStats> stats(graph.streams_.size());
+  int ready_end = 0;
   for (int i = 0; i < n; ++i) {
-    if (indegree[static_cast<size_t>(i)] == 0) ready.push_back(i);
+    if (indegree[i] == 0) ready[ready_end++] = i;
   }
-  size_t head = 0;
+  auto release = [&](TaskId s, double end) {
+    double& start = times[static_cast<size_t>(s)].start;
+    start = std::max(start, end);
+    if (--indegree[s] == 0) ready[ready_end++] = s;
+  };
   double makespan = 0.0;
-  std::vector<double> start(static_cast<size_t>(n), 0.0);
-  while (head < ready.size()) {
-    const TaskId t = ready[head++];
-    auto& tt = times[static_cast<size_t>(t)];
-    tt.start = start[static_cast<size_t>(t)];
-    tt.end = tt.start + graph.duration(t);
+  for (int head = 0; head < ready_end; ++head) {
+    const TaskId t = ready[head];
+    const TaskGraph::Task& task = tasks[static_cast<size_t>(t)];
+    TaskTime& tt = times[static_cast<size_t>(t)];
+    tt.end = tt.start + task.duration;
     makespan = std::max(makespan, tt.end);
-    const int lo = succ_offset[static_cast<size_t>(t)];
-    const int hi = succ_offset[static_cast<size_t>(t) + 1];
-    for (int k = lo; k < hi; ++k) {
-      const TaskId s = succ[static_cast<size_t>(k)];
-      auto& s_start = start[static_cast<size_t>(s)];
-      s_start = std::max(s_start, tt.end);
-      if (--indegree[static_cast<size_t>(s)] == 0) ready.push_back(s);
+    stats[static_cast<size_t>(task.stream)].busy += task.duration;
+    for (int k = succ_begin[t]; k < succ_begin[t + 1]; ++k) {
+      release(succ[k], tt.end);
     }
+    if (task.next != kInvalidTask) release(task.next, tt.end);
   }
 
-  if (static_cast<int>(ready.size()) != n) {
+  if (ready_end != n) {
     // Deadlock: report a few blocked tasks to aid debugging schedules.
     std::vector<std::string> blocked;
     for (int i = 0; i < n && blocked.size() < 5; ++i) {
-      if (indegree[static_cast<size_t>(i)] > 0) {
+      if (indegree[i] > 0) {
         blocked.push_back(
             str_format("#%d '%s' on %s", i, graph.label(i).c_str(),
                        graph.stream_name(graph.stream_of(i)).c_str()));
@@ -168,14 +156,11 @@ SimResult run(const TaskGraph& graph) {
                 join(blocked, ", "));
   }
 
-  std::vector<StreamStats> stats(static_cast<size_t>(graph.stream_count()));
-  for (StreamId s = 0; s < graph.stream_count(); ++s) {
-    auto& st = stats[static_cast<size_t>(s)];
-    const auto& order = graph.stream_tasks(s);
-    if (order.empty()) continue;
-    st.first_start = times[static_cast<size_t>(order.front())].start;
-    st.last_end = times[static_cast<size_t>(order.back())].end;
-    for (TaskId t : order) st.busy += graph.duration(t);
+  for (size_t s = 0; s < stats.size(); ++s) {
+    const TaskGraph::Stream& stream = graph.streams_[s];
+    if (stream.head == kInvalidTask) continue;
+    stats[s].first_start = times[static_cast<size_t>(stream.head)].start;
+    stats[s].last_end = times[static_cast<size_t>(stream.tail)].end;
   }
 
   return SimResult(std::move(times), std::move(stats), makespan);

@@ -18,19 +18,22 @@
 // before their send). run() detects such cycles and reports them as
 // deadlocks instead of silently mis-simulating.
 //
-// Storage layout: the graph is arena-allocated structure-of-arrays.
-// Per-task fields (stream, duration, meta, dependency extent) live in
-// flat parallel vectors indexed by TaskId, and all dependency lists
-// share one contiguous arena. Building a graph therefore performs O(1)
-// heap allocations per *container growth*, not per task, and TaskMeta
+// Storage layout: one flat record per task (stream, duration, meta,
+// dependency extent and the next task of its stream), indexed by
+// TaskId, and one contiguous arena holding every dependency list.
+// Stream order is an intrusive list: each stream keeps its head and
+// tail task, and each task links to the next task defined on its
+// stream, so no stream owns a container. A builder that knows its sizes
+// reserves both arrays once and writes every task in place; TaskMeta
 // carries a static tag (see below) instead of an owned, eagerly
-// formatted label string. run() builds its successor table in CSR form
-// (count, prefix-sum, fill) and drives Kahn's algorithm off a flat
-// ready vector. Task times are bit-identical to the pre-arena
-// implementation (pinned by the golden corpus in
-// tests/test_sim_diff.cpp, recorded against it) because start times
-// are a max over predecessor end times, which is independent of both
-// processing order and successor-list order.
+// formatted label string. run() builds a CSR table of the explicit
+// dependency edges (count, prefix-sum, fill), follows the stream links
+// for the implicit in-order edges, and drives Kahn's algorithm off a
+// flat ready array. Task times are bit-identical to the pre-arena
+// implementation (pinned by the golden corpus in tests/test_sim_diff.cpp,
+// recorded against it) because start times are a max over predecessor
+// end times, which is independent of both processing order and
+// successor-list order.
 #pragma once
 
 #include <initializer_list>
@@ -89,29 +92,32 @@ class TaskGraph {
   // diagnostics and timeline output, e.g. "gpu0.compute".
   StreamId add_stream(std::string name);
 
-  // Pre-sizes the arenas. Purely an optimization: builders that know
-  // their task/dependency counts (schedule generators emitting a whole
-  // batch) avoid all growth reallocations.
-  void reserve(int tasks, int total_deps);
+  // Pre-sizes the task, dependency and stream arrays. Purely an
+  // optimization: a builder that knows its counts (runtime::PipelineSim)
+  // allocates each array once, at exactly the size it fills.
+  void reserve(int tasks, int total_deps, int streams);
 
   // Adds a fully-defined task. `deps` are completion dependencies on
   // previously created (or reserved) tasks; the implicit predecessor in
   // the same stream is always an additional dependency.
   TaskId add_task(StreamId stream, double duration, std::span<const TaskId> deps,
-                  TaskMeta meta = {});
+                  const TaskMeta& meta = {});
   TaskId add_task(StreamId stream, double duration,
-                  std::initializer_list<TaskId> deps, TaskMeta meta = {}) {
+                  std::initializer_list<TaskId> deps,
+                  const TaskMeta& meta = {}) {
     return add_task(stream, duration,
                     std::span<const TaskId>(deps.begin(), deps.size()), meta);
   }
 
-  // Reserves a task id so that earlier tasks can depend on it; the task
-  // must be defined later with define_task() before run().
-  TaskId reserve_task();
+  // Reserves `count` consecutive task ids, so that earlier tasks can
+  // depend on them, and returns the first; each must be defined later
+  // with define_task() before run().
+  TaskId reserve_tasks(int count);
   void define_task(TaskId id, StreamId stream, double duration,
-                   std::span<const TaskId> deps, TaskMeta meta = {});
+                   std::span<const TaskId> deps, const TaskMeta& meta = {});
   void define_task(TaskId id, StreamId stream, double duration,
-                   std::initializer_list<TaskId> deps, TaskMeta meta = {}) {
+                   std::initializer_list<TaskId> deps,
+                   const TaskMeta& meta = {}) {
     define_task(id, stream, duration,
                 std::span<const TaskId>(deps.begin(), deps.size()), meta);
   }
@@ -122,54 +128,84 @@ class TaskGraph {
   void set_duration(TaskId t, double duration);
 
   [[nodiscard]] int task_count() const {
-    return static_cast<int>(duration_.size());
+    return static_cast<int>(tasks_.size());
   }
   [[nodiscard]] int stream_count() const {
-    return static_cast<int>(stream_names_.size());
+    return static_cast<int>(streams_.size());
   }
   [[nodiscard]] const std::string& stream_name(StreamId s) const {
-    return stream_names_[static_cast<size_t>(s)];
+    return streams_[static_cast<size_t>(s)].name;
   }
-  [[nodiscard]] const TaskMeta& meta(TaskId t) const {
-    return meta_[static_cast<size_t>(t)];
-  }
+  [[nodiscard]] const TaskMeta& meta(TaskId t) const { return task(t).meta; }
   [[nodiscard]] std::string label(TaskId t) const { return meta(t).label(); }
-  [[nodiscard]] double duration(TaskId t) const {
-    return duration_[static_cast<size_t>(t)];
-  }
-  [[nodiscard]] StreamId stream_of(TaskId t) const {
-    return stream_[static_cast<size_t>(t)];
-  }
+  [[nodiscard]] StreamId stream_of(TaskId t) const { return task(t).stream; }
   // Dependencies of a task, in the order they were declared.
   [[nodiscard]] std::span<const TaskId> deps(TaskId t) const {
-    return {deps_arena_.data() + dep_begin_[static_cast<size_t>(t)],
-            static_cast<size_t>(dep_count_[static_cast<size_t>(t)])};
-  }
-  // Tasks of a stream in submission (== execution) order.
-  [[nodiscard]] const std::vector<TaskId>& stream_tasks(StreamId s) const {
-    return stream_order_[static_cast<size_t>(s)];
+    return {deps_arena_.data() + task(t).dep_begin,
+            static_cast<size_t>(task(t).dep_count)};
   }
   // Total dependency-arena size (sum of per-task dep counts).
   [[nodiscard]] int total_deps() const {
     return static_cast<int>(deps_arena_.size());
   }
 
+  // The tasks of one stream in submission (== execution) order: a
+  // forward range that walks the stream's next links.
+  class StreamTasks {
+   public:
+    class iterator {
+     public:
+      iterator(const TaskGraph* graph, TaskId t) : graph_(graph), t_(t) {}
+      TaskId operator*() const { return t_; }
+      iterator& operator++() {
+        t_ = graph_->task(t_).next;
+        return *this;
+      }
+      bool operator==(const iterator& other) const { return t_ == other.t_; }
+
+     private:
+      const TaskGraph* graph_;
+      TaskId t_;
+    };
+    StreamTasks(const TaskGraph* graph, TaskId head)
+        : graph_(graph), head_(head) {}
+    [[nodiscard]] iterator begin() const { return {graph_, head_}; }
+    [[nodiscard]] iterator end() const { return {graph_, kInvalidTask}; }
+
+   private:
+    const TaskGraph* graph_;
+    TaskId head_;
+  };
+  [[nodiscard]] StreamTasks stream_tasks(StreamId s) const {
+    return {this, streams_[static_cast<size_t>(s)].head};
+  }
+
  private:
   friend SimResult run(const TaskGraph& graph);
 
-  // SoA per-task fields, all indexed by TaskId.
-  std::vector<StreamId> stream_;
-  std::vector<double> duration_;
-  std::vector<TaskMeta> meta_;
-  std::vector<int> dep_begin_;  // offset into deps_arena_
-  std::vector<int> dep_count_;
-  std::vector<char> defined_;
+  struct Task {
+    double duration = 0.0;
+    TaskMeta meta;
+    StreamId stream = -1;  // -1 while reserved but not yet defined
+    int dep_begin = 0;     // offset into deps_arena_
+    int dep_count = 0;
+    TaskId next = kInvalidTask;  // the next task defined on `stream`
+  };
+  struct Stream {
+    std::string name;
+    TaskId head = kInvalidTask;  // first and last task defined on it
+    TaskId tail = kInvalidTask;
+  };
+
+  [[nodiscard]] const Task& task(TaskId t) const {
+    return tasks_[static_cast<size_t>(t)];
+  }
+
+  std::vector<Task> tasks_;
   // Shared dependency arena; each task's deps are one contiguous slice,
   // appended at define time (definition order, not id order).
   std::vector<TaskId> deps_arena_;
-
-  std::vector<std::string> stream_names_;
-  std::vector<std::vector<TaskId>> stream_order_;
+  std::vector<Stream> streams_;
 };
 
 struct TaskTime {

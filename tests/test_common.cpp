@@ -1,6 +1,7 @@
 // Tests for src/common: formatting, tables, RNG, error helpers.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <clocale>
 #include <cmath>
 #include <cstdint>
@@ -164,6 +165,23 @@ TEST(Strings, NumberFormatterMatchesPrintf) {
     }
   }
   EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Strings, IntFormatterMatchesPrintf) {
+  Rng rng(24);
+  std::vector<long long> values = {0, -1, 1, LLONG_MIN, LLONG_MAX, INT_MIN,
+                                   INT_MAX};
+  while (values.size() < 10'000) {
+    values.push_back(static_cast<long long>(rng.next_u64()) >>
+                     (values.size() % 64));
+  }
+  char want[32];
+  for (const long long x : values) {
+    std::string got = "k=";
+    append_int(got, x);
+    std::snprintf(want, sizeof want, "k=%lld", x);
+    ASSERT_EQ(got, want);
+  }
 }
 
 TEST(Strings, ToLower) {

@@ -2,7 +2,8 @@
 // (family x pp x micro-batch x placement) points - including
 // non-power-of-two pipelines - must validate, conserve work, and
 // simulate deadlock-free when emitted into the task-graph arena with
-// unit costs. Complements test_schedule.cpp's example-based tests with
+// unit costs; the simulator must size the graphs it emits for them
+// exactly. Complements test_schedule.cpp's example-based tests with
 // breadth over the parameter space.
 #include <gtest/gtest.h>
 
@@ -14,7 +15,10 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "hw/cluster.h"
+#include "model/transformer.h"
 #include "parallel/config.h"
+#include "runtime/pipeline_sim.h"
 #include "schedule/schedule.h"
 #include "sim/task_graph.h"
 
@@ -74,7 +78,6 @@ Point random_point(Rng& rng, int i) {
 // the simulator uses; sim::run throws on any dependency cycle.
 sim::SimResult simulate_unit_costs(const Schedule& s) {
   sim::TaskGraph g;
-  g.reserve(arena_task_bound(s), arena_dep_bound(s));
   std::vector<sim::StreamId> streams;
   for (int r = 0; r < s.n_pp; ++r) {
     streams.push_back(g.add_stream("dev" + std::to_string(r)));
@@ -90,9 +93,9 @@ sim::SimResult simulate_unit_costs(const Schedule& s) {
   std::vector<sim::TaskId> bww(
       s.split_backward ? static_cast<size_t>(cells) : 0);
   for (int c = 0; c < cells; ++c) {
-    fwd[static_cast<size_t>(c)] = g.reserve_task();
-    bwd[static_cast<size_t>(c)] = g.reserve_task();
-    if (s.split_backward) bww[static_cast<size_t>(c)] = g.reserve_task();
+    fwd[static_cast<size_t>(c)] = g.reserve_tasks(1);
+    bwd[static_cast<size_t>(c)] = g.reserve_tasks(1);
+    if (s.split_backward) bww[static_cast<size_t>(c)] = g.reserve_tasks(1);
   }
   for (int r = 0; r < s.n_pp; ++r) {
     for (const Op& op : s.device_ops[static_cast<size_t>(r)]) {
@@ -256,21 +259,81 @@ TEST(ScheduleProps, VScheduleEmitsTheGreedyReferenceOrder) {
   EXPECT_EQ(cases, 3840);
 }
 
-TEST(ScheduleProps, ArenaBoundsCoverEmission) {
-  // The pre-sizing bounds advertised to the simulator must dominate the
-  // actual emission for every family (the reserve contract: no growth
-  // reallocation).
-  Rng rng(0xa2ea);
-  for (int i = 0; i < 100; ++i) {
-    const Point p = random_point(rng, i);
-    const Schedule s = make_schedule(p.kind, p.n_pp, p.n_loop, p.n_mb);
-    int ops = 0;
-    for (const auto& device : s.device_ops)
-      ops += static_cast<int>(device.size());
-    EXPECT_EQ(ops, s.total_ops()) << p.tag;
-    EXPECT_GE(arena_task_bound(s), 2 * ops) << p.tag;
-    EXPECT_GE(arena_dep_bound(s), 3 * ops) << p.tag;
+TEST(ScheduleProps, SimulatorGraphIsSizedExactly) {
+  // runtime::PipelineSim counts its graph's tasks and dependencies in
+  // closed form, reserves exactly that, and checks the count against
+  // what it emitted: a miscount throws a plain bfpp::Error, which fails
+  // this test (configuration and memory rejections are skipped).
+  // Seeded points cover every family, sharding mode and overlap flag,
+  // intra- and inter-node links and non-power-of-two pipelines.
+  struct Grid {
+    int pp, tp, dp, nodes;
+  };
+  static const Grid kGrids[] = {
+      {8, 8, 1, 8}, {4, 2, 8, 8}, {2, 4, 8, 8}, {8, 2, 4, 8},
+      {1, 8, 8, 8}, {3, 8, 1, 3}, {5, 4, 2, 5}, {6, 4, 1, 3},
+  };
+  Rng rng(0x51e5);
+  int simulated = 0;
+  int gathered = 0;  // DP_FS with data parallelism: per-run gathers
+  int blocking = 0;  // non-overlapped pipeline transfers
+  int fused = 0;     // fused blocking gradient reduction
+  int regathered = 0;
+  int split = 0;
+  for (int i = 0; i < 300; ++i) {
+    const Grid& g = kGrids[rng.uniform_index(std::size(kGrids))];
+    Point p = random_point(rng, i);
+    parallel::ParallelConfig cfg;
+    cfg.schedule = p.kind;
+    cfg.n_pp = g.pp;
+    cfg.n_tp = g.tp;
+    cfg.n_dp = g.dp;
+    cfg.n_loop = p.n_loop;
+    cfg.n_mb = p.kind == ScheduleKind::kDepthFirst ? g.pp * (1 + i % 3)
+                                                   : p.n_mb;
+    const parallel::DpSharding shardings[] = {parallel::DpSharding::kNone,
+                                              parallel::DpSharding::kPartial,
+                                              parallel::DpSharding::kFull};
+    cfg.sharding = shardings[rng.uniform_index(3)];
+    cfg.overlap_pp = rng.uniform() < 0.5;
+    cfg.overlap_dp =
+        cfg.sharding == parallel::DpSharding::kFull || rng.uniform() < 0.6;
+    const hw::ClusterSpec cluster = rng.uniform() < 0.5
+                                        ? hw::dgx1_v100_infiniband(g.nodes)
+                                        : hw::dgx1_v100_ethernet(g.nodes);
+    try {
+      runtime::PipelineSim sim(model::model_6_6b(), cfg, cluster);
+      (void)sim.run();
+    } catch (const ConfigError&) {
+      continue;
+    } catch (const OutOfMemoryError&) {
+      continue;
+    } catch (const Error& e) {
+      // The V-schedule deadlocks under blocking transfers; its graph was
+      // built (and its size checked) before run() found the cycle.
+      const bool deadlock = std::string(e.what()).starts_with(
+          "simulation deadlock");
+      if (!deadlock || p.kind != ScheduleKind::kVSchedule ||
+          cfg.overlap_pp) {
+        ADD_FAILURE() << cfg.describe() << " on " << cluster.name << ": "
+                      << e.what();
+        continue;
+      }
+    }
+    ++simulated;
+    const bool has_dp = cfg.n_dp > 1;
+    gathered += has_dp && cfg.sharding == parallel::DpSharding::kFull;
+    blocking += !cfg.overlap_pp && cfg.n_pp > 1;
+    fused += has_dp && !cfg.overlap_dp;
+    regathered += has_dp && cfg.sharding == parallel::DpSharding::kPartial;
+    split += p.kind == ScheduleKind::kTwoBP;
   }
+  EXPECT_GE(simulated, 100);
+  EXPECT_GE(gathered, 10);
+  EXPECT_GE(blocking, 10);
+  EXPECT_GE(fused, 10);
+  EXPECT_GE(regathered, 10);
+  EXPECT_GE(split, 5);
 }
 
 }  // namespace

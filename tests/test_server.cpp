@@ -30,6 +30,7 @@
 #include "api/server.h"
 #include "common/error.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "common/serialize.h"
 #include "common/socket.h"
 #include "common/strings.h"
@@ -695,6 +696,111 @@ TEST(CacheKey, BackendsKernelsConfigsAndMethodsSplitTheKey) {
   EXPECT_NE(base, cache_key(resized, std::nullopt, {}));
 }
 
+// The forms cache_key() and describe() printed through str_format before
+// they appended into one buffer. Keys are persisted in cache files and
+// describe() is on the wire, so the appended forms must match byte for
+// byte.
+std::string formatted_describe(const parallel::ParallelConfig& c) {
+  return str_format("%s pp%d tp%d dp%d smb%d nmb%d loop%d %s%s%s",
+                    parallel::to_string(c.schedule), c.n_pp, c.n_tp, c.n_dp,
+                    c.s_mb, c.n_mb, c.n_loop, parallel::to_string(c.sharding),
+                    c.overlap_dp ? "" : " no-dp-overlap",
+                    c.overlap_pp ? "" : " no-pp-overlap");
+}
+
+std::string formatted_key(const Scenario& scenario,
+                          const std::optional<autotune::Method>& method,
+                          const RunOptions& options) {
+  const std::string cfg = scenario.config.has_value()
+                              ? formatted_describe(*scenario.config)
+                              : "-";
+  std::string kernel = "default";
+  if (options.kernel.has_value()) {
+    kernel.clear();
+    append_general(kernel, options.kernel->max_efficiency, 17) += '/';
+    append_general(kernel, options.kernel->narrow_half, 17) += '/';
+    append_general(kernel, options.kernel->rows_half, 17);
+  }
+  return str_format(
+      "model=%s#l%dh%ds%dv%d|cluster=%s#%dgpus|cfg=%s|batch=%d|method=%s|"
+      "backend=%s|kernel=%s",
+      scenario.model.name.c_str(), scenario.model.n_layers,
+      scenario.model.hidden_size, scenario.model.seq_len,
+      scenario.model.vocab_size, scenario.cluster.name.c_str(),
+      scenario.cluster.total_gpus(), cfg.c_str(), scenario.batch_size,
+      method.has_value() ? autotune::to_string(*method) : "-",
+      to_string(options.backend), kernel.c_str());
+}
+
+TEST(CacheKey, AppendedKeysMatchTheFormattedForm) {
+  using parallel::ScheduleKind;
+  const ScheduleKind kinds[] = {
+      ScheduleKind::kGpipe,         ScheduleKind::kOneFOneB,
+      ScheduleKind::kDepthFirst,    ScheduleKind::kBreadthFirst,
+      ScheduleKind::kOneFOneBAsync, ScheduleKind::kUnbalanced,
+      ScheduleKind::kVSchedule,     ScheduleKind::kTwoBP,
+  };
+  const parallel::DpSharding shardings[] = {parallel::DpSharding::kNone,
+                                            parallel::DpSharding::kPartial,
+                                            parallel::DpSharding::kFull};
+  const autotune::Method methods[] = {
+      autotune::Method::kBreadthFirst,  autotune::Method::kDepthFirst,
+      autotune::Method::kNonLooped,     autotune::Method::kNoPipeline,
+      autotune::Method::kOneFOneBAsync, autotune::Method::kUnbalanced,
+      autotune::Method::kVSchedule,     autotune::Method::kTwoBP,
+  };
+  const Backend backends[] = {Backend::kSimulator, Backend::kAnalytic,
+                              Backend::kThreaded};
+  const std::vector<std::string> models = model_names();
+  const std::vector<std::string> clusters = cluster_names();
+  Rng rng(0xca5e);
+  auto any_int = [&rng] {
+    // Small grid values most of the time, and the full int range.
+    return rng.uniform() < 0.8
+               ? static_cast<int>(rng.uniform_index(64))
+               : static_cast<int>(rng.uniform_index(1ULL << 32) -
+                                  (1ULL << 31));
+  };
+  for (int i = 0; i < 400; ++i) {
+    Scenario s;
+    s.name = "label " + std::to_string(i);
+    s.model = lookup_model(models[rng.uniform_index(models.size())]);
+    s.model.n_layers = any_int();
+    s.cluster = lookup_cluster(clusters[rng.uniform_index(clusters.size())]);
+    s.cluster.n_nodes = 1 + static_cast<int>(rng.uniform_index(64));
+    s.batch_size = any_int();
+    if (rng.uniform() < 0.75) {
+      parallel::ParallelConfig c;
+      c.schedule = kinds[rng.uniform_index(std::size(kinds))];
+      c.sharding = shardings[rng.uniform_index(std::size(shardings))];
+      c.n_pp = any_int();
+      c.n_tp = any_int();
+      c.n_dp = any_int();
+      c.s_mb = any_int();
+      c.n_mb = any_int();
+      c.n_loop = any_int();
+      c.overlap_dp = rng.uniform() < 0.5;
+      c.overlap_pp = rng.uniform() < 0.5;
+      EXPECT_EQ(c.describe(), formatted_describe(c));
+      s.config = c;
+    }
+    std::optional<autotune::Method> method;
+    if (rng.uniform() < 0.3) {
+      method = methods[rng.uniform_index(std::size(methods))];
+    }
+    RunOptions options;
+    options.backend = backends[rng.uniform_index(std::size(backends))];
+    if (rng.uniform() < 0.4) {
+      options.kernel = hw::KernelModel{};
+      options.kernel->max_efficiency = rng.uniform();
+      options.kernel->narrow_half = 1e4 * rng.uniform();
+      options.kernel->rows_half = rng.uniform() < 0.5 ? 0.0 : 1e-3 * i;
+    }
+    ASSERT_EQ(cache_key(s, method, options), formatted_key(s, method, options))
+        << i;
+  }
+}
+
 // ---- Server protocol ----
 
 constexpr const char* kFig5aRun =
@@ -1062,6 +1168,20 @@ TEST(Server, SweepRunsAZeroAxisValueLikeRunDoes) {
   EXPECT_EQ(pp0.get("scenario")->as_string(), "6.6b/dgx1-v100-ib/pp0/tp2/nmb8");
   EXPECT_FALSE(pp0.get("found")->as_bool());
   EXPECT_EQ(pp0.get("error")->as_string(), "[config] " + message);
+  // The row keeps the identity the cell named; it names no batch.
+  EXPECT_EQ(pp0.get("model")->as_string(), "6.6B");
+  EXPECT_EQ(pp0.get("cluster")->as_string(), "DGX-1 V100 (InfiniBand)");
+  EXPECT_EQ(pp0.get("n_gpus")->as_int("n_gpus"), 64);
+  EXPECT_EQ(pp0.get("batch_size")->as_int("batch_size"), 0);
+
+  // A cell that names a batch keeps it, in the CSV form as well.
+  const std::string csv = server.handle(
+      R"({"type":"sweep","model":"6.6b","cluster":"dgx1-v100-eth:4",)"
+      R"("pp":[0],"tp":[2],"batch":[64],"format":"csv"})");
+  EXPECT_NE(csv.find("\n6.6b/dgx1-v100-eth:4/b64/pp0/tp2,6.6B,DGX-1 V100 "
+                     "(Ethernet),,32,64,2,0,"),
+            std::string::npos)
+      << csv;
 }
 
 // The scenario labels of a sweep's rows, in row order.

@@ -3,7 +3,7 @@
 //
 // A seeded scenario corpus (random family x grid x micro-batching x
 // sharding x overlap points, including infeasible ones) runs through
-// the arena/SoA simulator (runtime::PipelineSim) and every observable
+// the simulator (runtime::PipelineSim) and every observable
 // - task labels and times, the rendered timeline, RunResult doubles
 // (hexfloat, so bit-exact) and the full api::Report wire form - is
 // condensed into one digest line per scenario and byte-compared

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.h"
@@ -534,6 +535,31 @@ TEST(Cli, SweepRunsAZeroAxisValueLikeRunDoes) {
   EXPECT_EQ(reports[0].error, "[config] " + run_error);
   EXPECT_EQ(reports[1].scenario, "6.6b/dgx1-v100-ib/pp4/tp2/nmb8");
   EXPECT_TRUE(reports[1].found) << reports[1].error;
+  // The failed row keeps the identity the cell named: its model and
+  // cluster, and no batch (the cell names none).
+  EXPECT_EQ(reports[0].model, reports[1].model);
+  EXPECT_EQ(reports[0].cluster, reports[1].cluster);
+  EXPECT_EQ(reports[0].model, "6.6B");
+  EXPECT_EQ(reports[0].cluster, "DGX-1 V100 (InfiniBand)");
+  EXPECT_EQ(reports[0].n_gpus, 64);
+  EXPECT_EQ(reports[0].batch_size, 0);
+}
+
+TEST(Cli, FailedSweepCellsKeepTheBatchTheyName) {
+  const ScenarioGrid grid = grid_from_cli(parse_cli(
+      {"sweep", "--model", "6.6b", "--cluster", "dgx1-v100-eth:4", "--pp",
+       "0", "--tp", "2", "--batch", "64"}));
+  SweepOptions options;
+  options.run.backend = Backend::kAnalytic;
+  const std::vector<Report> reports = sweep(grid, options);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_FALSE(reports[0].found);
+  EXPECT_EQ(reports[0].to_csv_row().rfind(
+                "6.6b/dgx1-v100-eth:4/b64/pp0/tp2,6.6B,DGX-1 V100 "
+                "(Ethernet),,32,64,2,0,",
+                0),
+            0u)
+      << reports[0].to_csv_row();
 }
 
 TEST(Cli, RejectsBadSweepAndBackendFlags) {
@@ -621,6 +647,48 @@ TEST(Cli, CompareCommandParsesItsGrid) {
   EXPECT_EQ(parse_cli({"compare"}).grid, "fig5-quick");  // default
   // --grid is compare-only.
   EXPECT_THROW(parse_cli({"run", "--grid", "fig5"}), ConfigError);
+}
+
+// The exit code and stderr of `bfpp <args>`.
+std::pair<int, std::string> cli_outcome(std::vector<const char*> args) {
+  args.insert(args.begin(), "bfpp");
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int code = cli_main(static_cast<int>(args.size()),
+                            const_cast<char**>(args.data()));
+  (void)testing::internal::GetCapturedStdout();
+  return {code, testing::internal::GetCapturedStderr()};
+}
+
+TEST(Cli, CommandsRejectFlagsTheyIgnore) {
+  // Mirrors serve: a run request rejects "method", a compare request
+  // every field that is not one of its own. Both exit 2.
+  EXPECT_EQ(cli_outcome({"run", "--method", "zz"}),
+            std::make_pair(2, std::string("bfpp: cli: --method applies to "
+                                          "search and sweep commands, not "
+                                          "run\n")));
+  EXPECT_EQ(cli_outcome({"compare", "--pp", "8"}),
+            std::make_pair(
+                2, std::string("bfpp: cli: --pp is not valid for a 'compare' "
+                               "command (--grid, --jobs, --backend, --json, "
+                               "--csv or --output)\n")));
+  for (const char* flag :
+       {"--model", "--cluster", "--batch", "--method", "--schedule",
+        "--sharding", "--tp", "--dp", "--smb", "--nmb", "--loop", "--preset",
+        "--width"}) {
+    EXPECT_THROW(parse_cli({"compare", flag, "1"}), UsageError) << flag;
+  }
+  for (const char* flag : {"--megatron", "--no-dp-overlap", "--no-pp-overlap",
+                           "--no-overlap", "--timeline"}) {
+    EXPECT_THROW(parse_cli({"compare", flag}), UsageError) << flag;
+  }
+  // What the commands do use still parses.
+  EXPECT_NO_THROW(parse_cli({"compare", "--grid", "fig6", "--jobs", "2",
+                             "--backend", "analytic", "--csv", "--output",
+                             "out.csv"}));
+  EXPECT_NO_THROW(parse_cli({"search", "--method", "df", "--batch", "64"}));
+  EXPECT_NO_THROW(parse_cli({"sweep", "--method", "bf,df", "--batch", "64"}));
+  EXPECT_NO_THROW(parse_cli({"run", "--pp", "8", "--timeline"}));
 }
 
 TEST(Cli, SweepRejectsUnknownScheduleFamilyEagerly) {
