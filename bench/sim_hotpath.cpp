@@ -12,19 +12,16 @@
 //   nmb neighbor   a never-seen cell differing only in N_mb (the
 //                  memoized cost table is reused; new skeleton),
 //                  against cold nmb
-//   smb neighbor   a never-seen cell differing only in S_mb (the
-//                  memoized skeleton is cloned and re-timed through its
-//                  CostRefs; new cost table), against cold smb
 //   graph run      sim::run alone on the base cells' already-built
 //                  graphs: the floor a cold cell is measured against
 //
-// The neighbor rows are the honest "cold cell in a sweep" numbers: the
+// The neighbor row is the honest "cold cell in a sweep" number: the
 // cell itself was never simulated, but a sibling on the same grid was.
-// Every repeat runs all seven passes once, cold and cached interleaved,
+// Every repeat runs all five passes once, cold and cached interleaved,
 // on a cache warmed by the base cells alone and fresh each repeat, and
 // each pass reports the median and quartiles of its per-repeat samples,
 // so a noisy stretch of the host cannot decide a comparison. CI gates on
-// two figures (see .github/workflows/ci.yml): for memoized, nmb and smb
+// two figures (see .github/workflows/ci.yml): for memoized and nmb
 // neighbor, the median per-repeat gap to the cold rebuild of the same
 // cells must exceed that gap's interquartile range; and arena cold per
 // graph run, the per-repeat ratio of a full rebuild to the graph run it
@@ -265,13 +262,10 @@ int main(int argc, char** argv) {
   const hw::ClusterSpec cluster = hw::dgx1_v100_infiniband();
   const std::vector<Cell> cells = fig5_quick_cells();
 
-  // Neighbor cell lists: never simulated in the warm-up pass, but each
-  // shares either the cost-table key (same S_mb, kernel) or the
-  // skeleton key (same schedule topology) with a warmed cell.
+  // Neighbor cells: never simulated in the warm-up pass, but each shares
+  // the cost-table key (same S_mb, kernel) with a warmed cell.
   std::vector<Cell> nmb_neighbors = cells;
   for (Cell& cell : nmb_neighbors) cell.cfg.n_mb *= 2;
-  std::vector<Cell> smb_neighbors = cells;
-  for (Cell& cell : smb_neighbors) cell.cfg.s_mb = 2;
 
   auto run_arena = [&](std::shared_ptr<runtime::SimCache> cache) {
     return [&spec, &cluster, cache](const Cell& cell) {
@@ -312,8 +306,6 @@ int main(int argc, char** argv) {
   Pass memoized{"memoized_repeat"};
   Pass cold_nmb{"cold_nmb"};
   Pass nmb{"nmb_neighbor"};
-  Pass cold_smb{"cold_smb"};
-  Pass smb{"smb_neighbor"};
   Pass graph_run{"graph_run"};
   std::vector<double> host_ref;
   for (int r = 0; r < repeats; ++r) {
@@ -325,11 +317,8 @@ int main(int argc, char** argv) {
     memoized.add(time_sweep(cells, run_arena(cache)));
     cold_nmb.add(time_sweep(nmb_neighbors, run_arena(nullptr)));
     nmb.add(time_sweep(nmb_neighbors, run_arena(cache)));
-    cold_smb.add(time_sweep(smb_neighbors, run_arena(nullptr)));
-    smb.add(time_sweep(smb_neighbors, run_arena(cache)));
   }
-  const std::vector<Pass> passes = {cold, memoized, cold_nmb,
-                                    nmb,  cold_smb, smb};
+  const std::vector<Pass> passes = {cold, memoized, cold_nmb, nmb};
   const double host_ref_median = quantile(host_ref, 0.5);
   const double cold_scaled =
       cold.median() * kHostRefNominalUs / host_ref_median;
@@ -357,9 +346,9 @@ int main(int argc, char** argv) {
   std::fputs(table.to_string().c_str(), stdout);
   std::printf(
       "\narena cold = full rebuild per cell, no cache; memoized = exact\n"
-      "repeat on a warmed SimCache; nmb/smb neighbor = never-seen cells\n"
-      "reusing the memoized cost table / skeleton the way sweep siblings\n"
-      "do (cold_nmb/cold_smb = the same cells rebuilt without a cache).\n"
+      "repeat on a warmed SimCache; nmb neighbor = never-seen cells\n"
+      "reusing the memoized cost table the way sweep siblings do\n"
+      "(cold_nmb = the same cells rebuilt without a cache).\n"
       "gap = per repeat, the cold pass minus its cached twin run right\n"
       "after it (median, and interquartile range in brackets).\n"
       "graph_run = sim::run alone on the base cells' built graphs.\n"

@@ -19,7 +19,6 @@ using schedule::Op;
 using schedule::OpKind;
 using sim::TaskId;
 using sim::TaskKind;
-using sim::TaskMeta;
 
 // Builds the effective compute schedule. With a single pipeline device
 // the schedule kinds degenerate to the gradient-accumulation orders of
@@ -374,29 +373,17 @@ SimSkeleton PipelineSim::build_skeleton() const {
   // per stage boundary and one per ordered device pair.
   graph.reserve(n_tasks, n_deps,
                 2 * n_pp + std::min(2 * (n_stages - 1), n_pp * (n_pp - 1)));
-  std::vector<CostRef>& refs = sk.cost_refs;
-  refs.resize(static_cast<size_t>(n_tasks));
-  // All task definitions flow through these two helpers so every task's
-  // duration comes from resolve(ref, table) and its ref is recorded for
-  // the incremental re-timing path. Forced inline (GCC and Clang), so the
-  // constant CostRef class at each call site folds resolve()'s switch
-  // away: about a tenth of emission time.
-  auto def = [&](TaskId id, sim::StreamId st, CostRef ref,
-                 std::span<const TaskId> deps, const TaskMeta& meta)
-                 __attribute__((always_inline)) {
-    graph.define_task(id, st, resolve(ref, table), deps, meta);
-    refs[static_cast<size_t>(id)] = ref;
+  // Per-stage or per-device table entry, and the same entry plus the
+  // DP_FS reconstruction stall when `op_stall` marks a run-first op.
+  auto at = [](const std::vector<double>& v, int i) {
+    return v[static_cast<size_t>(i)];
   };
-  auto add = [&](sim::StreamId st, CostRef ref, std::span<const TaskId> deps,
-                 const TaskMeta& meta) __attribute__((always_inline)) {
-    const TaskId id = graph.add_task(st, resolve(ref, table), deps, meta);
-    // Grows only if the sizing above under-counted; the check at the
-    // end reports that.
-    if (static_cast<size_t>(id) >= refs.size()) refs.resize(id + 1U);
-    refs[static_cast<size_t>(id)] = ref;
-    return id;
+  auto stalled = [&](const std::vector<double>& v, int s, bool op_stall) {
+    return op_stall ? at(v, s) + at(table.fs_stall, s) : at(v, s);
   };
-  using Class = CostRef::Class;
+  auto blocking_cost = [&](bool intra) {
+    return intra ? table.blocking_intra : table.blocking_inter;
+  };
   constexpr std::span<const TaskId> kNoDeps;
   auto one = [](const TaskId& t) { return std::span<const TaskId>(&t, 1); };
 
@@ -486,8 +473,8 @@ SimSkeleton PipelineSim::build_skeleton() const {
     auto post_gather = [&](size_t j, std::span<const TaskId> gather_deps) {
       if (j >= runs.size()) return;
       run_gather[j] =
-          add(ds, {Class::kGather, runs[j].stage, false}, gather_deps,
-              {"W", TaskKind::kWeightGather, runs[j].stage, -1});
+          graph.add_task(ds, at(table.gather, runs[j].stage), gather_deps,
+                         {"W", TaskKind::kWeightGather, runs[j].stage, -1});
     };
 
     for (size_t i = 0; i < ops.size(); ++i) {
@@ -538,25 +525,24 @@ SimSkeleton PipelineSim::build_skeleton() const {
             if (blocking) {
               // Blocking receive: post the receive (rendezvous marker),
               // then wait inline for the transfer plus the sync cost.
-              def(fwd_post(s, m), cs, {Class::kZero, -1, false}, kNoDeps,
-                  {"post f", TaskKind::kP2P, s, m});
-              add(cs,
-                  {link_intra(dev(s - 1), r) ? Class::kBlockingIntra
-                                             : Class::kBlockingInter,
-                   -1, false},
-                  one(edge), {"recv f", TaskKind::kP2P, s, m});
+              graph.define_task(fwd_post(s, m), cs, 0.0, kNoDeps,
+                                {"post f", TaskKind::kP2P, s, m});
+              graph.add_task(cs, blocking_cost(link_intra(dev(s - 1), r)),
+                             one(edge), {"recv f", TaskKind::kP2P, s, m});
             }
             deps_buf[dep_count++] = edge;
           }
         }
-        def(fwd_task(s, m), cs, {Class::kForward, s, op_stall}, deps(),
-            {"F", TaskKind::kForward, s, m});
+        graph.define_task(fwd_task(s, m), cs,
+                          stalled(table.forward, s, op_stall), deps(),
+                          {"F", TaskKind::kForward, s, m});
       } else if (op.kind == OpKind::kBackwardWeight) {
         // Deferred weight gradient: local work, gated only on its own
         // B_x (which stashed the output gradient).
         deps_buf[dep_count++] = bwd_task(s, m);
-        def(bwd_w_task(s, m), cs, {Class::kBackwardWeight, s, op_stall},
-            deps(), {"Bw", TaskKind::kBackwardWeight, s, m});
+        graph.define_task(bwd_w_task(s, m), cs,
+                          stalled(table.backward_weight, s, op_stall), deps(),
+                          {"Bw", TaskKind::kBackwardWeight, s, m});
       } else {
         deps_buf[dep_count++] = fwd_task(s, m);  // stashed activation
         if (s < n_stages - 1) {
@@ -565,20 +551,19 @@ SimSkeleton PipelineSim::build_skeleton() const {
           } else {
             const TaskId edge = bwd_edge(s, m);
             if (blocking) {
-              def(bwd_post(s, m), cs, {Class::kZero, -1, false}, kNoDeps,
-                  {"post b", TaskKind::kP2P, s, m});
-              add(cs,
-                  {link_intra(dev(s + 1), r) ? Class::kBlockingIntra
-                                             : Class::kBlockingInter,
-                   -1, false},
-                  one(edge), {"recv b", TaskKind::kP2P, s, m});
+              graph.define_task(bwd_post(s, m), cs, 0.0, kNoDeps,
+                                {"post b", TaskKind::kP2P, s, m});
+              graph.add_task(cs, blocking_cost(link_intra(dev(s + 1), r)),
+                             one(edge), {"recv b", TaskKind::kP2P, s, m});
             }
             deps_buf[dep_count++] = edge;
           }
         }
         const bool fused = op.kind == OpKind::kBackward;
-        def(bwd_task(s, m), cs,
-            {fused ? Class::kBackward : Class::kBackwardInput, s, op_stall},
+        graph.define_task(
+            bwd_task(s, m), cs,
+            stalled(fused ? table.backward : table.backward_input, s,
+                    op_stall),
             deps(),
             {fused ? "B" : "Bx",
              fused ? TaskKind::kBackward : TaskKind::kBackwardInput, s, m});
@@ -603,17 +588,16 @@ SimSkeleton PipelineSim::build_skeleton() const {
         } else {
           // Blocking send: a launch on the compute stream (the batched
           // isend), and a rendezvous on the receiver's matching post.
-          const TaskId launch =
-              add(cs,
-                  {intra ? Class::kBlockingIntra : Class::kBlockingInter, -1,
-                   false},
-                  kNoDeps, {"send", TaskKind::kP2P, s, m});
+          const TaskId launch = graph.add_task(
+              cs, blocking_cost(intra), kNoDeps,
+              {"send", TaskKind::kP2P, s, m});
           edge_deps_buf[edge_dep_count++] = launch;
           edge_deps_buf[edge_dep_count++] =
               sends_fwd ? fwd_post(s + 1, m) : bwd_post(s - 1, m);
         }
-        def(edge, link_stream(r, peer),
-            {intra ? Class::kXferIntra : Class::kXferInter, -1, false},
+        graph.define_task(
+            edge, link_stream(r, peer),
+            intra ? table.xfer_intra : table.xfer_inter,
             std::span<const TaskId>(edge_deps_buf, edge_dep_count),
             {"xfer", TaskKind::kP2P, s, m});
       }
@@ -628,20 +612,19 @@ SimSkeleton PipelineSim::build_skeleton() const {
                                ops[i + 1].stage != s ||
                                ops[i + 1].kind != final_grad_kind;
           if (run_end) {
-            reduce_tasks.push_back(
-                add(ds, {Class::kReduceScatter, s, false}, one(grad_task),
-                    {"G", TaskKind::kGradReduce, s, -1}));
+            reduce_tasks.push_back(graph.add_task(
+                ds, at(table.reduce_scatter, s), one(grad_task),
+                {"G", TaskKind::kGradReduce, s, -1}));
           }
         } else if (cfg_.overlap_dp) {
           // One reduction per stage, as soon as its gradients are final.
           if (last_bwd_of_stage[static_cast<size_t>(s)] == i) {
-            reduce_tasks.push_back(
-                add(ds,
-                    {cfg_.sharding == DpSharding::kNone
-                         ? Class::kAllReduce
-                         : Class::kReduceScatter,
-                     s, false},
-                    one(grad_task), {"G", TaskKind::kGradReduce, s, -1}));
+            reduce_tasks.push_back(graph.add_task(
+                ds,
+                at(cfg_.sharding == DpSharding::kNone ? table.all_reduce
+                                                      : table.reduce_scatter,
+                   s),
+                one(grad_task), {"G", TaskKind::kGradReduce, s, -1}));
           }
         }
       }
@@ -650,20 +633,21 @@ SimSkeleton PipelineSim::build_skeleton() const {
     // Megatron-LM behaviour: a single fused, blocking gradient reduction
     // after all compute (Figure 4a/4b).
     if (fused_reduce) {
-      add(cs, {Class::kFusedReduce, r, false}, kNoDeps,
-          {"G fused", TaskKind::kGradReduce, -1, -1});
+      graph.add_task(cs, at(table.fused_reduce, r), kNoDeps,
+                     {"G fused", TaskKind::kGradReduce, -1, -1});
     }
 
     // Optimizer step (memory-bound; ~20 bytes of state traffic per
     // locally updated parameter).
-    const TaskId opt = add(cs, {Class::kOptimizer, r, false}, reduce_tasks,
-                           {"S", TaskKind::kOptimizerStep, -1, -1});
+    const TaskId opt =
+        graph.add_task(cs, at(table.optimizer, r), reduce_tasks,
+                       {"S", TaskKind::kOptimizerStep, -1, -1});
 
     // DP_PS: re-gather the updated weights (overlaps the next batch in
     // steady state; charged here, see header).
     if (regather) {
-      add(cfg_.overlap_dp ? ds : cs, {Class::kRegather, r, false}, one(opt),
-          {"W regather", TaskKind::kWeightGather, -1, -1});
+      graph.add_task(cfg_.overlap_dp ? ds : cs, at(table.regather, r),
+                     one(opt), {"W regather", TaskKind::kWeightGather, -1, -1});
     }
   }
 
@@ -686,29 +670,18 @@ void PipelineSim::build() {
                                  [this] { return build_skeleton(); });
   } else {
     table_ = std::make_shared<const OpCostTable>(build_cost_table());
+  }
+  // A skeleton cached for an S_mb or kernel neighbour is timed with
+  // another table: this cell builds its own graph, uncached, as the
+  // cache-less path does.
+  if (skeleton_ == nullptr || skeleton_->table != table_) {
     skeleton_ = std::make_shared<const SimSkeleton>(build_skeleton());
   }
-  if (skeleton_->table == table_) {
-    // Timed with this very table (a miss, or an exact repeat): run the
-    // skeleton's graph read-only, shared with every other reader.
-    graph_ = std::shared_ptr<const sim::TaskGraph>(skeleton_,
-                                                   &skeleton_->graph);
-    return;
-  }
-  // Incremental re-simulation: a skeleton built for an S_mb/kernel
-  // neighbour is cloned and re-timed through each task's recorded
-  // CostRef, which yields exactly the graph a from-scratch build would.
-  auto graph = std::make_shared<sim::TaskGraph>(skeleton_->graph);
-  for (int t = 0; t < graph->task_count(); ++t) {
-    graph->set_duration(
-        t, resolve(skeleton_->cost_refs[static_cast<size_t>(t)], *table_));
-  }
-  graph_ = std::move(graph);
 }
 
 RunResult PipelineSim::run() {
-  if (graph_ == nullptr) build();
-  result_ = std::make_unique<sim::SimResult>(sim::run(*graph_));
+  if (skeleton_ == nullptr) build();
+  result_ = std::make_unique<sim::SimResult>(sim::run(skeleton_->graph));
 
   RunResult out;
   out.batch_time = result_->makespan();

@@ -42,11 +42,9 @@
 // (stage, micro-batch) slot ids come from per-stage offsets and each
 // device's contiguous runs are computed into one reused buffer. A count
 // that disagrees with the emission throws. When a SimCache is attached
-// (api sweeps share one per engine) both the cost table and the graph
-// topology are reused across cells: cells sharing a model x cluster pair
-// skip the cost evaluation, an exact repeat runs the cached graph
-// itself, and cells differing only in batch/micro-batch split clone a
-// cached skeleton and re-time it instead of rebuilding. All of this is
+// (api sweeps share one per engine) cells sharing a model x cluster pair
+// skip the cost evaluation, and an exact repeat runs the cached graph
+// itself; every other cell builds its graph. All of this is
 // semantics-preserving - simulated times are bit-identical to the
 // pre-rework implementation, pinned byte-for-byte at the Report level by
 // the golden corpus in tests/test_sim_diff.cpp (recorded while the
@@ -91,7 +89,9 @@ class PipelineSim {
   RunResult run();
 
   // The graph and stream accessors are valid once run() has returned.
-  [[nodiscard]] const sim::TaskGraph& graph() const { return *graph_; }
+  [[nodiscard]] const sim::TaskGraph& graph() const {
+    return skeleton_->graph;
+  }
   [[nodiscard]] const sim::SimResult& result() const;
   [[nodiscard]] const std::vector<sim::StreamId>& compute_streams() const {
     return skeleton_->compute_streams;
@@ -124,9 +124,8 @@ class PipelineSim {
   // Evaluates every cost the graph can reference (one kernel-model and
   // collective evaluation per stage/device - the memoizable unit).
   [[nodiscard]] OpCostTable build_cost_table() const;
-  // Emits the task graph, sized exactly, with durations resolved
-  // through `table_`, recording each task's CostRef for incremental
-  // re-timing.
+  // Emits the task graph, sized exactly, with durations read from
+  // `table_`.
   [[nodiscard]] SimSkeleton build_skeleton() const;
   [[nodiscard]] double stage_flops(int stage, bool forward) const;
   [[nodiscard]] double tp_comm_seconds() const;
@@ -139,9 +138,7 @@ class PipelineSim {
 
   std::shared_ptr<SimCache> cache_;
   std::shared_ptr<const OpCostTable> table_;
-  std::shared_ptr<const SimSkeleton> skeleton_;
-  // Aliases skeleton_->graph, or owns its re-timed copy; null until built.
-  std::shared_ptr<const sim::TaskGraph> graph_;
+  std::shared_ptr<const SimSkeleton> skeleton_;  // null until built
   std::unique_ptr<sim::SimResult> result_;
 };
 

@@ -1,11 +1,9 @@
 // Cross-cell simulation caches for the sweep hot path.
 //
-// Building one simulator cell used to pay three per-cell costs on top of
-// the O(tasks) graph construction: kernel-model and collective
-// evaluations repeated per *op* instead of per stage, the task graph
-// itself rebuilt from scratch, and (pre arena/SoA) a heap allocation and
-// a formatted label per task. This header holds the two caches that
-// remove the first two for sweep neighbors:
+// Two memos shared by the cells of a sweep: per-stage costs, so the
+// kernel-model and collective evaluations run once per model x cluster
+// pair instead of once per cell, and whole task graphs, so an exact
+// repeat skips graph construction:
 //
 //   OpCostTable  every duration a pipeline graph can use, evaluated once
 //                per stage/device and looked up per task. Memoized under
@@ -13,31 +11,31 @@
 //                *except N_mb* - so all cells of a batch-size sweep that
 //                share a model x cluster pair (e.g. the fig5 grids) hit.
 //
-//   SimSkeleton  a fully built task graph plus one CostRef per task
-//                (which table entry timed it) and the table it was timed
+//   SimSkeleton  a fully built task graph and the table it was timed
 //                with. Memoized under sim_topology_key(), which covers
 //                every input the graph *structure* depends on -
 //                everything except S_mb and the kernel model, which only
 //                scale durations. A cell timed by that same table (a
-//                miss, or an exact repeat) runs the graph read-only; a
-//                neighbor differing only in batch/micro-batch split
-//                clones it and re-times it through set_duration instead
-//                of rebuilding (incremental re-simulation).
+//                miss, or an exact repeat) runs the cached graph
+//                read-only; a cell whose table differs (an S_mb or
+//                kernel neighbour) builds its own graph, uncached.
 //
 // Both keys pack each field's raw bytes, so they format nothing.
 // SimCache is shared by one api::SimulatorEngine across all cells of a
 // sweep, which runs cells concurrently on the shared thread pool - so
 // both maps are guarded by a bfpp::Mutex with Clang Thread Safety
 // annotations (see docs/CONCURRENCY.md). Builders run outside the lock;
-// when two threads race to fill the same key the first insert wins,
-// which is safe because builders are deterministic functions of the key.
+// when two threads race to fill the same key the first insert wins. That
+// is safe because a table is a deterministic function of its key, and a
+// skeleton's graph structure of its key; a cell that gets a skeleton
+// timed with another table builds its own graph instead.
 // Entries are immutable once inserted, and concurrent cells read them
 // without a lock.
 //
 // Composition with api::ReportCache (server.h): ReportCache memoizes
 // whole Reports keyed on the full request and never re-simulates on a
 // hit; SimCache sits below it and accelerates the *misses* by sharing
-// per-stage costs and graph topology across distinct requests that
+// per-stage costs and whole graphs across distinct requests that
 // ReportCache must treat as unrelated.
 #pragma once
 
@@ -83,99 +81,11 @@ struct OpCostTable {
   double blocking_inter = 0.0;  // blocking-p2p per-side overhead, inter
 };
 
-// Which OpCostTable entry times a task. Recorded once per task at graph
-// build; resolving a CostRef against a (possibly different) table is how
-// the incremental path re-times a cloned skeleton.
-struct CostRef {
-  enum class Class : uint8_t {
-    kZero = 0,        // rendezvous markers and other zero-length tasks
-    kForward,         // forward[index]
-    kBackward,        // backward[index]
-    kBackwardInput,   // backward_input[index]
-    kBackwardWeight,  // backward_weight[index]
-    kGather,          // gather[index]
-    kReduceScatter,   // reduce_scatter[index]
-    kAllReduce,       // all_reduce[index]
-    kFusedReduce,     // fused_reduce[index]
-    kOptimizer,       // optimizer[index]
-    kRegather,        // regather[index]
-    kXferIntra,       // xfer_intra
-    kXferInter,       // xfer_inter
-    kBlockingIntra,   // blocking_intra
-    kBlockingInter,   // blocking_inter
-  };
-  Class cls = Class::kZero;
-  int index = -1;         // stage or device, as the class requires
-  bool fs_stall = false;  // add fs_stall[index] (run-first op under DP_FS)
-};
-
-// Duration of a task timed by `ref` under `table`. Inline: graph
-// emission passes a constant class at each call site, and the switch
-// folds away.
-[[nodiscard]] inline double resolve(const CostRef& ref,
-                                    const OpCostTable& table) {
-  const auto i = static_cast<size_t>(ref.index);
-  double base = 0.0;
-  switch (ref.cls) {
-    case CostRef::Class::kZero:
-      base = 0.0;
-      break;
-    case CostRef::Class::kForward:
-      base = table.forward[i];
-      break;
-    case CostRef::Class::kBackward:
-      base = table.backward[i];
-      break;
-    case CostRef::Class::kBackwardInput:
-      base = table.backward_input[i];
-      break;
-    case CostRef::Class::kBackwardWeight:
-      base = table.backward_weight[i];
-      break;
-    case CostRef::Class::kGather:
-      base = table.gather[i];
-      break;
-    case CostRef::Class::kReduceScatter:
-      base = table.reduce_scatter[i];
-      break;
-    case CostRef::Class::kAllReduce:
-      base = table.all_reduce[i];
-      break;
-    case CostRef::Class::kFusedReduce:
-      base = table.fused_reduce[i];
-      break;
-    case CostRef::Class::kOptimizer:
-      base = table.optimizer[i];
-      break;
-    case CostRef::Class::kRegather:
-      base = table.regather[i];
-      break;
-    case CostRef::Class::kXferIntra:
-      base = table.xfer_intra;
-      break;
-    case CostRef::Class::kXferInter:
-      base = table.xfer_inter;
-      break;
-    case CostRef::Class::kBlockingIntra:
-      base = table.blocking_intra;
-      break;
-    case CostRef::Class::kBlockingInter:
-      base = table.blocking_inter;
-      break;
-  }
-  // Matches the pre-rework `op + op_stall` sum (op_stall == 0.0 when the op
-  // is not the first of a DP_FS run), so refilled durations are
-  // bit-identical to freshly built ones.
-  return ref.fs_stall ? base + table.fs_stall[i] : base;
-}
-
-// A built task graph with its timing provenance: cost_refs[t] says which
-// table entry produced task t's duration. Cloning the graph and
-// re-resolving every ref against a new table yields the graph PipelineSim
-// would have built from scratch for the new operating point.
+// A built task graph, the streams PipelineSim reads results from, and
+// the table its durations came from. A cell runs a cached skeleton's
+// graph only when its own table is that same table.
 struct SimSkeleton {
   sim::TaskGraph graph;
-  std::vector<CostRef> cost_refs;  // one per task
   std::vector<sim::StreamId> compute_streams;
   std::vector<sim::StreamId> dp_streams;
   std::shared_ptr<const OpCostTable> table;  // the table graph is timed with
@@ -210,7 +120,8 @@ class SimCache {
   std::shared_ptr<const OpCostTable> costs(
       const std::string& key, const std::function<OpCostTable()>& build);
 
-  // Same contract for topology skeletons.
+  // Same contract for topology skeletons, except that the table a cached
+  // skeleton was timed with may differ from the caller's.
   std::shared_ptr<const SimSkeleton> skeleton(
       const std::string& key, const std::function<SimSkeleton()>& build);
 

@@ -74,13 +74,6 @@ TaskId TaskGraph::add_task(StreamId stream, double duration,
   return id;
 }
 
-void TaskGraph::set_duration(TaskId t, double duration) {
-  check(t >= 0 && t < task_count(), "set_duration: invalid task id");
-  check(task(t).stream >= 0, "set_duration: task not defined");
-  check(duration >= 0.0, "set_duration: negative duration");
-  tasks_[static_cast<size_t>(t)].duration = duration;
-}
-
 SimResult run(const TaskGraph& graph) {
   const int n = graph.task_count();
   const auto un = static_cast<size_t>(n);

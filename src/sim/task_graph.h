@@ -83,9 +83,8 @@ class SimResult;
 class TaskGraph;
 SimResult run(const TaskGraph& graph);
 
-// A static DAG of tasks on in-order streams. Build once, run once.
-// Copyable by design: cached topology skeletons (runtime/sim_cache.h)
-// are cloned and re-timed instead of rebuilt.
+// A static DAG of tasks on in-order streams. Built once; run() only
+// reads it, so concurrent runs may share one graph.
 class TaskGraph {
  public:
   // Creates a stream (an in-order execution resource). `name` is used in
@@ -121,11 +120,6 @@ class TaskGraph {
     define_task(id, stream, duration,
                 std::span<const TaskId>(deps.begin(), deps.size()), meta);
   }
-
-  // Overwrites the duration of an already defined task. Used by the
-  // incremental re-simulation path, which clones a cached topology
-  // skeleton and re-times it for a neighboring operating point.
-  void set_duration(TaskId t, double duration);
 
   [[nodiscard]] int task_count() const {
     return static_cast<int>(tasks_.size());

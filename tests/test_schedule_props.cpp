@@ -3,11 +3,15 @@
 // non-power-of-two pipelines - must validate, conserve work, and
 // simulate deadlock-free when emitted into the task-graph arena with
 // unit costs; the simulator must size the graphs it emits for them
-// exactly. Complements test_schedule.cpp's example-based tests with
+// exactly, and on an ideal cluster its bubbles must match the paper's
+// closed forms. Complements test_schedule.cpp's example-based tests with
 // breadth over the parameter space.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <tuple>
@@ -334,6 +338,132 @@ TEST(ScheduleProps, SimulatorGraphIsSizedExactly) {
   EXPECT_GE(fused, 10);
   EXPECT_GE(regathered, 10);
   EXPECT_GE(split, 5);
+}
+
+// A cluster that charges nothing but compute: free links and
+// collectives, a zero-time optimizer step and room for any model.
+// `n_gpus` GPUs on one node.
+hw::ClusterSpec ideal_cluster(int n_gpus, double peak_flops) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const hw::NetTier free_tier{"free", kInf, kInf, 0.0, 0.0, 0.0};
+  hw::ClusterSpec c;
+  c.name = "ideal";
+  c.gpu.peak_flops = peak_flops;
+  c.gpu.memory_bytes = 1e18;
+  c.gpu.hbm_bw = kInf;
+  c.n_nodes = 1;
+  c.gpus_per_node = n_gpus;
+  c.intra_node = free_tier;
+  c.inter_node = free_tier;
+  return c;
+}
+
+TEST(ScheduleProps, IdealClusterBubblesMatchClosedForms) {
+  // On an ideal cluster (N_TP = N_DP = 1) the only idle time left is the
+  // pipeline bubble, so the simulator must reproduce the paper's bubble
+  // formulas: Eq. 4, (N_PP - 1) / N_mb, for the non-looped families and
+  // Eq. 9, (N_PP - 1) / (N_loop * N_mb), for the looped ones. 2BP
+  // defers B_w into the bubble, which then only idles for T_F + T_Bx of
+  // each T_F + T_B. Bubble = (makespan - busy) / busy per compute
+  // stream. Each point runs cache-less and on one SimCache shared by the
+  // whole sweep; both must match.
+  //
+  // Tolerance: model::validate() requires vocab_size >= 1, so no public
+  // TransformerSpec has a zero-cost head, and the stages cannot all cost
+  // the same. A vocab-1 head on the 52B layers adds 2 * S_h flop per
+  // token to the last stage only, ~1e-5 of a layer. Two checks bound
+  // what that can do:
+  //  - the mean bubble over compute streams is within 1.5e-5 relative
+  //    (measured worst case 1.48e-5, at nmb32 loop4);
+  //  - each stream's bubble is within the head's own perturbation. The
+  //    makespan is the longest path through a graph whose shape the head
+  //    does not change, so lengthening tasks by a total of D (the head's
+  //    extra busy time) moves it by at most D; a stream's bubble then
+  //    moves by at most D * (1 + bubble) / busy. The largest measured
+  //    move is 3e-5 relative, at pp2 nmb32 loop4.
+  //
+  // The hardware speed is seeded per point: the bubble is a ratio of
+  // durations and must not depend on it. The V-schedule is left out: at
+  // its default in-flight budget its bubble does not fall as 1/N_mb.
+  constexpr double kRelTol = 1.5e-5;
+  model::TransformerSpec spec = model::model_52b();
+  spec.vocab_size = 1;
+  hw::KernelModel flat;
+  flat.narrow_half = 0.0;  // efficiency == max_efficiency at any shape
+  flat.rows_half = 0.0;
+
+  struct Family {
+    ScheduleKind kind;
+    bool looped;
+  };
+  static const Family kFamilies[] = {
+      {ScheduleKind::kGpipe, false},        {ScheduleKind::kOneFOneB, false},
+      {ScheduleKind::kOneFOneBAsync, false}, {ScheduleKind::kUnbalanced, false},
+      {ScheduleKind::kTwoBP, false},        {ScheduleKind::kBreadthFirst, true},
+      {ScheduleKind::kDepthFirst, true},
+  };
+  Rng rng(0x0eb4);
+  auto cache = std::make_shared<runtime::SimCache>();
+  int points = 0;
+  for (const Family& family : kFamilies) {
+    for (const int n_pp : {2, 4, 8}) {
+      for (const int n_mb : {8, 16, 32}) {
+        for (const int n_loop : {1, 2, 4}) {
+          if (!family.looped && n_loop > 1) continue;
+          parallel::ParallelConfig cfg;
+          cfg.schedule = family.kind;
+          cfg.n_pp = n_pp;
+          cfg.n_mb = n_mb;
+          cfg.n_loop = n_loop;
+          flat.max_efficiency = rng.uniform(0.3, 0.9);
+          const hw::ClusterSpec cluster =
+              ideal_cluster(n_pp, rng.uniform(50e12, 500e12));
+          const std::string tag = cfg.describe();
+
+          double expected = static_cast<double>(n_pp - 1) / (n_loop * n_mb);
+          double makespan[2] = {0.0, 0.0};
+          for (const bool cached : {false, true}) {
+            runtime::PipelineSim sim(spec, cfg, cluster, flat,
+                                     cached ? cache : nullptr);
+            (void)sim.run();
+            if (family.kind == ScheduleKind::kTwoBP && !cached) {
+              expected *=
+                  (sim.forward_op_seconds(0) +
+                   sim.backward_input_op_seconds(0)) /
+                  (sim.forward_op_seconds(0) + sim.backward_op_seconds(0));
+            }
+            const sim::SimResult& result = sim.result();
+            makespan[cached] = result.makespan();
+            double min_busy = std::numeric_limits<double>::infinity();
+            double max_busy = 0.0;
+            double mean_bubble = 0.0;
+            for (const sim::StreamId cs : sim.compute_streams()) {
+              const double busy = result.stream(cs).busy;
+              min_busy = std::min(min_busy, busy);
+              max_busy = std::max(max_busy, busy);
+              mean_bubble += (result.makespan() - busy) / busy / n_pp;
+            }
+            const std::string where = tag + (cached ? " (cached)" : "");
+            EXPECT_NEAR(mean_bubble, expected, kRelTol * expected) << where;
+            const double head_bound =
+                (max_busy - min_busy) * (1.0 + expected) / min_busy + 1e-12;
+            for (const sim::StreamId cs : sim.compute_streams()) {
+              const double busy = result.stream(cs).busy;
+              EXPECT_NEAR((result.makespan() - busy) / busy, expected,
+                          head_bound)
+                  << where << " on " << sim.graph().stream_name(cs);
+            }
+          }
+          EXPECT_EQ(makespan[0], makespan[1]) << tag;
+          ++points;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(points, 5 * 9 + 2 * 27);
+  // The sweep shares nothing by topology (every point is distinct), but
+  // every cached run went through the cache.
+  EXPECT_EQ(cache->stats().skeleton_misses, points);
 }
 
 }  // namespace

@@ -15,9 +15,10 @@
 // has to be re-recorded deliberately (BFPP_UPDATE_GOLDEN=1, see
 // golden_util.h).
 //
-// The SimCache memoized and incremental re-simulation paths are still
-// pinned differentially - against a cold, cache-less run of the same
-// cell, which is the equality the cache actually promises.
+// The SimCache paths - a repeat running the cached graph, a neighbour
+// building its own - are pinned differentially, against a cold,
+// cache-less run of the same cell, which is the equality the cache
+// actually promises.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -65,23 +66,31 @@ struct Outcome {
   std::vector<sim::TaskTime> times;
 };
 
-Outcome run_arena(const Scenario& sc, std::shared_ptr<SimCache> cache = {}) {
+// Everything pinned about a cell that has run.
+Outcome observe(const PipelineSim& sim, const RunResult& result) {
   Outcome out;
-  try {
-    PipelineSim sim(sc.spec, sc.cfg, sc.cluster, {}, std::move(cache));
-    out.result = sim.run();
-    out.gantt = sim::render_gantt(sim.graph(), sim.result(),
-                                  sim.display_streams());
-    out.task_count = sim.graph().task_count();
-    for (int t = 0; t < out.task_count; ++t) {
-      out.labels.push_back(sim.graph().label(t));
-      out.times.push_back(sim.result().time(t));
-    }
-    out.ok = true;
-  } catch (const Error& e) {
-    out.error = e.what();
+  out.ok = true;
+  out.result = result;
+  out.gantt = sim::render_gantt(sim.graph(), sim.result(),
+                                sim.display_streams());
+  out.task_count = sim.graph().task_count();
+  for (int t = 0; t < out.task_count; ++t) {
+    out.labels.push_back(sim.graph().label(t));
+    out.times.push_back(sim.result().time(t));
   }
   return out;
+}
+
+Outcome run_arena(const Scenario& sc, std::shared_ptr<SimCache> cache = {}) {
+  try {
+    PipelineSim sim(sc.spec, sc.cfg, sc.cluster, {}, std::move(cache));
+    const RunResult result = sim.run();
+    return observe(sim, result);
+  } catch (const Error& e) {
+    Outcome out;
+    out.error = e.what();
+    return out;
+  }
 }
 
 // Full-depth comparison of two outcomes; returns true when the scenario
@@ -237,9 +246,8 @@ TEST(SimDiff, SeededCorpusMatchesGolden) {
 }
 
 TEST(SimDiff, CachedPathsMatchColdPath) {
-  // One shared cache across four cells: exact repeat (full hit),
-  // batch-size neighbor (cost-table hit, new topology) and
-  // micro-batch-split neighbor (skeleton clone + re-time). Every cached
+  // One shared cache across three cells: exact repeat (full hit) and
+  // batch-size neighbor (cost-table hit, new topology). Every cached
   // evaluation must be bit-identical to a cold, cache-less one.
   Scenario base;
   base.spec = model::model_6_6b();
@@ -256,10 +264,6 @@ TEST(SimDiff, CachedPathsMatchColdPath) {
   Scenario batch_neighbor = base;  // different N_mb, same S_mb
   batch_neighbor.cfg.n_mb = 16;
   batch_neighbor.tag = "cache batch-neighbor";
-  Scenario split_neighbor = base;  // different S_mb, same N_mb
-  split_neighbor.cfg.s_mb = 2;
-  split_neighbor.tag = "cache split-neighbor";
-
   auto cache = std::make_shared<SimCache>();
   EXPECT_TRUE(expect_identical(run_arena(base), run_arena(base, cache),
                                base.tag));
@@ -281,15 +285,51 @@ TEST(SimDiff, CachedPathsMatchColdPath) {
   stats = cache->stats();
   EXPECT_EQ(stats.cost_hits, 2);
   EXPECT_EQ(stats.skeleton_misses, 2);
+}
 
-  // Micro-batch-split neighbor: cached skeleton cloned and re-timed
-  // through the CostRefs (the incremental re-simulation path).
-  EXPECT_TRUE(expect_identical(run_arena(split_neighbor),
-                               run_arena(split_neighbor, cache),
-                               split_neighbor.tag));
-  stats = cache->stats();
+TEST(SimDiff, SplitNeighbourBuildsItsOwnGraph) {
+  // Cell A, then its micro-batch-split neighbour A' (same topology key,
+  // different cost table), then A again, on one cache. A' finds A's
+  // skeleton, timed with A's table, and must build its own graph rather
+  // than run, replace or change the cached one.
+  Scenario a;
+  a.spec = model::model_6_6b();
+  a.cluster = hw::dgx1_v100_infiniband();
+  a.cfg.n_pp = 4;
+  a.cfg.n_tp = 2;
+  a.cfg.n_dp = 8;
+  a.cfg.s_mb = 1;
+  a.cfg.n_mb = 8;
+  a.cfg.n_loop = 4;
+  a.cfg.schedule = ScheduleKind::kBreadthFirst;
+  a.tag = "split A";
+  Scenario a_split = a;
+  a_split.cfg.s_mb = 2;
+  a_split.tag = "split A'";
+
+  auto cache = std::make_shared<SimCache>();
+  auto cached_sim = [&cache](const Scenario& sc) {
+    return PipelineSim(sc.spec, sc.cfg, sc.cluster, {}, cache);
+  };
+  PipelineSim first = cached_sim(a);
+  const RunResult first_result = first.run();
+  PipelineSim neighbour = cached_sim(a_split);
+  const RunResult neighbour_result = neighbour.run();
+  PipelineSim again = cached_sim(a);
+  const RunResult again_result = again.run();
+
+  EXPECT_TRUE(expect_identical(run_arena(a_split),
+                               observe(neighbour, neighbour_result),
+                               a_split.tag));
+  EXPECT_NE(&neighbour.graph(), &first.graph());
+  EXPECT_EQ(&again.graph(), &first.graph());
+  EXPECT_TRUE(expect_identical(run_arena(a), observe(again, again_result),
+                               "split A again"));
+  EXPECT_TRUE(expect_identical(run_arena(a), observe(first, first_result),
+                               a.tag));
+  const SimCache::Stats stats = cache->stats();
+  EXPECT_EQ(stats.skeleton_misses, 1);
   EXPECT_EQ(stats.skeleton_hits, 2);
-  EXPECT_EQ(stats.cost_misses, 2);
 }
 
 TEST(SimDiff, ReportsMatchGoldenWireForms) {

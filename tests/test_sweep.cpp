@@ -412,7 +412,7 @@ TEST(Sweep, RunCellsAreDeterministicAcrossJobCountsOnTheSimulator) {
 TEST(Sweep, CellsSharingASkeletonAreDeterministicAcrossJobCounts) {
   // Per schedule, the repeated S_mb values share one topology key, so at
   // jobs=8 concurrent cells run the one cached skeleton graph read-only
-  // (exact repeats) or re-time their own copies of it (S_mb neighbours).
+  // (exact repeats) or build their own graphs (S_mb neighbours).
   // TSan runs this suite.
   const ScenarioGrid grid =
       SweepBuilder()
