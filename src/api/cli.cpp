@@ -18,6 +18,10 @@ namespace bfpp::api {
 
 namespace {
 
+// The model and cluster of a scenario or grid that names neither.
+constexpr const char* kDefaultModel = "52b";
+constexpr const char* kDefaultCluster = "dgx1-v100-ib";
+
 // Checked flag-value integer parse: never lets std::stoi's uncaught
 // std::invalid_argument / std::out_of_range escape to the user. A bad
 // value names the flag and the offending text, and exits 2 via
@@ -454,11 +458,12 @@ Scenario scenario_from_cli(const CliOptions& options) {
   if (!options.preset.empty()) {
     // A preset pins the whole scenario; silently dropping other flags
     // would mislead, so reject the combination.
-    check_config(!pins_configuration(axes) && axes.batch.empty() &&
+    check_config(!pins_configuration(axes) && axes.model.empty() &&
+                     axes.cluster.empty() && axes.batch.empty() &&
                      !capability_flags,
                  "cli: --preset cannot be combined with scenario flags "
-                 "(--pp/--tp/--dp/--smb/--nmb/--loop/--batch/--schedule/"
-                 "--sharding/--megatron/--no-*-overlap)");
+                 "(--model/--cluster/--pp/--tp/--dp/--smb/--nmb/--loop/"
+                 "--batch/--schedule/--sharding/--megatron/--no-*-overlap)");
     return lookup_scenario(options.preset);
   }
 
@@ -473,6 +478,8 @@ Scenario scenario_from_cli(const CliOptions& options) {
     }
     if (axis.size(axes) > 0) axis.apply(axes, 0, cell);
   }
+  if (axes.model.empty()) cell.scenario.model(kDefaultModel);
+  if (axes.cluster.empty()) cell.scenario.cluster(kDefaultCluster);
   if (search) {
     // Accepting (and ignoring) flags that pin the configuration would
     // mislead.
@@ -497,7 +504,9 @@ autotune::Method search_method(const CliOptions& options) {
 ScenarioGrid grid_from_cli(const CliOptions& options) {
   check_config(options.preset.empty(),
                "cli: sweep grids are described by axis flags, not --preset");
-  const ScenarioAxes& axes = options.axes;
+  ScenarioAxes axes = options.axes;
+  if (axes.model.empty()) axes.model = {kDefaultModel};
+  if (axes.cluster.empty()) axes.cluster = {kDefaultCluster};
   if (!axes.method.empty()) {
     // The per-cell search enumerates grid/schedule/sharding itself;
     // silently dropping flags that pin them would mislead.
@@ -522,7 +531,7 @@ ScenarioGrid grid_from_cli(const CliOptions& options) {
       throw UsageError(e.what());
     }
   }
-  return SweepBuilder().base(std::move(base)).axes(axes).build();
+  return SweepBuilder().base(std::move(base)).axes(std::move(axes)).build();
 }
 
 std::string cli_usage() {

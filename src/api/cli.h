@@ -40,14 +40,11 @@ struct CliOptions {
   std::string preset;  // --preset <scenario name> (run/search)
   // The scenario axes (api/sweep.h), one list each, set by the flag that
   // is the axis name (--model, --pp, ...): run and search take one value
-  // per axis, sweep a comma-separated list. --method defaults to bf for
-  // search; a sweep without it is a run grid.
-  ScenarioAxes axes = [] {
-    ScenarioAxes defaults;
-    defaults.model = {"52b"};
-    defaults.cluster = {"dgx1-v100-ib"};
-    return defaults;
-  }();
+  // per axis, sweep a comma-separated list. An unset model or cluster
+  // means 52b on dgx1-v100-ib, applied when the scenario or grid is
+  // built (so a --preset can tell it was not given). --method defaults
+  // to bf for search; a sweep without it is a run grid.
+  ScenarioAxes axes;
   bool megatron = false;
   bool no_dp_overlap = false;
   bool no_pp_overlap = false;

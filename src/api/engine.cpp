@@ -160,13 +160,8 @@ class AnalyticEngine : public Engine {
                                      const ParallelConfig& cfg,
                                      const hw::ClusterSpec& cluster) {
     if (cfg.n_dp <= 1) return 0.0;
-    const parallel::DeviceGrid grid(cfg, cluster);
-    hw::NetTier tier = cluster.tier_for_group_extent(grid.dp_group_extent());
-    if (grid.dp_group_extent() > cluster.gpus_per_node) {
-      tier.allreduce_bw = std::min(
-          cluster.intra_node.allreduce_bw,
-          cluster.inter_node.allreduce_bw * grid.dp_members_per_node());
-    }
+    const hw::NetTier tier = parallel::effective_dp_tier(
+        parallel::DeviceGrid(cfg, cluster), cluster);
     const double payload = spec.total_params() / (cfg.n_pp * cfg.n_tp) *
                            collectives::kGradPayloadBytesPerParam;
     if (cfg.sharding == DpSharding::kFull) {
@@ -239,12 +234,11 @@ class ThreadedEngine : public Engine {
           tensor::Tensor::randn(kProxyRowsPerMb, kProxyHidden, data_rng, 0.2f));
     }
 
-    const schedule::Schedule sched = proxy_schedule(cfg);
+    const schedule::Schedule sched = schedule::make_schedule(
+        cfg.schedule, cfg.n_pp, cfg.n_loop, cfg.n_mb);
     schedule::validate(sched);
 
-    exec::ThreadedPipeline pipeline(std::move(model),
-                                    cfg.n_pp == 1 ? 1 : cfg.n_pp,
-                                    cfg.n_pp == 1 ? n_stages : cfg.n_loop);
+    exec::ThreadedPipeline pipeline(std::move(model), cfg.n_pp, cfg.n_loop);
     const auto start = std::chrono::steady_clock::now();
     const exec::PipelineResult result =
         pipeline.run_batch(sched, inputs, targets);
@@ -275,31 +269,6 @@ class ThreadedEngine : public Engine {
     return out;
   }
 
- private:
-  // With one pipeline device the schedule kinds degenerate to the
-  // Appendix C gradient-accumulation orders (same mapping as the
-  // simulator's effective schedule).
-  static schedule::Schedule proxy_schedule(const ParallelConfig& cfg) {
-    if (cfg.n_pp == 1) {
-      switch (cfg.schedule) {
-        case ScheduleKind::kBreadthFirst:
-        case ScheduleKind::kGpipe:
-          return schedule::grad_accumulation_breadth_first(cfg.n_stages(),
-                                                           cfg.n_mb);
-        case ScheduleKind::kDepthFirst:
-        case ScheduleKind::kOneFOneB:
-          return schedule::grad_accumulation_depth_first(cfg.n_stages(),
-                                                         cfg.n_mb);
-        case ScheduleKind::kOneFOneBAsync:
-        case ScheduleKind::kUnbalanced:
-        case ScheduleKind::kVSchedule:
-        case ScheduleKind::kTwoBP:
-          break;  // the zoo generators handle n_pp == 1 directly
-      }
-    }
-    return schedule::make_schedule(cfg.schedule, cfg.n_pp, cfg.n_loop,
-                                   cfg.n_mb);
-  }
 };
 
 }  // namespace

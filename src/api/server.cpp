@@ -721,26 +721,14 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
     }
   }
 
-  // One cell, leader-side: same error-to-row semantics as api::sweep
-  // (infeasible cells become found=false rows and are published like any
-  // other deterministic result), so cached and uncached cells render
+  // One cell, leader-side, through api::sweep's cell runner (infeasible
+  // cells become found=false rows and are published like any other
+  // deterministic result), so cached and uncached cells render
   // identically. Shared by the parallel phase and the re-lead path.
   const std::unique_ptr<Engine> engine = make_engine(run);
-  auto compute_cell = [&](size_t i) -> Report {
+  auto compute_cell = [&](size_t i) {
     const Cell& cell = cells[i];
-    try {
-      Report report = cell.method.has_value()
-                          ? search(*cell.built, *cell.method, run)
-                          : run_with(*cell.built, *engine);
-      if (!cell.label.empty()) report.scenario = cell.label;
-      return report;
-    } catch (const ConfigError& e) {
-      return failed_report(*cell.built, cell.label, cell.method,
-                           "[config] ", e.what());
-    } catch (const OutOfMemoryError& e) {
-      return failed_report(*cell.built, cell.label, cell.method,
-                           "[oom] ", e.what());
-    }
+    return run_cell(*cell.built, cell.label, cell.method, *engine, run);
   };
 
   // Phase 2, parallel: compute the owned cells on the shared pool,

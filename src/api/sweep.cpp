@@ -9,8 +9,8 @@ namespace bfpp::api {
 
 namespace {
 
-Report run_cell(const SweepCell& cell, const Engine& engine,
-                const RunOptions& run_options) {
+Report build_and_run(const SweepCell& cell, const Engine& engine,
+                     const RunOptions& run_options) {
   Scenario scenario;
   try {
     scenario = cell.scenario.build();
@@ -18,19 +18,7 @@ Report run_cell(const SweepCell& cell, const Engine& engine,
     return failed_report(cell.scenario.partial(), cell.label, cell.method,
                          "[config] ", e.what());
   }
-  try {
-    Report report = cell.method
-                        ? search(scenario, *cell.method, run_options)
-                        : run_with(scenario, engine);
-    if (!cell.label.empty()) report.scenario = cell.label;
-    return report;
-  } catch (const ConfigError& e) {
-    return failed_report(scenario, cell.label, cell.method, "[config] ",
-                         e.what());
-  } catch (const OutOfMemoryError& e) {
-    return failed_report(scenario, cell.label, cell.method, "[oom] ",
-                         e.what());
-  }
+  return run_cell(scenario, cell.label, cell.method, engine, run_options);
 }
 
 const AxisSpec kAxes[] = {
@@ -74,6 +62,21 @@ Report failed_report(const Scenario& scenario, const std::string& label,
   report.found = false;
   report.error = std::string(kind) + what;
   return report;
+}
+
+Report run_cell(const Scenario& scenario, const std::string& label,
+                const std::optional<autotune::Method>& method,
+                const Engine& engine, const RunOptions& run_options) {
+  try {
+    Report report = method ? search(scenario, *method, run_options)
+                           : run_with(scenario, engine);
+    if (!label.empty()) report.scenario = label;
+    return report;
+  } catch (const ConfigError& e) {
+    return failed_report(scenario, label, method, "[config] ", e.what());
+  } catch (const OutOfMemoryError& e) {
+    return failed_report(scenario, label, method, "[oom] ", e.what());
+  }
 }
 
 ScenarioGrid& ScenarioGrid::push(SweepCell cell) {
@@ -255,7 +258,7 @@ std::vector<Report> sweep(const ScenarioGrid& grid,
   ThreadPool::shared().parallel_for(
       static_cast<int>(cells.size()), options.jobs, [&](int i) {
         reports[static_cast<size_t>(i)] =
-            run_cell(cells[static_cast<size_t>(i)], *engine, options.run);
+            build_and_run(cells[static_cast<size_t>(i)], *engine, options.run);
       });
   return reports;
 }

@@ -168,6 +168,14 @@ struct SweepOptions {
 std::vector<Report> sweep(const ScenarioGrid& grid,
                           const SweepOptions& options = {});
 
+// Runs one built cell: a search when `method` is set, else a run on
+// `engine`; Report::scenario is `label` when that is non-empty. A
+// ConfigError or OutOfMemoryError becomes the cell's failed_report row.
+// sweep() and the serve cell computation both run cells through this.
+Report run_cell(const Scenario& scenario, const std::string& label,
+                const std::optional<autotune::Method>& method,
+                const Engine& engine, const RunOptions& run_options);
+
 // The found == false Report for a cell that failed to build or execute:
 // identity fields from `scenario` (ScenarioBuilder::partial() for a cell
 // that failed to build), Report::scenario from `label` (falling back to

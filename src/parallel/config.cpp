@@ -371,4 +371,15 @@ int DeviceGrid::dp_members_per_node() const {
   return std::min(cfg_.n_dp, gpus_per_node_ / stride);
 }
 
+hw::NetTier effective_dp_tier(const DeviceGrid& grid,
+                              const hw::ClusterSpec& cluster) {
+  hw::NetTier dp_tier = cluster.tier_for_group_extent(grid.dp_group_extent());
+  if (grid.dp_group_extent() > cluster.gpus_per_node) {
+    dp_tier.allreduce_bw =
+        std::min(cluster.intra_node.allreduce_bw,
+                 cluster.inter_node.allreduce_bw * grid.dp_members_per_node());
+  }
+  return dp_tier;
+}
+
 }  // namespace bfpp::parallel

@@ -195,4 +195,11 @@ class DeviceGrid {
   int gpus_per_node_;
 };
 
+// The network tier data-parallel collectives run over. When several
+// DP-group members share a node, NCCL's hierarchical rings aggregate
+// them over NVLink before crossing the inter-node fabric, multiplying
+// the effective per-GPU inter-node bandwidth (capped by NVLink itself).
+hw::NetTier effective_dp_tier(const DeviceGrid& grid,
+                              const hw::ClusterSpec& cluster);
+
 }  // namespace bfpp::parallel

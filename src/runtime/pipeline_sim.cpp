@@ -14,33 +14,10 @@ namespace bfpp::runtime {
 namespace {
 
 using parallel::DpSharding;
-using parallel::ScheduleKind;
 using schedule::Op;
 using schedule::OpKind;
 using sim::TaskId;
 using sim::TaskKind;
-
-// Builds the effective compute schedule. With a single pipeline device
-// the schedule kinds degenerate to the gradient-accumulation orders of
-// Appendix C (stages = layer groups on one device).
-schedule::Schedule effective_schedule(const parallel::ParallelConfig& cfg) {
-  if (cfg.n_pp == 1) {
-    switch (cfg.schedule) {
-      case ScheduleKind::kBreadthFirst:
-      case ScheduleKind::kGpipe:
-        return schedule::grad_accumulation_breadth_first(cfg.n_loop, cfg.n_mb);
-      case ScheduleKind::kDepthFirst:
-      case ScheduleKind::kOneFOneB:
-        return schedule::grad_accumulation_depth_first(cfg.n_loop, cfg.n_mb);
-      case ScheduleKind::kOneFOneBAsync:
-      case ScheduleKind::kUnbalanced:
-      case ScheduleKind::kVSchedule:
-      case ScheduleKind::kTwoBP:
-        break;  // the zoo generators handle n_pp == 1 directly
-    }
-  }
-  return schedule::make_schedule(cfg.schedule, cfg.n_pp, cfg.n_loop, cfg.n_mb);
-}
 
 // Placement implied by the schedule family, with the head's cost in
 // layer-equivalents so unbalanced partitions can compensate it.
@@ -60,21 +37,6 @@ parallel::StagePlacement family_placement(const model::TransformerSpec& spec,
 // implementation "fixed... most but not all" of these stalls). Charged
 // proportionally to the gathered payload at an effective 100 GB/s.
 constexpr double kFsReconstructStallBw = 100e9;
-
-// Effective data-parallel collective tier. When several DP-group
-// members share a node, NCCL's hierarchical rings aggregate them over
-// NVLink before crossing the inter-node fabric, multiplying the
-// effective per-GPU inter-node bandwidth (capped by NVLink itself).
-hw::NetTier effective_dp_tier(const parallel::DeviceGrid& grid,
-                              const hw::ClusterSpec& cluster) {
-  hw::NetTier dp_tier = cluster.tier_for_group_extent(grid.dp_group_extent());
-  if (grid.dp_group_extent() > cluster.gpus_per_node) {
-    dp_tier.allreduce_bw =
-        std::min(cluster.intra_node.allreduce_bw,
-                 cluster.inter_node.allreduce_bw * grid.dp_members_per_node());
-  }
-  return dp_tier;
-}
 
 }  // namespace
 
@@ -181,7 +143,7 @@ OpCostTable PipelineSim::build_cost_table() const {
   // graph task duration is a lookup into this table. The expressions are
   // byte-for-byte the ones the pre-rework per-op path evaluated inline.
   const parallel::DeviceGrid grid(cfg_, cluster_);
-  const hw::NetTier dp_tier = effective_dp_tier(grid, cluster_);
+  const hw::NetTier dp_tier = parallel::effective_dp_tier(grid, cluster_);
   const int n_stages = placement_.n_stages();
   const auto n = static_cast<size_t>(n_stages);
 
@@ -240,7 +202,8 @@ OpCostTable PipelineSim::build_cost_table() const {
 }
 
 SimSkeleton PipelineSim::build_skeleton() const {
-  const schedule::Schedule sched = effective_schedule(cfg_);
+  const schedule::Schedule sched =
+      schedule::make_schedule(cfg_.schedule, cfg_.n_pp, cfg_.n_loop, cfg_.n_mb);
   schedule::validate(sched);
 
   const parallel::DeviceGrid grid(cfg_, cluster_);

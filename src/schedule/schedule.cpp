@@ -27,48 +27,35 @@ Schedule make_empty(int n_pp, int n_loop, int n_mb, int passes = 2) {
   return s;
 }
 
+// The 1F1B order behind three families: device r warms up with
+// min(n_mb, n_pp - r - 1 + extra_warmup) forwards, then alternates one
+// forward with the oldest outstanding backward, then drains the
+// backwards. A split backward runs B_x in the backward slot and defers
+// every B_w to the device's tail, where it blocks nobody upstream.
+Schedule one_f_one_b_order(int n_pp, int n_mb, int extra_warmup,
+                           bool split_backward) {
+  check_shape(n_pp, 1, n_mb);
+  Schedule s = make_empty(n_pp, 1, n_mb, split_backward ? 3 : 2);
+  const OpKind backward =
+      split_backward ? OpKind::kBackwardInput : OpKind::kBackward;
+  for (int r = 0; r < n_pp; ++r) {
+    auto& ops = s.device_ops[static_cast<size_t>(r)];
+    const int warmup = std::min(n_mb, n_pp - r - 1 + extra_warmup);
+    for (int m = 0; m < warmup; ++m) ops.push_back({OpKind::kForward, r, m});
+    for (int f = warmup; f < n_mb; ++f) {
+      ops.push_back({OpKind::kForward, r, f});
+      ops.push_back({backward, r, f - warmup});
+    }
+    for (int m = n_mb - warmup; m < n_mb; ++m) ops.push_back({backward, r, m});
+    if (split_backward) {
+      for (int m = 0; m < n_mb; ++m)
+        ops.push_back({OpKind::kBackwardWeight, r, m});
+    }
+  }
+  return s;
+}
+
 }  // namespace
-
-const std::vector<FamilyInfo>& all_families() {
-  using parallel::ScheduleKind;
-  static const std::vector<FamilyInfo> kFamilies = {
-      {Family::kGpipe, ScheduleKind::kGpipe, "GPipe",
-       "Huang et al. 2019, GPipe"},
-      {Family::kOneFOneB, ScheduleKind::kOneFOneB, "1F1B",
-       "Narayanan et al. 2021, PipeDream-Flush / Megatron-LM"},
-      {Family::kDepthFirst, ScheduleKind::kDepthFirst, "Depth-first",
-       "Narayanan et al. 2021, Megatron-LM interleaved"},
-      {Family::kBreadthFirst, ScheduleKind::kBreadthFirst, "Breadth-first",
-       "Lamy-Poirier 2023, Breadth-First Pipeline Parallelism"},
-      {Family::kOneFOneBAsync, ScheduleKind::kOneFOneBAsync, "1F1B-async",
-       "Harlap et al. 2018, PipeDream"},
-      {Family::kUnbalanced, ScheduleKind::kUnbalanced, "Unbalanced",
-       "Kim et al. 2020, BaPipe"},
-      {Family::kVSchedule, ScheduleKind::kVSchedule, "V-schedule",
-       "Qi et al. 2024, controllable-memory pipelines"},
-      {Family::kTwoBP, ScheduleKind::kTwoBP, "2BP",
-       "Rae et al. 2024, 2BP split backward"},
-  };
-  return kFamilies;
-}
-
-const FamilyInfo& family_info(Family family) {
-  for (const FamilyInfo& info : all_families()) {
-    if (info.family == family) return info;
-  }
-  throw Error("family_info: unknown family");
-}
-
-Family family_of(parallel::ScheduleKind kind) {
-  for (const FamilyInfo& info : all_families()) {
-    if (info.kind == kind) return info.family;
-  }
-  throw Error("family_of: unknown schedule kind");
-}
-
-Family parse_family(const std::string& text) {
-  return family_of(parallel::parse_schedule_kind(text));
-}
 
 Schedule breadth_first(int n_pp, int n_loop, int n_mb) {
   check_shape(n_pp, n_loop, n_mb);
@@ -179,39 +166,13 @@ Schedule gpipe(int n_pp, int n_mb) { return breadth_first(n_pp, 1, n_mb); }
 Schedule one_f_one_b(int n_pp, int n_mb) {
   // depth_first with n_loop == 1 is exactly 1F1B, but 1F1B itself has no
   // divisibility constraint, so generate it directly.
-  check_shape(n_pp, 1, n_mb);
-  Schedule s = make_empty(n_pp, 1, n_mb);
-  for (int r = 0; r < n_pp; ++r) {
-    auto& ops = s.device_ops[static_cast<size_t>(r)];
-    const int warmup = std::min(n_mb, n_pp - r - 1);
-    for (int m = 0; m < warmup; ++m) ops.push_back({OpKind::kForward, r, m});
-    for (int f = warmup; f < n_mb; ++f) {
-      ops.push_back({OpKind::kForward, r, f});
-      ops.push_back({OpKind::kBackward, r, f - warmup});
-    }
-    for (int m = n_mb - warmup; m < n_mb; ++m)
-      ops.push_back({OpKind::kBackward, r, m});
-  }
-  return s;
+  return one_f_one_b_order(n_pp, n_mb, 0, /*split_backward=*/false);
 }
 
 Schedule one_f_one_b_async(int n_pp, int n_mb) {
-  check_shape(n_pp, 1, n_mb);
-  Schedule s = make_empty(n_pp, 1, n_mb);
-  for (int r = 0; r < n_pp; ++r) {
-    auto& ops = s.device_ops[static_cast<size_t>(r)];
-    // PipeDream keeps one more micro-batch in flight than 1F1B: the last
-    // device warms up with one forward instead of none.
-    const int warmup = std::min(n_mb, n_pp - r);
-    for (int m = 0; m < warmup; ++m) ops.push_back({OpKind::kForward, r, m});
-    for (int f = warmup; f < n_mb; ++f) {
-      ops.push_back({OpKind::kForward, r, f});
-      ops.push_back({OpKind::kBackward, r, f - warmup});
-    }
-    for (int m = n_mb - warmup; m < n_mb; ++m)
-      ops.push_back({OpKind::kBackward, r, m});
-  }
-  return s;
+  // PipeDream keeps one more micro-batch in flight than 1F1B: the last
+  // device warms up with one forward instead of none.
+  return one_f_one_b_order(n_pp, n_mb, 1, /*split_backward=*/false);
 }
 
 Schedule unbalanced(int n_pp, int n_mb) {
@@ -303,23 +264,7 @@ Schedule v_schedule(int n_pp, int n_mb, int in_flight_budget) {
 }
 
 Schedule two_bp(int n_pp, int n_mb) {
-  check_shape(n_pp, 1, n_mb);
-  Schedule s = make_empty(n_pp, 1, n_mb, /*passes=*/3);
-  for (int r = 0; r < n_pp; ++r) {
-    auto& ops = s.device_ops[static_cast<size_t>(r)];
-    const int warmup = std::min(n_mb, n_pp - r - 1);
-    for (int m = 0; m < warmup; ++m) ops.push_back({OpKind::kForward, r, m});
-    for (int f = warmup; f < n_mb; ++f) {
-      ops.push_back({OpKind::kForward, r, f});
-      ops.push_back({OpKind::kBackwardInput, r, f - warmup});
-    }
-    for (int m = n_mb - warmup; m < n_mb; ++m)
-      ops.push_back({OpKind::kBackwardInput, r, m});
-    // Weight gradients deferred to the tail: they block nobody upstream.
-    for (int m = 0; m < n_mb; ++m)
-      ops.push_back({OpKind::kBackwardWeight, r, m});
-  }
-  return s;
+  return one_f_one_b_order(n_pp, n_mb, 0, /*split_backward=*/true);
 }
 
 Schedule grad_accumulation_depth_first(int n_stages, int n_mb) {
@@ -349,7 +294,10 @@ Schedule make_schedule(parallel::ScheduleKind kind, int n_pp, int n_loop,
       check_config(n_loop == 1, "1F1B requires n_loop == 1");
       return one_f_one_b(n_pp, n_mb);
     case parallel::ScheduleKind::kDepthFirst:
-      return depth_first(n_pp, n_loop, n_mb);
+      // breadth_first(1, ...) and one_f_one_b(1, ...) already are the
+      // Appendix C orders; depth_first's interleaved warmup is not.
+      return n_pp == 1 ? grad_accumulation_depth_first(n_loop, n_mb)
+                       : depth_first(n_pp, n_loop, n_mb);
     case parallel::ScheduleKind::kBreadthFirst:
       return breadth_first(n_pp, n_loop, n_mb);
     case parallel::ScheduleKind::kOneFOneBAsync:

@@ -12,8 +12,8 @@
 //   depth_first(n_pp, L, n_mb)    == Megatron-LM interleaved (Figure 4c)
 //   breadth_first(n_pp, L, n_mb)  == the paper's contribution (Figure 4d)
 //
-// Beyond the paper's generators, this module is a registry of rival
-// schedule *families* from the related work (docs/SCHEDULES.md):
+// Beyond the paper's generators, this module holds rival schedule
+// families from the related work (docs/SCHEDULES.md):
 //
 //   one_f_one_b_async(n_pp, n_mb)  PipeDream-style async-ordered 1F1B
 //   unbalanced(n_pp, n_mb)         BaPipe-style uneven stage partitioning
@@ -34,7 +34,6 @@
 // validate() below and proven on real data by the threaded executor.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "parallel/config.h"
@@ -81,39 +80,6 @@ struct Schedule {
   }
 };
 
-// ---- Schedule-family registry ----
-
-// Named schedule families known to the zoo; 1:1 with
-// parallel::ScheduleKind. The first four are the paper's own kinds, the
-// last four rival families from the related work.
-enum class Family {
-  kGpipe,
-  kOneFOneB,
-  kDepthFirst,
-  kBreadthFirst,
-  kOneFOneBAsync,
-  kUnbalanced,
-  kVSchedule,
-  kTwoBP,
-};
-
-struct FamilyInfo {
-  Family family;
-  parallel::ScheduleKind kind;
-  const char* name;      // canonical single-token name (describe()/CLI/wire)
-  const char* citation;  // the paper defining the family
-};
-
-// All families in registry order (the paper's kinds first).
-const std::vector<FamilyInfo>& all_families();
-const FamilyInfo& family_info(Family family);
-// Family owning a parallel::ScheduleKind.
-Family family_of(parallel::ScheduleKind kind);
-// Parses a family name; accepts the same aliases as
-// parallel::parse_schedule_kind. Throws bfpp::ConfigError on unknown
-// input, listing the accepted names.
-Family parse_family(const std::string& text);
-
 // ---- Generators ----
 
 // The paper's breadth-first schedule (Section 4.1): stages run in loop
@@ -134,9 +100,10 @@ Schedule depth_first(int n_pp, int n_loop, int n_mb);
 // breadth-first through the local stages, sequences advance depth-first.
 // seq_len == n_mb is exactly breadth_first; seq_len == n_pp gives
 // depth-first-style sequencing (forward-first variant). Requires
-// n_mb % seq_len == 0 and seq_len % n_pp == 0. The extra slack inside a
-// sequence restores pipeline-network overlap, confirming the paper's
-// conjecture (see the ablations bench).
+// n_mb % seq_len == 0 and seq_len % n_pp == 0. Tests show the order
+// validates and, run on real math in test_exec, is bitwise-exact against
+// serial execution; its effect on pipeline-network overlap is not
+// measured here.
 Schedule hybrid(int n_pp, int n_loop, int n_mb, int seq_len);
 
 // Non-looped baselines.
@@ -181,7 +148,14 @@ Schedule two_bp(int n_pp, int n_mb);
 Schedule grad_accumulation_depth_first(int n_stages, int n_mb);
 Schedule grad_accumulation_breadth_first(int n_stages, int n_mb);
 
-// Dispatch by kind.
+// The schedule a configuration runs, by kind; the simulator and the
+// threaded backend both call this.
+// With n_pp == 1 the paper's kinds are the Appendix C orders (stages are
+// layer groups on one device): breadth-first and GPipe run
+// grad_accumulation_breadth_first, depth-first and 1F1B
+// grad_accumulation_depth_first. The zoo kinds keep their own generators.
+// Throws bfpp::ConfigError when n_loop does not fit the kind (1 for
+// GPipe, 1F1B, 1F1B-async, unbalanced and 2BP; 2 for V), at n_pp == 1 too.
 Schedule make_schedule(parallel::ScheduleKind kind, int n_pp, int n_loop,
                        int n_mb);
 

@@ -510,6 +510,25 @@ TEST(Cli, PresetRejectsConflictingScenarioFlags) {
   EXPECT_THROW(scenario_from_cli(
                    parse_cli({"run", "--preset", "fig5a-bf-b16", "--pp", "4"})),
                ConfigError);
+  // The preset's model and cluster are pinned too: naming either exits
+  // 1 instead of reporting the preset's own model.
+  auto exit_code = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "bfpp");
+    return cli_main(static_cast<int>(args.size()),
+                    const_cast<char**>(args.data()));
+  };
+  EXPECT_EQ(exit_code({"run", "--preset", "fig5a-bf-b16", "--model", "6.6b"}),
+            1);
+  EXPECT_EQ(exit_code({"run", "--preset", "fig5a-bf-b16", "--cluster",
+                       "dgx1-v100-eth"}),
+            1);
+  // Without a preset, an unnamed model and cluster default to 52b on
+  // dgx1-v100-ib.
+  const Scenario defaulted = scenario_from_cli(parse_cli(
+      {"run", "--pp", "8", "--tp", "8", "--nmb", "16", "--loop", "4"}));
+  EXPECT_EQ(defaulted.model.name, lookup_scenario("fig5a-bf-b16").model.name);
+  EXPECT_EQ(defaulted.cluster.name,
+            lookup_scenario("fig5a-bf-b16").cluster.name);
 }
 
 TEST(Cli, SearchNeedsBatch) {

@@ -275,6 +275,7 @@ TEST(Parse, ScheduleKindShortNamesAndCase) {
   // The schedule-zoo families and their related-work aliases.
   EXPECT_EQ(parse_schedule_kind("1f1b-async"), ScheduleKind::kOneFOneBAsync);
   EXPECT_EQ(parse_schedule_kind("PipeDream"), ScheduleKind::kOneFOneBAsync);
+  EXPECT_EQ(parse_schedule_kind("pipedream"), ScheduleKind::kOneFOneBAsync);
   EXPECT_EQ(parse_schedule_kind("bapipe"), ScheduleKind::kUnbalanced);
   EXPECT_EQ(parse_schedule_kind("v"), ScheduleKind::kVSchedule);
   EXPECT_EQ(parse_schedule_kind("V-Schedule"), ScheduleKind::kVSchedule);

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "common/error.h"
 #include "hw/cluster.h"
 #include "model/transformer.h"
 #include "parallel/config.h"
 #include "runtime/pipeline_sim.h"
+#include "schedule/schedule.h"
 #include "sim/task_graph.h"
 
 namespace bfpp::runtime {
@@ -255,6 +257,49 @@ TEST(Runtime, SingleDeviceGradAccumulationRuns) {
   // Figure 9: breadth-first gradient accumulation with DP_FS avoids the
   // per-micro-batch network repetition.
   EXPECT_GT(bf.utilization, df.utilization);
+}
+
+TEST(Runtime, SingleDeviceRunsTheGradAccumulationOrders) {
+  // With N_PP = 1 the compute stream runs Appendix C's orders: bf and
+  // gpipe the breadth-first one, df and 1f1b the depth-first one.
+  struct Case {
+    ScheduleKind kind;
+    int n_loop;
+    bool breadth_first;
+  };
+  for (const Case& c : {Case{ScheduleKind::kBreadthFirst, 4, true},
+                        Case{ScheduleKind::kGpipe, 1, true},
+                        Case{ScheduleKind::kDepthFirst, 4, false},
+                        Case{ScheduleKind::kOneFOneB, 1, false}}) {
+    ParallelConfig cfg;
+    cfg.n_pp = 1;
+    cfg.n_tp = 2;
+    cfg.n_dp = 32;
+    cfg.s_mb = 2;
+    cfg.n_mb = 3;
+    cfg.n_loop = c.n_loop;
+    cfg.schedule = c.kind;
+    cfg.sharding = DpSharding::kFull;
+    PipelineSim sim(model::model_6_6b(), cfg, cluster());
+    sim.run();
+    const schedule::Schedule want =
+        c.breadth_first
+            ? schedule::grad_accumulation_breadth_first(c.n_loop, cfg.n_mb)
+            : schedule::grad_accumulation_depth_first(c.n_loop, cfg.n_mb);
+    std::vector<schedule::Op> got;
+    for (const sim::TaskId t :
+         sim.graph().stream_tasks(sim.compute_streams()[0])) {
+      const sim::TaskMeta& meta = sim.graph().meta(t);
+      if (meta.kind == sim::TaskKind::kForward) {
+        got.push_back({schedule::OpKind::kForward, meta.stage,
+                       meta.micro_batch});
+      } else if (meta.kind == sim::TaskKind::kBackward) {
+        got.push_back({schedule::OpKind::kBackward, meta.stage,
+                       meta.micro_batch});
+      }
+    }
+    EXPECT_EQ(got, want.device_ops[0]) << parallel::to_string(c.kind);
+  }
 }
 
 TEST(Runtime, RejectsInvalidCombinations) {

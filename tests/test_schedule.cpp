@@ -9,6 +9,7 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/error.h"
 #include "schedule/schedule.h"
@@ -391,17 +392,94 @@ TEST(MakeSchedule, DispatchesZooKinds) {
   EXPECT_THROW(make_schedule(ScheduleKind::kVSchedule, 4, 1, 8), ConfigError);
 }
 
-TEST(Family, RegistryRoundTrips) {
-  ASSERT_EQ(all_families().size(), 8u);
-  for (const FamilyInfo& info : all_families()) {
-    EXPECT_EQ(family_info(info.family).kind, info.kind);
-    EXPECT_EQ(family_of(info.kind), info.family);
-    EXPECT_EQ(parse_family(info.name), info.family);
-    EXPECT_FALSE(std::string(info.citation).empty());
+// The 1F1B order written independently of the generators: device r
+// issues a forward while fewer than `cap` micro-batches are in flight
+// (and forwards remain), else retires its oldest outstanding backward;
+// with split backward every B_w follows at the tail, in micro-batch
+// order. 1F1B's cap is n_pp - r (warmup n_pp - r - 1, plus the forward
+// of the first steady-state pair); PipeDream's async order holds one
+// more.
+std::vector<Op> expected_1f1b_ops(int r, int n_mb, int cap, bool split) {
+  std::vector<Op> ops;
+  const OpKind backward = split ? OpKind::kBackwardInput : OpKind::kBackward;
+  int next_f = 0;
+  int next_b = 0;
+  while (next_b < n_mb) {
+    if (next_f < n_mb && next_f - next_b < cap) {
+      ops.push_back({OpKind::kForward, r, next_f++});
+    } else {
+      ops.push_back({backward, r, next_b++});
+    }
   }
-  EXPECT_EQ(parse_family("bapipe"), Family::kUnbalanced);
-  EXPECT_EQ(parse_family("pipedream"), Family::kOneFOneBAsync);
-  EXPECT_THROW(parse_family("zigzag"), ConfigError);
+  if (split) {
+    for (int m = 0; m < n_mb; ++m) {
+      ops.push_back({OpKind::kBackwardWeight, r, m});
+    }
+  }
+  return ops;
+}
+
+TEST(OneFOneBFamily, OpListsMatchAnIndependentExpectation) {
+  for (int n_pp = 1; n_pp <= 8; ++n_pp) {
+    for (int n_mb = 1; n_mb <= 16; ++n_mb) {
+      const Schedule fb = one_f_one_b(n_pp, n_mb);
+      const Schedule async = one_f_one_b_async(n_pp, n_mb);
+      const Schedule ub = unbalanced(n_pp, n_mb);
+      const Schedule split = two_bp(n_pp, n_mb);
+      ASSERT_EQ(ub.stage_device.size(), static_cast<size_t>(n_pp));
+      EXPECT_TRUE(split.split_backward);
+      for (int r = 0; r < n_pp; ++r) {
+        const auto i = static_cast<size_t>(r);
+        const std::string at = "pp" + std::to_string(n_pp) + " mb" +
+                               std::to_string(n_mb) + " r" +
+                               std::to_string(r);
+        EXPECT_EQ(fb.device_ops[i],
+                  expected_1f1b_ops(r, n_mb, n_pp - r, false))
+            << "1f1b " << at;
+        EXPECT_EQ(async.device_ops[i],
+                  expected_1f1b_ops(r, n_mb, n_pp - r + 1, false))
+            << "1f1b-async " << at;
+        EXPECT_EQ(ub.device_ops[i],
+                  expected_1f1b_ops(r, n_mb, n_pp - r, false))
+            << "unbalanced " << at;
+        EXPECT_EQ(ub.stage_device[i], r) << "unbalanced " << at;
+        EXPECT_EQ(split.device_ops[i],
+                  expected_1f1b_ops(r, n_mb, n_pp - r, true))
+            << "2bp " << at;
+      }
+    }
+  }
+}
+
+TEST(MakeSchedule, SingleDeviceRunsTheGradAccumulationOrders) {
+  // N_PP = 1: bf and gpipe run Appendix C's breadth-first order, df and
+  // 1f1b its depth-first order (Figure 9) - the orders the simulator and
+  // the threaded backend run on one device.
+  for (int n_mb = 1; n_mb <= 6; ++n_mb) {
+    for (int n_loop = 1; n_loop <= 5; ++n_loop) {
+      EXPECT_EQ(make_schedule(ScheduleKind::kBreadthFirst, 1, n_loop, n_mb)
+                    .device_ops,
+                grad_accumulation_breadth_first(n_loop, n_mb).device_ops);
+      EXPECT_EQ(
+          make_schedule(ScheduleKind::kDepthFirst, 1, n_loop, n_mb).device_ops,
+          grad_accumulation_depth_first(n_loop, n_mb).device_ops)
+          << "loop" << n_loop << " mb" << n_mb;
+    }
+    EXPECT_EQ(make_schedule(ScheduleKind::kGpipe, 1, 1, n_mb).device_ops,
+              grad_accumulation_breadth_first(1, n_mb).device_ops);
+    EXPECT_EQ(make_schedule(ScheduleKind::kOneFOneB, 1, 1, n_mb).device_ops,
+              grad_accumulation_depth_first(1, n_mb).device_ops);
+  }
+  // The loop-count rules hold on one device too.
+  for (ScheduleKind kind :
+       {ScheduleKind::kGpipe, ScheduleKind::kOneFOneB,
+        ScheduleKind::kOneFOneBAsync, ScheduleKind::kUnbalanced,
+        ScheduleKind::kTwoBP}) {
+    EXPECT_THROW(make_schedule(kind, 1, 2, 4), ConfigError)
+        << parallel::to_string(kind);
+  }
+  EXPECT_THROW(make_schedule(ScheduleKind::kVSchedule, 1, 1, 4), ConfigError);
+  EXPECT_THROW(make_schedule(ScheduleKind::kVSchedule, 1, 3, 4), ConfigError);
 }
 
 TEST(ValidateZoo, CatchesStageGapInTheMap) {

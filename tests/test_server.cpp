@@ -1123,11 +1123,21 @@ TEST(Server, AxisErrorTextsArePinned) {
       server.handle(R"({"type":"run","preset":"fig5a-bf-b16","method":"df"})"),
       error_line("serve: \\\"method\\\" applies to search and sweep "
                  "requests, not run"));
+  // A preset pins the model and cluster too: naming either beside it
+  // is refused, not silently answered with the preset's own.
+  const std::string preset_conflict = error_line(
+      "cli: --preset cannot be combined with scenario flags "
+      "(--model/--cluster/--pp/--tp/--dp/--smb/--nmb/--loop/--batch/"
+      "--schedule/--sharding/--megatron/--no-*-overlap)");
   EXPECT_EQ(
       server.handle(R"({"type":"run","preset":"fig5a-bf-b16","pp":4})"),
-      error_line("cli: --preset cannot be combined with scenario flags "
-                 "(--pp/--tp/--dp/--smb/--nmb/--loop/--batch/--schedule/"
-                 "--sharding/--megatron/--no-*-overlap)"));
+      preset_conflict);
+  EXPECT_EQ(
+      server.handle(R"({"type":"run","preset":"fig5a-bf-b16","model":"6.6b"})"),
+      preset_conflict);
+  EXPECT_EQ(server.handle(R"({"type":"run","preset":"fig5a-bf-b16",)"
+                          R"("cluster":"dgx1-v100-eth"})"),
+            preset_conflict);
   EXPECT_EQ(
       server.handle(R"({"type":"search","model":"6.6b","batch":64,"pp":4})"),
       error_line("cli: search explores the configuration space itself; "

@@ -583,8 +583,8 @@ TEST(Cli, AxisErrorTextsArePinned) {
                   {"run", "--preset", "fig5a-bf-b16", "--pp", "4"}));
             }),
             "cli: --preset cannot be combined with scenario flags "
-            "(--pp/--tp/--dp/--smb/--nmb/--loop/--batch/--schedule/"
-            "--sharding/--megatron/--no-*-overlap)");
+            "(--model/--cluster/--pp/--tp/--dp/--smb/--nmb/--loop/"
+            "--batch/--schedule/--sharding/--megatron/--no-*-overlap)");
   EXPECT_EQ(error_text<ConfigError>([] {
               scenario_from_cli(parse_cli(
                   {"search", "--model", "6.6b", "--batch", "64", "--pp", "4"}));

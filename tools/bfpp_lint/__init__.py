@@ -11,7 +11,7 @@ passes that fail CI:
                    fields additionally appear in to_json and the CSV
                    header in a stable order (the silent-drop bug class
                    that would break warm-restart byte-identity)
-  enum-sync        ScheduleKind / schedule::Family / Backend
+  enum-sync        ScheduleKind / DpSharding / Backend
                    enumerators vs their to_string switches, parse_*
                    alias tables, the `bfpp help` text and the token
                    lists in docs/PROTOCOL.md + docs/SCHEDULES.md

@@ -1,26 +1,20 @@
 """enum-sync: the schedule zoo and backend surface stay plumbed
 end-to-end.
 
-Adding a schedule family touches an enum (parallel::ScheduleKind), its
-twin registry enum (schedule::Family), two string tables (to_string +
-the parse_* alias table), the FamilyInfo registry, the `bfpp help`
+Adding a schedule family touches an enum (parallel::ScheduleKind), two
+string tables (to_string + the parse_* alias table), the `bfpp help`
 text, and the token lists in docs/PROTOCOL.md and docs/SCHEDULES.md.
 Any one of those forgotten leaves a family that parses but does not
 print, or prints but cannot be requested over the wire. This pass makes
 the drift a CI failure:
 
-  1. schedule::Family and parallel::ScheduleKind declare identical
-     enumerator lists, in the same order (the registry promises 1:1);
-  2. every enumerator of ScheduleKind / DpSharding / Backend has a
+  1. every enumerator of ScheduleKind / DpSharding / Backend has a
      `case` in its to_string switch and is returned by at least one
      alias in its parse_* function;
-  3. every Family appears exactly once in the all_families() registry,
-     paired with the same-named ScheduleKind and carrying the same
-     canonical name string that to_string(kind) returns;
-  4. for every ScheduleKind and Backend enumerator, at least one of its
+  2. for every ScheduleKind and Backend enumerator, at least one of its
      parse aliases appears (token-delimited) in the `bfpp help` text
      and in docs/PROTOCOL.md;
-  5. docs/SCHEDULES.md has exactly one `## `-level family section per
+  3. docs/SCHEDULES.md has exactly one `## `-level family section per
      family (heading format: ## `token` - title), each heading token a
      known parse alias, with no orphan sections.
 """
@@ -35,8 +29,6 @@ NAME = "enum-sync"
 
 CONFIG_H = "src/parallel/config.h"
 CONFIG_CPP = "src/parallel/config.cpp"
-SCHEDULE_H = "src/schedule/schedule.h"
-SCHEDULE_CPP = "src/schedule/schedule.cpp"
 ENGINE_H = "src/api/engine.h"
 ENGINE_CPP = "src/api/engine.cpp"
 CLI_CPP = "src/api/cli.cpp"
@@ -59,16 +51,6 @@ def _enumerators(clean: str, enum_name: str, rel: str) -> list[str]:
 
 def _switch_cases(clean: str, enum_name: str) -> set[str]:
     return set(re.findall(rf"\bcase\s+{enum_name}::(\w+)\s*:", clean))
-
-
-def _case_strings(raw: str, enum_name: str) -> dict[str, str]:
-    """enumerator -> returned literal for `case E::k: return "s";`."""
-    out: dict[str, str] = {}
-    for m in re.finditer(
-            rf'case\s+{enum_name}::(\w+)\s*:\s*return\s*"([^"]*)"',
-            raw):
-        out[m.group(1)] = m.group(2)
-    return out
 
 
 def _parse_aliases(raw: str, fn_name: str, enum_name: str,
@@ -122,28 +104,18 @@ def run(root: Path) -> list[Finding]:
     findings: list[Finding] = []
 
     config_h = strip_comments(read_required(root, CONFIG_H))
-    schedule_h = strip_comments(read_required(root, SCHEDULE_H))
     engine_h = strip_comments(read_required(root, ENGINE_H))
     config_cpp = read_required(root, CONFIG_CPP)
-    schedule_cpp = read_required(root, SCHEDULE_CPP)
     engine_cpp = read_required(root, ENGINE_CPP)
     cli_cpp = read_required(root, CLI_CPP)
     protocol = read_required(root, PROTOCOL_MD)
     schedules_md = read_required(root, SCHEDULES_MD)
 
     kinds = _enumerators(config_h, "ScheduleKind", CONFIG_H)
-    families = _enumerators(schedule_h, "Family", SCHEDULE_H)
     shardings = _enumerators(config_h, "DpSharding", CONFIG_H)
     backends = _enumerators(engine_h, "Backend", ENGINE_H)
 
-    # (1) Family mirrors ScheduleKind, in order.
-    if kinds != families:
-        findings.append(Finding(
-            SCHEDULE_H, 0,
-            f"schedule::Family enumerators {families} are not 1:1 (and "
-            f"in order) with parallel::ScheduleKind {kinds}"))
-
-    # (2) to_string switches and parse alias tables are exhaustive.
+    # (1) to_string switches and parse alias tables are exhaustive.
     for enum_name, enumerators, raw, rel in [
             ("ScheduleKind", kinds, config_cpp, CONFIG_CPP),
             ("DpSharding", shardings, config_cpp, CONFIG_CPP),
@@ -175,45 +147,7 @@ def run(root: Path) -> list[Finding]:
                     "(CLI, wire protocol, describe() round-trip)",
                     source=f"{enum_name}::{e}"))
 
-    # (3) the FamilyInfo registry covers every family exactly once, with
-    # matching kind and canonical name.
-    registry = re.findall(
-        r"{\s*Family::(\w+)\s*,\s*ScheduleKind::(\w+)\s*,\s*\"([^\"]*)\"",
-        schedule_cpp)
-    seen_families = [r[0] for r in registry]
-    kind_names = _case_strings(config_cpp, "ScheduleKind")
-    for fam in families:
-        hits = [r for r in registry if r[0] == fam]
-        if len(hits) != 1:
-            findings.append(Finding(
-                SCHEDULE_CPP, 0,
-                f"Family::{fam} appears {len(hits)} times in the "
-                "all_families() registry (want exactly 1)",
-                source=f"Family::{fam}"))
-            continue
-        _, kind, name = hits[0]
-        if kind != fam:
-            findings.append(Finding(
-                SCHEDULE_CPP, 0,
-                f"registry pairs Family::{fam} with ScheduleKind::{kind} "
-                "(the registry promises the same-named kind)",
-                source=f"Family::{fam}"))
-        if kind_names.get(fam) != name:
-            findings.append(Finding(
-                SCHEDULE_CPP, 0,
-                f"registry canonical name \"{name}\" for Family::{fam} != "
-                f"to_string(ScheduleKind::{fam}) = "
-                f"\"{kind_names.get(fam)}\" - describe()/CLI/wire tokens "
-                "would disagree",
-                source=f"Family::{fam}"))
-    for fam in seen_families:
-        if fam not in families:
-            findings.append(Finding(
-                SCHEDULE_CPP, 0,
-                f"registry entry Family::{fam} names an unknown family",
-                source=f"Family::{fam}"))
-
-    # (4) user-facing token lists: bfpp help + PROTOCOL.md must mention
+    # (2) user-facing token lists: bfpp help + PROTOCOL.md must mention
     # at least one parse alias of every schedule family and backend.
     usage_m = re.search(r"cli_usage\(\)\s*{", cli_cpp)
     if usage_m is None:
@@ -225,7 +159,7 @@ def run(root: Path) -> list[Finding]:
         for e in enumerators:
             aliases = alias_tables[enum_name].get(e, [])
             if not aliases:
-                continue  # already reported in (2)
+                continue  # already reported in (1)
             if not _any_alias_present(help_text, aliases):
                 findings.append(Finding(
                     CLI_CPP, 0,
@@ -241,7 +175,7 @@ def run(root: Path) -> list[Finding]:
                     "docs/PROTOCOL.md",
                     source=f"{enum_name}::{e}"))
 
-    # (5) docs/SCHEDULES.md: one `## \`token\` -` section per family.
+    # (3) docs/SCHEDULES.md: one `## \`token\` -` section per family.
     headings = re.findall(r"^##\s+`([^`]+)`", schedules_md, re.M)
     family_of_heading: dict[str, str] = {}
     for tok in headings:
@@ -277,7 +211,7 @@ def run(root: Path) -> list[Finding]:
 
 PASS = Pass(
     name=NAME,
-    description="ScheduleKind/Family/Backend enumerators vs to_string, "
-                "parse aliases, registry, bfpp help and doc token lists",
+    description="ScheduleKind/DpSharding/Backend enumerators vs "
+                "to_string, parse aliases, bfpp help and doc token lists",
     run=run,
 )
