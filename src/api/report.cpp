@@ -1,6 +1,7 @@
 #include "api/report.h"
 
 #include <initializer_list>
+#include <string_view>
 #include <utility>
 
 #include "common/error.h"
@@ -89,6 +90,9 @@ std::string csv_quote(const std::string& s) {
   out += '"';
   return out;
 }
+
+// The compact JSON row up to the label's value.
+constexpr std::string_view kJsonRowHead = "{\"scenario\":";
 
 }  // namespace
 
@@ -329,6 +333,33 @@ Table to_table(const std::vector<Report>& reports) {
                format_bytes(r.memory_min.total())});
   }
   return t;
+}
+
+std::string row_tail(Report report, RowFormat format) {
+  // An empty label renders as `""` in JSON and as nothing in CSV.
+  report.scenario.clear();
+  std::string tail =
+      format == RowFormat::kCsv
+          ? report.to_csv_row()
+          : report.to_json(false).substr(kJsonRowHead.size() + 2);
+  tail.shrink_to_fit();  // the cache keeps it
+  return tail;
+}
+
+void append_row(std::string& out, const Report& report, RowFormat format) {
+  out += format == RowFormat::kCsv ? report.to_csv_row()
+                                   : report.to_json(false);
+}
+
+void append_row(std::string& out, const std::string& label,
+                std::string_view tail, RowFormat format) {
+  if (format == RowFormat::kCsv) {
+    out += csv_quote(label);
+  } else {
+    out += kJsonRowHead;
+    out += json_quote(label);
+  }
+  out += tail;
 }
 
 std::string to_csv(const std::vector<Report>& reports) {

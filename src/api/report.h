@@ -7,6 +7,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.h"
@@ -85,6 +86,21 @@ struct Report {
   // truncated value (the cache loader skips such entries).
   static Report from_wire(const json::Value& value);
 };
+
+// A row is its label followed by a label-free tail: `scenario` is the
+// first field of both the compact JSON object and the CSV row, and
+// nothing after it depends on it. The serve cache keeps each Report's
+// tails and answers a hit by splicing the cell's label in.
+enum class RowFormat { kJson, kCsv };
+
+// The bytes of to_json(false) (kJson) or to_csv_row() (kCsv) after the
+// scenario field, from the comma that follows it.
+std::string row_tail(Report report, RowFormat format);
+// Appends the report's to_json(false) or to_csv_row(); or, from one of
+// its tails, the bytes that report relabelled to `label` renders.
+void append_row(std::string& out, const Report& report, RowFormat format);
+void append_row(std::string& out, const std::string& label,
+                std::string_view tail, RowFormat format);
 
 // Renders reports as the repo's standard ASCII table (one row each).
 Table to_table(const std::vector<Report>& reports);

@@ -93,7 +93,7 @@ ReportCache::Probe ReportCache::probe_or_lead(const std::string& key) {
   if (it != index_.end()) {
     ++counters_.hits;
     lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
-    probe.report = it->second->second;
+    probe.report = it->second->report;
     return probe;
   }
   const auto flight = inflight_.find(key);
@@ -108,24 +108,44 @@ ReportCache::Probe ReportCache::probe_or_lead(const std::string& key) {
   return probe;
 }
 
-std::optional<std::vector<Report>> ReportCache::find_all(
-    const std::vector<std::string>& keys) {
+std::optional<std::vector<std::string>> ReportCache::find_tails(
+    const std::vector<std::string_view>& keys, RowFormat format) {
+  const auto slot = static_cast<size_t>(format);
+  std::vector<std::string> tails(keys.size());
+  std::vector<std::pair<size_t, Report>> untailed;  // key index, a copy
+  {
+    const LockGuard lock(mutex_);
+    std::vector<decltype(lru_)::iterator> nodes;
+    nodes.reserve(keys.size());
+    for (const std::string_view key : keys) {
+      const auto it = index_.find(key);
+      if (it == index_.end()) return std::nullopt;
+      nodes.push_back(it->second);
+    }
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      lru_.splice(lru_.begin(), lru_, nodes[i]);  // promote, in key order
+      const std::string& tail = nodes[i]->tails[slot];
+      if (tail.empty()) {
+        untailed.emplace_back(i, nodes[i]->report);
+      } else {
+        tails[i] = tail;
+      }
+    }
+    counters_.hits += keys.size();
+  }
+  if (untailed.empty()) return tails;
+  for (auto& [i, report] : untailed) {
+    tails[i] = row_tail(std::move(report), format);
+  }
   const LockGuard lock(mutex_);
-  std::vector<decltype(lru_)::iterator> nodes;
-  nodes.reserve(keys.size());
-  for (const std::string& key : keys) {
-    const auto it = index_.find(key);
-    if (it == index_.end()) return std::nullopt;
-    nodes.push_back(it->second);
+  for (const auto& entry : untailed) {
+    const size_t i = entry.first;
+    const auto it = index_.find(keys[i]);
+    if (it != index_.end() && it->second->tails[slot].empty()) {
+      it->second->tails[slot] = tails[i];
+    }
   }
-  std::vector<Report> reports;
-  reports.reserve(nodes.size());
-  for (const auto node : nodes) {
-    lru_.splice(lru_.begin(), lru_, node);  // promote to MRU, in key order
-    reports.push_back(node->second);
-  }
-  counters_.hits += keys.size();
-  return reports;
+  return tails;
 }
 
 std::optional<Report> ReportCache::wait(
@@ -171,15 +191,16 @@ ReportCache::InsertOutcome ReportCache::insert_locked(const std::string& key,
   InsertOutcome outcome;
   const auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->second = std::move(report);
+    it->second->report = std::move(report);
+    it->second->tails = {};
     lru_.splice(lru_.begin(), lru_, it->second);
     return outcome;  // a refresh + promote, nothing new or evicted
   }
-  lru_.emplace_front(key, std::move(report));
-  index_[key] = lru_.begin();
+  lru_.push_front({key, std::move(report), {}});
+  index_.emplace(lru_.front().key, lru_.begin());
   outcome.inserted = true;
   while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
+    index_.erase(lru_.back().key);
     lru_.pop_back();
     ++outcome.evicted;
   }
@@ -195,7 +216,10 @@ bool ReportCache::save(const std::string& path) const {
     const LockGuard lock(mutex_);
     // LRU first, MRU last: load() re-inserts in file order and ends up
     // with the same recency order this cache has now.
-    entries.assign(lru_.rbegin(), lru_.rend());
+    entries.reserve(lru_.size());
+    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+      entries.emplace_back(it->key, it->report);
+    }
   }
   std::string out = str_format("{\"bfpp_report_cache\":%d,\"entries\":%zu}\n",
                                kCacheFileVersion, entries.size());
@@ -547,36 +571,44 @@ size_t sweep_cells(const ScenarioAxes& axes, size_t cap) {
   return cells;
 }
 
-// A cached Report under the label its cell asks for: the cache key
-// deliberately excludes the cosmetic label, so a sweep cell can satisfy
-// a later run request and vice versa.
-void relabel(Report& report, const std::string& label,
-             const Scenario& scenario) {
-  report.scenario = label.empty() ? scenario.name : label;
+// The label a cached Report is shown under: the cache key deliberately
+// excludes the cosmetic label, so a sweep cell can satisfy a later run
+// request and vice versa.
+const std::string& shown_label(const std::string& label,
+                               const Scenario& scenario) {
+  return label.empty() ? scenario.name : label;
 }
 
-// Payload rendering shared by run/search/sweep/compare responses: a run
-// or search answers with its one report inline.
+// Payload rendering shared by run/search/sweep/compare responses, from
+// the computed Reports or from cached row tails: `append_row(i, out)`
+// appends row i, rows in order. A run or search answers with its one
+// report inline.
+template <class AppendRow>
 std::string rows_response(const std::string& id_echo, const std::string& type,
-                          const std::vector<Report>& reports,
-                          const std::string& format) {
-  if (format == "csv") {
-    std::string head = str_format(
-        "\"ok\":true,\"type\":\"%s\",\"format\":\"csv\",\"rows\":%zu,"
-        "\"lines\":%zu",
-        type.c_str(), reports.size(), reports.size() + 1);
-    return response_line(id_echo, head) + to_csv(reports);
+                          size_t rows, RowFormat format,
+                          const AppendRow& append_row) {
+  const bool csv = format == RowFormat::kCsv;
+  std::string out;
+  out.reserve(160 + rows * (csv ? 256 : 1024));
+  out += '{';
+  if (!id_echo.empty()) (out += "\"id\":").append(id_echo) += ',';
+  (out += "\"ok\":true,\"type\":\"").append(type) += '"';
+  if (!csv && (type == "run" || type == "search")) {
+    out += ",\"report\":";
+    append_row(size_t{0}, out);
+    out += "}\n";
+    return out;
   }
-  if (type == "run" || type == "search") {
-    return response_line(
-        id_echo, str_format("\"ok\":true,\"type\":\"%s\",", type.c_str()) +
-                     "\"report\":" + reports[0].to_json(false));
+  if (csv) out += ",\"format\":\"csv\"";
+  const auto lines = static_cast<long long>(csv ? rows + 1 : rows);
+  append_int(out += ",\"rows\":", static_cast<long long>(rows));
+  append_int(out += ",\"lines\":", lines);
+  out += "}\n";
+  if (csv) (out += Report::csv_header()) += '\n';
+  for (size_t i = 0; i < rows; ++i) {
+    append_row(i, out);
+    out += '\n';
   }
-  std::string head = str_format(
-      "\"ok\":true,\"type\":\"%s\",\"rows\":%zu,\"lines\":%zu",
-      type.c_str(), reports.size(), reports.size());
-  std::string out = response_line(id_echo, head);
-  for (const Report& r : reports) out += r.to_json(false) + "\n";
   return out;
 }
 
@@ -710,7 +742,7 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
     }
     ReportCache::Probe probe = cache_.probe_or_lead(cell.key);
     if (probe.report.has_value()) {
-      relabel(*probe.report, cell.label, *cell.built);
+      probe.report->scenario = shown_label(cell.label, *cell.built);
       slot.report = std::move(probe.report);
     } else if (probe.waiting != nullptr) {
       slot.waiting = std::move(probe.waiting);
@@ -759,14 +791,14 @@ std::vector<Report> Server::execute(const std::vector<Cell>& cells,
         std::optional<Report> result = cache_.wait(slot.waiting);
         slot.waiting = nullptr;
         if (result.has_value()) {
-          relabel(*result, cell.label, *cell.built);
+          result->scenario = shown_label(cell.label, *cell.built);
           slot.report = std::move(result);
         }
         continue;
       }
       ReportCache::Probe probe = cache_.probe_or_lead(cell.key);
       if (probe.report.has_value()) {
-        relabel(*probe.report, cell.label, *cell.built);
+        probe.report->scenario = shown_label(cell.label, *cell.built);
         slot.report = std::move(probe.report);
       } else if (probe.waiting != nullptr) {
         slot.waiting = std::move(probe.waiting);
@@ -822,9 +854,10 @@ void Server::parse(const std::string& line, Request& req) const {
                  "serve: field \"%s\" is not valid for a '%s' request",
                  key.c_str(), req.type.c_str());
     if (key == "format") {
-      req.format = to_lower(v.as_string("format"));
-      check_config(req.format == "json" || req.format == "csv",
+      const std::string format = to_lower(v.as_string("format"));
+      check_config(format == "json" || format == "csv",
                    "serve: \"format\" must be \"json\" or \"csv\"");
+      req.format = format == "csv" ? RowFormat::kCsv : RowFormat::kJson;
     } else if (key == "backend") {
       req.run.backend = parse_backend(v.as_string("backend"));
     } else if (key == "kernel") {
@@ -968,26 +1001,26 @@ bool Server::answer_from_cache(const Request& req, std::string& response) {
 
   // run / search / sweep / compare: all cells cached, or compute.
   if (req.cells.size() > kMaxInlineCells) return false;
-  std::vector<std::string> keys;
+  std::vector<std::string_view> keys;
   keys.reserve(req.cells.size());
   for (const Cell& cell : req.cells) {
     if (!cell.failed.has_value()) keys.push_back(cell.key);
   }
-  std::optional<std::vector<Report>> hits = cache_.find_all(keys);
-  if (!hits.has_value()) return false;
-  std::vector<Report> reports;
-  reports.reserve(req.cells.size());
-  size_t next_hit = 0;
-  for (const Cell& cell : req.cells) {
-    if (cell.failed.has_value()) {
-      reports.push_back(*cell.failed);
-      continue;
-    }
-    Report& hit = (*hits)[next_hit++];
-    relabel(hit, cell.label, *cell.built);
-    reports.push_back(std::move(hit));
-  }
-  response = rows_response(id_echo, req.type, reports, req.format);
+  const std::optional<std::vector<std::string>> tails =
+      cache_.find_tails(keys, req.format);
+  if (!tails.has_value()) return false;
+  size_t next_tail = 0;  // rows are appended in cell order
+  response = rows_response(
+      id_echo, req.type, req.cells.size(), req.format,
+      [&](size_t i, std::string& out) {
+        const Cell& cell = req.cells[i];
+        if (cell.failed.has_value()) {
+          append_row(out, *cell.failed, req.format);
+        } else {
+          append_row(out, shown_label(cell.label, *cell.built),
+                     (*tails)[next_tail++], req.format);
+        }
+      });
   return true;
 }
 
@@ -1017,8 +1050,11 @@ std::string Server::compute(const Request& req) {
   const auto started = std::chrono::steady_clock::now();
   std::string response;
   try {
-    response = rows_response(req.id_echo, req.type,
-                             execute(req.cells, req.run, req.jobs), req.format);
+    const std::vector<Report> reports = execute(req.cells, req.run, req.jobs);
+    response = rows_response(req.id_echo, req.type, reports.size(), req.format,
+                             [&](size_t i, std::string& out) {
+                               append_row(out, reports[i], req.format);
+                             });
   } catch (...) {
     response = current_error_line(req.id_echo);
   }

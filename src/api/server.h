@@ -52,6 +52,7 @@
 // and whenever the appended lines reach the cache capacity.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -62,6 +63,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -81,10 +83,11 @@ class Value;
 namespace bfpp::api {
 
 // Thread-safe LRU cache of finished Reports. Keys are the canonical
-// strings cache_key() builds; capacity is an entry count (Reports are a
-// few hundred bytes each). A hit promotes to most-recently-used; an
-// insert evicts from the least-recently-used end once full. save()/load()
-// make the cache durable: a versioned JSON-lines snapshot of every cell,
+// strings cache_key() builds; capacity is an entry count (an entry is
+// about 0.9 KB, plus about 1 KB once find_tails() has rendered both its
+// row tails). A hit promotes to most-recently-used; an insert evicts
+// from the least-recently-used end once full. save()/load() make the
+// cache durable: a versioned JSON-lines snapshot of every cell,
 // negative (found=false) entries included.
 //
 // The cache is also the single-flight coalescing point: probe_or_lead()
@@ -128,15 +131,19 @@ class ReportCache {
   // already being computed returns that entry to wait() on.
   [[nodiscard]] Probe probe_or_lead(const std::string& key);
 
-  // All-or-nothing lookup under one lock, which never appoints a leader.
-  // When every key is cached, promotes each to MRU in key order, counts
-  // one hit per key (as probe_or_lead() would) and returns the Reports
-  // in key order. Otherwise returns nullopt and changes nothing: no
-  // counter, no recency, no in-flight entry. A key that is being
-  // computed is not cached, so misses and coalesced waits are counted
-  // by probe_or_lead() alone.
-  [[nodiscard]] std::optional<std::vector<Report>> find_all(
-      const std::vector<std::string>& keys);
+  // All-or-nothing lookup, which never appoints a leader. When every
+  // key is cached, promotes each to MRU in key order, counts one hit per
+  // key (as probe_or_lead() would) and returns each entry's row tail in
+  // `format` (row_tail() in report.h), in key order, so the event loop
+  // answers a hit by splicing labels in. Otherwise returns nullopt and
+  // changes nothing: no counter, no recency, no in-flight entry; misses
+  // and coalesced waits are counted by probe_or_lead() alone. A tail is
+  // rendered only here, the first time it is asked for, from a copy of
+  // the Report outside the lock, then stored if the key is still
+  // cached: a key fixes its Report's bytes, so a refresh in between
+  // cannot make the stored tail wrong.
+  [[nodiscard]] std::optional<std::vector<std::string>> find_tails(
+      const std::vector<std::string_view>& keys, RowFormat format);
 
   // Blocks until the in-flight computation behind `entry` publishes or
   // abandons. Returns the published Report (byte-identical to what the
@@ -208,22 +215,32 @@ class ReportCache {
   InsertOutcome insert_locked(const std::string& key, Report report)
       BFPP_REQUIRES(mutex_);
 
+  // One cached cell. The key is stored here only: index_ keys are views
+  // of it (list nodes never move).
+  struct Entry {
+    std::string key;
+    Report report;
+    // row_tail(report, format), indexed by RowFormat; empty until
+    // find_tails() first asks for that format (a tail is never empty).
+    std::array<std::string, 2> tails;
+  };
+
   // Retires the in-flight entry under `key` (if any), waking every
   // follower with `result`.
   void finish_inflight_locked(const std::string& key,
                               std::optional<Report> result)
       BFPP_REQUIRES(mutex_);
 
-  // mutex_ guards every piece of cache state below: the LRU list + its
-  // index, the single-flight table, the counters, and (transitively) the
-  // done/result fields of every InFlight entry.
+  // mutex_ guards every piece of cache state below: the LRU list (its
+  // entries' tails included) + its index, the single-flight table, the
+  // counters, and (transitively) the done/result fields of every
+  // InFlight entry. Nothing is rendered or serialized under it.
   mutable Mutex mutex_;
   const size_t capacity_;  // immutable after construction
   // Front = most recently used. The index maps key -> list node.
-  std::list<std::pair<std::string, Report>> lru_ BFPP_GUARDED_BY(mutex_);
-  std::unordered_map<std::string,
-                     std::list<std::pair<std::string, Report>>::iterator>
-      index_ BFPP_GUARDED_BY(mutex_);
+  std::list<Entry> lru_ BFPP_GUARDED_BY(mutex_);
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_
+      BFPP_GUARDED_BY(mutex_);
   // Single-flight table: key -> the in-flight computation followers wait
   // on. Entries live from probe_or_lead() (leader appointment) until
   // publish()/abandon().
@@ -404,7 +421,7 @@ class Server {
     std::string id_echo;  // compact JSON to echo back ("" = no id)
     std::string type;     // run | search | sweep | compare | stats |
                           // metrics | list | ping | shutdown
-    std::string format = "json";  // json | csv
+    RowFormat format = RowFormat::kJson;
     std::string list_what = "all";  // list: models|clusters|scenarios|all
     RunOptions run;
     int jobs = 0;
@@ -433,8 +450,9 @@ class Server {
   // The answer from cache: sets `response` and returns true for a
   // request that needs no cell (ping, shutdown, stats, metrics, list)
   // or whose cells - at most kMaxInlineCells of them - are all cached
-  // (ReportCache::find_all); returns false, changing nothing, when the
-  // request must compute.
+  // (ReportCache::find_tails), splicing each cell's label into its
+  // cached row tail; returns false, changing nothing, when the request
+  // must compute.
   bool answer_from_cache(const Request& req, std::string& response);
 
   // Counts one answered request in the service-time histogram.

@@ -82,6 +82,10 @@ Schedule depth_first(int n_pp, int n_loop, int n_mb) {
   check_config(n_mb % n_pp == 0,
                "depth-first schedule requires n_mb (%d) divisible by n_pp (%d)",
                n_mb, n_pp);
+  // The paper: "N_loop = 1 corresponds to ... 1F1B".
+  if (n_loop == 1) {
+    return one_f_one_b_order(n_pp, n_mb, 0, /*split_backward=*/false);
+  }
   Schedule s = make_empty(n_pp, n_loop, n_mb);
   const int total = n_loop * n_mb;  // chunk-passes per device per direction
   const int group = n_pp * n_loop;  // one "sequence" of chunk-passes
@@ -107,16 +111,10 @@ Schedule depth_first(int n_pp, int n_loop, int n_mb) {
     auto& ops = s.device_ops[static_cast<size_t>(r)];
     // Warmup length from Megatron-LM: all-forward when the pipeline is
     // exactly filled, otherwise 2*(n_pp - r - 1) + (n_loop - 1) * n_pp.
-    // With n_loop == 1 this is plain 1F1B, whose warmup is n_pp - r - 1
-    // (the paper: "N_loop = 1 corresponds to ... 1F1B").
-    int warmup;
-    if (n_mb == n_pp && n_loop > 1) {
-      warmup = total;
-    } else if (n_loop == 1) {
-      warmup = std::min(total, n_pp - r - 1);
-    } else {
-      warmup = std::min(total, 2 * (n_pp - r - 1) + (n_loop - 1) * n_pp);
-    }
+    const int warmup =
+        n_mb == n_pp
+            ? total
+            : std::min(total, 2 * (n_pp - r - 1) + (n_loop - 1) * n_pp);
     for (int k = 0; k < warmup; ++k) ops.push_back(forward_op(r, k));
     for (int i = 0; i + warmup < total; ++i) {
       ops.push_back(forward_op(r, warmup + i));

@@ -9,6 +9,7 @@
 #include "api/api.h"
 #include "api/cli.h"
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace bfpp::api {
 namespace {
@@ -309,6 +310,74 @@ TEST(Report, CsvQuotesCommas) {
   Report r = golden_report();
   r.cluster = "a,b";
   EXPECT_NE(r.to_csv_row().find("\"a,b\""), std::string::npos);
+}
+
+// A string of `n` bytes drawn from the bytes a label can break a row
+// with: quotes, commas, CR/LF, backslashes, control bytes, DEL and
+// multi-byte UTF-8, mixed with plain letters.
+std::string hostile_text(Rng& rng, size_t n) {
+  static const std::vector<std::string> pieces = {
+      "\"", ",", "\r", "\n", "\r\n", "\\", "\x01", "\x1f", "\t", "\x7f",
+      "\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x98\x80", "a", "Z", " ", "/", "{}"};
+  std::string out;
+  for (size_t i = 0; i < n; ++i) {
+    out += pieces[rng.uniform_index(pieces.size())];
+  }
+  return out;
+}
+
+TEST(Report, SplicedRowsEqualTheRelabelledReportsRows) {
+  // Over found, infeasible, errored and searched (frugal) reports, a
+  // row spliced from a tail under any label must be byte for byte the
+  // row the relabelled report renders, in both formats.
+  Rng rng(20261019);
+  for (int trial = 0; trial < 400; ++trial) {
+    Report r = golden_report();
+    r.scenario = hostile_text(rng, rng.uniform_index(4));
+    r.model = hostile_text(rng, rng.uniform_index(3));
+    r.n_gpus = static_cast<int>(rng.uniform_index(512)) + 1;
+    r.result.utilization = rng.uniform();
+    r.result.batch_time = rng.uniform(1e-3, 1e3);
+    r.memory.activation_bytes = rng.uniform(0, 1e11);
+    switch (trial % 4) {
+      case 0:  // found
+        break;
+      case 1:  // infeasible search: found=false, no error
+        r.found = false;
+        r.method = "Breadth-first";
+        r.infeasible = static_cast<int>(rng.uniform_index(100));
+        break;
+      case 2:  // a failed cell: found=false with a hostile error
+        r.found = false;
+        r.error = "[config] " + hostile_text(rng, 1 + rng.uniform_index(6));
+        break;
+      case 3: {  // a search with its frugal pick
+        r.method = hostile_text(rng, 1 + rng.uniform_index(2));
+        r.evaluated = static_cast<int>(rng.uniform_index(1000));
+        Report::Frugal frugal;
+        frugal.config = r.config;
+        frugal.config.n_loop = 2;
+        frugal.result.batch_time = rng.uniform(1e-3, 1e3);
+        frugal.memory_min.state_bytes = rng.uniform(0, 1e10);
+        r.frugal = frugal;
+        break;
+      }
+    }
+    const std::string label = hostile_text(rng, rng.uniform_index(8));
+    Report relabelled = r;
+    relabelled.scenario = label;
+    for (const RowFormat format : {RowFormat::kJson, RowFormat::kCsv}) {
+      const std::string want = format == RowFormat::kCsv
+                                   ? relabelled.to_csv_row()
+                                   : relabelled.to_json(false);
+      std::string spliced = "head\n";
+      append_row(spliced, label, row_tail(r, format), format);
+      EXPECT_EQ(spliced, "head\n" + want) << "trial " << trial;
+      std::string rendered = "head\n";
+      append_row(rendered, relabelled, format);
+      EXPECT_EQ(rendered, "head\n" + want) << "trial " << trial;
+    }
+  }
 }
 
 TEST(Report, NotFoundRowsDegradeGracefully) {

@@ -9,6 +9,7 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -120,11 +121,14 @@ TEST(DepthFirst, RunsInSequencesOfNpp) {
 }
 
 TEST(DepthFirst, NonLoopedEquals1F1BBehaviour) {
-  // With n_loop == 1 and n_mb > n_pp, depth-first is 1F1B: same warmup
-  // counts and the same op multiset in the same steady-state pattern.
-  const Schedule df = depth_first(4, 1, 8);
-  const Schedule fb = one_f_one_b(4, 8);
-  EXPECT_EQ(df.device_ops, fb.device_ops);
+  // With n_loop == 1, depth-first is 1F1B op for op, including a
+  // pipeline exactly filled (n_mb == n_pp).
+  for (const auto& [n_pp, n_mb] :
+       {std::pair{4, 8}, std::pair{4, 4}, std::pair{2, 6}, std::pair{1, 3}}) {
+    EXPECT_EQ(depth_first(n_pp, 1, n_mb).device_ops,
+              one_f_one_b(n_pp, n_mb).device_ops)
+        << "n_pp=" << n_pp << " n_mb=" << n_mb;
+  }
 }
 
 TEST(GradAccumulation, DepthFirstIsPerMicroBatch) {

@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -120,9 +121,11 @@ TEST(Json, NumbersParseBitForBitLikeStrtod) {
 
 // ---- ReportCache ----
 
+// Tagged in the label and in the row tails.
 Report tagged_report(const std::string& tag) {
   Report r;
   r.scenario = tag;
+  r.model = tag;
   r.found = true;
   return r;
 }
@@ -182,39 +185,47 @@ TEST(ReportCache, CapacityZeroDisablesCaching) {
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
-// ---- ReportCache::find_all (the event loop's all-or-nothing lookup) ----
+// ---- ReportCache::find_tails (the event loop's all-or-nothing lookup) ----
 
-TEST(ReportCache, FindAllHitPromotesInKeyOrderAndCountsOneHitPerKey) {
+// Whether every key hits, through the JSON tails.
+bool all_cached(ReportCache& cache, const std::vector<std::string_view>& keys) {
+  return cache.find_tails(keys, RowFormat::kJson).has_value();
+}
+
+TEST(ReportCache, FindTailsHitPromotesInKeyOrderAndCountsOneHitPerKey) {
   ReportCache cache(3);
   cache.publish("a", tagged_report("a"));
   cache.publish("b", tagged_report("b"));
   cache.publish("c", tagged_report("c"));  // LRU order a, b, c
-  const auto hits = cache.find_all({"b", "a"});
-  ASSERT_TRUE(hits.has_value());
-  ASSERT_EQ(hits->size(), 2u);
-  EXPECT_EQ((*hits)[0].scenario, "b");
-  EXPECT_EQ((*hits)[1].scenario, "a");
+  for (const RowFormat format : {RowFormat::kJson, RowFormat::kCsv}) {
+    const auto tails = cache.find_tails({"b", "a"}, format);
+    ASSERT_TRUE(tails.has_value());
+    ASSERT_EQ(tails->size(), 2u);
+    EXPECT_EQ((*tails)[0], row_tail(tagged_report("b"), format));
+    EXPECT_EQ((*tails)[1], row_tail(tagged_report("a"), format));
+  }
   const ReportCache::Stats s = cache.stats();
-  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.hits, 4u);
   EXPECT_EQ(s.misses, 0u);
   EXPECT_EQ(s.coalesced, 0u);
   EXPECT_EQ(s.inflight, 0u);
   // b then a were promoted: LRU order c, b, a, so c goes first, then b.
   cache.publish("d", tagged_report("d"));
-  EXPECT_FALSE(cache.find_all({"c"}).has_value());
+  EXPECT_FALSE(all_cached(cache, {"c"}));
   cache.publish("e", tagged_report("e"));
-  EXPECT_FALSE(cache.find_all({"b"}).has_value());
-  EXPECT_TRUE(cache.find_all({"a", "d", "e"}).has_value());
+  EXPECT_FALSE(all_cached(cache, {"b"}));
+  EXPECT_TRUE(all_cached(cache, {"a", "d", "e"}));
   EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
-TEST(ReportCache, FindAllPartialHitChangesNothing) {
+TEST(ReportCache, FindTailsPartialHitChangesNothing) {
   ReportCache cache(2);
   cache.publish("a", tagged_report("a"));
   cache.publish("b", tagged_report("b"));  // LRU order a, b
   const ReportCache::Stats before = cache.stats();
   // "a" is cached, "x" is not: no hit is counted and "a" is not promoted.
-  EXPECT_FALSE(cache.find_all({"a", "x"}).has_value());
+  EXPECT_FALSE(cache.find_tails({"a", "x"}, RowFormat::kCsv).has_value());
+  EXPECT_FALSE(all_cached(cache, {"a", "x"}));
   const ReportCache::Stats after = cache.stats();
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);
@@ -223,29 +234,44 @@ TEST(ReportCache, FindAllPartialHitChangesNothing) {
   EXPECT_EQ(after.inflight, 0u);  // "x" was not claimed
   // "a" is still the LRU entry, so the next insert evicts it, not "b".
   cache.publish("c", tagged_report("c"));
-  EXPECT_FALSE(cache.find_all({"a"}).has_value());
-  EXPECT_TRUE(cache.find_all({"b", "c"}).has_value());
+  EXPECT_FALSE(all_cached(cache, {"a"}));
+  EXPECT_TRUE(all_cached(cache, {"b", "c"}));
   // Nobody leads "x": the first single-flight probe is appointed leader.
   EXPECT_TRUE(cache.probe_or_lead("x").leader);
   cache.abandon("x");
 }
 
-TEST(ReportCache, FindAllTreatsAnInFlightKeyAsNotCached) {
+TEST(ReportCache, FindTailsTreatsAnInFlightKeyAsNotCached) {
   ReportCache cache(4);
   cache.publish("a", tagged_report("a"));
   ASSERT_TRUE(cache.probe_or_lead("b").leader);  // b is being computed
-  EXPECT_FALSE(cache.find_all({"a", "b"}).has_value());
-  EXPECT_FALSE(cache.find_all({"b"}).has_value());
+  EXPECT_FALSE(all_cached(cache, {"a", "b"}));
+  EXPECT_FALSE(all_cached(cache, {"b"}));
   ReportCache::Stats s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 1u);     // the leader's probe only
-  EXPECT_EQ(s.coalesced, 0u);  // find_all never joins a flight
+  EXPECT_EQ(s.coalesced, 0u);  // find_tails never joins a flight
   EXPECT_EQ(s.inflight, 1u);
   cache.publish("b", tagged_report("b"));
-  EXPECT_TRUE(cache.find_all({"a", "b"}).has_value());
+  EXPECT_TRUE(all_cached(cache, {"a", "b"}));
   s = cache.stats();
   EXPECT_EQ(s.hits, 2u);
   EXPECT_EQ(s.inflight, 0u);
+}
+
+TEST(ReportCache, FindTailsRendersFromTheCurrentReportAfterARefresh) {
+  ReportCache cache(2);
+  cache.publish("a", tagged_report("a"));
+  EXPECT_EQ(cache.find_tails({"a"}, RowFormat::kJson)->at(0),
+            row_tail(tagged_report("a"), RowFormat::kJson));
+  // A refresh drops the stored tails with the Report they came from; a
+  // probe's Report copy never carries or fills one.
+  cache.publish("a", tagged_report("a2"));
+  EXPECT_EQ(lookup(cache, "a")->model, "a2");
+  for (const RowFormat format : {RowFormat::kJson, RowFormat::kCsv}) {
+    EXPECT_EQ(cache.find_tails({"a"}, format)->at(0),
+              row_tail(tagged_report("a2"), format));
+  }
 }
 
 // ---- Single-flight coalescing (ReportCache layer) ----
@@ -2289,6 +2315,66 @@ TEST(Server, CacheFileWarmRestartServesEntirelyFromCache) {
   const ReportCache::Stats stats = restarted.cache_stats();
   EXPECT_EQ(stats.hits, 3u);    // every request answered from the cache
   EXPECT_EQ(stats.misses, 0u);  // nothing recomputed after the restart
+  EXPECT_EQ(stats.insertions, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(Server, SnapshotHitsSpliceTheComputedBytesInBothFormats) {
+  // A warm start holds no rendered tails: the first hit in each format
+  // renders and stores them, the second splices the stored ones. Both
+  // must equal what a cacheless server computes and renders afresh.
+  const std::string path = testing::TempDir() + "bfpp_serve_tails.jsonl";
+  std::remove(path.c_str());
+  const std::vector<std::string> requests = {
+      // A preset run: the empty label shows the scenario's name.
+      R"({"type":"run","preset":"fig5a-bf-b16","backend":"analytic")",
+      R"({"type":"run","model":"6.6b","cluster":"dgx1-v100-ib","pp":4,)"
+      R"("tp":2,"dp":8,"nmb":8,"schedule":"bf","loop":2,"backend":"analytic")",
+      // A search, with its frugal block.
+      R"({"type":"search","model":"6.6b","cluster":"dgx1-v100-ib",)"
+      R"("batch":64,"method":"bf","backend":"analytic")",
+      // An infeasible cell: found=false with an [oom] error.
+      R"({"type":"run","model":"52b","cluster":"dgx1-v100-ib","pp":1,)"
+      R"("tp":1,"dp":64,"nmb":1,"schedule":"gpipe","backend":"analytic")",
+      // Two cached cells (one shared with the run above, under another
+      // label) and two [config] rows, which have no key.
+      R"({"type":"sweep","model":"6.6b","cluster":"dgx1-v100-ib",)"
+      R"("pp":[4,3],"tp":[2],"dp":[8],"nmb":[8,16],"schedule":["bf"],)"
+      R"("loop":[2],"backend":"analytic")"};
+  const size_t keyed_cells = 1 + 1 + 1 + 1 + 2;
+  std::vector<std::string> lines;  // every request in JSON, then in CSV
+  for (const std::string& r : requests) lines.push_back(r + "}");
+  for (const std::string& r : requests) {
+    lines.push_back(r + R"(,"format":"csv"})");
+  }
+
+  ServeOptions cacheless;
+  cacheless.cache_capacity = 0;
+  Server reference(cacheless);
+  std::vector<std::string> want;
+  for (const std::string& line : lines) {
+    want.push_back(reference.handle(line));
+    ASSERT_NE(want.back().find("\"ok\":true"), std::string::npos) << line;
+  }
+
+  ServeOptions options;
+  options.cache_file = path;
+  {
+    Server writer(options);
+    for (const std::string& r : requests) (void)writer.handle(r + "}");
+    ASSERT_TRUE(writer.persist_cache());
+  }
+  Server restarted(options);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(restarted.handle(lines[i]), want[i])
+          << "pass " << pass << ": " << lines[i];
+    }
+  }
+  const ReportCache::Stats stats = restarted.cache_stats();
+  EXPECT_EQ(stats.hits, 2 * 2 * keyed_cells);  // two passes, two formats
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.coalesced, 0u);
   EXPECT_EQ(stats.insertions, 0u);
   std::remove(path.c_str());
 }
