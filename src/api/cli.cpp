@@ -352,11 +352,15 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       throw UsageError("cli: --method applies to search and sweep commands, "
                        "not run");
     }
+    if (options.command != "run" &&
+        (flag == "--timeline" || flag == "--width")) {
+      throw UsageError(str_format("cli: %s applies to run commands, not %s",
+                                  flag.c_str(), options.command.c_str()));
+    }
     if (options.command == "compare" &&
         (axis != nullptr || flag == "--preset" || flag == "--megatron" ||
          flag == "--no-dp-overlap" || flag == "--no-pp-overlap" ||
-         flag == "--no-overlap" || flag == "--timeline" ||
-         flag == "--width")) {
+         flag == "--no-overlap")) {
       throw UsageError(str_format(
           "cli: %s is not valid for a 'compare' command (--grid, --jobs, "
           "--backend, --json, --csv or --output)",
@@ -424,6 +428,9 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       check_config(!options.output.empty(), "cli: --output expects a path");
     } else if (flag == "--width") {
       options.width = parse_int_flag(flag, value(flag));
+      if (options.width < 1) {
+        throw UsageError("cli: --width must be at least 1");
+      }
     } else if (flag == "--megatron") {
       options.megatron = true;
     } else if (flag == "--no-dp-overlap") {
@@ -649,7 +656,8 @@ std::string cli_usage() {
       "  --output FILE       write the report/CSV/JSON to FILE\n"
       "  --timeline          append a Figure-4-style ASCII timeline\n"
       "                      (run only; requires --backend sim)\n"
-      "  --width N           timeline width in columns (default 100)\n"
+      "  --width N           timeline width in columns (run only;\n"
+      "                      default 100)\n"
       "\n"
       "exit codes: 0 ok; 1 usage/config error; 2 malformed numeric flag\n"
       "value, a flag the command ignores, or search/sweep found no\n"

@@ -1143,82 +1143,12 @@ int Server::serve_stdio(std::FILE* in, std::FILE* out) {
   return 0;
 }
 
-void Server::executor_loop() {
-  // The previous request's response, handed back at the top of the next
-  // critical section: one lock round per request covers both the
-  // completion push and the next pop.
-  std::optional<DispatchItem> done;
-  while (true) {
-    DispatchItem item;
-    {
-      const LockGuard lock(dispatch_mutex_);
-      if (done.has_value()) {
-        completions_.push_back(std::move(*done));
-        done.reset();
-        // Signalled before this thread may block on dispatch_ready_
-        // below; the non-blocking pipe write never stalls the lock.
-        wake_.signal();
-      }
-      // Plain while-loop, not a predicate lambda: dispatch_queue_ and
-      // executors_stop_ are guarded by dispatch_mutex_ and the analysis
-      // must see the reads under the held lock.
-      while (!executors_stop_ && dispatch_queue_.empty()) {
-        dispatch_ready_.wait(dispatch_mutex_);
-      }
-      // Stop only once the queue is drained: every dispatched request
-      // was admitted, so its client still gets an answer during a
-      // shutdown drain.
-      if (dispatch_queue_.empty()) return;
-      item = std::move(dispatch_queue_.front());
-      dispatch_queue_.pop_front();
-    }
-    metrics_.dispatch_backlog.fetch_sub(1, std::memory_order_relaxed);
-    metrics_.executing.fetch_add(1, std::memory_order_relaxed);
-    // The event loop owns the socket and does the flush.
-    item.response = compute(item.request);
-    metrics_.executing.fetch_sub(1, std::memory_order_relaxed);
-    done = std::move(item);
-  }
-}
-
-void Server::start_executors() {
-  {
-    const LockGuard lock(dispatch_mutex_);
-    executors_stop_ = false;
-  }
-  const int want = executor_count();
-  executors_.reserve(static_cast<size_t>(want));
-  for (int i = 0; i < want; ++i) {
-    try {
-      executors_.emplace_back([this] { executor_loop(); });
-    } catch (const std::system_error& e) {
-      // Thread exhaustion (EAGAIN under tight rlimits): run with the
-      // executors that did spawn rather than dying - unless none did,
-      // in which case no request could ever be answered.
-      std::fprintf(stderr,
-                   "bfpp serve: spawned %zu of %d executor threads (%s)\n",
-                   executors_.size(), want, e.what());
-      break;
-    }
-  }
-  check_config(!executors_.empty(),
-               "serve: cannot spawn any executor thread");
-}
-
-void Server::stop_executors() {
-  {
-    const LockGuard lock(dispatch_mutex_);
-    executors_stop_ = true;
-  }
-  dispatch_ready_.notify_all();
-  for (std::thread& thread : executors_) {
-    if (thread.joinable()) thread.join();
-  }
-  executors_.clear();
-}
-
 int Server::serve_on(net::Listener& listener) {
-  start_executors();
+  // The executors: a dedicated pool, not ThreadPool::shared(), whose one
+  // FIFO queue would hold a request behind another request's
+  // parallel_for drivers. Destroying it runs every queued task, then
+  // joins; every exit path does so before completions_ is released.
+  std::optional<ThreadPool> executors(std::in_place, executor_count());
   int exit_code = 0;
 
   // The connection registry, owned by this thread like every Conn field.
@@ -1228,7 +1158,7 @@ int Server::serve_on(net::Listener& listener) {
   std::vector<std::shared_ptr<Conn>> conns;
   std::vector<pollfd> fds;
   std::vector<size_t> fd_to_conn;  // fds index -> conns index
-  std::deque<DispatchItem> completed;
+  std::deque<Completion> completed;
   std::string response;
   bool draining = false;
   // Work is ready without any fd turning ready - a connection holds a
@@ -1314,7 +1244,7 @@ int Server::serve_on(net::Listener& listener) {
         const LockGuard lock(dispatch_mutex_);
         completed.swap(completions_);
       }
-      for (DispatchItem& done : completed) {
+      for (Completion& done : completed) {
         done.conn->outbox += done.response;
         done.conn->busy = false;
         flush(*done.conn);
@@ -1408,11 +1338,19 @@ int Server::serve_on(net::Listener& listener) {
       if (req.has_value()) {
         conn->busy = true;
         metrics_.dispatch_backlog.fetch_add(1, std::memory_order_relaxed);
-        {
-          const LockGuard lock(dispatch_mutex_);
-          dispatch_queue_.push_back({conn, std::move(*req), {}});
-        }
-        dispatch_ready_.notify_one();
+        executors->submit([this, conn, request = std::move(*req)]() mutable {
+          metrics_.dispatch_backlog.fetch_sub(1, std::memory_order_relaxed);
+          metrics_.executing.fetch_add(1, std::memory_order_relaxed);
+          // The event loop owns the socket and does the flush.
+          std::string done = compute(request);
+          metrics_.executing.fetch_sub(1, std::memory_order_relaxed);
+          {
+            const LockGuard lock(dispatch_mutex_);
+            completions_.push_back(
+                {conn, std::move(request), std::move(done)});
+          }
+          wake_.signal();
+        });
       } else {
         conn->outbox += response;
         flush(*conn);
@@ -1468,7 +1406,7 @@ int Server::serve_on(net::Listener& listener) {
     metrics_.writing.store(writing, std::memory_order_relaxed);
   }
 
-  stop_executors();
+  executors.reset();
   {
     // Responses for connections that died mid-request: release them
     // (and the sockets they keep open) now, not at the next serve_on.

@@ -22,11 +22,12 @@
 // run/search/sweep/compare of at most a few dozen cells that are all
 // cached - through the same parse and answer steps handle() runs, so
 // the bytes are identical. Only a request that must compute goes,
-// already parsed, to a small fixed pool of executor threads, which run
-// execute() and hand the response back through a completion queue, so
-// the loop thread alone owns every connection's state; all computation
-// funnels through the shared ThreadPool exactly as in single-client
-// mode, so concurrent clients share one thread budget instead of
+// already parsed, to the executors: a dedicated ThreadPool of a few
+// threads, owned by serve_on, whose tasks each run compute() and hand
+// the response back through a completion queue, so the loop thread
+// alone owns every connection's state. All computation funnels through
+// the shared ThreadPool exactly as in single-client mode, so
+// concurrent clients share one thread budget instead of
 // oversubscribing the machine. Admission control caps concurrency at
 // --max-connections (over-cap connects get an explicit JSON error,
 // counted in `rejected`), and per-connection fairness stops reading
@@ -64,7 +65,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -477,11 +477,11 @@ class Server {
   // ---- Event-loop serving core (serve_on only) ----
   //
   // One poll() loop owns every connection and answers what needs no
-  // computation; a small fixed pool of executor threads runs compute()
-  // for the rest. Every Conn field belongs to the event-loop thread
-  // alone: executors see only the request they were handed and return
-  // the response through the completion queue, so no Conn state is
-  // shared and none of it needs a lock.
+  // computation; serve_on's executor pool runs compute() for the rest.
+  // Every Conn field belongs to the event-loop thread alone: an
+  // executor task sees only the request it was handed and returns the
+  // response through the completion queue, so no Conn state is shared
+  // and none of it needs a lock.
   struct Conn {
     explicit Conn(net::Stream&& s);
     ~Conn();
@@ -497,37 +497,26 @@ class Server {
     std::chrono::steady_clock::time_point stalled_since{};
     size_t last_pending = 0;        // outbox remainder at last stall check
   };
-  // One parsed request bound for an executor, and on the way back its
-  // response. The shared_ptr keeps the Conn alive even if the event
-  // loop closes and unregisters the connection while the request is
-  // still computing; executors never touch the Conn itself.
-  struct DispatchItem {
+  // One computed response on its way back to the event loop. The
+  // shared_ptr keeps the Conn alive even if the event loop closes and
+  // unregisters the connection while the request is still computing;
+  // executors never touch the Conn itself. The request rides back too,
+  // so the loop thread that allocated it also frees it: freeing it on
+  // the executor cost sweep_cold about 4 % of its cells/s (4-vCPU KVM
+  // guest, glibc malloc).
+  struct Completion {
     std::shared_ptr<Conn> conn;
     Request request;
     std::string response;
   };
 
-  // Executor threads: each pops DispatchItems, runs compute() and pushes
-  // the response onto completions_ (in the same critical section as its
-  // next pop) plus a wake_ signal. Started and joined by serve_on
-  // (executors_ itself is touched only by the serve_on thread).
-  void executor_loop() BFPP_EXCLUDES(dispatch_mutex_);
-  void start_executors() BFPP_EXCLUDES(dispatch_mutex_);
-  void stop_executors() BFPP_EXCLUDES(dispatch_mutex_);
-
   // Builds the ServeStats snapshot behind the stats/metrics responses.
   [[nodiscard]] ServeStats snapshot_stats() const;
 
-  // dispatch_mutex_ guards both directions of the executor handoff: the
-  // parsed-request queue executors pop from, the completion queue they
-  // push responses onto, and their stop flag. dispatch_ready_ signals a
-  // new request or stop; wake_ signals a completion. Leaf lock.
+  // dispatch_mutex_ guards the completion queue executor tasks push
+  // responses onto, each followed by a wake_ signal. Leaf lock.
   Mutex dispatch_mutex_;
-  CondVar dispatch_ready_;
-  std::deque<DispatchItem> dispatch_queue_ BFPP_GUARDED_BY(dispatch_mutex_);
-  std::deque<DispatchItem> completions_ BFPP_GUARDED_BY(dispatch_mutex_);
-  bool executors_stop_ BFPP_GUARDED_BY(dispatch_mutex_) = false;
-  std::vector<std::thread> executors_;  // serve_on-thread only
+  std::deque<Completion> completions_ BFPP_GUARDED_BY(dispatch_mutex_);
 
   // Wakes the event loop's poll() when an executor finishes a response
   // or request_shutdown() is called from another thread. Lock-free (see

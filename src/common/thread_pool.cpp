@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
+#include <system_error>
 #include <utility>
 
+#include "common/error.h"
 #include "common/mutex.h"
 
 namespace bfpp {
@@ -60,8 +63,15 @@ ThreadPool::ThreadPool(int n_threads) {
   const int n = std::max(1, n_threads);
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    try {
+      workers_.emplace_back([this] { worker_loop(); });
+    } catch (const std::system_error& e) {
+      std::fprintf(stderr, "bfpp: spawned %zu of %d pool threads (%s)\n",
+                   workers_.size(), n, e.what());
+      break;
+    }
   }
+  check_config(!workers_.empty(), "thread pool: cannot spawn any thread");
 }
 
 ThreadPool::~ThreadPool() {
@@ -95,6 +105,14 @@ void ThreadPool::worker_loop() {
     }
     task();
   }
+}
+
+void ThreadPool::submit(std::function<void()> task) {
+  {
+    const LockGuard lock(mutex_);
+    queue_.push_back(std::move(task));
+  }
+  work_available_.notify_one();
 }
 
 bool ThreadPool::run_one_task() {

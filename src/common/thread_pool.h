@@ -3,7 +3,9 @@
 // One process-wide pool (ThreadPool::shared()) backs both api::sweep()
 // cell execution and autotune::find_best candidate evaluation, so nested
 // parallelism (a sweep of searches) shares a single thread budget
-// instead of oversubscribing the machine.
+// instead of oversubscribing the machine. `bfpp serve` runs its
+// executors as a second, dedicated instance: fire-and-forget submit()
+// tasks that each compute one request through the shared pool.
 //
 // Scheduling is work-stealing at two levels:
 //  * within a parallel_for, every participant - pool workers and the
@@ -37,8 +39,12 @@ namespace bfpp {
 class ThreadPool {
  public:
   // A pool of `n_threads` workers (minimum 1). Threads are lazy: they
-  // sleep on a condition variable when the run queue is empty.
+  // sleep on a condition variable when the run queue is empty. When the
+  // system refuses a thread (EAGAIN under tight rlimits), the pool warns
+  // on stderr and runs with the workers that did spawn; it throws
+  // ConfigError only when none did.
   explicit ThreadPool(int n_threads);
+  // Runs every task still queued, then joins the workers.
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -60,6 +66,11 @@ class ThreadPool {
   // task: nested calls share the pool and the waiting caller helps
   // execute pending work.
   void parallel_for(int n, int jobs, const std::function<void(int)>& fn);
+
+  // Queues `task` to run once on a worker and returns at once. Tasks
+  // start in submission order. A task must not throw: no caller waits
+  // for it to hand the error to.
+  void submit(std::function<void()> task) BFPP_EXCLUDES(mutex_);
 
  private:
   void worker_loop() BFPP_EXCLUDES(mutex_);

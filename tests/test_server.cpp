@@ -2077,8 +2077,15 @@ TEST(Server, EventLoopAnswersCachedRequestsWithTheSameBytesAndCounters) {
     blockers.push_back(std::make_unique<net::Stream>(bfd));
     ASSERT_TRUE(blockers.back()->write_all(std::string(kCoalescedRun) + "\n"));
   }
-  ASSERT_TRUE(poll_until(
-      [&] { return metrics().connections.processing == int{kBlockers}; }));
+  // Every parked request is at an executor or queued for one, and the
+  // executors have picked some up.
+  ASSERT_TRUE(poll_until([&] {
+    const ServeStats parked = metrics();
+    return parked.connections.processing == int{kBlockers} &&
+           parked.queues.executing >= 1 &&
+           parked.queues.executing + parked.queues.dispatch_backlog ==
+               kBlockers;
+  }));
   // Cached requests are still answered: the event loop serves them.
   EXPECT_EQ(ask(run_a, 1), expected_run);
   EXPECT_EQ(ask(sweep_ab, 3), expected_sweep);
@@ -2100,9 +2107,75 @@ TEST(Server, EventLoopAnswersCachedRequestsWithTheSameBytesAndCounters) {
   const ServeStats final_metrics = metrics();
   EXPECT_EQ(final_metrics.requests, sent + kBlockers);
   EXPECT_EQ(final_metrics.latency.count, sent + kBlockers - 1);
+  // An executor finishes a request before handing back its response.
+  EXPECT_EQ(final_metrics.queues.executing, 0u);
+  EXPECT_EQ(final_metrics.queues.dispatch_backlog, 0u);
 
   server.request_shutdown();
   serve_thread.join();
+}
+
+TEST(Server, ShutdownDrainAnswersRequestsQueuedBehindBusyExecutors) {
+  std::unique_ptr<net::Listener> listener;
+  try {
+    listener = std::make_unique<net::Listener>(0);
+  } catch (const ConfigError& e) {
+    GTEST_SKIP() << e.what();
+  }
+  ServeOptions options;
+  Server server(options);
+  const std::string held =
+      cache_key(coalesced_cell(), std::nullopt, options.run);
+  ASSERT_TRUE(server.cache().probe_or_lead(held).leader);
+  int serve_result = -1;
+  std::thread serve_thread([&] { serve_result = server.serve_on(*listener); });
+  Server reference;
+  const std::string expected = reference.handle(kCoalescedRun);
+
+  const auto connect = [&] {
+    const int fd = connect_loopback(listener->port());
+    EXPECT_GE(fd, 0);
+    timeval timeout{};
+    timeout.tv_sec = 20;
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    return std::make_unique<net::Stream>(fd);
+  };
+  std::unique_ptr<net::Stream> monitor = connect();
+  // More requests for the held cell than there are executors (at most
+  // 16), each on its own connection, so some wait in the pool's queue.
+  constexpr size_t kBlockers = 20;
+  std::vector<std::unique_ptr<net::Stream>> blockers;
+  for (size_t i = 0; i < kBlockers; ++i) {
+    blockers.push_back(connect());
+    ASSERT_TRUE(blockers.back()->write_all(std::string(kCoalescedRun) + "\n"));
+  }
+  ASSERT_TRUE(poll_until([&] {
+    std::string line;
+    if (!monitor->write_all("{\"type\":\"metrics\"}\n") ||
+        !monitor->read_line(line)) {
+      return false;
+    }
+    const ServeStats parked = ServeStats::from_wire(json::parse(line));
+    return parked.connections.processing == int{kBlockers} &&
+           parked.queues.dispatch_backlog >= 1 &&
+           parked.queues.executing + parked.queues.dispatch_backlog ==
+               kBlockers;
+  }));
+
+  // The drain has begun once the idle monitor connection is closed.
+  server.request_shutdown();
+  std::string line;
+  EXPECT_FALSE(monitor->read_line(line));
+  server.cache().publish(held, run(coalesced_cell(), options.run));
+  for (const std::unique_ptr<net::Stream>& blocker : blockers) {
+    std::string got;
+    ASSERT_TRUE(read_lines(*blocker, 1, got));
+    EXPECT_EQ(got, expected);
+  }
+  serve_thread.join();
+  EXPECT_EQ(serve_result, 0);
 }
 
 TEST(Server, ClientVanishingMidResponseDoesNotDisturbOthers) {

@@ -3,12 +3,17 @@
 // (simulator / analytic / threaded), SweepBuilder grids, sweep()
 // determinism across thread counts, and the sweep/validate CLI surface.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -83,6 +88,130 @@ TEST(ThreadPool, ResolveJobs) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.resolve_jobs(0), 4);  // workers + caller
   EXPECT_EQ(pool.resolve_jobs(2), 2);
+}
+
+TEST(ThreadPool, SubmitRunsEveryTaskExactlyOnce) {
+  std::vector<std::atomic<int>> runs(200);
+  std::atomic<size_t> finished{0};
+  {
+    ThreadPool pool(4);
+    for (size_t i = 0; i < runs.size(); ++i) {
+      pool.submit([&runs, &finished, i] {
+        runs[i].fetch_add(1);
+        finished.fetch_add(1);
+      });
+    }
+    while (finished.load() < runs.size()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+}
+
+TEST(ThreadPool, DestructionRunsQueuedTasksBeforeJoining) {
+  // The one worker is held in the first task until 20 ms after the
+  // pool's scope closes, so the other tasks are still queued when the
+  // destructor starts.
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::atomic<int> ran{0};
+  std::thread releaser;
+  {
+    ThreadPool pool(1);
+    pool.submit([&] {
+      held = true;
+      while (!release) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    for (int i = 0; i < 50; ++i) pool.submit([&] { ran.fetch_add(1); });
+    while (!held) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    releaser = std::thread([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      release = true;
+    });
+  }
+  releaser.join();
+  EXPECT_EQ(ran.load(), 50);
+}
+
+TEST(ThreadPool, SubmittedTaskCanRunASharedParallelFor) {
+  // What a server executor does: its compute() runs the request's cells
+  // through ThreadPool::shared().
+  std::atomic<int> total{0};
+  {
+    ThreadPool pool(2);
+    for (int t = 0; t < 4; ++t) {
+      pool.submit([&total] {
+        ThreadPool::shared().parallel_for(
+            32, 0, [&total](int) { total.fetch_add(1); });
+      });
+    }
+  }
+  EXPECT_EQ(total.load(), 4 * 32);
+}
+
+// Lowers the soft RLIMIT_NPROC, which caps a user's threads and
+// processes together, to `limit`, keeping the hard one.
+bool set_thread_cap(rlim_t limit) {
+  rlimit cap{};
+  if (::getrlimit(RLIMIT_NPROC, &cap) != 0 || cap.rlim_max < limit) {
+    return false;
+  }
+  cap.rlim_cur = limit;
+  return ::setrlimit(RLIMIT_NPROC, &cap) == 0;
+}
+
+// Forking a multi-threaded process and then spawning threads in the child
+// is outside what ThreadSanitizer supports.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define BFPP_TSAN 1
+#endif
+#endif
+
+TEST(ThreadPool, RunsWithTheThreadsThatSpawnAndThrowsWhenNoneDo) {
+#if defined(__SANITIZE_THREAD__) || defined(BFPP_TSAN)
+  GTEST_SKIP() << "fork + threads under TSan";
+#endif
+  // A forked child runs as nobody when the test runs as root, whom
+  // RLIMIT_NPROC does not bind. It fills a cap of 1 itself, so that pool
+  // must throw. The user's other threads are not known, so the cap then
+  // rises one step at a time: the first pool that constructs had room
+  // for about one thread, far fewer than it asked for, and must still
+  // run tasks.
+  constexpr int kAsked = 64;
+  constexpr int kSkip = 77;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::freopen("/dev/null", "w", stderr);  // the pool's spawn warning
+    if (::geteuid() == 0 && (::setgid(65534) != 0 || ::setuid(65534) != 0)) {
+      ::_exit(kSkip);
+    }
+    for (rlim_t limit = 1; limit <= (rlim_t{1} << 15); ++limit) {
+      if (!set_thread_cap(limit)) ::_exit(kSkip);
+      try {
+        ThreadPool pool(kAsked);
+        if (pool.size() == kAsked) ::_exit(kSkip);  // the cap does not bind
+        if (limit == 1) ::_exit(1);                 // it spawned past the cap
+        std::atomic<bool> ran{false};
+        pool.submit([&ran] { ran = true; });
+        while (!ran) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ::_exit(0);
+      } catch (const ConfigError&) {
+        // No room yet: no thread spawned.
+      }
+    }
+    ::_exit(kSkip);
+  }
+  int status = 0;
+  ASSERT_GT(pid, 0);
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  if (WEXITSTATUS(status) == kSkip) {
+    GTEST_SKIP() << "RLIMIT_NPROC does not bind";
+  }
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 // ---- Backends ----
@@ -682,6 +811,18 @@ TEST(Cli, CommandsRejectFlagsTheyIgnore) {
                            "--no-overlap", "--timeline"}) {
     EXPECT_THROW(parse_cli({"compare", flag}), UsageError) << flag;
   }
+  // --timeline and --width are run's alone, and a timeline needs at
+  // least one column.
+  for (const char* command : {"search", "sweep", "list", "validate", "serve"}) {
+    EXPECT_THROW(parse_cli({command, "--timeline"}), UsageError) << command;
+    EXPECT_THROW(parse_cli({command, "--width", "7"}), UsageError) << command;
+  }
+  EXPECT_EQ(cli_outcome({"search", "--timeline", "--width", "7"}),
+            std::make_pair(2, std::string("bfpp: cli: --timeline applies to "
+                                          "run commands, not search\n")));
+  EXPECT_EQ(cli_outcome({"run", "--timeline", "--width", "0"}),
+            std::make_pair(
+                2, std::string("bfpp: cli: --width must be at least 1\n")));
   // What the commands do use still parses.
   EXPECT_NO_THROW(parse_cli({"compare", "--grid", "fig6", "--jobs", "2",
                              "--backend", "analytic", "--csv", "--output",
@@ -689,6 +830,7 @@ TEST(Cli, CommandsRejectFlagsTheyIgnore) {
   EXPECT_NO_THROW(parse_cli({"search", "--method", "df", "--batch", "64"}));
   EXPECT_NO_THROW(parse_cli({"sweep", "--method", "bf,df", "--batch", "64"}));
   EXPECT_NO_THROW(parse_cli({"run", "--pp", "8", "--timeline"}));
+  EXPECT_NO_THROW(parse_cli({"run", "--timeline", "--width", "1"}));
 }
 
 TEST(Cli, SweepRejectsUnknownScheduleFamilyEagerly) {
