@@ -633,10 +633,10 @@ std::string cli_usage() {
       "                      (default 4; backpressure, not an error)\n"
       "  requests are line-delimited JSON (docs/PROTOCOL.md); --backend\n"
       "  and --jobs set per-request defaults. A poll() event loop owns\n"
-      "  all sockets and a small executor pool runs the compute, so an\n"
+      "  all sockets and the shared thread pool runs the compute, so an\n"
       "  idle or slow client never delays another's requests, and\n"
       "  requests racing on the same uncached cell are coalesced (one\n"
-      "  computes, the rest wait for its bytes). A `metrics` request\n"
+      "  computes, the rest are handed its bytes). A `metrics` request\n"
       "  reports latency histograms, queue depths and connection states\n"
       "\n"
       "execution:\n"

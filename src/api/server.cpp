@@ -47,18 +47,10 @@ constexpr size_t kOutboxHighWater = 4u << 20;
 // backlog.
 constexpr int kListenBacklog = 128;
 
-// Cached requests of more cells than this are computed by an executor
-// (execute() answers their cached cells too) rather than answered on the
-// event loop, so one large cached compare cannot stall every client
-// while it renders.
+// Requests of more cells than this are probed and rendered on a pool
+// thread rather than on the event loop, so one large cached compare
+// cannot stall every client while it renders.
 constexpr size_t kMaxInlineCells = 64;
-
-// How many executor threads run compute(). Matching the compute pool
-// keeps a fully-busy server from queueing behind fewer dispatchers,
-// the floor keeps several coalescing followers (which block their
-// executor in ReportCache::wait) from starving unrelated requests,
-// and the cap bounds idle threads on huge machines.
-int executor_count() { return std::clamp(ThreadPool::shared().size(), 4, 16); }
 
 // One cache-file entry line: what save() writes per entry and what the
 // journal appends per inserted cell.
@@ -148,42 +140,72 @@ std::optional<std::vector<std::string>> ReportCache::find_tails(
   return tails;
 }
 
-std::optional<Report> ReportCache::wait(
-    const std::shared_ptr<InFlight>& entry) {
-  const LockGuard lock(mutex_);
-  // Plain while-loop, not a predicate lambda: `done` is guarded by
-  // mutex_, and the analysis must see the read under the held lock.
-  while (!entry->done) entry->ready.wait(mutex_);
-  return entry->result;
+void ReportCache::follow(const std::shared_ptr<InFlight>& entry,
+                         Follower follower) {
+  std::optional<Report> result;
+  {
+    const LockGuard lock(mutex_);
+    if (!entry->done) {
+      entry->followers.push_back(std::move(follower));
+      return;
+    }
+    result = entry->result;
+  }
+  follower(std::move(result));
 }
 
-void ReportCache::finish_inflight_locked(const std::string& key,
-                                         std::optional<Report> result) {
+std::vector<ReportCache::Follower> ReportCache::finish_inflight_locked(
+    const std::string& key, const std::optional<Report>& result) {
   const auto it = inflight_.find(key);
-  if (it == inflight_.end()) return;
+  if (it == inflight_.end()) return {};
   const std::shared_ptr<InFlight> entry = std::move(it->second);
   inflight_.erase(it);
-  entry->result = std::move(result);
+  entry->result = result;
   entry->done = true;
-  entry->ready.notify_all();
+  return std::move(entry->followers);
 }
 
-void ReportCache::publish(const std::string& key, Report report) {
-  const LockGuard lock(mutex_);
-  if (capacity_ > 0) {
-    const InsertOutcome outcome = insert_locked(key, report);
-    if (outcome.inserted) ++counters_.insertions;
-    counters_.evictions += outcome.evicted;
+ReportCache::Handoff ReportCache::publish(const std::string& key,
+                                          Report report) {
+  std::vector<Follower> followers;
+  {
+    const LockGuard lock(mutex_);
+    if (capacity_ > 0) {
+      const InsertOutcome outcome = insert_locked(key, report);
+      if (outcome.inserted) ++counters_.insertions;
+      counters_.evictions += outcome.evicted;
+    }
+    // Followers are handed the result through the entry itself, so they
+    // are served even when the cache is disabled or the new cell was
+    // immediately evicted.
+    followers = finish_inflight_locked(key, report);
   }
-  // Followers are handed the result through the entry itself, so they
-  // are served even when the cache is disabled or the new cell was
-  // immediately evicted.
-  finish_inflight_locked(key, std::move(report));
+  return {std::move(followers), std::move(report)};
 }
 
 void ReportCache::abandon(const std::string& key) {
-  const LockGuard lock(mutex_);
-  finish_inflight_locked(key, std::nullopt);
+  std::vector<Follower> followers;
+  {
+    const LockGuard lock(mutex_);
+    followers = finish_inflight_locked(key, std::nullopt);
+  }
+  for (Follower& follower : followers) follower(std::nullopt);
+}
+
+ReportCache::Handoff::Handoff(std::vector<Follower> followers, Report result)
+    : followers_(std::move(followers)) {
+  if (!followers_.empty()) result_ = std::move(result);
+}
+
+ReportCache::Handoff& ReportCache::Handoff::operator=(
+    Handoff&& other) noexcept {
+  std::swap(followers_, other.followers_);
+  std::swap(result_, other.result_);
+  return *this;
+}
+
+ReportCache::Handoff::~Handoff() {
+  for (Follower& follower : followers_) follower(result_);
 }
 
 ReportCache::InsertOutcome ReportCache::insert_locked(const std::string& key,
@@ -654,7 +676,7 @@ void Server::request_shutdown() {
   shutdown_ = true;
   // One lock-free signal: the event loop polls the wake pipe and reads
   // shutdown_ at the top of every iteration. Callable from anywhere -
-  // an executor mid-request, a signal-ish control thread, a test.
+  // a pool thread mid-request, a signal-ish control thread, a test.
   wake_.signal();
 }
 
@@ -683,141 +705,176 @@ void Server::publish(const std::string& key, const Report& report) {
     return;
   }
   const std::string line = cache_entry_line(key, report);  // unlocked
+  // Declared before the lock, so the followers run after it is released.
+  ReportCache::Handoff followers;
   const LockGuard lock(journal_mutex_);
   // Append (and flush to the kernel) first, then publish: followers
-  // wake, and the cell becomes a hit, only once its line is in the file.
-  // A kill -9 can tear at most this one line, which load() skips.
+  // are answered, and the cell becomes a hit, only once its line is in
+  // the file. A kill -9 can tear at most this one line, which load()
+  // skips.
   if (journal_ != nullptr && (std::fputs(line.c_str(), journal_) == EOF ||
                               std::fflush(journal_) == EOF)) {
     std::fprintf(stderr, "bfpp serve: cannot append to cache file '%s': %s\n",
                  options_.cache_file.c_str(), errno_string(errno).c_str());
   }
-  cache_.publish(key, report);
+  followers = cache_.publish(key, report);
   // Compacting at the capacity bounds the file at twice the capacity in
   // entry lines: at most one full snapshot plus one capacity of appends.
   if (++journal_lines_ >= options_.cache_capacity) (void)compact_locked();
 }
 
-std::vector<Report> Server::execute(const std::vector<Cell>& cells,
-                                    const RunOptions& run, int jobs) {
-  struct Slot {
-    std::optional<Report> report;
-    std::shared_ptr<ReportCache::InFlight> waiting;  // follower: wait here
-    bool leader = false;     // this request computes (and publishes) it
-    bool published = false;  // publish() reached the cache
-  };
-  std::vector<Slot> slots(cells.size());
+struct Server::Job {
+  Request request;
+  // Hands the rendered response on, once: to the event loop's completion
+  // queue, or to handle()'s waiting caller.
+  std::function<void(Job&, std::string)> deliver;
+  std::chrono::steady_clock::time_point started;
+  std::unique_ptr<Engine> engine;              // shared by every cell led
+  std::vector<std::optional<Report>> reports;  // by cell index
+  // One count for the loop over the cells this job leads, plus one per
+  // followed cell whose result has not arrived. acq_rel, so the thread
+  // that takes it to zero sees every report.
+  std::atomic<int> pending{1};
+  std::atomic<bool> running{false};  // a pool driver has started
+  // mutex guards the first error (lowest rank) and its rank: -1 for the
+  // led loop's own, which wins, else the followed cell's index.
+  Mutex mutex;
+  long error_rank BFPP_GUARDED_BY(mutex) = 0;
+  std::exception_ptr error BFPP_GUARDED_BY(mutex);
 
-  // Whatever unwinds out of here - an unexpected exception in a compute
-  // task, a bad_alloc building the work lists - a claimed cell must
-  // never stay in-flight: followers on other sessions would wait
-  // forever. publish() flips `published`, so the normal path is a no-op.
-  struct AbandonGuard {
-    ReportCache& cache;
-    const std::vector<Cell>& cells;
-    std::vector<Slot>& slots;
-    ~AbandonGuard() {
-      for (size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].leader && !slots[i].published) {
-          cache.abandon(cells[i].key);
-        }
-      }
+  void fail(long rank, std::exception_ptr failure) {
+    const LockGuard lock(mutex);
+    if (error == nullptr || rank < error_rank) {
+      error_rank = rank;
+      error = std::move(failure);
     }
-  } guard{cache_, cells, slots};
+  }
+};
 
-  std::vector<int> owned;    // cells this request leads (computed below)
-  std::vector<int> waits;    // cells in flight on another session
-
+void Server::start(const std::shared_ptr<Job>& job, bool caller_drives) {
+  job->started = std::chrono::steady_clock::now();
+  const std::vector<Cell>& cells = job->request.cells;
+  job->reports.resize(cells.size());
   // Phase 1, serial: single-flight-probe the cache. Cells that hit are
-  // relabelled; uncached cells are either claimed (this request leads
-  // and computes them) or joined (another session is already computing
-  // the identical cell - overlapping sweeps share cells). A cell that
-  // did not build is its [config] row already.
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    Slot& slot = slots[i];
-    if (cell.failed.has_value()) {
-      slot.report = cell.failed;
-      continue;
+  // relabelled; uncached cells are either claimed (this job leads and
+  // computes them) or followed (another request is computing the
+  // identical cell - overlapping sweeps share cells). A cell that did
+  // not build is its [config] row already.
+  std::vector<size_t> owned;
+  try {
+    job->engine = make_engine(job->request.run);
+    for (size_t i = 0; i < cells.size(); ++i) {
+      if (cells[i].failed.has_value()) {
+        job->reports[i] = cells[i].failed;
+      } else if (probe(job, i)) {
+        owned.push_back(i);
+      }
     }
-    ReportCache::Probe probe = cache_.probe_or_lead(cell.key);
-    if (probe.report.has_value()) {
-      probe.report->scenario = shown_label(cell.label, *cell.built);
-      slot.report = std::move(probe.report);
-    } else if (probe.waiting != nullptr) {
-      slot.waiting = std::move(probe.waiting);
-      waits.push_back(static_cast<int>(i));
-    } else {
-      slot.leader = true;
-      owned.push_back(static_cast<int>(i));
-    }
+  } catch (...) {
+    // A claimed cell must never stay in flight: its followers would
+    // never be answered.
+    for (const size_t i : owned) cache_.abandon(cells[i].key);
+    owned.clear();
+    job->fail(-1, std::current_exception());
   }
+  (owned.empty() ? metrics_.executing : metrics_.dispatch_backlog)
+      .fetch_add(1, std::memory_order_relaxed);
 
-  // One cell, leader-side, through api::sweep's cell runner (infeasible
-  // cells become found=false rows and are published like any other
-  // deterministic result), so cached and uncached cells render
-  // identically. Shared by the parallel phase and the re-lead path.
-  const std::unique_ptr<Engine> engine = make_engine(run);
-  auto compute_cell = [&](size_t i) {
-    const Cell& cell = cells[i];
-    return run_cell(*cell.built, cell.label, cell.method, *engine, run);
-  };
-
-  // Phase 2, parallel: compute the owned cells on the shared pool,
-  // publishing each as soon as it finishes - followers (other sessions,
-  // or a duplicate cell later in this very batch) unblock per cell, not
-  // per request.
-  ThreadPool::shared().parallel_for(
-      static_cast<int>(owned.size()), jobs, [&](int j) {
-        const size_t i = static_cast<size_t>(owned[static_cast<size_t>(j)]);
-        Slot& slot = slots[i];
-        slot.report = compute_cell(i);
-        publish(cells[i].key, *slot.report);
-        slot.published = true;
-      });
-
-  // Phase 3, serial: collect the coalesced cells. The loop handles the
-  // failure protocol: a leader that abandoned (unexpected error on its
-  // session) wakes us with nullopt, and the re-probe either hits (some
-  // other follower recomputed first), joins the new leader, or appoints
-  // *us* leader - in which case we compute inline and publish, so an
-  // erroring leader degrades to one extra computation, never a hang.
-  for (const int wi : waits) {
-    const size_t i = static_cast<size_t>(wi);
-    const Cell& cell = cells[i];
-    Slot& slot = slots[i];
-    while (!slot.report.has_value()) {
-      if (slot.waiting != nullptr) {
-        std::optional<Report> result = cache_.wait(slot.waiting);
-        slot.waiting = nullptr;
-        if (result.has_value()) {
-          result->scenario = shown_label(cell.label, *cell.built);
-          slot.report = std::move(result);
+  // Phase 2, on the pool: compute the owned cells, publishing each as
+  // soon as it finishes - followers (other requests, or a duplicate cell
+  // later in this very batch) are answered per cell, not per request.
+  const auto n_owned = static_cast<int>(owned.size());
+  ThreadPool::shared().parallel_for_async(
+      n_owned, job->request.jobs,
+      [this, job, owned = std::move(owned)](int j) {
+        if (!job->running.exchange(true, std::memory_order_relaxed)) {
+          metrics_.dispatch_backlog.fetch_sub(1, std::memory_order_relaxed);
+          metrics_.executing.fetch_add(1, std::memory_order_relaxed);
         }
-        continue;
-      }
-      ReportCache::Probe probe = cache_.probe_or_lead(cell.key);
-      if (probe.report.has_value()) {
-        probe.report->scenario = shown_label(cell.label, *cell.built);
-        slot.report = std::move(probe.report);
-      } else if (probe.waiting != nullptr) {
-        slot.waiting = std::move(probe.waiting);
-      } else {
-        slot.leader = true;
-        slot.report = compute_cell(i);
-        publish(cell.key, *slot.report);
-        slot.published = true;
-      }
-    }
-  }
+        lead(*job, owned[static_cast<size_t>(j)]);
+      },
+      [this, job](std::exception_ptr error) {
+        if (error) job->fail(-1, std::move(error));
+        count_down(*job);
+      },
+      caller_drives);
+}
 
-  // Phase 4, serial in cell order: collect.
-  std::vector<Report> reports;
-  reports.reserve(cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    reports.push_back(std::move(*slots[i].report));
+bool Server::probe(const std::shared_ptr<Job>& job, size_t i) {
+  const Cell& cell = job->request.cells[i];
+  ReportCache::Probe found = cache_.probe_or_lead(cell.key);
+  if (found.report.has_value()) {
+    found.report->scenario = shown_label(cell.label, *cell.built);
+    job->reports[i] = std::move(found.report);
+    return false;
   }
-  return reports;
+  if (found.leader) return true;
+  job->pending.fetch_add(1, std::memory_order_relaxed);
+  cache_.follow(found.waiting, [this, job, i](std::optional<Report> result) {
+    // The failure protocol: a leader that abandoned (an unexpected error
+    // on its request) answers with nullopt, and the re-probe either hits
+    // (another follower recomputed first), follows the new leader, or
+    // appoints this job leader - which computes the cell here and
+    // publishes it, so an erroring leader costs one extra computation,
+    // never a hang.
+    try {
+      const Cell& followed = job->request.cells[i];
+      if (result.has_value()) {
+        result->scenario = shown_label(followed.label, *followed.built);
+        job->reports[i] = std::move(result);
+      } else if (probe(job, i)) {
+        lead(*job, i);
+      }
+    } catch (...) {
+      job->fail(static_cast<long>(i), std::current_exception());
+    }
+    count_down(*job);
+  });
+  return false;
+}
+
+void Server::lead(Job& job, size_t i) {
+  // Through api::sweep's cell runner (infeasible cells become found=false
+  // rows and are published like any other deterministic result), so
+  // cached and uncached cells render identically.
+  const Cell& cell = job.request.cells[i];
+  try {
+    Report report = run_cell(*cell.built, cell.label, cell.method,
+                             *job.engine, job.request.run);
+    publish(cell.key, report);
+    job.reports[i] = std::move(report);
+  } catch (...) {
+    cache_.abandon(cell.key);
+    throw;
+  }
+}
+
+void Server::count_down(Job& job) {
+  if (job.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) finish(job);
+}
+
+void Server::finish(Job& job) {
+  const Request& req = job.request;
+  std::string response;
+  try {
+    std::exception_ptr error;
+    {
+      const LockGuard lock(job.mutex);
+      error = job.error;
+    }
+    if (error) std::rethrow_exception(error);
+    response = rows_response(req.id_echo, req.type, job.reports.size(),
+                             req.format, [&](size_t i, std::string& out) {
+                               append_row(out, *job.reports[i], req.format);
+                             });
+  } catch (...) {
+    response = current_error_line(req.id_echo);
+  }
+  job.engine.reset();
+  record_service(req.answered_in +
+                 (std::chrono::steady_clock::now() - job.started));
+  metrics_.executing.fetch_sub(1, std::memory_order_relaxed);
+  job.deliver(job, std::move(response));
 }
 
 void Server::parse(const std::string& line, Request& req) const {
@@ -1046,34 +1103,36 @@ std::optional<Server::Request> Server::answer(const std::string& line,
   return std::nullopt;
 }
 
-std::string Server::compute(const Request& req) {
-  const auto started = std::chrono::steady_clock::now();
-  std::string response;
-  try {
-    const std::vector<Report> reports = execute(req.cells, req.run, req.jobs);
-    response = rows_response(req.id_echo, req.type, reports.size(), req.format,
-                             [&](size_t i, std::string& out) {
-                               append_row(out, reports[i], req.format);
-                             });
-  } catch (...) {
-    response = current_error_line(req.id_echo);
-  }
-  record_service(req.answered_in +
-                 (std::chrono::steady_clock::now() - started));
-  return response;
-}
-
 std::string Server::handle(const std::string& request_line) {
   std::string response;
-  if (std::optional<Request> req = answer(request_line, response)) {
-    return compute(*req);
-  }
-  return response;
+  std::optional<Request> req = answer(request_line, response);
+  if (!req.has_value()) return response;
+  // The caller drains the job's loop as one of its drivers, then sleeps
+  // until whichever thread brings in the last cell delivers.
+  struct Reply {
+    Mutex mutex;
+    CondVar ready;
+    bool done BFPP_GUARDED_BY(mutex) = false;
+    std::string response BFPP_GUARDED_BY(mutex);
+  };
+  auto reply = std::make_shared<Reply>();
+  auto job = std::make_shared<Job>();
+  job->request = std::move(*req);
+  job->deliver = [reply](Job&, std::string done) {
+    const LockGuard lock(reply->mutex);
+    reply->response = std::move(done);
+    reply->done = true;
+    reply->ready.notify_all();
+  };
+  start(job, /*caller_drives=*/true);
+  const LockGuard lock(reply->mutex);
+  while (!reply->done) reply->ready.wait(reply->mutex);
+  return std::move(reply->response);
 }
 
 void Server::record_service(std::chrono::steady_clock::duration elapsed) {
   // Service time, bucketed into the log2 histogram behind the metrics
-  // request. Lock-free: every transport (the event loop, executors,
+  // request. Lock-free: every transport (the event loop, finishing Jobs,
   // stdio, embedders driving handle() directly) feeds the same
   // histogram.
   const auto us =
@@ -1144,11 +1203,6 @@ int Server::serve_stdio(std::FILE* in, std::FILE* out) {
 }
 
 int Server::serve_on(net::Listener& listener) {
-  // The executors: a dedicated pool, not ThreadPool::shared(), whose one
-  // FIFO queue would hold a request behind another request's
-  // parallel_for drivers. Destroying it runs every queued task, then
-  // joins; every exit path does so before completions_ is released.
-  std::optional<ThreadPool> executors(std::in_place, executor_count());
   int exit_code = 0;
 
   // The connection registry, owned by this thread like every Conn field.
@@ -1159,6 +1213,14 @@ int Server::serve_on(net::Listener& listener) {
   std::vector<pollfd> fds;
   std::vector<size_t> fd_to_conn;  // fds index -> conns index
   std::deque<Completion> completed;
+  // Jobs started and not yet handed back: each pushes one completion,
+  // also when its connection died meanwhile.
+  size_t outstanding = 0;
+  const auto take_completions = [&] {
+    wake_.drain();
+    const LockGuard lock(dispatch_mutex_);
+    completed.swap(completions_);
+  };
   std::string response;
   bool draining = false;
   // Work is ready without any fd turning ready - a connection holds a
@@ -1233,17 +1295,14 @@ int Server::serve_on(net::Listener& listener) {
       }
     }
 
-    // ---- Completions: responses handed back by the executors ----
-    // Executors push before they signal, so every completion behind a
+    // ---- Completions: responses handed back by finished Jobs ----
+    // A Job pushes before it signals, so every completion behind a
     // drained wake byte is visible once the lock is taken; one pushed
     // later leaves a fresh byte for the next poll(). Each response is
     // flushed at once, without a poll trip.
     if ((fds[0].revents & POLLIN) != 0) {
-      wake_.drain();
-      {
-        const LockGuard lock(dispatch_mutex_);
-        completed.swap(completions_);
-      }
+      take_completions();
+      outstanding -= completed.size();
       for (Completion& done : completed) {
         done.conn->outbox += done.response;
         done.conn->busy = false;
@@ -1327,9 +1386,9 @@ int Server::serve_on(net::Listener& listener) {
 
     // ---- Answer: on this thread when nothing needs computing ----
     // One line per idle connection per tick, round-robin. A connection
-    // with a request at an executor waits for its response first, so
-    // responses go out in request order. Each answer is flushed at once;
-    // a request that must compute goes to an executor, already parsed,
+    // with a Job in flight waits for its response first, so responses go
+    // out in request order. Each answer is flushed at once; a request
+    // that must compute is probed and started as a Job, already parsed,
     // before the next connection's line is answered.
     for (const std::shared_ptr<Conn>& conn : conns) {
       if (conn->dead || conn->busy || conn->input.empty()) continue;
@@ -1337,20 +1396,23 @@ int Server::serve_on(net::Listener& listener) {
       conn->input.pop_front();
       if (req.has_value()) {
         conn->busy = true;
-        metrics_.dispatch_backlog.fetch_add(1, std::memory_order_relaxed);
-        executors->submit([this, conn, request = std::move(*req)]() mutable {
-          metrics_.dispatch_backlog.fetch_sub(1, std::memory_order_relaxed);
-          metrics_.executing.fetch_add(1, std::memory_order_relaxed);
-          // The event loop owns the socket and does the flush.
-          std::string done = compute(request);
-          metrics_.executing.fetch_sub(1, std::memory_order_relaxed);
+        ++outstanding;
+        auto job = std::make_shared<Job>();
+        job->request = std::move(*req);
+        // The event loop owns the socket and does the flush.
+        job->deliver = [this, conn](Job& done, std::string answer) mutable {
           {
             const LockGuard lock(dispatch_mutex_);
-            completions_.push_back(
-                {conn, std::move(request), std::move(done)});
+            completions_.push_back({std::move(conn), std::move(done.request),
+                                    std::move(answer)});
           }
           wake_.signal();
-        });
+        };
+        if (job->request.cells.size() > kMaxInlineCells) {
+          ThreadPool::shared().submit([this, job] { start(job, false); });
+        } else {
+          start(job, /*caller_drives=*/false);
+        }
       } else {
         conn->outbox += response;
         flush(*conn);
@@ -1406,12 +1468,15 @@ int Server::serve_on(net::Listener& listener) {
     metrics_.writing.store(writing, std::memory_order_relaxed);
   }
 
-  executors.reset();
-  {
-    // Responses for connections that died mid-request: release them
-    // (and the sockets they keep open) now, not at the next serve_on.
-    const LockGuard lock(dispatch_mutex_);
-    completions_.clear();
+  // Jobs whose connections died are still computing: wait for their
+  // responses and release them (and the sockets they keep open) now,
+  // not at the next serve_on.
+  while (outstanding > 0) {
+    pollfd wake{wake_.fd(), POLLIN, 0};
+    (void)::poll(&wake, 1, 500);
+    take_completions();
+    outstanding -= completed.size();
+    completed.clear();
   }
   persist_cache();
   return exit_code;

@@ -21,16 +21,17 @@
 // computation on the spot: ping, shutdown, stats, metrics, list, and a
 // run/search/sweep/compare of at most a few dozen cells that are all
 // cached - through the same parse and answer steps handle() runs, so
-// the bytes are identical. Only a request that must compute goes,
-// already parsed, to the executors: a dedicated ThreadPool of a few
-// threads, owned by serve_on, whose tasks each run compute() and hand
-// the response back through a completion queue, so the loop thread
-// alone owns every connection's state. All computation funnels through
-// the shared ThreadPool exactly as in single-client mode, so
-// concurrent clients share one thread budget instead of
-// oversubscribing the machine. Admission control caps concurrency at
-// --max-connections (over-cap connects get an explicit JSON error,
-// counted in `rejected`), and per-connection fairness stops reading
+// the bytes are identical. A request that must compute starts, already
+// parsed and probed, as a Job on the shared ThreadPool: its uncached
+// cells run as pool drivers, and the thread that finishes the last one
+// renders the response and hands it back through a completion queue, so
+// the loop thread alone owns every connection's state and no thread
+// waits on a cell. All computation funnels through the shared
+// ThreadPool exactly as in single-client mode, so concurrent clients
+// share one thread budget instead of oversubscribing the machine.
+// Admission control caps concurrency at --max-connections (over-cap
+// connects get an explicit JSON error, counted in `rejected`), and
+// per-connection fairness stops reading
 // from a client with --max-inflight-per-client requests pending
 // (backpressure instead of unbounded queueing). A request line over
 // net::kMaxRequestLineBytes (1 MiB) gets one {"ok":false,...} line and
@@ -43,7 +44,7 @@
 // (model, cluster, config, backend, kernel-override) - the simulator is
 // deterministic, so a cached Report is byte-for-byte the one a fresh
 // simulation would produce. Concurrent requests for the same *uncached*
-// cell are single-flighted: one session computes it, the others wait on
+// cell are single-flighted: one session computes it, the others follow
 // the in-flight entry and serve the identical bytes (no thundering
 // herd). Cache effectiveness is surfaced by the "stats" request, and
 // --cache-file makes the cache durable across restarts: the file is a
@@ -60,6 +61,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <list>
 #include <memory>
 #include <optional>
@@ -94,24 +96,29 @@ namespace bfpp::api {
 // appoints exactly one caller per uncached key as its *leader* (who
 // computes the cell and then publish()es or abandon()s it) and turns
 // every concurrent request for the same key into a *follower* that
-// wait()s on the leader's in-flight entry and is handed the
-// byte-identical result - so N clients racing on a cold cell cost one
-// computation, not N.
+// follow()s the leader's in-flight entry with a callback and is handed
+// the byte-identical result - so N clients racing on a cold cell cost
+// one computation, not N, and none of them holds a thread meanwhile.
 class ReportCache {
  public:
   explicit ReportCache(size_t capacity = 1024);
 
-  // One in-flight (claimed but not yet published) computation. Followers
-  // hold a shared_ptr so a publish/abandon racing with the last waiter
-  // can never free the entry out from under it. `done` and `result` are
-  // guarded by the owning cache's mutex_ (a nested struct cannot name an
-  // outer instance member in BFPP_GUARDED_BY, so the rule lives here):
-  // the leader writes them in finish_inflight_locked, followers read
-  // them inside wait() with the cache mutex held.
+  // A follower's callback: called once with the leader's Report, or with
+  // nullopt when the leader abandoned (the follower should
+  // probe_or_lead() again; it may be appointed the new leader). It runs
+  // on the thread that publishes or abandons, after mutex_ is released,
+  // and must not throw.
+  using Follower = std::function<void(std::optional<Report>)>;
+
+  // One in-flight (claimed but not yet published) computation. Probes
+  // hold a shared_ptr, so an entry retired between a probe and its
+  // follow() stays valid. `done`, `result` and `followers` are guarded
+  // by the owning cache's mutex_ (a nested struct cannot name an outer
+  // instance member in BFPP_GUARDED_BY, so the rule lives here).
   struct InFlight {
-    CondVar ready;
     bool done = false;             // publish() or abandon() happened
     std::optional<Report> result;  // set by publish(); nullopt = abandoned
+    std::vector<Follower> followers;  // called once when it is done
   };
 
   // The outcome of a single-flight probe: exactly one of the three
@@ -119,16 +126,36 @@ class ReportCache {
   struct Probe {
     std::optional<Report> report;       // cache hit (counted in hits)
     std::shared_ptr<InFlight> waiting;  // another caller is computing this
-                                        // key: block on wait() (counted in
+                                        // key: follow() it (counted in
                                         // coalesced)
     bool leader = false;  // the caller must compute the cell, then
                           // publish() or abandon() it (counted in misses)
   };
 
+  // The followers one publish() retired and the Report they are handed.
+  // Destroying it calls them, so they run after publish() has released
+  // mutex_, and a caller that keeps it alive can release its own locks
+  // first (Server::publish calls them outside its journal lock).
+  class Handoff {
+   public:
+    Handoff() = default;
+    Handoff(std::vector<Follower> followers, Report result);
+    Handoff(Handoff&&) = default;
+    // Swaps, so the followers this one held run when `other` goes.
+    Handoff& operator=(Handoff&& other) noexcept;
+    Handoff(const Handoff&) = delete;
+    Handoff& operator=(const Handoff&) = delete;
+    ~Handoff();
+
+   private:
+    std::vector<Follower> followers_;
+    std::optional<Report> result_;
+  };
+
   // Non-blocking single-flight lookup. A hit returns the Report; an
   // uncached key with no in-flight computation appoints the caller
   // leader and registers the in-flight entry; an uncached key that is
-  // already being computed returns that entry to wait() on.
+  // already being computed returns that entry to follow().
   [[nodiscard]] Probe probe_or_lead(const std::string& key);
 
   // All-or-nothing lookup, which never appoints a leader. When every
@@ -145,25 +172,25 @@ class ReportCache {
   [[nodiscard]] std::optional<std::vector<std::string>> find_tails(
       const std::vector<std::string_view>& keys, RowFormat format);
 
-  // Blocks until the in-flight computation behind `entry` publishes or
-  // abandons. Returns the published Report (byte-identical to what the
-  // leader cached), or nullopt when the leader abandoned - the caller
-  // should probe_or_lead() again (it may be appointed the new leader).
-  [[nodiscard]] std::optional<Report> wait(
-      const std::shared_ptr<InFlight>& entry);
+  // Registers `follower` on the in-flight computation behind `entry`:
+  // publish() or abandon() calls it with the result (byte-identical to
+  // what the leader cached) or nullopt. When `entry` is already done,
+  // calls it here, at once, after releasing mutex_. Never blocks.
+  void follow(const std::shared_ptr<InFlight>& entry, Follower follower);
 
   // Leader-side completion: inserts (or refreshes) the Report under
   // `key` as the MRU entry, evicting LRU entries beyond capacity (no-op
-  // at capacity 0), hands it to every follower waiting on the in-flight
-  // entry and retires that entry. Followers are served from the entry
-  // itself, so they receive the result even when the cache is full or
-  // disabled. Valid without a preceding probe_or_lead() too: a plain
-  // insert.
-  void publish(const std::string& key, Report report);
+  // at capacity 0), and retires the in-flight entry, handing its
+  // followers the Report through the returned Handoff. Followers are
+  // served from the entry itself, so they receive the result even when
+  // the cache is full or disabled. Valid without a preceding
+  // probe_or_lead() too: a plain insert.
+  Handoff publish(const std::string& key, Report report);
 
-  // Leader-side failure: retires the in-flight entry *without* a result,
-  // waking every follower with nullopt so they can retry or re-lead. An
-  // errored leader must never leave followers waiting forever.
+  // Leader-side failure: retires the in-flight entry *without* a result
+  // and calls every follower with nullopt, after releasing mutex_, so
+  // they can retry or re-lead. An errored leader must never leave
+  // followers unanswered.
   void abandon(const std::string& key);
 
   // Serializes every entry to `path` (atomic temp+rename; see
@@ -195,8 +222,8 @@ class ReportCache {
     uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
-    // Requests that found their cell already being computed and waited
-    // for the leader instead of recomputing (one count per wait).
+    // Requests that found their cell already being computed and followed
+    // the leader instead of recomputing (one count per probe).
     uint64_t coalesced = 0;
     // Gauge: cells currently claimed by a leader but not yet
     // published/abandoned.
@@ -225,16 +252,17 @@ class ReportCache {
     std::array<std::string, 2> tails;
   };
 
-  // Retires the in-flight entry under `key` (if any), waking every
-  // follower with `result`.
-  void finish_inflight_locked(const std::string& key,
-                              std::optional<Report> result)
+  // Retires the in-flight entry under `key` (if any) with `result` and
+  // returns its followers, for the caller to call once it unlocks.
+  std::vector<Follower> finish_inflight_locked(
+      const std::string& key, const std::optional<Report>& result)
       BFPP_REQUIRES(mutex_);
 
   // mutex_ guards every piece of cache state below: the LRU list (its
   // entries' tails included) + its index, the single-flight table, the
-  // counters, and (transitively) the done/result fields of every
-  // InFlight entry. Nothing is rendered or serialized under it.
+  // counters, and (transitively) the done/result/followers fields of
+  // every InFlight entry. Nothing is rendered or serialized, and no
+  // follower is called, under it.
   mutable Mutex mutex_;
   const size_t capacity_;  // immutable after construction
   // Front = most recently used. The index maps key -> list node.
@@ -302,16 +330,16 @@ struct ServeStats {
     uint64_t accepted = 0;  // connections ever admitted
     uint64_t rejected = 0;  // connections refused over --max-connections
   };
-  // Dispatch-queue depths: requests parsed but not yet picked up by an
-  // executor, and requests an executor is computing. Requests the event
-  // loop answers itself never show here.
+  // Jobs in flight: those none of whose pool drivers has started yet,
+  // and those with a driver running or a followed cell still to come.
+  // Requests the event loop answers itself never show here.
   struct Queues {
     uint64_t dispatch_backlog = 0;
     uint64_t executing = 0;
   };
   // Service-time histogram over every answered request, microseconds:
-  // parse to response built, whether the event loop answered it or an
-  // executor computed it (time queued for an executor is excluded).
+  // parse to response built, whether the event loop answered it or a
+  // Job computed it (a Job's wait for pool drivers included).
   // buckets[i] counts requests in [2^i, 2^(i+1)) us (bucket 0 is
   // [0, 2)); the percentiles are bucket-upper-bound estimates derived
   // from the histogram.
@@ -358,9 +386,11 @@ class Server {
   // the complete, newline-terminated response (one JSON line, plus
   // payload lines for multi-row responses). Never throws: malformed or
   // failing requests become {"ok":false,"error":...} lines. Blank lines
-  // return the empty string (keep-alive no-ops). Thread-safe. The event
-  // loop runs the same two steps, answer() and compute(), split across
-  // its own thread and the executors.
+  // return the empty string (keep-alive no-ops). Thread-safe; must not be
+  // called from a pool thread. A request that must compute runs as the
+  // same Job the event loop starts, with the caller as one of its
+  // drivers (so "jobs":1 computes serially on the caller), and handle()
+  // blocks until the Job's last cell is in.
   std::string handle(const std::string& request_line);
 
   // Serves line requests from `in` until EOF, a shutdown request or a
@@ -389,7 +419,7 @@ class Server {
   // Returns false when no cache file is configured or the save failed.
   // Both serve loops call this on shutdown; exposed so embedders and
   // tests can snapshot explicitly. Inserted cells never wait for it:
-  // execute() journals each one as it is computed.
+  // publish() journals each one as it is computed.
   bool persist_cache() BFPP_EXCLUDES(journal_mutex_);
 
   [[nodiscard]] bool shutdown_requested() const { return shutdown_; }
@@ -415,8 +445,8 @@ class Server {
   };
 
   // A request line after the parse step. Scenario requests carry their
-  // cells; the event loop hands a request it cannot answer to an
-  // executor as is, so nothing is parsed, built or keyed twice.
+  // cells; a request that must compute becomes a Job as is, so nothing
+  // is parsed, built or keyed twice.
   struct Request {
     std::string id_echo;  // compact JSON to echo back ("" = no id)
     std::string type;     // run | search | sweep | compare | stats |
@@ -426,21 +456,21 @@ class Server {
     RunOptions run;
     int jobs = 0;
     std::vector<Cell> cells;
-    // Service time spent before compute(): the parse and cache steps.
+    // Service time spent before its Job started: the parse and cache
+    // steps.
     std::chrono::steady_clock::duration answered_in{};
   };
 
-  // The two steps of every request, shared by handle() and the event
-  // loop. answer() counts the line as a request, parses it and answers
-  // it when nothing needs computing (see answer_from_cache); it returns
-  // nullopt once `response` holds the answer (empty for a blank line),
-  // else the parsed request. compute() runs that request's cells through
-  // execute() and renders the response. Neither throws: a failing
-  // request becomes its {"ok":false,...} line. Each answered request is
-  // timed into the service-time histogram exactly once.
+  // answer() is the first step of every request, shared by handle() and
+  // the event loop: it counts the line as a request, parses it and
+  // answers it when nothing needs computing (see answer_from_cache); it
+  // returns nullopt once `response` holds the answer (empty for a blank
+  // line), else the parsed request, which then runs as a Job. It never
+  // throws: a failing request becomes its {"ok":false,...} line. Each
+  // answered request is timed into the service-time histogram exactly
+  // once, by answer() or by finish().
   std::optional<Request> answer(const std::string& line,
                                 std::string& response);
-  std::string compute(const Request& req);
 
   // Parse step: the line to a Request, every cell built and keyed.
   // Throws bfpp::Error on a malformed request (req.id_echo is set as
@@ -459,15 +489,36 @@ class Server {
   void record_service(std::chrono::steady_clock::duration elapsed);
 
   // Leader-side completion of one computed cell: ReportCache::publish,
-  // plus the journal append when the cache is durable.
+  // plus the journal append when the cache is durable. Followers are
+  // called after every lock is released.
   void publish(const std::string& key, const Report& report)
       BFPP_EXCLUDES(journal_mutex_);
 
-  // Executes one batch of cells (a single run/search, or a whole sweep
-  // grid) through the cache: probe serially, compute misses in parallel
-  // on the shared pool, insert, and return Reports in cell order.
-  std::vector<Report> execute(const std::vector<Cell>& cells,
-                              const RunOptions& run, int jobs);
+  // One request's cells on their way through the cache and the shared
+  // pool (defined in server.cpp). Nothing waits on a Job: each cell it
+  // leads runs as an index of one ThreadPool::parallel_for_async loop,
+  // each cell another request computes is follow()ed, and the thread
+  // that brings in its last cell renders the response and delivers it.
+  struct Job;
+
+  // Single-flight-probes every cell of `job` serially, then starts the
+  // cells it leads on the shared pool, `request.jobs` drivers wide
+  // (0: the pool's size). The event loop calls it with caller_drives
+  // false and returns at once; handle() drives the loop itself.
+  void start(const std::shared_ptr<Job>& job, bool caller_drives);
+  // Probes cell i: a hit fills its report, a cell in flight elsewhere is
+  // followed (one more pending count until its result arrives). Returns
+  // true when the job must compute it.
+  bool probe(const std::shared_ptr<Job>& job, size_t i);
+  // Computes cell i, which the job leads, and publishes it; a cell that
+  // throws is abandoned, so its followers re-probe, and rethrown.
+  void lead(Job& job, size_t i);
+  // Drops one pending count; the thread that drops the last one calls
+  // finish().
+  void count_down(Job& job);
+  // Renders the job's response (or its error line), times it and
+  // delivers it.
+  void finish(Job& job);
 
   ServeOptions options_;
   ReportCache cache_;
@@ -477,11 +528,10 @@ class Server {
   // ---- Event-loop serving core (serve_on only) ----
   //
   // One poll() loop owns every connection and answers what needs no
-  // computation; serve_on's executor pool runs compute() for the rest.
-  // Every Conn field belongs to the event-loop thread alone: an
-  // executor task sees only the request it was handed and returns the
-  // response through the completion queue, so no Conn state is shared
-  // and none of it needs a lock.
+  // computation; the rest start as Jobs, whose last thread returns the
+  // response through the completion queue. Every Conn field belongs to
+  // the event-loop thread alone: a Job sees only its request, so no Conn
+  // state is shared and none of it needs a lock.
   struct Conn {
     explicit Conn(net::Stream&& s);
     ~Conn();
@@ -500,9 +550,9 @@ class Server {
   // One computed response on its way back to the event loop. The
   // shared_ptr keeps the Conn alive even if the event loop closes and
   // unregisters the connection while the request is still computing;
-  // executors never touch the Conn itself. The request rides back too,
+  // a Job never touches the Conn itself. The request rides back too,
   // so the loop thread that allocated it also frees it: freeing it on
-  // the executor cost sweep_cold about 4 % of its cells/s (4-vCPU KVM
+  // another thread cost sweep_cold about 4 % of its cells/s (4-vCPU KVM
   // guest, glibc malloc).
   struct Completion {
     std::shared_ptr<Conn> conn;
@@ -513,18 +563,18 @@ class Server {
   // Builds the ServeStats snapshot behind the stats/metrics responses.
   [[nodiscard]] ServeStats snapshot_stats() const;
 
-  // dispatch_mutex_ guards the completion queue executor tasks push
+  // dispatch_mutex_ guards the completion queue finished Jobs push
   // responses onto, each followed by a wake_ signal. Leaf lock.
   Mutex dispatch_mutex_;
   std::deque<Completion> completions_ BFPP_GUARDED_BY(dispatch_mutex_);
 
-  // Wakes the event loop's poll() when an executor finishes a response
-  // or request_shutdown() is called from another thread. Lock-free (see
+  // Wakes the event loop's poll() when a Job finishes a response or
+  // request_shutdown() is called from another thread. Lock-free (see
   // net::WakePipe).
   net::WakePipe wake_;
 
-  // The metrics behind ServeStats, all atomics: executors and the event
-  // loop bump them lock-free, snapshot_stats() reads them without
+  // The metrics behind ServeStats, all atomics: Jobs and the event loop
+  // bump them lock-free, snapshot_stats() reads them without
   // touching any mutex (so a metrics request can never contend with the
   // serving hot path). Gauge-style fields (connection states) are
   // refreshed by the event loop each iteration.

@@ -44,23 +44,53 @@ class OutOfMemoryError : public Error {
   explicit OutOfMemoryError(const std::string& what) : Error(what) {}
 };
 
+// The cold half of the formatted checks below: formats like str_format
+// and throws Error (throw_error) or ConfigError (throw_config_error).
+[[noreturn]] void throw_error(const char* fmt, ...) BFPP_PRINTF_LIKE(1, 2);
+[[noreturn]] void throw_config_error(const char* fmt, ...)
+    BFPP_PRINTF_LIKE(1, 2);
+
 // Throw Error (check) or ConfigError (check_config) when `condition` is
 // false. A lone message is used verbatim ('%' prints as itself); a printf
 // format is -Wformat-checked like str_format and formatted only on
 // failure (its arguments are still evaluated: pass cheap ones). The
 // format forms are templates only so that a lone message picks the
-// verbatim overload; strings.cpp defines them.
+// verbatim overload.
 inline void check(bool condition, const char* message) {
   if (!condition) throw Error(message);
 }
-template <int = 0>
-void check(bool condition, const char* fmt, ...) BFPP_PRINTF_LIKE(2, 3);
-
 inline void check_config(bool condition, const char* message) {
   if (!condition) throw ConfigError(message);
 }
+
+#if defined(__GNUC__) && !defined(__clang__)
+// gcc always inlines the format forms and hands their arguments to the
+// cold thrower with __builtin_va_arg_pack(), so a passing check costs a
+// test and a branch, not an out-of-line varargs call: per-op loops such
+// as schedule::validate run them for every op.
+template <int = 0>
+BFPP_PRINTF_LIKE(2, 3)
+__attribute__((always_inline)) inline void check(bool condition,
+                                                 const char* fmt, ...) {
+  if (!condition) [[unlikely]] throw_error(fmt, __builtin_va_arg_pack());
+}
+template <int = 0>
+BFPP_PRINTF_LIKE(2, 3)
+__attribute__((always_inline)) inline void check_config(bool condition,
+                                                        const char* fmt,
+                                                        ...) {
+  if (!condition) [[unlikely]] {
+    throw_config_error(fmt, __builtin_va_arg_pack());
+  }
+}
+#else
+// Other compilers lack the builtin: there the format forms are out-of-line
+// varargs calls, defined in strings.cpp.
+template <int = 0>
+void check(bool condition, const char* fmt, ...) BFPP_PRINTF_LIKE(2, 3);
 template <int = 0>
 void check_config(bool condition, const char* fmt, ...)
     BFPP_PRINTF_LIKE(2, 3);
+#endif
 
 }  // namespace bfpp

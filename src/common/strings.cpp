@@ -82,6 +82,23 @@ std::string str_format(const char* fmt, ...) {
   return out;
 }
 
+void throw_error(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  std::string message = vformat(fmt, args);
+  va_end(args);
+  throw Error(message);
+}
+
+void throw_config_error(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  std::string message = vformat(fmt, args);
+  va_end(args);
+  throw ConfigError(message);
+}
+
+#if !defined(__GNUC__) || defined(__clang__)
 template <int>
 void check(bool condition, const char* fmt, ...) {
   if (condition) return;
@@ -104,6 +121,7 @@ void check_config(bool condition, const char* fmt, ...) {
 
 template void check<0>(bool, const char*, ...);
 template void check_config<0>(bool, const char*, ...);
+#endif
 
 std::string join(const std::vector<std::string>& parts, const std::string& sep) {
   std::string out;

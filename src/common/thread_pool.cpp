@@ -15,33 +15,34 @@ namespace bfpp {
 
 namespace {
 
-// State shared by all participants of one parallel_for. Lives in a
-// shared_ptr because enqueued driver tasks may outlive the call (a
-// driver that never got scheduled wakes up after the loop is done,
-// finds no index to claim, and exits).
+// State shared by all drivers of one loop. Lives in a shared_ptr because
+// queued drivers may outlive the loop (a driver that never got
+// scheduled wakes up after the last index is done, finds no index to
+// claim, and exits).
 struct ForLoop {
-  // n and fn are set once before the loop is published to any driver.
+  // n, fn and done are set once before the loop is published to any
+  // driver; finish() releases fn and done after every fn call returned.
   int n = 0;
-  const std::function<void(int)>* fn = nullptr;
+  std::function<void(int)> fn;
+  ThreadPool::LoopDone done;
   std::atomic<int> next_index{0};
   std::atomic<int> completed{0};
-  // mutex guards the error slot; done signals the last completion.
+  // mutex guards the error slot.
   Mutex mutex;
-  CondVar done;
-  // Lowest-index exception, so the rethrown error does not depend on
+  // Lowest-index exception, so the reported error does not depend on
   // thread interleaving.
   int error_index BFPP_GUARDED_BY(mutex) = -1;
   std::exception_ptr error BFPP_GUARDED_BY(mutex);
 
   // Claims indices until the counter runs dry. Every claimed index is
-  // counted as completed even when fn throws, so the caller's wait
-  // always terminates.
+  // counted as completed even when fn throws, so the loop always
+  // finishes; the thread that completes the last index runs done.
   void drain() {
     for (;;) {
       const int i = next_index.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       try {
-        (*fn)(i);
+        fn(i);
       } catch (...) {
         const LockGuard lock(mutex);
         if (error_index < 0 || i < error_index) {
@@ -50,10 +51,22 @@ struct ForLoop {
         }
       }
       if (completed.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-        const LockGuard lock(mutex);
-        done.notify_all();
+        finish();
       }
     }
+  }
+
+  // Runs once, after the last fn call returned (the acq_rel count above
+  // orders every driver's calls and error stores before it), so fn and
+  // done can be released here: nothing the loop captured outlives it.
+  void finish() {
+    std::exception_ptr first;
+    {
+      const LockGuard lock(mutex);
+      first = std::exchange(error, nullptr);
+    }
+    fn = nullptr;
+    std::exchange(done, nullptr)(std::move(first));
   }
 };
 
@@ -127,6 +140,31 @@ bool ThreadPool::run_one_task() {
   return true;
 }
 
+void ThreadPool::parallel_for_async(int n, int width,
+                                    std::function<void(int)> fn,
+                                    LoopDone done, bool caller_drives) {
+  if (n <= 0) {
+    done(nullptr);
+    return;
+  }
+  if (width <= 0) width = size() + (caller_drives ? 1 : 0);
+  const int drivers = std::min(width, n) - (caller_drives ? 1 : 0);
+  auto loop = std::make_shared<ForLoop>();
+  loop->n = n;
+  loop->fn = std::move(fn);
+  loop->done = std::move(done);
+  if (drivers > 0) {
+    {
+      const LockGuard lock(mutex_);
+      for (int d = 0; d < drivers; ++d) {
+        queue_.emplace_back([loop] { loop->drain(); });
+      }
+    }
+    drivers == 1 ? work_available_.notify_one() : work_available_.notify_all();
+  }
+  if (caller_drives) loop->drain();
+}
+
 void ThreadPool::parallel_for(int n, int jobs,
                               const std::function<void(int)>& fn) {
   if (n <= 0) return;
@@ -136,37 +174,41 @@ void ThreadPool::parallel_for(int n, int jobs,
     return;
   }
 
-  auto loop = std::make_shared<ForLoop>();
-  loop->n = n;
-  loop->fn = &fn;
-
-  // width - 1 drivers on the pool; the caller is the width-th.
-  {
-    const LockGuard lock(mutex_);
-    for (int d = 0; d < width - 1; ++d) {
-      queue_.emplace_back([loop] { loop->drain(); });
-    }
-  }
-  work_available_.notify_all();
-
-  loop->drain();
+  // The caller is one of the loop's drivers; done hands the loop's
+  // outcome back through `wait`, which outlives every driver.
+  struct Wait {
+    Mutex mutex;
+    CondVar finished_cv;
+    bool finished BFPP_GUARDED_BY(mutex) = false;
+    std::exception_ptr error BFPP_GUARDED_BY(mutex);
+  };
+  auto wait = std::make_shared<Wait>();
+  parallel_for_async(
+      n, width, [&fn](int i) { fn(i); },
+      [wait](std::exception_ptr error) {
+        const LockGuard lock(wait->mutex);
+        wait->error = std::move(error);
+        wait->finished = true;
+        wait->finished_cv.notify_all();
+      },
+      /*caller_drives=*/true);
 
   // Wait for stragglers; steal pending pool tasks (other loops' drivers)
   // while waiting so nested parallel_for calls cannot deadlock.
-  while (loop->completed.load(std::memory_order_acquire) < n) {
-    if (run_one_task()) continue;
-    const LockGuard lock(loop->mutex);
-    if (loop->completed.load(std::memory_order_acquire) < n) {
-      loop->done.wait_for(loop->mutex, std::chrono::milliseconds(1));
-    }
-  }
-
-  // The drain above completed-fences every worker's error store; move the
-  // error out under the loop mutex so no late ForLoop owner destroys it.
   std::exception_ptr error;
-  {
-    const LockGuard lock(loop->mutex);
-    error = std::exchange(loop->error, nullptr);
+  for (;;) {
+    {
+      const LockGuard lock(wait->mutex);
+      if (wait->finished) {
+        error = std::exchange(wait->error, nullptr);
+        break;
+      }
+    }
+    if (run_one_task()) continue;
+    const LockGuard lock(wait->mutex);
+    if (!wait->finished) {
+      wait->finished_cv.wait_for(wait->mutex, std::chrono::milliseconds(1));
+    }
   }
   if (error) std::rethrow_exception(error);
 }

@@ -1,23 +1,24 @@
 // Shared work-stealing thread pool for parallel experiment campaigns.
 //
-// One process-wide pool (ThreadPool::shared()) backs both api::sweep()
-// cell execution and autotune::find_best candidate evaluation, so nested
-// parallelism (a sweep of searches) shares a single thread budget
-// instead of oversubscribing the machine. `bfpp serve` runs its
-// executors as a second, dedicated instance: fire-and-forget submit()
-// tasks that each compute one request through the shared pool.
+// One process-wide pool (ThreadPool::shared()) backs api::sweep() cell
+// execution, autotune::find_best candidate evaluation and `bfpp
+// serve`'s cache misses, so nested parallelism (a sweep of searches, a
+// served request's cells) shares a single thread budget instead of
+// oversubscribing the machine.
 //
-// Scheduling is work-stealing at two levels:
-//  * within a parallel_for, every participant - pool workers and the
-//    calling thread, which always works too - steals the next undone
-//    index from a shared atomic counter, so uneven per-item costs
-//    (simulating a 512-GPU config vs rejecting an invalid one) balance
-//    dynamically;
-//  * a caller whose loop has run dry but is still waiting on straggler
-//    indices steals whole pending tasks from the pool's run queue, so a
-//    blocked outer loop keeps executing inner-loop work instead of
-//    idling. This also makes nested parallel_for calls deadlock-free:
-//    waiting threads make progress on behalf of the pool.
+// Every parallel loop is one parallel_for_async(): drivers queued on the
+// pool claim indices from a shared atomic counter, so uneven per-item
+// costs (simulating a 512-GPU config vs rejecting an invalid one)
+// balance dynamically, and the thread that completes the last index
+// runs the loop's `done` callback - nobody waits for the loop. The
+// server starts a request's cells this way and answers from `done`.
+//
+// parallel_for() is that loop with the calling thread as one more
+// driver. A caller whose share has run dry but whose loop still has
+// straggler indices steals whole pending tasks from the pool's run
+// queue, so a blocked outer loop keeps executing inner-loop work
+// instead of idling. This also makes nested parallel_for calls
+// deadlock-free: waiting threads make progress on behalf of the pool.
 //
 // Determinism contract: parallel_for(n, jobs, fn) invokes fn(i) exactly
 // once for every i in [0, n), with results addressed by index, so output
@@ -27,6 +28,7 @@
 #pragma once
 
 #include <deque>
+#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -66,6 +68,21 @@ class ThreadPool {
   // task: nested calls share the pool and the waiting caller helps
   // execute pending work.
   void parallel_for(int n, int jobs, const std::function<void(int)>& fn);
+
+  // Receives the exception thrown by the lowest-index failing fn(i) of a
+  // parallel_for_async loop, or nullptr when every call returned.
+  using LoopDone = std::function<void(std::exception_ptr)>;
+
+  // Runs fn(i) for every i in [0, n) on min(width, n) drivers (width <= 0:
+  // size(), plus one when the caller drives) and returns without waiting
+  // for them. done runs exactly once, on the thread that completes the
+  // last index (at once, on the caller, when n == 0); fn and done are
+  // released right after. With `caller_drives` the calling thread is one
+  // of the drivers: it returns once no index is left to claim, while
+  // other drivers may still be running theirs. done must not throw.
+  void parallel_for_async(int n, int width, std::function<void(int)> fn,
+                          LoopDone done, bool caller_drives = false)
+      BFPP_EXCLUDES(mutex_);
 
   // Queues `task` to run once on a worker and returns at once. Tasks
   // start in submission order. A task must not throw: no caller waits

@@ -352,16 +352,10 @@ void validate(const Schedule& s) {
   for (int r = 0; r < s.n_pp; ++r) {
     const auto& ops = s.device_ops[static_cast<size_t>(r)];
     for (const Op& op : ops) {
-      // Formatted checks cost a call per op even when they pass; this
-      // loop runs per simulated cell, so they throw from a branch.
-      if (op.stage < 0 || op.stage >= n_stages) {
-        throw Error(str_format("schedule: stage %d out of range", op.stage));
-      }
-      if (device_of[static_cast<size_t>(op.stage)] != r) {
-        throw Error(
-            str_format("schedule: stage %d does not belong to device %d",
-                       op.stage, r));
-      }
+      check(op.stage >= 0 && op.stage < n_stages,
+            "schedule: stage %d out of range", op.stage);
+      check(device_of[static_cast<size_t>(op.stage)] == r,
+            "schedule: stage %d does not belong to device %d", op.stage, r);
       check(op.micro_batch >= 0 && op.micro_batch < s.n_mb,
             "schedule: micro-batch out of range");
       if (s.split_backward) {
@@ -375,10 +369,8 @@ void validate(const Schedule& s) {
       uint8_t& flag = seen[static_cast<size_t>(op.kind) * cells +
                            static_cast<size_t>(op.stage) * n_mb +
                            static_cast<size_t>(op.micro_batch)];
-      if (flag != 0) {
-        throw Error(str_format("schedule: duplicate op (stage %d, mb %d)",
-                               op.stage, op.micro_batch));
-      }
+      check(flag == 0, "schedule: duplicate op (stage %d, mb %d)", op.stage,
+            op.micro_batch);
       flag = 1;
     }
     // Every op that got this far is distinct.

@@ -293,19 +293,24 @@ TEST(ReportCache, SingleFlightLeaderComputesOnceFollowersCoalesce) {
 
   constexpr size_t kFollowers = 3;
   std::vector<std::optional<Report>> got(kFollowers);
-  std::vector<std::thread> followers;
+  std::vector<int> calls(kFollowers, 0);
+  const std::thread::id publisher = std::this_thread::get_id();
   for (size_t i = 0; i < kFollowers; ++i) {
-    followers.emplace_back([&cache, &got, i] {
-      ReportCache::Probe probe = cache.probe_or_lead("cell");
-      EXPECT_NE(probe.waiting, nullptr);
-      if (probe.waiting != nullptr) got[i] = cache.wait(probe.waiting);
+    ReportCache::Probe probe = cache.probe_or_lead("cell");
+    ASSERT_NE(probe.waiting, nullptr);
+    // Registering returns at once: no thread is held while it waits.
+    cache.follow(probe.waiting, [&, i](std::optional<Report> result) {
+      ++calls[i];
+      EXPECT_EQ(std::this_thread::get_id(), publisher);
+      // Called after the cache lock is released: locking it again here
+      // must not deadlock.
+      EXPECT_EQ(cache.stats().inflight, 0u);
+      got[i] = std::move(result);
     });
   }
-  // All followers are provably waiting before the leader publishes.
-  ASSERT_TRUE(
-      poll_until([&] { return cache.stats().coalesced == kFollowers; }));
+  EXPECT_EQ(calls, std::vector<int>(kFollowers, 0));
   cache.publish("cell", tagged_report("computed"));
-  for (std::thread& follower : followers) follower.join();
+  EXPECT_EQ(calls, std::vector<int>(kFollowers, 1));
   for (const std::optional<Report>& report : got) {
     ASSERT_TRUE(report.has_value());
     EXPECT_EQ(report->scenario, "computed");
@@ -320,17 +325,44 @@ TEST(ReportCache, SingleFlightLeaderComputesOnceFollowersCoalesce) {
   EXPECT_EQ(lookup(cache, "cell")->scenario, "computed");
 }
 
+TEST(ReportCache, FollowingARetiredEntryIsAnsweredAtOnce) {
+  // A probe that saw the cell in flight may follow() only after the
+  // leader published or abandoned: the follower is called right away,
+  // on the following thread, with what the entry retired with.
+  ReportCache cache(8);
+  ASSERT_TRUE(cache.probe_or_lead("cell").leader);
+  ReportCache::Probe late = cache.probe_or_lead("cell");
+  ASSERT_NE(late.waiting, nullptr);
+  cache.publish("cell", tagged_report("computed"));
+  std::optional<Report> got;
+  cache.follow(late.waiting, [&](std::optional<Report> r) { got = r; });
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->scenario, "computed");
+
+  ASSERT_TRUE(cache.probe_or_lead("gone").leader);
+  ReportCache::Probe orphan = cache.probe_or_lead("gone");
+  ASSERT_NE(orphan.waiting, nullptr);
+  cache.abandon("gone");
+  bool called = false;
+  cache.follow(orphan.waiting, [&](std::optional<Report> r) {
+    called = true;
+    EXPECT_FALSE(r.has_value());
+  });
+  EXPECT_TRUE(called);
+}
+
 TEST(ReportCache, AbandonedLeaderReleasesFollowerToRelead) {
   ReportCache cache(8);
   ASSERT_TRUE(cache.probe_or_lead("cell").leader);
 
   std::optional<Report> followed = tagged_report("sentinel");
+  bool called = false;
   bool reled = false;
-  std::thread follower([&] {
-    ReportCache::Probe probe = cache.probe_or_lead("cell");
-    EXPECT_NE(probe.waiting, nullptr);
-    if (probe.waiting == nullptr) return;
-    followed = cache.wait(probe.waiting);
+  ReportCache::Probe probe = cache.probe_or_lead("cell");
+  ASSERT_NE(probe.waiting, nullptr);
+  cache.follow(probe.waiting, [&](std::optional<Report> result) {
+    called = true;
+    followed = std::move(result);
     if (followed.has_value()) return;
     // The leader gave up: the follower re-probes, is appointed the new
     // leader, and computes the cell itself - no permanent wait.
@@ -338,11 +370,11 @@ TEST(ReportCache, AbandonedLeaderReleasesFollowerToRelead) {
     reled = again.leader;
     if (reled) cache.publish("cell", tagged_report("recomputed"));
   });
-  ASSERT_TRUE(poll_until([&] { return cache.stats().coalesced == 1u; }));
+  EXPECT_EQ(cache.stats().coalesced, 1u);
   cache.abandon("cell");
-  follower.join();
 
-  EXPECT_FALSE(followed.has_value());  // woken with "no result"
+  EXPECT_TRUE(called);
+  EXPECT_FALSE(followed.has_value());  // answered with "no result"
   EXPECT_TRUE(reled);
   EXPECT_EQ(lookup(cache, "cell")->scenario, "recomputed");
   const ReportCache::Stats stats = cache.stats();
@@ -358,14 +390,11 @@ TEST(ReportCache, CoalescingServesFollowersEvenWithCachingDisabled) {
   ReportCache cache(0);
   ASSERT_TRUE(cache.probe_or_lead("cell").leader);
   std::optional<Report> followed;
-  std::thread follower([&] {
-    ReportCache::Probe probe = cache.probe_or_lead("cell");
-    EXPECT_NE(probe.waiting, nullptr);
-    if (probe.waiting != nullptr) followed = cache.wait(probe.waiting);
-  });
-  ASSERT_TRUE(poll_until([&] { return cache.stats().coalesced == 1u; }));
+  ReportCache::Probe probe = cache.probe_or_lead("cell");
+  ASSERT_NE(probe.waiting, nullptr);
+  cache.follow(probe.waiting,
+               [&](std::optional<Report> result) { followed = result; });
   cache.publish("cell", tagged_report("once"));
-  follower.join();
   ASSERT_TRUE(followed.has_value());
   EXPECT_EQ(followed->scenario, "once");
   const ReportCache::Stats stats = cache.stats();
@@ -374,57 +403,50 @@ TEST(ReportCache, CoalescingServesFollowersEvenWithCachingDisabled) {
   EXPECT_EQ(stats.coalesced, 1u);
 }
 
-TEST(ReportCache, AbandonWithManyFollowersMidWaitReleadsExactlyOnce) {
-  // The abandon edge case at fan-out: several followers are provably
-  // blocked inside wait() when the leader gives up. Every follower must
-  // wake with nullopt, and the ensuing re-probe stampede must appoint
-  // exactly one new leader - the rest coalesce onto the re-lead's
-  // in-flight entry (or hit the cache if they probe after its publish).
+TEST(ReportCache, AbandonWithManyFollowersReleadsExactlyOnce) {
+  // The abandon edge case at fan-out: several followers are registered
+  // when the leader gives up. Every follower must be answered with
+  // nullopt, and the ensuing re-probes must appoint exactly one new
+  // leader - the rest follow the re-lead's in-flight entry.
   ReportCache cache(8);
   ASSERT_TRUE(cache.probe_or_lead("cell").leader);
 
   constexpr size_t kFollowers = 4;
-  std::atomic<int> releads{0};
-  std::atomic<int> woken_empty{0};
+  int releads = 0;
+  int answered_empty = 0;
   std::vector<std::optional<Report>> got(kFollowers);
-  std::vector<std::thread> followers;
   for (size_t i = 0; i < kFollowers; ++i) {
-    followers.emplace_back([&cache, &releads, &woken_empty, &got, i] {
-      ReportCache::Probe probe = cache.probe_or_lead("cell");
-      ASSERT_NE(probe.waiting, nullptr);
-      std::optional<Report> result = cache.wait(probe.waiting);
-      if (!result.has_value()) woken_empty.fetch_add(1);
-      // Server retry loop: re-probe until the cell resolves, computing
-      // it ourselves if appointed the post-abandon leader.
-      while (!result.has_value()) {
-        ReportCache::Probe again = cache.probe_or_lead("cell");
-        if (again.leader) {
-          releads.fetch_add(1);
-          cache.publish("cell", tagged_report("recomputed"));
-          result = tagged_report("recomputed");
-        } else if (again.waiting != nullptr) {
-          result = cache.wait(again.waiting);
-        } else {
-          result = again.report;
-        }
+    ReportCache::Probe probe = cache.probe_or_lead("cell");
+    ASSERT_NE(probe.waiting, nullptr);
+    cache.follow(probe.waiting, [&, i](std::optional<Report> result) {
+      EXPECT_FALSE(result.has_value());
+      ++answered_empty;
+      // Server retry: re-probe; the one appointed leader computes it
+      // (published below), the others follow that leader.
+      ReportCache::Probe again = cache.probe_or_lead("cell");
+      if (again.leader) {
+        ++releads;
+        got[i] = tagged_report("recomputed");
+      } else {
+        ASSERT_NE(again.waiting, nullptr);
+        cache.follow(again.waiting,
+                     [&got, i](std::optional<Report> r) { got[i] = r; });
       }
-      got[i] = std::move(result);
     });
   }
-  // All followers are blocked in wait() before the leader abandons.
-  ASSERT_TRUE(
-      poll_until([&] { return cache.stats().coalesced == kFollowers; }));
+  EXPECT_EQ(cache.stats().coalesced, kFollowers);
   cache.abandon("cell");
-  for (std::thread& follower : followers) follower.join();
+  EXPECT_EQ(answered_empty, static_cast<int>(kFollowers));
+  EXPECT_EQ(releads, 1);  // exactly one follower re-led
+  cache.publish("cell", tagged_report("recomputed"));
 
-  EXPECT_EQ(woken_empty.load(), static_cast<int>(kFollowers));
-  EXPECT_EQ(releads.load(), 1);  // exactly one follower re-led
   for (const std::optional<Report>& report : got) {
     ASSERT_TRUE(report.has_value());
     EXPECT_EQ(report->scenario, "recomputed");
   }
   const ReportCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, 2u);  // abandoned leader + the one re-lead
+  EXPECT_EQ(stats.coalesced, kFollowers + kFollowers - 1);
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.inflight, 0u);
   EXPECT_EQ(lookup(cache, "cell")->scenario, "recomputed");
@@ -432,7 +454,7 @@ TEST(ReportCache, AbandonWithManyFollowersMidWaitReleadsExactlyOnce) {
 
 TEST(ReportCache, SaveRacesSingleFlightAtCapacityZero) {
   // save() walks the LRU under the cache mutex while probe_or_lead /
-  // publish / wait mutate the single-flight table on other threads. At
+  // follow / publish mutate the single-flight table on other threads. At
   // --cache-size 0 nothing is ever stored, so every round is a fresh
   // leader appointment racing the snapshot loop - the regression
   // surface for iterator invalidation or a snapshot taken mid-flight.
@@ -452,13 +474,13 @@ TEST(ReportCache, SaveRacesSingleFlightAtCapacityZero) {
     std::thread follower([&cache, &followed, &key] {
       ReportCache::Probe probe = cache.probe_or_lead(key);
       ASSERT_NE(probe.waiting, nullptr);
-      followed = cache.wait(probe.waiting);
+      cache.follow(probe.waiting,
+                   [&followed](std::optional<Report> r) { followed = r; });
     });
-    // The follower is provably mid-wait before the leader publishes.
-    ASSERT_TRUE(
-        poll_until([&] { return cache.stats().coalesced == round + 1; }));
-    cache.publish(key, tagged_report(key));
+    // The follower is provably registered before the leader publishes.
     follower.join();
+    ASSERT_EQ(cache.stats().coalesced, round + 1);
+    cache.publish(key, tagged_report(key));
     ASSERT_TRUE(followed.has_value());
     EXPECT_EQ(followed->scenario, key);
   }
@@ -2006,8 +2028,8 @@ TEST(Server, EventLoopAnswersCachedRequestsWithTheSameBytesAndCounters) {
   }
   ServeOptions options;
   Server server(options);
-  // Held like in the coalescing tests: requests for this cell park at
-  // an executor until the test publishes it.
+  // Held like in the coalescing tests: requests for this cell follow it
+  // until the test publishes it.
   const std::string held =
       cache_key(coalesced_cell(), std::nullopt, options.run);
   ASSERT_TRUE(server.cache().probe_or_lead(held).leader);
@@ -2046,8 +2068,8 @@ TEST(Server, EventLoopAnswersCachedRequestsWithTheSameBytesAndCounters) {
     return ServeStats::from_wire(json::parse(ask(R"({"type":"metrics"})", 1)));
   };
 
-  // A cold run computes at an executor. A sweep of that cell and a new
-  // one is a partial hit, so it computes too: one hit, one miss, as the
+  // A cold run computes on the pool. A sweep of that cell and a new one
+  // is a partial hit, so it computes too: one hit, one miss, as the
   // per-cell probes always counted. Its repeat is all hits: one hit per
   // cell, the same bytes.
   EXPECT_EQ(ask(run_a, 1), expected_run);
@@ -2067,8 +2089,7 @@ TEST(Server, EventLoopAnswersCachedRequestsWithTheSameBytesAndCounters) {
   EXPECT_NE(ask(over, 1).find("\"ok\":false"), std::string::npos);
   EXPECT_EQ(ask(R"({"type":"ping"})", 1), "{\"ok\":true,\"type\":\"pong\"}\n");
 
-  // Park one request for the held cell per executor (the pool has at
-  // most 16), each on its own connection, so no executor is free.
+  // Park 16 requests for the held cell, each on its own connection.
   constexpr size_t kBlockers = 16;
   std::vector<std::unique_ptr<net::Stream>> blockers;
   for (size_t i = 0; i < kBlockers; ++i) {
@@ -2077,14 +2098,13 @@ TEST(Server, EventLoopAnswersCachedRequestsWithTheSameBytesAndCounters) {
     blockers.push_back(std::make_unique<net::Stream>(bfd));
     ASSERT_TRUE(blockers.back()->write_all(std::string(kCoalescedRun) + "\n"));
   }
-  // Every parked request is at an executor or queued for one, and the
-  // executors have picked some up.
+  // Every parked request is a Job waiting on its followed cell: it
+  // counts as executing, and none has a pool driver left to start.
   ASSERT_TRUE(poll_until([&] {
     const ServeStats parked = metrics();
     return parked.connections.processing == int{kBlockers} &&
-           parked.queues.executing >= 1 &&
-           parked.queues.executing + parked.queues.dispatch_backlog ==
-               kBlockers;
+           parked.queues.executing == kBlockers &&
+           parked.queues.dispatch_backlog == 0;
   }));
   // Cached requests are still answered: the event loop serves them.
   EXPECT_EQ(ask(run_a, 1), expected_run);
@@ -2103,11 +2123,11 @@ TEST(Server, EventLoopAnswersCachedRequestsWithTheSameBytesAndCounters) {
   EXPECT_EQ(stats.inflight, 0u);
 
   // Every request is counted, and every one answered before this
-  // metrics request - on the loop or at an executor - is timed.
+  // metrics request - on the loop or by a Job - is timed.
   const ServeStats final_metrics = metrics();
   EXPECT_EQ(final_metrics.requests, sent + kBlockers);
   EXPECT_EQ(final_metrics.latency.count, sent + kBlockers - 1);
-  // An executor finishes a request before handing back its response.
+  // A Job leaves the gauges before handing back its response.
   EXPECT_EQ(final_metrics.queues.executing, 0u);
   EXPECT_EQ(final_metrics.queues.dispatch_backlog, 0u);
 
@@ -2115,7 +2135,7 @@ TEST(Server, EventLoopAnswersCachedRequestsWithTheSameBytesAndCounters) {
   serve_thread.join();
 }
 
-TEST(Server, ShutdownDrainAnswersRequestsQueuedBehindBusyExecutors) {
+TEST(Server, ShutdownDrainAnswersEveryParkedFollower) {
   std::unique_ptr<net::Listener> listener;
   try {
     listener = std::make_unique<net::Listener>(0);
@@ -2143,8 +2163,8 @@ TEST(Server, ShutdownDrainAnswersRequestsQueuedBehindBusyExecutors) {
     return std::make_unique<net::Stream>(fd);
   };
   std::unique_ptr<net::Stream> monitor = connect();
-  // More requests for the held cell than there are executors (at most
-  // 16), each on its own connection, so some wait in the pool's queue.
+  // More requests for the held cell than the pool has threads, each on
+  // its own connection.
   constexpr size_t kBlockers = 20;
   std::vector<std::unique_ptr<net::Stream>> blockers;
   for (size_t i = 0; i < kBlockers; ++i) {
@@ -2159,9 +2179,8 @@ TEST(Server, ShutdownDrainAnswersRequestsQueuedBehindBusyExecutors) {
     }
     const ServeStats parked = ServeStats::from_wire(json::parse(line));
     return parked.connections.processing == int{kBlockers} &&
-           parked.queues.dispatch_backlog >= 1 &&
-           parked.queues.executing + parked.queues.dispatch_backlog ==
-               kBlockers;
+           parked.queues.executing == kBlockers &&
+           parked.queues.dispatch_backlog == 0;
   }));
 
   // The drain has begun once the idle monitor connection is closed.
@@ -2176,6 +2195,142 @@ TEST(Server, ShutdownDrainAnswersRequestsQueuedBehindBusyExecutors) {
   }
   serve_thread.join();
   EXPECT_EQ(serve_result, 0);
+}
+
+// A connection to `port` whose reads give up after 20 s, so a request
+// stuck behind a held cell fails the test instead of hanging it.
+std::unique_ptr<net::Stream> connect_with_timeout(int port) {
+  const int fd = connect_loopback(port);
+  EXPECT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 20;
+  EXPECT_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  return std::make_unique<net::Stream>(fd);
+}
+
+TEST(Server, ParkedFollowersHoldNoThread) {
+  // 20 requests follow a held cell - more than the shared pool has
+  // threads. A follower is a callback on the in-flight entry, so novel
+  // misses on fresh connections are still computed and answered first.
+  std::unique_ptr<net::Listener> listener;
+  try {
+    listener = std::make_unique<net::Listener>(0);
+  } catch (const ConfigError& e) {
+    GTEST_SKIP() << e.what();
+  }
+  ServeOptions options;
+  Server server(options);
+  const std::string held =
+      cache_key(coalesced_cell(), std::nullopt, options.run);
+  ASSERT_TRUE(server.cache().probe_or_lead(held).leader);
+  std::thread serve_thread([&] { EXPECT_EQ(server.serve_on(*listener), 0); });
+
+  const std::string novel_run =
+      R"({"type":"run","model":"6.6b","cluster":"dgx1-v100-ib","pp":4,)"
+      R"("tp":2,"dp":8,"nmb":16,"schedule":"bf","loop":2})";
+  const std::string novel_sweep =
+      R"({"type":"sweep","model":"6.6b","cluster":"dgx1-v100-ib","pp":[4],)"
+      R"("tp":[2],"dp":[8],"nmb":[4,12,24],"schedule":["bf","df"],)"
+      R"("loop":[2],"format":"csv"})";
+  Server reference;
+  const std::string expected_run = reference.handle(novel_run);
+  const std::string expected_sweep = reference.handle(novel_sweep);
+  const std::string expected_held = reference.handle(kCoalescedRun);
+
+  constexpr size_t kFollowers = 20;
+  std::vector<std::unique_ptr<net::Stream>> followers;
+  for (size_t i = 0; i < kFollowers; ++i) {
+    followers.push_back(connect_with_timeout(listener->port()));
+    ASSERT_TRUE(followers.back()->write_all(std::string(kCoalescedRun) + "\n"));
+  }
+  ASSERT_TRUE(poll_until(
+      [&] { return server.cache_stats().coalesced == kFollowers; }));
+
+  std::unique_ptr<net::Stream> run_client =
+      connect_with_timeout(listener->port());
+  std::unique_ptr<net::Stream> sweep_client =
+      connect_with_timeout(listener->port());
+  ASSERT_TRUE(run_client->write_all(novel_run + "\n"));
+  ASSERT_TRUE(sweep_client->write_all(novel_sweep + "\n"));
+  std::string got;
+  ASSERT_TRUE(read_lines(*run_client, 1, got));
+  EXPECT_EQ(got, expected_run);
+  got.clear();
+  ASSERT_TRUE(read_lines(*sweep_client, 8, got));  // head, header, 6 rows
+  EXPECT_EQ(got, expected_sweep);
+  EXPECT_EQ(server.cache_stats().inflight, 1u);  // still held
+
+  server.cache().publish(held, run(coalesced_cell(), options.run));
+  for (const std::unique_ptr<net::Stream>& follower : followers) {
+    got.clear();
+    ASSERT_TRUE(read_lines(*follower, 1, got));
+    EXPECT_EQ(got, expected_held);
+  }
+  server.request_shutdown();
+  serve_thread.join();
+}
+
+TEST(Server, ServeOnReturnsOnlyAfterAJobWhoseClientVanishedCompletes) {
+  // A client resets its connection while its request follows a held
+  // cell: the event loop drops the connection at once, but the Job still
+  // runs, and serve_on must not return - releasing the server under it -
+  // before that Job has handed back its completion.
+  std::unique_ptr<net::Listener> listener;
+  try {
+    listener = std::make_unique<net::Listener>(0);
+  } catch (const ConfigError& e) {
+    GTEST_SKIP() << e.what();
+  }
+  ServeOptions options;
+  Server server(options);
+  const std::string held =
+      cache_key(coalesced_cell(), std::nullopt, options.run);
+  ASSERT_TRUE(server.cache().probe_or_lead(held).leader);
+  std::atomic<bool> returned{false};
+  int serve_result = -1;
+  std::thread serve_thread([&] {
+    serve_result = server.serve_on(*listener);
+    returned = true;
+  });
+
+  std::unique_ptr<net::Stream> monitor = connect_with_timeout(listener->port());
+  {
+    const int fd = connect_loopback(listener->port());
+    ASSERT_GE(fd, 0);
+    net::Stream doomed(fd);
+    ASSERT_TRUE(doomed.write_all(std::string(kCoalescedRun) + "\n"));
+    ASSERT_TRUE(
+        poll_until([&] { return server.cache_stats().coalesced == 1u; }));
+    linger reset{};
+    reset.l_onoff = 1;  // close() sends RST: the server's read fails
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)),
+              0);
+  }  // ~Stream resets the connection mid-request
+  ASSERT_TRUE(poll_until([&] {
+    std::string line;
+    if (!monitor->write_all("{\"type\":\"metrics\"}\n") ||
+        !monitor->read_line(line)) {
+      return false;
+    }
+    const ServeStats seen = ServeStats::from_wire(json::parse(line));
+    return seen.connections.active == 1 && seen.queues.executing == 1;
+  }));
+
+  server.request_shutdown();
+  std::string line;
+  EXPECT_FALSE(monitor->read_line(line));  // the drain closed the monitor
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load());  // the orphaned Job is still pending
+  server.cache().publish(held, run(coalesced_cell(), options.run));
+  serve_thread.join();
+  EXPECT_EQ(serve_result, 0);
+  const std::string metrics = server.handle(R"({"type":"metrics"})");
+  const ServeStats after = ServeStats::from_wire(
+      json::parse(metrics.substr(0, metrics.size() - 1)));
+  EXPECT_EQ(after.queues.executing, 0u);
+  EXPECT_EQ(after.queues.dispatch_backlog, 0u);
+  EXPECT_EQ(after.cache.inflight, 0u);
 }
 
 TEST(Server, ClientVanishingMidResponseDoesNotDisturbOthers) {

@@ -7,9 +7,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -149,6 +151,125 @@ TEST(ThreadPool, SubmittedTaskCanRunASharedParallelFor) {
     }
   }
   EXPECT_EQ(total.load(), 4 * 32);
+}
+
+// The non-blocking loop, waited on by polling: a test must not block a
+// pool thread on it.
+void wait_for(const std::atomic<bool>& flag) {
+  while (!flag.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(ThreadPool, AsyncLoopRunsEveryIndexOnceThenDoneOnceOnTheLastThread) {
+  ThreadPool pool(4);
+  for (const int width : {1, 3, 0, 64}) {
+    constexpr int kN = 200;
+    std::vector<std::atomic<int>> runs(kN);
+    std::vector<std::thread::id> ran_on(kN);  // index i's slot: fn(i) only
+    std::atomic<int> returned{0};
+    std::atomic<int> done_calls{0};
+    std::atomic<bool> finished{false};
+    int returned_at_done = -1;
+    std::thread::id done_on;
+    pool.parallel_for_async(
+        kN, width,
+        [&](int i) {
+          runs[static_cast<size_t>(i)].fetch_add(1);
+          ran_on[static_cast<size_t>(i)] = std::this_thread::get_id();
+          returned.fetch_add(1);
+        },
+        [&](std::exception_ptr error) {
+          EXPECT_EQ(error, nullptr);
+          returned_at_done = returned.load();
+          done_on = std::this_thread::get_id();
+          done_calls.fetch_add(1);
+          finished = true;
+        });
+    wait_for(finished);
+    for (const auto& r : runs) EXPECT_EQ(r.load(), 1) << "width " << width;
+    EXPECT_EQ(returned_at_done, kN);  // after every fn call returned
+    // On a pool thread that ran an index, never on the starting thread.
+    EXPECT_NE(done_on, std::this_thread::get_id());
+    EXPECT_NE(std::find(ran_on.begin(), ran_on.end(), done_on), ran_on.end());
+    if (width == 1) {
+      // One driver: every index and done ran on that one thread.
+      for (const std::thread::id& id : ran_on) EXPECT_EQ(id, done_on);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(done_calls.load(), 1);
+  }
+}
+
+TEST(ThreadPool, AsyncLoopHandsTheLowestIndexErrorToDone) {
+  ThreadPool pool(4);
+  for (const int width : {1, 4, 0}) {
+    std::atomic<bool> finished{false};
+    std::string message;
+    pool.parallel_for_async(
+        64, width,
+        [](int i) {
+          if (i % 7 == 3) throw ConfigError("item " + std::to_string(i));
+        },
+        [&](std::exception_ptr error) {
+          message = error_text<ConfigError>([&] {
+            if (error) std::rethrow_exception(error);
+          });
+          finished = true;
+        });
+    wait_for(finished);
+    EXPECT_EQ(message, "item 3") << "width " << width;
+  }
+}
+
+TEST(ThreadPool, AsyncLoopOfNothingRunsDoneAtOnceOnTheCaller) {
+  ThreadPool pool(2);
+  bool done = false;
+  pool.parallel_for_async(
+      0, 4, [](int) { FAIL() << "empty loop ran a body"; },
+      [&](std::exception_ptr error) {
+        EXPECT_EQ(error, nullptr);
+        done = true;
+      });
+  EXPECT_TRUE(done);  // no thread hop: set before the call returned
+}
+
+TEST(ThreadPool, AsyncLoopStartsFromInsideAPoolTask) {
+  // What a served request's follower does when its leader abandons: it
+  // may start cells from a pool thread, which must not wait for them.
+  ThreadPool pool(2);
+  std::atomic<int> total{0};
+  std::atomic<int> loops_done{0};
+  std::atomic<bool> outer_done{false};
+  pool.parallel_for_async(
+      4, 0,
+      [&](int) {
+        pool.parallel_for_async(
+            16, 0, [&](int) { total.fetch_add(1); },
+            [&](std::exception_ptr) { loops_done.fetch_add(1); });
+      },
+      [&](std::exception_ptr) { outer_done = true; });
+  wait_for(outer_done);
+  while (loops_done.load() < 4) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(total.load(), 4 * 16);
+}
+
+TEST(ThreadPool, AsyncLoopDrivenByTheCallerKeepsWidthOneSerial) {
+  ThreadPool pool(2);
+  std::vector<std::thread::id> ran_on(8);
+  bool done = false;
+  pool.parallel_for_async(
+      8, 1,
+      [&](int i) {
+        ran_on[static_cast<size_t>(i)] = std::this_thread::get_id();
+      },
+      [&](std::exception_ptr) { done = true; }, /*caller_drives=*/true);
+  EXPECT_TRUE(done);  // the caller was the only driver
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 // Lowers the soft RLIMIT_NPROC, which caps a user's threads and
