@@ -43,25 +43,6 @@ Report run(const Scenario& scenario, const RunOptions& options) {
   return run_with(scenario, *make_engine(options));
 }
 
-std::optional<Report> try_run_with(const Scenario& scenario,
-                                   const Engine& engine) {
-  // Only the two configuration-rejection errors are absorbed;
-  // everything else (bfpp::Error, std::exception) is a programming
-  // error and must propagate.
-  try {
-    return run_with(scenario, engine);
-  } catch (const ConfigError&) {
-    return std::nullopt;
-  } catch (const OutOfMemoryError&) {
-    return std::nullopt;
-  }
-}
-
-std::optional<Report> try_run(const Scenario& scenario,
-                              const RunOptions& options) {
-  return try_run_with(scenario, *make_engine(options));
-}
-
 Report search(const Scenario& scenario, autotune::Method method,
               const RunOptions& options) {
   check_config(scenario.batch_size >= 1,

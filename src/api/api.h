@@ -26,7 +26,6 @@
 // directly.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "api/engine.h"
@@ -44,15 +43,6 @@ namespace bfpp::api {
 Report run(const Scenario& scenario, const RunOptions& options = {});
 // Same, on a caller-supplied engine (the primitive the above wraps).
 Report run_with(const Scenario& scenario, const Engine& engine);
-
-// Like run(), but returns nullopt instead of throwing on invalid
-// (bfpp::ConfigError) or infeasible (bfpp::OutOfMemoryError)
-// configurations - the shape sweep benches want. Any other exception
-// (including plain bfpp::Error) is a programming error and propagates.
-std::optional<Report> try_run(const Scenario& scenario,
-                              const RunOptions& options = {});
-std::optional<Report> try_run_with(const Scenario& scenario,
-                                   const Engine& engine);
 
 // Grid-searches the configuration space for scenario.batch_size and
 // returns the best configuration's Report (found == false when nothing

@@ -136,7 +136,7 @@ int do_search(const CliOptions& options) {
 }
 
 int do_sweep(const CliOptions& options) {
-  const ScenarioGrid grid = grid_from_cli(options);
+  const ScenarioGrid grid = sweep_from_cli(options).build();
   SweepOptions sweep_options;
   sweep_options.jobs = options.jobs;
   sweep_options.run = run_options_from_cli(options);
@@ -477,16 +477,17 @@ Scenario scenario_from_cli(const CliOptions& options) {
   // A search enumerates the grid, schedule and sharding itself, and its
   // method is not part of the scenario.
   const bool search = options.command == "search";
-  SweepCell cell;
-  cell.scenario.name("cli");
+  ScenarioBuilder scenario;
+  scenario.name("cli");
+  std::optional<autotune::Method> unused;  // the method axis is skipped
   for (const AxisSpec& axis : scenario_axes()) {
     if (axis.names == &ScenarioAxes::method || (search && axis.searched)) {
       continue;
     }
-    if (axis.size(axes) > 0) axis.apply(axes, 0, cell);
+    if (axis.size(axes) > 0) axis.apply(axes, 0, scenario, unused);
   }
-  if (axes.model.empty()) cell.scenario.model(kDefaultModel);
-  if (axes.cluster.empty()) cell.scenario.cluster(kDefaultCluster);
+  if (axes.model.empty()) scenario.model(kDefaultModel);
+  if (axes.cluster.empty()) scenario.cluster(kDefaultCluster);
   if (search) {
     // Accepting (and ignoring) flags that pin the configuration would
     // mislead.
@@ -494,13 +495,13 @@ Scenario scenario_from_cli(const CliOptions& options) {
                  "cli: search explores the configuration space itself; only "
                  "--model/--cluster/--batch/--method apply");
     check_config(!axes.batch.empty(), "cli: search needs --batch");
-    return cell.scenario.build();
+    return std::move(scenario).build();
   }
   if (options.no_dp_overlap || options.no_pp_overlap) {
-    cell.scenario.overlap(!options.no_dp_overlap, !options.no_pp_overlap);
+    scenario.overlap(!options.no_dp_overlap, !options.no_pp_overlap);
   }
-  if (options.megatron) cell.scenario.megatron();
-  return cell.scenario.build();
+  if (options.megatron) scenario.megatron();
+  return std::move(scenario).build();
 }
 
 autotune::Method search_method(const CliOptions& options) {
@@ -508,10 +509,10 @@ autotune::Method search_method(const CliOptions& options) {
       options.axes.method.empty() ? "bf" : options.axes.method.front());
 }
 
-ScenarioGrid grid_from_cli(const CliOptions& options) {
+SweepBuilder sweep_from_cli(CliOptions options) {
   check_config(options.preset.empty(),
                "cli: sweep grids are described by axis flags, not --preset");
-  ScenarioAxes axes = options.axes;
+  ScenarioAxes& axes = options.axes;
   if (axes.model.empty()) axes.model = {kDefaultModel};
   if (axes.cluster.empty()) axes.cluster = {kDefaultCluster};
   if (!axes.method.empty()) {
@@ -538,7 +539,9 @@ ScenarioGrid grid_from_cli(const CliOptions& options) {
       throw UsageError(e.what());
     }
   }
-  return SweepBuilder().base(std::move(base)).axes(std::move(axes)).build();
+  SweepBuilder sweep;
+  sweep.base(std::move(base)).axes(std::move(axes));
+  return sweep;
 }
 
 std::string cli_usage() {

@@ -85,8 +85,10 @@ Scenario scenario_from_cli(const CliOptions& options);
 // The method a search option set names (--method, default bf).
 autotune::Method search_method(const CliOptions& options);
 
-// Builds the sweep campaign a `bfpp sweep` option set describes.
-ScenarioGrid grid_from_cli(const CliOptions& options);
+// The sweep campaign a `bfpp sweep` option set describes (its axes are
+// moved out of `options`): `bfpp sweep` builds its grid, the serve
+// parser walks it cell by cell.
+SweepBuilder sweep_from_cli(CliOptions options);
 
 // The full usage text.
 std::string cli_usage();

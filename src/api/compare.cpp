@@ -78,9 +78,9 @@ ScenarioGrid compare_grid(const std::string& name) {
         if (variant.loop) builder.loop(*variant.loop);
         if (variant.megatron) builder.megatron();
         SweepCell cell;
-        cell.scenario = builder;
         cell.label = str_format("%s/b%d/%s", point.model, batch,
                                 variant.label.c_str());
+        cell.scenario = builder.name(cell.label);
         grid.push(std::move(cell));
       }
     }

@@ -4,7 +4,7 @@
 // A compare grid is an ordinary ScenarioGrid - one cell per
 // (operating point, batch size, schedule family) - so it runs through
 // api::sweep on the CLI (byte-identical across --jobs) and through
-// Server::execute on `bfpp serve` (cached and coalesced per cell). The
+// the same cached, coalesced cell path as a sweep on `bfpp serve`. The
 // family columns put every rival schedule of docs/SCHEDULES.md next to
 // breadth-first on the Figure 5/6 shapes:
 //

@@ -1,6 +1,6 @@
 // Pluggable execution backends for the bfpp::api experiment layer.
 //
-// Every api entry point (run / try_run / search / sweep) evaluates
+// Every api entry point (run / search / sweep) evaluates
 // (model, config, cluster) triples through an Engine. Three backends
 // cover the repo's three execution paths:
 //

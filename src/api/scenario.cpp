@@ -140,11 +140,24 @@ Scenario ScenarioBuilder::partial() const {
   return scenario;
 }
 
-Scenario ScenarioBuilder::build() const {
+Scenario ScenarioBuilder::build() const& {
   check_config(model_.has_value(), "scenario: no model set");
   check_config(cluster_.has_value(), "scenario: no cluster set");
+  return validated(partial());
+}
 
-  Scenario scenario = partial();
+Scenario ScenarioBuilder::build() && {
+  check_config(model_.has_value(), "scenario: no model set");
+  check_config(cluster_.has_value(), "scenario: no cluster set");
+  Scenario scenario;
+  scenario.name = std::move(name_);
+  scenario.model = std::move(*model_);
+  scenario.cluster = std::move(*cluster_);
+  scenario.batch_size = batch_.value_or(0);
+  return validated(std::move(scenario));
+}
+
+Scenario ScenarioBuilder::validated(Scenario scenario) const {
   if (!any_grid_field()) {
     // Search-only scenario: just model + cluster + batch. Capability
     // flags would be silently unused here, so reject them.

@@ -82,7 +82,10 @@ class ScenarioBuilder {
   // Adopts a complete ParallelConfig wholesale (still validated).
   ScenarioBuilder& config(parallel::ParallelConfig cfg);
 
-  [[nodiscard]] Scenario build() const;
+  // The second form moves the name, model and cluster out instead of
+  // copying them.
+  [[nodiscard]] Scenario build() const&;
+  [[nodiscard]] Scenario build() &&;
 
   // What a failed build() still identifies, unvalidated: the name, the
   // model and cluster set so far (a cluster of no nodes when unset) and
@@ -91,7 +94,14 @@ class ScenarioBuilder {
   [[nodiscard]] Scenario partial() const;
 
  private:
+  // SweepBuilder's walk re-points one working builder from cell to cell:
+  // it names each cell in place and resets the loop and megatron flag a
+  // variant sets.
+  friend class SweepBuilder;
+
   [[nodiscard]] bool any_grid_field() const;
+  // build() after the name, model, cluster and batch are in `scenario`.
+  [[nodiscard]] Scenario validated(Scenario scenario) const;
 
   std::string name_;
   std::optional<model::TransformerSpec> model_;

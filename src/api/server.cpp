@@ -100,44 +100,58 @@ ReportCache::Probe ReportCache::probe_or_lead(const std::string& key) {
   return probe;
 }
 
-std::optional<std::vector<std::string>> ReportCache::find_tails(
-    const std::vector<std::string_view>& keys, RowFormat format) {
+std::optional<ReportCache::Tails> ReportCache::find_tails(
+    std::span<const std::string_view> keys, RowFormat format) {
   const auto slot = static_cast<size_t>(format);
-  std::vector<std::string> tails(keys.size());
+  Tails tails;
+  tails.ends.reserve(keys.size());
   std::vector<std::pair<size_t, Report>> untailed;  // key index, a copy
   {
     const LockGuard lock(mutex_);
     std::vector<decltype(lru_)::iterator> nodes;
     nodes.reserve(keys.size());
+    size_t bytes = 0;
     for (const std::string_view key : keys) {
       const auto it = index_.find(key);
       if (it == index_.end()) return std::nullopt;
       nodes.push_back(it->second);
+      bytes += it->second->tails[slot].size();
     }
+    tails.bytes.reserve(bytes);
     for (size_t i = 0; i < nodes.size(); ++i) {
       lru_.splice(lru_.begin(), lru_, nodes[i]);  // promote, in key order
       const std::string& tail = nodes[i]->tails[slot];
-      if (tail.empty()) {
-        untailed.emplace_back(i, nodes[i]->report);
-      } else {
-        tails[i] = tail;
-      }
+      if (tail.empty()) untailed.emplace_back(i, nodes[i]->report);
+      tails.bytes += tail;
+      tails.ends.push_back(tails.bytes.size());
     }
     counters_.hits += keys.size();
   }
   if (untailed.empty()) return tails;
-  for (auto& [i, report] : untailed) {
-    tails[i] = row_tail(std::move(report), format);
+  // Render the missing tails unlocked, splice them into the buffer at
+  // their keys' places, then store them.
+  std::vector<std::string> rendered;
+  rendered.reserve(untailed.size());
+  Tails filled;
+  filled.ends.reserve(keys.size());
+  size_t next = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (next < untailed.size() && untailed[next].first == i) {
+      rendered.push_back(row_tail(std::move(untailed[next++].second), format));
+      filled.bytes += rendered.back();
+    } else {
+      filled.bytes += tails[i];
+    }
+    filled.ends.push_back(filled.bytes.size());
   }
   const LockGuard lock(mutex_);
-  for (const auto& entry : untailed) {
-    const size_t i = entry.first;
-    const auto it = index_.find(keys[i]);
+  for (size_t j = 0; j < untailed.size(); ++j) {
+    const auto it = index_.find(keys[untailed[j].first]);
     if (it != index_.end() && it->second->tails[slot].empty()) {
-      it->second->tails[slot] = tails[i];
+      it->second->tails[slot] = std::move(rendered[j]);
     }
   }
-  return tails;
+  return filled;
 }
 
 void ReportCache::follow(const std::shared_ptr<InFlight>& entry,
@@ -324,37 +338,31 @@ std::string cache_key(const Scenario& scenario,
   // faithful (injective) encoding of the whole configuration, overlap
   // flags included. Structural model/cluster fields guard against two
   // specs sharing a display name; total_gpus covers ':<n_nodes>' resizes.
-  // Appended piece by piece into one buffer: keys are built on the event
-  // loop's serial path.
+  // Written through one StringWriter: keys are built on the event loop's
+  // serial path.
   const model::TransformerSpec& model = scenario.model;
   std::string key;
-  key.reserve(256 + model.name.size() + scenario.cluster.name.size());
-  key += "model=";
-  key += model.name;
-  append_int(key += "#l", model.n_layers);
-  append_int(key += 'h', model.hidden_size);
-  append_int(key += 's', model.seq_len);
-  append_int(key += 'v', model.vocab_size);
-  key += "|cluster=";
-  key += scenario.cluster.name;
-  append_int(key += '#', scenario.cluster.total_gpus());
-  key += "gpus|cfg=";
-  if (scenario.config.has_value()) {
-    scenario.config->describe(key);
-  } else {
-    key += '-';
+  {
+    StringWriter w(key,
+                   320 + model.name.size() + scenario.cluster.name.size());
+    w << "model=" << model.name << "#l" << model.n_layers << 'h'
+      << model.hidden_size << 's' << model.seq_len << 'v' << model.vocab_size
+      << "|cluster=" << scenario.cluster.name << '#'
+      << scenario.cluster.total_gpus() << "gpus|cfg=";
+    if (scenario.config.has_value()) {
+      scenario.config->describe(w);
+    } else {
+      w << '-';
+    }
+    w << "|batch=" << scenario.batch_size << "|method="
+      << (method.has_value() ? autotune::to_string(*method) : "-")
+      << "|backend=" << to_string(options.backend) << "|kernel=";
+    if (!options.kernel.has_value()) w << "default";
   }
-  append_int(key += "|batch=", scenario.batch_size);
-  key += "|method=";
-  key += method.has_value() ? autotune::to_string(*method) : "-";
-  (key += "|backend=") += to_string(options.backend);
-  key += "|kernel=";
   if (options.kernel.has_value()) {
     append_general(key, options.kernel->max_efficiency, 17) += '/';
     append_general(key, options.kernel->narrow_half, 17) += '/';
     append_general(key, options.kernel->rows_half, 17);
-  } else {
-    key += "default";
   }
   return key;
 }
@@ -515,6 +523,7 @@ std::string overlong_line_error() {
 std::vector<std::string> names_from(const json::Value& v, const char* key) {
   if (v.is_array()) {
     std::vector<std::string> out;
+    out.reserve(v.size());
     for (const json::Value& item : v.items()) {
       out.push_back(item.as_string(key));
     }
@@ -527,6 +536,7 @@ std::vector<std::string> names_from(const json::Value& v, const char* key) {
 std::vector<int> ints_from(const json::Value& v, const char* key) {
   if (v.is_array()) {
     std::vector<int> out;
+    out.reserve(v.size());
     for (const json::Value& item : v.items()) out.push_back(item.as_int(key));
     check_config(!out.empty(), "serve: \"%s\" must not be an empty list", key);
     return out;
@@ -571,10 +581,10 @@ std::string id_echo_from(const json::Value& root) {
     // and corrupt the response line.
     const double x = id->as_number();
     check_config(std::isfinite(x), "serve: \"id\" must be a finite number");
-    if (x == std::floor(x) && std::abs(x) <= 9007199254740992.0) {
-      return str_format("%lld", static_cast<long long>(x));
-    }
     std::string echo;
+    if (x == std::floor(x) && std::abs(x) <= 9007199254740992.0) {
+      return append_int(echo, static_cast<long long>(x));
+    }
     return append_general(echo, x, 17);
   }
   throw ConfigError("serve: \"id\" must be a string or a number");
@@ -602,16 +612,15 @@ const std::string& shown_label(const std::string& label,
 }
 
 // Payload rendering shared by run/search/sweep/compare responses, from
-// the computed Reports or from cached row tails: `append_row(i, out)`
-// appends row i, rows in order. A run or search answers with its one
-// report inline.
+// the computed Reports or from cached row tails, appended to `out`:
+// `append_row(i, out)` appends row i, rows in order. A run or search
+// answers with its one report inline.
 template <class AppendRow>
-std::string rows_response(const std::string& id_echo, const std::string& type,
-                          size_t rows, RowFormat format,
-                          const AppendRow& append_row) {
+void append_rows_response(std::string& out, const std::string& id_echo,
+                          const std::string& type, size_t rows,
+                          RowFormat format, const AppendRow& append_row) {
   const bool csv = format == RowFormat::kCsv;
-  std::string out;
-  out.reserve(160 + rows * (csv ? 256 : 1024));
+  out.reserve(out.size() + 160 + rows * (csv ? 256 : 1024));
   out += '{';
   if (!id_echo.empty()) (out += "\"id\":").append(id_echo) += ',';
   (out += "\"ok\":true,\"type\":\"").append(type) += '"';
@@ -619,7 +628,7 @@ std::string rows_response(const std::string& id_echo, const std::string& type,
     out += ",\"report\":";
     append_row(size_t{0}, out);
     out += "}\n";
-    return out;
+    return;
   }
   if (csv) out += ",\"format\":\"csv\"";
   const auto lines = static_cast<long long>(csv ? rows + 1 : rows);
@@ -631,7 +640,6 @@ std::string rows_response(const std::string& id_echo, const std::string& type,
     append_row(i, out);
     out += '\n';
   }
-  return out;
 }
 
 }  // namespace
@@ -863,10 +871,11 @@ void Server::finish(Job& job) {
       error = job.error;
     }
     if (error) std::rethrow_exception(error);
-    response = rows_response(req.id_echo, req.type, job.reports.size(),
-                             req.format, [&](size_t i, std::string& out) {
-                               append_row(out, *job.reports[i], req.format);
-                             });
+    append_rows_response(response, req.id_echo, req.type,
+                         job.reports.size(), req.format,
+                         [&](size_t i, std::string& out) {
+                           append_row(out, *job.reports[i], req.format);
+                         });
   } catch (...) {
     response = current_error_line(req.id_echo);
   }
@@ -903,14 +912,32 @@ void Server::parse(const std::string& line, Request& req) const {
 
   for (const auto& [key, v] : root.members()) {
     if (key == "id" || key == "type") continue;
-    if (key == "what" && req.type == "list") {
+    // Most fields are axes: look them up before the other names.
+    const AxisSpec* axis = find_axis(key);
+    if (axis == nullptr && key == "what" && req.type == "list") {
       req.list_what = v.as_string("what");
       continue;
     }
     check_config(scenario_request,
                  "serve: field \"%s\" is not valid for a '%s' request",
                  key.c_str(), req.type.c_str());
-    if (key == "format") {
+    if (axis != nullptr && req.type != "compare") {
+      // run simulates one exact configuration; silently ignoring a
+      // search method would mislead (mirrors the CLI's pinned-flag
+      // guards).
+      check_config(axis->names != &ScenarioAxes::method || req.type != "run",
+                   "serve: \"method\" applies to search and sweep "
+                   "requests, not run");
+      if (axis->ints != nullptr) {
+        cli.axes.*axis->ints = sweeping
+                                   ? ints_from(v, axis->name)
+                                   : std::vector<int>{v.as_int(axis->name)};
+      } else {
+        cli.axes.*axis->names =
+            sweeping ? names_from(v, axis->name)
+                     : std::vector<std::string>{v.as_string(axis->name)};
+      }
+    } else if (key == "format") {
       const std::string format = to_lower(v.as_string("format"));
       check_config(format == "json" || format == "csv",
                    "serve: \"format\" must be \"json\" or \"csv\"");
@@ -936,22 +963,6 @@ void Server::parse(const std::string& line, Request& req) const {
           key.c_str()));
     } else if (key == "preset") {
       cli.preset = v.as_string("preset");
-    } else if (const AxisSpec* axis = find_axis(key)) {
-      // run simulates one exact configuration; silently ignoring a
-      // search method would mislead (mirrors the CLI's pinned-flag
-      // guards).
-      check_config(axis->names != &ScenarioAxes::method || req.type != "run",
-                   "serve: \"method\" applies to search and sweep "
-                   "requests, not run");
-      if (axis->ints != nullptr) {
-        cli.axes.*axis->ints = sweeping
-                                   ? ints_from(v, axis->name)
-                                   : std::vector<int>{v.as_int(axis->name)};
-      } else {
-        cli.axes.*axis->names =
-            sweeping ? names_from(v, axis->name)
-                     : std::vector<std::string>{v.as_string(axis->name)};
-      }
     } else if (key == "megatron") {
       cli.megatron = v.as_bool("megatron");
     } else if (key == "no_dp_overlap") {
@@ -980,29 +991,37 @@ void Server::parse(const std::string& line, Request& req) const {
     // compare_grid instead of axis fields, but the cells run through the
     // same cached, coalesced path, so a warm cache serves a repeated
     // compare without recomputing any cell. A sweep's size is checked
-    // from its axis lists, before the grid exists.
-    if (req.type == "sweep") {
-      check_config(
-          sweep_cells(cli.axes, kMaxCellsPerRequest) <= kMaxCellsPerRequest,
-          "serve: a sweep may name at most %zu cells (the product of its "
-          "axis lengths); split it into smaller sweeps",
-          kMaxCellsPerRequest);
-    }
-    const ScenarioGrid grid = req.type == "compare" ? compare_grid(cli.grid)
-                                                    : grid_from_cli(cli);
-    req.cells.reserve(grid.size());
-    for (const SweepCell& sc : grid.cells()) {
+    // from its axis lists, before its walk starts.
+    const auto add_cell = [&req](const ScenarioBuilder& scenario,
+                                 const std::optional<autotune::Method>& method,
+                                 const std::string& label) {
+      // The builder is named by the label, so the built scenario's name
+      // is the row's label: the one copy of it the cell keeps.
       Cell& cell = req.cells.emplace_back();
-      cell.method = sc.method;
-      cell.label = sc.label;
+      cell.method = method;
       try {
-        cell.built = sc.scenario.build();
+        cell.built = scenario.build();
       } catch (const ConfigError& e) {
-        cell.failed = failed_report(sc.scenario.partial(), cell.label,
-                                    cell.method, "[config] ", e.what());
-        continue;
+        cell.failed = failed_report(scenario.partial(), label, method,
+                                    "[config] ", e.what());
+        return;
       }
-      cell.key = cache_key(*cell.built, cell.method, req.run);
+      cell.key = cache_key(*cell.built, method, req.run);
+    };
+    if (req.type == "compare") {
+      const ScenarioGrid grid = compare_grid(cli.grid);
+      req.cells.reserve(grid.size());
+      for (const SweepCell& cell : grid.cells()) {
+        add_cell(cell.scenario, cell.method, cell.label);
+      }
+    } else {
+      const size_t cells = sweep_cells(cli.axes, kMaxCellsPerRequest);
+      check_config(cells <= kMaxCellsPerRequest,
+                   "serve: a sweep may name at most %zu cells (the product "
+                   "of its axis lengths); split it into smaller sweeps",
+                   kMaxCellsPerRequest);
+      req.cells.reserve(cells);
+      sweep_from_cli(std::move(cli)).walk(add_cell);
     }
   } else if (req.type == "run" || req.type == "search") {
     // One fully-validated cell. A structurally invalid scenario throws
@@ -1058,17 +1077,17 @@ bool Server::answer_from_cache(const Request& req, std::string& response) {
 
   // run / search / sweep / compare: all cells cached, or compute.
   if (req.cells.size() > kMaxInlineCells) return false;
-  std::vector<std::string_view> keys;
-  keys.reserve(req.cells.size());
+  std::array<std::string_view, kMaxInlineCells> keys;
+  size_t n_keys = 0;
   for (const Cell& cell : req.cells) {
-    if (!cell.failed.has_value()) keys.push_back(cell.key);
+    if (!cell.failed.has_value()) keys[n_keys++] = cell.key;
   }
-  const std::optional<std::vector<std::string>> tails =
-      cache_.find_tails(keys, req.format);
+  const std::optional<ReportCache::Tails> tails =
+      cache_.find_tails(std::span(keys.data(), n_keys), req.format);
   if (!tails.has_value()) return false;
   size_t next_tail = 0;  // rows are appended in cell order
-  response = rows_response(
-      id_echo, req.type, req.cells.size(), req.format,
+  append_rows_response(
+      response, id_echo, req.type, req.cells.size(), req.format,
       [&](size_t i, std::string& out) {
         const Cell& cell = req.cells[i];
         if (cell.failed.has_value()) {
@@ -1228,6 +1247,17 @@ int Server::serve_on(net::Listener& listener) {
   // tick), or a drain began and idle connections must close: poll
   // without sleeping.
   bool poll_now = false;
+  // Queues response bytes on a connection. An empty outbox takes them by
+  // swap, so nothing is copied and `bytes` gets the outbox's spare
+  // capacity back (the loop's `response` buffer stays warm); only a
+  // response behind an unsent remainder is appended.
+  const auto enqueue = [](Conn& conn, std::string& bytes) {
+    if (conn.outbox.empty()) {
+      conn.outbox.swap(bytes);
+    } else {
+      conn.outbox += bytes;
+    }
+  };
   // Writes what the socket takes of a connection's pending response
   // bytes; a write error marks the peer gone.
   const auto flush = [](Conn& conn) {
@@ -1304,7 +1334,7 @@ int Server::serve_on(net::Listener& listener) {
       take_completions();
       outstanding -= completed.size();
       for (Completion& done : completed) {
-        done.conn->outbox += done.response;
+        enqueue(*done.conn, done.response);
         done.conn->busy = false;
         flush(*done.conn);
       }
@@ -1414,7 +1444,7 @@ int Server::serve_on(net::Listener& listener) {
           start(job, /*caller_drives=*/false);
         }
       } else {
-        conn->outbox += response;
+        enqueue(*conn, response);
         flush(*conn);
       }
     }

@@ -65,6 +65,7 @@
 #include <list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -158,19 +159,32 @@ class ReportCache {
   // already being computed returns that entry to follow().
   [[nodiscard]] Probe probe_or_lead(const std::string& key);
 
+  // Row tails of several entries, back to back in one buffer: tail i is
+  // bytes[ends[i - 1], ends[i]) (from 0 for i == 0).
+  struct Tails {
+    std::string bytes;
+    std::vector<size_t> ends;
+
+    [[nodiscard]] std::string_view operator[](size_t i) const {
+      const size_t begin = i == 0 ? 0 : ends[i - 1];
+      return std::string_view(bytes).substr(begin, ends[i] - begin);
+    }
+  };
+
   // All-or-nothing lookup, which never appoints a leader. When every
   // key is cached, promotes each to MRU in key order, counts one hit per
   // key (as probe_or_lead() would) and returns each entry's row tail in
   // `format` (row_tail() in report.h), in key order, so the event loop
   // answers a hit by splicing labels in. Otherwise returns nullopt and
   // changes nothing: no counter, no recency, no in-flight entry; misses
-  // and coalesced waits are counted by probe_or_lead() alone. A tail is
-  // rendered only here, the first time it is asked for, from a copy of
-  // the Report outside the lock, then stored if the key is still
-  // cached: a key fixes its Report's bytes, so a refresh in between
-  // cannot make the stored tail wrong.
-  [[nodiscard]] std::optional<std::vector<std::string>> find_tails(
-      const std::vector<std::string_view>& keys, RowFormat format);
+  // and coalesced waits are counted by probe_or_lead() alone. Under the
+  // lock the tails are only copied, into one buffer. A tail is rendered
+  // only here, the first time it is asked for, from a copy of the Report
+  // outside the lock, then stored if the key is still cached: a key
+  // fixes its Report's bytes, so a refresh in between cannot make the
+  // stored tail wrong.
+  [[nodiscard]] std::optional<Tails> find_tails(
+      std::span<const std::string_view> keys, RowFormat format);
 
   // Registers `follower` on the in-flight computation behind `entry`:
   // publish() or abandon() calls it with the result (byte-identical to
@@ -439,6 +453,9 @@ class Server {
   struct Cell {
     std::optional<Scenario> built;  // nullopt: the build failed
     std::optional<autotune::Method> method;
+    // The row's label when it is not the scenario's name ("serve" for a
+    // run or search); empty for a sweep or compare cell, whose label is
+    // its scenario's name.
     std::string label;
     std::string key;               // cache_key(); empty when unbuilt
     std::optional<Report> failed;  // the row of a cell that did not build
@@ -472,12 +489,13 @@ class Server {
   std::optional<Request> answer(const std::string& line,
                                 std::string& response);
 
-  // Parse step: the line to a Request, every cell built and keyed.
-  // Throws bfpp::Error on a malformed request (req.id_echo is set as
-  // soon as the id is known).
+  // Parse step: the line to a Request, every cell built and keyed (a
+  // sweep's straight from SweepBuilder::walk). Throws bfpp::Error on a
+  // malformed request (req.id_echo is set as soon as the id is known).
   void parse(const std::string& line, Request& req) const;
 
-  // The answer from cache: sets `response` and returns true for a
+  // The answer from cache: fills `response` (empty on entry; a hit is
+  // appended to it, so its capacity is reused) and returns true for a
   // request that needs no cell (ping, shutdown, stats, metrics, list)
   // or whose cells - at most kMaxInlineCells of them - are all cached
   // (ReportCache::find_tails), splicing each cell's label into its

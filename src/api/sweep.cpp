@@ -1,5 +1,8 @@
 #include "api/sweep.h"
 
+#include <array>
+#include <iterator>
+
 #include "api/api.h"
 #include "common/error.h"
 #include "common/strings.h"
@@ -85,13 +88,14 @@ ScenarioGrid& ScenarioGrid::push(SweepCell cell) {
 }
 
 void AxisSpec::apply(const ScenarioAxes& axes, size_t i,
-                     SweepCell& cell) const {
+                     ScenarioBuilder& scenario,
+                     std::optional<autotune::Method>& method) const {
   if (ints != nullptr) {
-    (cell.scenario.*set_int)((axes.*ints)[i]);
+    (scenario.*set_int)((axes.*ints)[i]);
   } else if (set_name != nullptr) {
-    (cell.scenario.*set_name)((axes.*names)[i]);
+    (scenario.*set_name)((axes.*names)[i]);
   } else {
-    cell.method = autotune::parse_method((axes.*names)[i]);
+    method = autotune::parse_method((axes.*names)[i]);
   }
 }
 
@@ -186,33 +190,26 @@ SweepBuilder& SweepBuilder::loops(std::vector<int> values) {
   return *this;
 }
 
-ScenarioGrid SweepBuilder::build() const {
-  // One level per set axis, in nesting order, each value's label part
-  // rendered once; the variants() composite (axis == nullptr) sits
-  // after batch.
+void SweepBuilder::walk(const CellVisitor& visit) const {
+  // One level per set axis, in nesting order; the variants() composite
+  // (axis == nullptr) sits after batch.
   struct Level {
     const AxisSpec* axis;
-    std::vector<std::string> labels;
+    size_t size;
+    size_t label_start;  // the label's length before this level's part
+    size_t at;           // the value the cell has
   };
-  std::vector<Level> levels;
+  std::array<Level, std::size(kAxes) + 1> levels{};
+  size_t n_levels = 0;
   for (const AxisSpec& axis : kAxes) {
     if (axis.size(axes_) > 0) {
-      Level& level = levels.emplace_back(Level{&axis, {}});
-      for (size_t i = 0; i < axis.size(axes_); ++i) {
-        level.labels.push_back(axis.ints != nullptr
-                                   ? axis.prefix +
-                                         std::to_string((axes_.*axis.ints)[i])
-                                   : (axes_.*axis.names)[i]);
-      }
+      levels[n_levels++] = {&axis, axis.size(axes_), 0, 0};
     }
     if (axis.ints == &ScenarioAxes::batch && !variants_.empty()) {
-      Level& level = levels.emplace_back(Level{nullptr, {}});
-      for (const SweepVariant& v : variants_) {
-        level.labels.push_back(v.label.empty() ? v.schedule : v.label);
-      }
+      levels[n_levels++] = {nullptr, variants_.size(), 0, 0};
     }
   }
-  check_config(!levels.empty(), "sweep: the grid is empty (set some axes)");
+  check_config(n_levels > 0, "sweep: the grid is empty (set some axes)");
   if (!axes_.method.empty()) {
     check_config(variants_.empty() && !pins_configuration(axes_),
                  "sweep: methods() grid-searches the configuration space "
@@ -220,32 +217,57 @@ ScenarioGrid SweepBuilder::build() const {
     check_config(!axes_.batch.empty(), "sweep: a search sweep needs batches()");
   }
 
-  // The row-major product: an odometer over the levels, innermost
-  // fastest.
-  ScenarioGrid grid;
-  std::vector<size_t> at(levels.size(), 0);
+  // The row-major product, innermost level fastest. `moved` is the
+  // outermost level whose value changed since the previous cell: the
+  // levels from it inward are re-applied to the working cell, and the
+  // label is cut back to its prefix.
+  ScenarioBuilder cell = base_;
+  std::optional<autotune::Method> method;
+  std::string label;
+  label.reserve(64);  // a serve sweep's labels fit: one allocation
+  size_t moved = 0;
   while (true) {
-    SweepCell cell;
-    cell.scenario = base_;
-    for (size_t l = 0; l < levels.size(); ++l) {
-      const Level& level = levels[l];
-      if (level.axis != nullptr) {
-        level.axis->apply(axes_, at[l], cell);
+    for (size_t l = moved; l < n_levels; ++l) {
+      Level& level = levels[l];
+      if (l == moved) label.resize(level.label_start);
+      level.label_start = label.size();
+      if (l > 0) label += '/';
+      if (level.axis == nullptr) {
+        // A variant replaces the previous one's loop and megatron flag,
+        // so both start again from the base's.
+        const SweepVariant& variant = variants_[level.at];
+        cell.schedule(variant.schedule);
+        cell.loop_ = variant.loop ? variant.loop : base_.loop_;
+        cell.megatron_ = variant.megatron || base_.megatron_;
+        label += variant.label.empty() ? variant.schedule : variant.label;
+      } else if (level.axis->ints != nullptr) {
+        level.axis->apply(axes_, level.at, cell, method);
+        append_int(label += level.axis->prefix,
+                   (axes_.*level.axis->ints)[level.at]);
       } else {
-        const SweepVariant& variant = variants_[at[l]];
-        cell.scenario.schedule(variant.schedule);
-        if (variant.loop) cell.scenario.loop(*variant.loop);
-        if (variant.megatron) cell.scenario.megatron();
+        level.axis->apply(axes_, level.at, cell, method);
+        label += (axes_.*level.axis->names)[level.at];
       }
-      if (l > 0) cell.label += '/';
-      cell.label += level.labels[at[l]];
     }
-    cell.scenario.name(cell.label);
-    grid.push(std::move(cell));
-    size_t l = levels.size();
-    while (l > 0 && ++at[l - 1] == levels[l - 1].labels.size()) at[--l] = 0;
-    if (l == 0) return grid;
+    cell.name_ = label;  // assigned in place: no allocation once it fits
+    visit(cell, method, label);
+    size_t l = n_levels;
+    while (l > 0 && ++levels[l - 1].at == levels[l - 1].size) {
+      levels[--l].at = 0;
+    }
+    if (l == 0) return;
+    moved = l - 1;
   }
+}
+
+ScenarioGrid SweepBuilder::build() const {
+  ScenarioGrid grid;
+  walk([&grid](const ScenarioBuilder& scenario,
+               const std::optional<autotune::Method>& method,
+               const std::string& label) {
+    grid.push({scenario, method, label});
+  });
+  return grid;
 }
 
 std::vector<Report> sweep(const ScenarioGrid& grid,

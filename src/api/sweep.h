@@ -17,7 +17,7 @@
 // A grid is a flat, ordered vector of cells. Each cell is either a
 // search cell (method set: grid-search the space for the cell's batch
 // size, like api::search) or a run cell (fully-specified grid, like
-// api::try_run). Cells that fail to build or execute produce a Report
+// api::run). Cells that fail to build or execute produce a Report
 // with found == false and the failure recorded in Report::error - one
 // row per cell, always, so downstream tables stay rectangular.
 //
@@ -26,6 +26,7 @@
 // for --jobs 1 and --jobs 8.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -83,16 +84,17 @@ struct AxisSpec {
   // be set beside a method.
   bool searched;
   // How one value applies to a cell: through the ScenarioBuilder setter
-  // for its kind, or - the method axis, which has none - to
-  // SweepCell::method.
+  // for its kind, or - the method axis, which has none - to the cell's
+  // search method.
   ScenarioBuilder& (ScenarioBuilder::*set_name)(const std::string& value);
   ScenarioBuilder& (ScenarioBuilder::*set_int)(int value);
 
   [[nodiscard]] size_t size(const ScenarioAxes& axes) const {
     return names != nullptr ? (axes.*names).size() : (axes.*ints).size();
   }
-  // Applies value `i` of this axis in `axes` to `cell`.
-  void apply(const ScenarioAxes& axes, size_t i, SweepCell& cell) const;
+  // Applies value `i` of this axis in `axes` to `scenario` or `method`.
+  void apply(const ScenarioAxes& axes, size_t i, ScenarioBuilder& scenario,
+             std::optional<autotune::Method>& method) const;
 };
 
 // The axis table in the grid's nesting order, outermost first:
@@ -117,13 +119,21 @@ struct SweepVariant {
 };
 
 // Fluent axis-product builder. Every list axis defaults to unset
-// (inherit base()); build() emits the row-major product in the axis
-// table's nesting order, with the variants() composite between batch
-// and schedule:
+// (inherit base()); the product runs row-major in the axis table's
+// nesting order, with the variants() composite between batch and
+// schedule:
 //   model > cluster > method > batch > variant > schedule > sharding
 //   > pp > tp > dp > smb > nmb > loop
 // The methods() axis switches the grid to search cells; it composes only
 // with models/clusters/batches (searches enumerate the rest themselves).
+//
+// walk() is the product itself: an odometer over the set axes that keeps
+// one working ScenarioBuilder and, from one cell to the next, re-applies
+// only the levels from the outermost one that moved, cutting the label
+// back to that level's prefix. So a model, cluster or schedule name is
+// resolved once per value, not once per cell. build() collects the same
+// walk into a ScenarioGrid; the serve parser builds each cell's
+// Scenario straight from it, without a grid.
 class SweepBuilder {
  public:
   SweepBuilder& base(ScenarioBuilder scenario);  // shared cell settings
@@ -143,8 +153,23 @@ class SweepBuilder {
   SweepBuilder& nmb(std::vector<int> values);
   SweepBuilder& loops(std::vector<int> values);
 
-  // The axis product. Throws bfpp::ConfigError when the composition is
-  // contradictory (methods with grid axes, or an empty grid).
+  // Called once per cell, in product order, with the working builder
+  // (named by the cell's label), the cell's search method and its label
+  // ("6.6b/dgx1-v100-ib/pp4/nmb8"). The three are valid only during the
+  // call.
+  using CellVisitor =
+      std::function<void(const ScenarioBuilder& scenario,
+                         const std::optional<autotune::Method>& method,
+                         const std::string& label)>;
+
+  // Hands every cell of the axis product to `visit`. Throws
+  // bfpp::ConfigError, before the first cell, when the composition is
+  // contradictory (methods with grid axes, or an empty grid), and when a
+  // value does not resolve (an unknown model, cluster, schedule,
+  // sharding or method name), as it is reached.
+  void walk(const CellVisitor& visit) const;
+
+  // The axis product as a grid: walk(), collected.
   [[nodiscard]] ScenarioGrid build() const;
 
  private:

@@ -16,6 +16,13 @@ namespace {
 // recurse once per byte.
 constexpr int kMaxDepth = 64;
 
+// Room made on the first member of an object and the first item of an
+// array. A serve request has about a dozen members and its axis lists a
+// few values each, so each takes one allocation, where growing a vector
+// of Values by doubling took up to five.
+constexpr size_t kMembersReserve = 16;
+constexpr size_t kItemsReserve = 4;
+
 // strtod's answer for a number literal that from_chars reports out of
 // range (from_chars then leaves its output unset): +-inf on overflow,
 // +-0 on underflow. The literal overflows iff its leading nonzero digit,
@@ -162,6 +169,7 @@ class Parser {
     Value v;
     v.type_ = Value::Type::kObject;
     if (consume('}')) return v;
+    v.object_.reserve(kMembersReserve);
     while (true) {
       require(peek() == '"', "object keys must be strings");
       std::string key = parse_string();
@@ -178,6 +186,7 @@ class Parser {
     Value v;
     v.type_ = Value::Type::kArray;
     if (consume(']')) return v;
+    v.array_.reserve(kItemsReserve);
     while (true) {
       v.array_.push_back(parse_value(depth + 1));
       if (consume(',')) continue;

@@ -1,5 +1,6 @@
 #include "common/strings.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -57,6 +58,13 @@ std::string& append_int(std::string& out, long long x) {
   const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x);
   (void)ec;  // 24 bytes hold every long long
   return out.append(buf, end);
+}
+
+void StringWriter::grow(size_t n) {
+  const size_t at = static_cast<size_t>(at_ - out_.data());
+  out_.resize(std::max(2 * out_.size(), at + n));
+  at_ = out_.data() + at;
+  end_ = out_.data() + out_.size();
 }
 
 std::string format_fixed(double x, int precision, int width) {
@@ -132,9 +140,8 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep) 
   return out;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+std::string& append_json_quoted(std::string& out, std::string_view s) {
+  out += '"';
   for (char c : s) {
     switch (c) {
       case '"':
@@ -157,16 +164,14 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
+  out += '"';
   return out;
 }
 
 std::string json_quote(const std::string& s) {
-  // Built piecewise: gcc 12's -Wrestrict false-positives on
-  // `"literal" + std::string&&` (PR105651).
-  std::string out = "\"";
-  out += json_escape(s);
-  out += '"';
-  return out;
+  std::string out;
+  out.reserve(s.size() + 2);
+  return append_json_quoted(out, s);
 }
 
 std::string to_lower(std::string s) {

@@ -5,8 +5,11 @@
 // helpers the table printers need.
 #pragma once
 
+#include <algorithm>
+#include <charconv>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace bfpp {
@@ -37,6 +40,52 @@ std::string& append_fixed(std::string& out, double x, int precision);
 // Appends `x` as printf's "%lld" prints it.
 std::string& append_int(std::string& out, long long x);
 
+// Appends pieces to `out` through a cursor into room made up front, so
+// each piece is a copy or to_chars instead of a call into std::string;
+// it makes more room if a piece does not fit, and trims `out` to what
+// was written when it goes. For strings built piece by piece on a hot
+// path (cache keys).
+class StringWriter {
+ public:
+  StringWriter(std::string& out, size_t room) : out_(out) {
+    const size_t start = out.size();
+    out.resize(start + room);
+    at_ = out.data() + start;
+    end_ = out.data() + out.size();
+  }
+  ~StringWriter() { out_.resize(static_cast<size_t>(at_ - out_.data())); }
+  StringWriter(const StringWriter&) = delete;
+  StringWriter& operator=(const StringWriter&) = delete;
+
+  StringWriter& operator<<(std::string_view piece) {
+    make_room(piece.size());
+    at_ = std::copy(piece.begin(), piece.end(), at_);
+    return *this;
+  }
+  StringWriter& operator<<(char c) {
+    make_room(1);
+    *at_++ = c;
+    return *this;
+  }
+  // As printf's "%lld" prints it.
+  StringWriter& operator<<(long long x) {
+    make_room(20);  // "-9223372036854775808"
+    at_ = std::to_chars(at_, at_ + 20, x).ptr;
+    return *this;
+  }
+  StringWriter& operator<<(int x) { return *this << static_cast<long long>(x); }
+
+ private:
+  void make_room(size_t n) {
+    if (static_cast<size_t>(end_ - at_) < n) grow(n);
+  }
+  void grow(size_t n);
+
+  std::string& out_;
+  char* at_;   // the end of what was written
+  char* end_;  // the end of the room
+};
+
 // printf's "%{width}.{precision}f": append_fixed into a fresh string,
 // left-padded with spaces to `width` characters.
 std::string format_fixed(double x, int precision, int width = 0);
@@ -48,13 +97,13 @@ std::string format_percent(double fraction, int width = 0, bool plus = false);
 // Joins `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 
-// Escapes `s` for interpolation inside a JSON string literal (quotes,
-// backslashes, \n/\t, \u00xx for other control bytes). Shared by the
-// Report emitters and the serve protocol so both sides of the wire
-// escape identically.
-std::string json_escape(const std::string& s);
+// Appends `s` as a JSON string literal: in double quotes, with quotes,
+// backslashes, \n/\t and (as \u00xx) other control bytes escaped.
+// Shared by the Report emitters and the serve protocol so both sides of
+// the wire escape identically.
+std::string& append_json_quoted(std::string& out, std::string_view s);
 
-// json_escape plus the surrounding double quotes.
+// append_json_quoted into a fresh string.
 std::string json_quote(const std::string& s);
 
 // ASCII lowercase copy (used by the name/enum parsers).

@@ -12,11 +12,6 @@ GpuSpec a100_sxm4_80gb() {
   return {"A100-SXM4-80GB", 312.0 * kTflop, 80.0 * kGiB, 2039.0 * kGB};
 }
 
-GpuSpec h100_sxm5_80gb() {
-  // 989 Tflop/s fp16 dense (without sparsity).
-  return {"H100-SXM5-80GB", 989.0 * kTflop, 80.0 * kGiB, 3350.0 * kGB};
-}
-
 NetTier nvlink_v100() {
   // V100 NVLink2: 150 GB/s per direction peak; achieved ring bus bandwidth
   // ~110 GB/s. Single-link p2p ~40 GB/s effective.

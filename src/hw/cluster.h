@@ -69,7 +69,6 @@ struct ClusterSpec {
 // GPU presets.
 GpuSpec v100_sxm2_32gb();
 GpuSpec a100_sxm4_80gb();
-GpuSpec h100_sxm5_80gb();
 
 // Network tier presets.
 NetTier nvlink_v100();

@@ -135,21 +135,19 @@ ParallelConfig ParallelConfig::parse(const std::string& text) {
 
 std::string ParallelConfig::describe() const {
   std::string out;
-  out.reserve(64);
-  describe(out);
+  {
+    StringWriter writer(out, 64);
+    describe(writer);
+  }
   return out;
 }
 
-void ParallelConfig::describe(std::string& out) const {
-  append_int((out += to_string(schedule)) += " pp", n_pp);
-  append_int(out += " tp", n_tp);
-  append_int(out += " dp", n_dp);
-  append_int(out += " smb", s_mb);
-  append_int(out += " nmb", n_mb);
-  append_int(out += " loop", n_loop);
-  (out += ' ') += to_string(sharding);
-  if (!overlap_dp) out += " no-dp-overlap";
-  if (!overlap_pp) out += " no-pp-overlap";
+void ParallelConfig::describe(StringWriter& out) const {
+  out << to_string(schedule) << " pp" << n_pp << " tp" << n_tp << " dp"
+      << n_dp << " smb" << s_mb << " nmb" << n_mb << " loop" << n_loop << ' '
+      << to_string(sharding);
+  if (!overlap_dp) out << " no-dp-overlap";
+  if (!overlap_pp) out << " no-pp-overlap";
 }
 
 ParallelConfig with_megatron_flags(ParallelConfig cfg) {

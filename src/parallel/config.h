@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "hw/cluster.h"
 #include "model/transformer.h"
 
@@ -80,8 +81,8 @@ struct ParallelConfig {
   // Short human-readable description, e.g.
   // "Breadth-first pp8 tp8 dp1 smb1 nmb8 loop4 DP_FS".
   [[nodiscard]] std::string describe() const;
-  // Appends describe() to `out` (cache keys embed it without a copy).
-  void describe(std::string& out) const;
+  // Writes describe() to `out` (cache keys embed it without a copy).
+  void describe(StringWriter& out) const;
 
   // Inverse of describe(): parses "<schedule> pp8 tp8 dp1 smb1 nmb8
   // loop4 <sharding> [no-dp-overlap] [no-pp-overlap]" (tokens may appear

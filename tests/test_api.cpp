@@ -8,6 +8,7 @@
 
 #include "api/api.h"
 #include "api/cli.h"
+#include "api/sweep.h"
 #include "common/error.h"
 #include "common/rng.h"
 
@@ -415,7 +416,7 @@ TEST(Run, Figure5aOperatingPoint) {
   EXPECT_GT(report.result.batch_time, 0.0);
 }
 
-TEST(Run, TryRunReturnsNulloptOnOom) {
+TEST(Run, OomIsACellErrorRow) {
   // 52B unsharded on a single pipeline stage cannot fit in 32 GB.
   const Scenario s = ScenarioBuilder()
                          .model("52b")
@@ -426,7 +427,9 @@ TEST(Run, TryRunReturnsNulloptOnOom) {
                          .nmb(1)
                          .schedule("gpipe")
                          .build();
-  EXPECT_FALSE(try_run(s).has_value());
+  const Report row = run_cell(s, "", std::nullopt, *make_engine(), {});
+  EXPECT_FALSE(row.found);
+  EXPECT_EQ(row.error.rfind("[oom] ", 0), 0u);
   EXPECT_THROW(api::run(s), Error);
 }
 

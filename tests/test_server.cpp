@@ -187,9 +187,15 @@ TEST(ReportCache, CapacityZeroDisablesCaching) {
 
 // ---- ReportCache::find_tails (the event loop's all-or-nothing lookup) ----
 
+std::optional<ReportCache::Tails> find_tails(
+    ReportCache& cache, const std::vector<std::string_view>& keys,
+    RowFormat format) {
+  return cache.find_tails(keys, format);
+}
+
 // Whether every key hits, through the JSON tails.
 bool all_cached(ReportCache& cache, const std::vector<std::string_view>& keys) {
-  return cache.find_tails(keys, RowFormat::kJson).has_value();
+  return find_tails(cache, keys, RowFormat::kJson).has_value();
 }
 
 TEST(ReportCache, FindTailsHitPromotesInKeyOrderAndCountsOneHitPerKey) {
@@ -198,9 +204,9 @@ TEST(ReportCache, FindTailsHitPromotesInKeyOrderAndCountsOneHitPerKey) {
   cache.publish("b", tagged_report("b"));
   cache.publish("c", tagged_report("c"));  // LRU order a, b, c
   for (const RowFormat format : {RowFormat::kJson, RowFormat::kCsv}) {
-    const auto tails = cache.find_tails({"b", "a"}, format);
+    const auto tails = find_tails(cache, {"b", "a"}, format);
     ASSERT_TRUE(tails.has_value());
-    ASSERT_EQ(tails->size(), 2u);
+    ASSERT_EQ(tails->ends.size(), 2u);
     EXPECT_EQ((*tails)[0], row_tail(tagged_report("b"), format));
     EXPECT_EQ((*tails)[1], row_tail(tagged_report("a"), format));
   }
@@ -224,7 +230,7 @@ TEST(ReportCache, FindTailsPartialHitChangesNothing) {
   cache.publish("b", tagged_report("b"));  // LRU order a, b
   const ReportCache::Stats before = cache.stats();
   // "a" is cached, "x" is not: no hit is counted and "a" is not promoted.
-  EXPECT_FALSE(cache.find_tails({"a", "x"}, RowFormat::kCsv).has_value());
+  EXPECT_FALSE(find_tails(cache, {"a", "x"}, RowFormat::kCsv).has_value());
   EXPECT_FALSE(all_cached(cache, {"a", "x"}));
   const ReportCache::Stats after = cache.stats();
   EXPECT_EQ(after.hits, before.hits);
@@ -262,15 +268,36 @@ TEST(ReportCache, FindTailsTreatsAnInFlightKeyAsNotCached) {
 TEST(ReportCache, FindTailsRendersFromTheCurrentReportAfterARefresh) {
   ReportCache cache(2);
   cache.publish("a", tagged_report("a"));
-  EXPECT_EQ(cache.find_tails({"a"}, RowFormat::kJson)->at(0),
+  EXPECT_EQ((*find_tails(cache, {"a"}, RowFormat::kJson))[0],
             row_tail(tagged_report("a"), RowFormat::kJson));
   // A refresh drops the stored tails with the Report they came from; a
   // probe's Report copy never carries or fills one.
   cache.publish("a", tagged_report("a2"));
   EXPECT_EQ(lookup(cache, "a")->model, "a2");
   for (const RowFormat format : {RowFormat::kJson, RowFormat::kCsv}) {
-    EXPECT_EQ(cache.find_tails({"a"}, format)->at(0),
+    EXPECT_EQ((*find_tails(cache, {"a"}, format))[0],
               row_tail(tagged_report("a2"), format));
+  }
+}
+
+TEST(ReportCache, FindTailsSplicesStoredAndFreshTailsInKeyOrder) {
+  ReportCache cache(4);
+  for (const char* key : {"a", "b", "c"}) {
+    cache.publish(key, tagged_report(key));
+  }
+  // b's tail is stored by this lookup; a's and c's are rendered by the
+  // next one, around it, and are stored too.
+  ASSERT_TRUE(all_cached(cache, {"b"}));
+  for (int round = 0; round < 2; ++round) {
+    const auto tails = find_tails(cache, {"a", "b", "c"}, RowFormat::kJson);
+    ASSERT_TRUE(tails.has_value());
+    std::string expected;
+    for (const char* key : {"a", "b", "c"}) {
+      expected += row_tail(tagged_report(key), RowFormat::kJson);
+    }
+    EXPECT_EQ(tails->bytes, expected);
+    EXPECT_EQ((*tails)[1], row_tail(tagged_report("b"), RowFormat::kJson));
+    EXPECT_EQ(tails->ends.back(), expected.size());
   }
 }
 
@@ -1290,7 +1317,7 @@ TEST(Server, EveryAxisSweepsLikeItsCliFlag) {
       request += R"(,"batch":[64],"model":["6.6b"])";
     }
     request += "}";
-    const ScenarioGrid grid = grid_from_cli(parse_cli(args));
+    const ScenarioGrid grid = sweep_from_cli(parse_cli(args)).build();
     std::vector<std::string> cli_labels;
     for (const SweepCell& cell : grid.cells()) {
       cli_labels.push_back(cell.label);

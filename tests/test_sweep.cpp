@@ -390,7 +390,10 @@ TEST(Backend, AnalyticPrunesLikeTheSimulator) {
   RunOptions analytic;
   analytic.backend = Backend::kAnalytic;
   EXPECT_THROW(run(oom, analytic), OutOfMemoryError);
-  EXPECT_FALSE(try_run(oom, analytic).has_value());
+  const Report row =
+      run_cell(oom, "oom", std::nullopt, *make_engine(analytic), analytic);
+  EXPECT_FALSE(row.found);
+  EXPECT_EQ(row.error.rfind("[oom] ", 0), 0u);
 }
 
 TEST(Backend, AnalyticSearchFindsAConfig) {
@@ -449,11 +452,15 @@ TEST(Backend, ThreadedRejectsLargeShapes) {
   RunOptions threaded;
   threaded.backend = Backend::kThreaded;
   EXPECT_THROW(run(s, threaded), ConfigError);
-  EXPECT_FALSE(try_run(s, threaded).has_value());
+  const Report row =
+      run_cell(s, "big", std::nullopt, *make_engine(threaded), threaded);
+  EXPECT_FALSE(row.found);
+  EXPECT_EQ(row.error.rfind("[config] ", 0), 0u);
 }
 
-// try_run absorbs exactly the two configuration-rejection errors;
-// anything else is a programming error and must propagate.
+// run_cell turns exactly the two configuration-rejection errors into
+// found=false rows; anything else is a programming error and must
+// propagate.
 class ThrowingEngine : public Engine {
  public:
   explicit ThrowingEngine(int kind) : kind_(kind) {}
@@ -472,11 +479,15 @@ class ThrowingEngine : public Engine {
   int kind_;
 };
 
-TEST(TryRun, AbsorbsOnlyConfigurationErrors) {
+TEST(RunCell, AbsorbsOnlyConfigurationErrors) {
   const Scenario s = fig5a(16);
-  EXPECT_FALSE(try_run_with(s, ThrowingEngine(0)).has_value());
-  EXPECT_FALSE(try_run_with(s, ThrowingEngine(1)).has_value());
-  EXPECT_THROW(try_run_with(s, ThrowingEngine(2)), Error);
+  const Report config = run_cell(s, "c", std::nullopt, ThrowingEngine(0), {});
+  EXPECT_FALSE(config.found);
+  EXPECT_EQ(config.error, "[config] config");
+  const Report oom = run_cell(s, "o", std::nullopt, ThrowingEngine(1), {});
+  EXPECT_FALSE(oom.found);
+  EXPECT_EQ(oom.error, "[oom] oom");
+  EXPECT_THROW(run_cell(s, "e", std::nullopt, ThrowingEngine(2), {}), Error);
 }
 
 // ---- SweepBuilder / ScenarioGrid ----
@@ -511,6 +522,56 @@ TEST(SweepBuilder, RunGridsComposeAxesOverABase) {
   EXPECT_EQ(first.config->n_mb, 16);
   EXPECT_EQ(first.config->n_loop, 2);
   EXPECT_FALSE(grid.cells()[0].method.has_value());
+}
+
+TEST(SweepBuilder, AStepOntoTheNextVariantStartsFromTheBase) {
+  // The walk keeps one working builder. A variant's loop count and
+  // megatron flag must not stick to it: gpipe after a megatron df/loop4
+  // is plain gpipe, and so is every cell of the next batch.
+  const std::vector<SweepVariant> variants = {
+      {"df", "df", 4, true},
+      {"gpipe", "gpipe", std::nullopt, false},
+      {"1f1b", "1f1b", std::nullopt, true},
+      {"bf", "bf", 2, false},
+  };
+  const ScenarioBuilder base =
+      ScenarioBuilder().model("52b").cluster("dgx1-v100-ib").pp(8).tp(8).smb(
+          1);
+  SweepBuilder sweep;
+  sweep.base(base).batches({16, 32}).variants(variants);
+  std::vector<std::string> labels;
+  std::vector<parallel::ParallelConfig> walked;
+  sweep.walk([&](const ScenarioBuilder& cell,
+                 const std::optional<autotune::Method>& method,
+                 const std::string& label) {
+    EXPECT_FALSE(method.has_value());
+    labels.push_back(label);
+    const Scenario built = cell.build();
+    EXPECT_EQ(built.name, label);
+    walked.push_back(*built.config);
+  });
+  ASSERT_EQ(walked.size(), 8u);
+  size_t i = 0;
+  for (const int batch : {16, 32}) {
+    for (const SweepVariant& variant : variants) {
+      ScenarioBuilder expected = base;
+      expected.batch(batch).schedule(variant.schedule);
+      if (variant.loop) expected.loop(*variant.loop);
+      if (variant.megatron) expected.megatron();
+      EXPECT_EQ(labels[i], "b" + std::to_string(batch) + "/" + variant.label);
+      EXPECT_EQ(walked[i].describe(), expected.build().config->describe())
+          << labels[i];
+      ++i;
+    }
+  }
+  // build() collects the same walk.
+  const ScenarioGrid grid = sweep.build();
+  ASSERT_EQ(grid.size(), labels.size());
+  for (size_t c = 0; c < grid.size(); ++c) {
+    EXPECT_EQ(grid.cells()[c].label, labels[c]);
+    EXPECT_EQ(grid.cells()[c].scenario.build().config->describe(),
+              walked[c].describe());
+  }
 }
 
 TEST(SweepBuilder, MethodsRejectGridAxes) {
@@ -749,7 +810,7 @@ TEST(Cli, ParsesSweepAxisLists) {
   EXPECT_EQ(options.axes.method, (std::vector<std::string>{"bf", "df"}));
   EXPECT_EQ(options.jobs, 8);
   EXPECT_TRUE(options.csv);
-  const ScenarioGrid grid = grid_from_cli(options);
+  const ScenarioGrid grid = sweep_from_cli(options).build();
   EXPECT_EQ(grid.size(), 6u);  // one cell per (method, batch)
 }
 
@@ -757,7 +818,7 @@ TEST(Cli, SweepGridFlagsDescribeRunCells) {
   const CliOptions options = parse_cli(
       {"sweep", "--pp", "4,8", "--tp", "2", "--nmb", "16", "--schedule",
        "bf", "--loop", "2,4", "--model", "6.6b"});
-  const ScenarioGrid grid = grid_from_cli(options);
+  const ScenarioGrid grid = sweep_from_cli(options).build();
   EXPECT_EQ(grid.size(), 4u);  // pp x loop
   for (const SweepCell& cell : grid.cells()) {
     EXPECT_FALSE(cell.method.has_value());
@@ -774,8 +835,10 @@ TEST(Cli, SweepRunsAZeroAxisValueLikeRunDoes) {
   EXPECT_EQ(run_error,
             "scenario: N_TP*N_PP = 0 does not divide the cluster's 64 GPUs; "
             "set dp() explicitly");
-  const ScenarioGrid grid = grid_from_cli(parse_cli(
-      {"sweep", "--model", "6.6b", "--pp", "0,4", "--tp", "2", "--nmb", "8"}));
+  const ScenarioGrid grid =
+      sweep_from_cli(parse_cli({"sweep", "--model", "6.6b", "--pp", "0,4",
+                                "--tp", "2", "--nmb", "8"}))
+          .build();
   SweepOptions options;
   options.run.backend = Backend::kAnalytic;
   const std::vector<Report> reports = sweep(grid, options);
@@ -796,9 +859,9 @@ TEST(Cli, SweepRunsAZeroAxisValueLikeRunDoes) {
 }
 
 TEST(Cli, FailedSweepCellsKeepTheBatchTheyName) {
-  const ScenarioGrid grid = grid_from_cli(parse_cli(
+  const ScenarioGrid grid = sweep_from_cli(parse_cli(
       {"sweep", "--model", "6.6b", "--cluster", "dgx1-v100-eth:4", "--pp",
-       "0", "--tp", "2", "--batch", "64"}));
+       "0", "--tp", "2", "--batch", "64"})).build();
   SweepOptions options;
   options.run.backend = Backend::kAnalytic;
   const std::vector<Report> reports = sweep(grid, options);
@@ -816,12 +879,12 @@ TEST(Cli, RejectsBadSweepAndBackendFlags) {
   EXPECT_THROW(parse_cli({"sweep", "--batch", "16,sixty-four"}), ConfigError);
   EXPECT_THROW(parse_cli({"run", "--backend", "cuda"}), ConfigError);
   EXPECT_THROW(parse_cli({"run", "--output"}), ConfigError);
-  EXPECT_THROW(grid_from_cli(parse_cli(
-                   {"sweep", "--preset", "fig5a-bf-b16"})),
+  EXPECT_THROW(sweep_from_cli(parse_cli(
+                   {"sweep", "--preset", "fig5a-bf-b16"})).build(),
                ConfigError);
   // Search sweeps cannot pin grid axes.
-  EXPECT_THROW(grid_from_cli(parse_cli({"sweep", "--method", "bf", "--batch",
-                                        "16", "--pp", "8"})),
+  EXPECT_THROW(sweep_from_cli(parse_cli({"sweep", "--method", "bf", "--batch",
+                                        "16", "--pp", "8"})).build(),
                ConfigError);
 }
 
@@ -842,8 +905,9 @@ TEST(Cli, AxisErrorTextsArePinned) {
             "cli: search explores the configuration space itself; only "
             "--model/--cluster/--batch/--method apply");
   EXPECT_EQ(error_text<ConfigError>([] {
-              grid_from_cli(parse_cli(
-                  {"sweep", "--method", "bf", "--batch", "16", "--pp", "8"}));
+              (void)sweep_from_cli(parse_cli({"sweep", "--method", "bf",
+                                              "--batch", "16", "--pp", "8"}))
+                  .build();
             }),
             "cli: a --method sweep grid-searches the configuration space "
             "per cell; only --model/--cluster/--batch axes apply");
@@ -957,12 +1021,14 @@ TEST(Cli, CommandsRejectFlagsTheyIgnore) {
 TEST(Cli, SweepRejectsUnknownScheduleFamilyEagerly) {
   // A misspelled --schedule axis entry must fail the whole sweep with a
   // UsageError (exit 2), not quietly become found=0 rows.
-  EXPECT_THROW(grid_from_cli(parse_cli({"sweep", "--pp", "4", "--schedule",
-                                        "bf,zigzag"})),
+  EXPECT_THROW(sweep_from_cli(parse_cli({"sweep", "--pp", "4", "--schedule",
+                                         "bf,zigzag"}))
+                   .build(),
                UsageError);
   // Known zoo families pass straight through.
-  EXPECT_NO_THROW(grid_from_cli(
-      parse_cli({"sweep", "--pp", "4", "--schedule", "bf,1f1b-async,2bp"})));
+  EXPECT_NO_THROW(sweep_from_cli(parse_cli({"sweep", "--pp", "4", "--schedule",
+                                            "bf,1f1b-async,2bp"}))
+                      .build());
 }
 
 TEST(Cli, OutputFlagWritesTheReportToAFile) {
