@@ -50,7 +50,7 @@ struct CliOptions {
   bool no_pp_overlap = false;
 
   // Compare (compare only).
-  std::string grid = "fig5-quick";  // --grid (compare_grid_names)
+  std::string grid = "fig5-quick";  // --grid (a compare_grid name)
 
   // Execution.
   std::string backend = "sim";  // --backend sim|analytic|threaded

@@ -56,11 +56,6 @@ constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
 
 }  // namespace
 
-const std::vector<std::string>& compare_grid_names() {
-  static const std::vector<std::string> names = {"fig5-quick", "fig5", "fig6"};
-  return names;
-}
-
 ScenarioGrid compare_grid(const std::string& name) {
   ScenarioGrid grid;
   for (const ComparePoint& point : points_for(name)) {

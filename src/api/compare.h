@@ -28,16 +28,13 @@
 
 namespace bfpp::api {
 
-// The named grids, smallest first:
+// Builds the named grid, row-major in (point, batch, family) order with
+// cell labels "model/b<batch>/<family>". Throws bfpp::ConfigError on an
+// unknown grid name. The named grids, smallest first:
 //   fig5-quick  6.6B point only, batches {64, 128} (CI smoke)
 //   fig5        both Figure 5 points, full batch lists
 //   fig6        the 52B shape on the Ethernet cluster, where inter-node
 //               bandwidth rather than compute separates the schedules
-const std::vector<std::string>& compare_grid_names();
-
-// Builds the named grid, row-major in (point, batch, family) order with
-// cell labels "model/b<batch>/<family>". Throws bfpp::ConfigError on an
-// unknown grid name.
 ScenarioGrid compare_grid(const std::string& name);
 
 // One row per (model, batch) point, one column per schedule family.

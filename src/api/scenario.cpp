@@ -2,7 +2,6 @@
 
 #include "api/registry.h"
 #include "common/error.h"
-#include "common/strings.h"
 
 namespace bfpp::api {
 
@@ -11,18 +10,6 @@ const parallel::ParallelConfig& Scenario::require_config() const {
                "scenario '%s' has no parallel configuration (search-only); "
                "use api::search or set the grid", name.c_str());
   return *config;
-}
-
-std::string Scenario::describe() const {
-  std::string out =
-      str_format("%s on %s (%d GPUs)", model.name.c_str(),
-                 cluster.name.c_str(), cluster.total_gpus());
-  if (config.has_value()) {
-    out += ": " + config->describe();
-  } else {
-    out += str_format(": search B=%d", batch_size);
-  }
-  return out;
 }
 
 ScenarioBuilder& ScenarioBuilder::name(std::string label) {
@@ -80,18 +67,8 @@ ScenarioBuilder& ScenarioBuilder::loop(int n_loop) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::schedule(parallel::ScheduleKind kind) {
-  schedule_ = kind;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::schedule(const std::string& kind) {
   schedule_ = parallel::parse_schedule_kind(kind);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::sharding(parallel::DpSharding mode) {
-  sharding_ = mode;
   return *this;
 }
 
@@ -116,15 +93,10 @@ ScenarioBuilder& ScenarioBuilder::batch(int global_batch) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::config(parallel::ParallelConfig cfg) {
-  config_ = cfg;
-  return *this;
-}
-
 bool ScenarioBuilder::any_grid_field() const {
-  return config_.has_value() || pp_.has_value() || tp_.has_value() ||
-         dp_.has_value() || smb_.has_value() || nmb_.has_value() ||
-         loop_.has_value() || schedule_.has_value() || sharding_.has_value();
+  return pp_.has_value() || tp_.has_value() || dp_.has_value() ||
+         smb_.has_value() || nmb_.has_value() || loop_.has_value() ||
+         schedule_.has_value() || sharding_.has_value();
 }
 
 Scenario ScenarioBuilder::partial() const {
@@ -169,7 +141,7 @@ Scenario ScenarioBuilder::validated(Scenario scenario) const {
     return scenario;
   }
 
-  parallel::ParallelConfig cfg = config_.value_or(parallel::ParallelConfig{});
+  parallel::ParallelConfig cfg;
   if (pp_) cfg.n_pp = *pp_;
   if (tp_) cfg.n_tp = *tp_;
   if (smb_) cfg.s_mb = *smb_;
@@ -181,7 +153,7 @@ Scenario ScenarioBuilder::validated(Scenario scenario) const {
 
   if (dp_) {
     cfg.n_dp = *dp_;
-  } else if (!config_.has_value()) {
+  } else {
     // Infer data parallelism so the grid covers the whole cluster.
     const int grid = cfg.n_tp * cfg.n_pp;
     const int total = scenario.cluster.total_gpus();
@@ -193,7 +165,7 @@ Scenario ScenarioBuilder::validated(Scenario scenario) const {
 
   if (nmb_) {
     cfg.n_mb = *nmb_;
-  } else if (batch_ && !config_.has_value()) {
+  } else if (batch_) {
     // Derive the micro-batch count from the requested global batch.
     const int per_replica = cfg.n_dp * cfg.s_mb;
     check_config(*batch_ % per_replica == 0,

@@ -31,8 +31,6 @@ struct Scenario {
   [[nodiscard]] double beta() const {
     return static_cast<double>(batch_size) / cluster.total_gpus();
   }
-  // One-line summary, e.g. "52B on DGX-1 V100 (InfiniBand): BF pp8 ...".
-  [[nodiscard]] std::string describe() const;
 };
 
 // Fluent builder. Every setter returns *this; build() validates the
@@ -64,9 +62,7 @@ class ScenarioBuilder {
   ScenarioBuilder& nmb(int n_mb);
   ScenarioBuilder& loop(int n_loop);
 
-  ScenarioBuilder& schedule(parallel::ScheduleKind kind);
   ScenarioBuilder& schedule(const std::string& kind);  // parse_schedule_kind
-  ScenarioBuilder& sharding(parallel::DpSharding mode);
   ScenarioBuilder& sharding(const std::string& mode);  // parse_sharding
 
   // Capability flags (default: both overlapped, the paper's own
@@ -78,9 +74,6 @@ class ScenarioBuilder {
   // against the grid; alone (no grid fields) it yields a search-only
   // scenario for api::search().
   ScenarioBuilder& batch(int global_batch);
-
-  // Adopts a complete ParallelConfig wholesale (still validated).
-  ScenarioBuilder& config(parallel::ParallelConfig cfg);
 
   // The second form moves the name, model and cluster out instead of
   // copying them.
@@ -106,7 +99,6 @@ class ScenarioBuilder {
   std::string name_;
   std::optional<model::TransformerSpec> model_;
   std::optional<hw::ClusterSpec> cluster_;
-  std::optional<parallel::ParallelConfig> config_;
   std::optional<int> pp_, tp_, dp_, smb_, nmb_, loop_;
   std::optional<parallel::ScheduleKind> schedule_;
   std::optional<parallel::DpSharding> sharding_;

@@ -591,9 +591,9 @@ std::string id_echo_from(const json::Value& root) {
 }
 
 // The number of cells a sweep's axis lists name: the product of their
-// lengths (an unset axis counts once), exactly what SweepBuilder::build
-// would materialise. Stops counting past `cap`, so no product of 1 MiB of
-// axis values can overflow.
+// lengths (an unset axis counts once), exactly the cells
+// SweepBuilder::walk visits. Stops counting past `cap`, so no product of
+// 1 MiB of axis values can overflow.
 size_t sweep_cells(const ScenarioAxes& axes, size_t cap) {
   size_t cells = 1;
   for (const AxisSpec& axis : scenario_axes()) {
@@ -785,8 +785,10 @@ void Server::start(const std::shared_ptr<Job>& job, bool caller_drives) {
     owned.clear();
     job->fail(-1, std::current_exception());
   }
-  (owned.empty() ? metrics_.executing : metrics_.dispatch_backlog)
-      .fetch_add(1, std::memory_order_relaxed);
+  if (owned.empty()) {
+    metrics_.dispatch_backlog.fetch_sub(1, std::memory_order_relaxed);
+    metrics_.executing.fetch_add(1, std::memory_order_relaxed);
+  }
 
   // Phase 2, on the pool: compute the owned cells, publishing each as
   // soon as it finishes - followers (other requests, or a duplicate cell
@@ -1143,6 +1145,7 @@ std::string Server::handle(const std::string& request_line) {
     reply->done = true;
     reply->ready.notify_all();
   };
+  metrics_.dispatch_backlog.fetch_add(1, std::memory_order_relaxed);
   start(job, /*caller_drives=*/true);
   const LockGuard lock(reply->mutex);
   while (!reply->done) reply->ready.wait(reply->mutex);
@@ -1438,6 +1441,7 @@ int Server::serve_on(net::Listener& listener) {
           }
           wake_.signal();
         };
+        metrics_.dispatch_backlog.fetch_add(1, std::memory_order_relaxed);
         if (job->request.cells.size() > kMaxInlineCells) {
           ThreadPool::shared().submit([this, job] { start(job, false); });
         } else {

@@ -388,9 +388,9 @@ struct ServeStats {
 class Server {
  public:
   // The most cells one sweep may name (the product of its axis lengths).
-  // Checked before the grid is built, so a short line cannot make the
-  // server materialise billions of cells; the largest built-in compare
-  // grid has 36.
+  // Checked before the sweep's cells are walked, so a short line cannot
+  // make the server build billions of cells; the largest built-in
+  // compare grid has 36.
   static constexpr size_t kMaxCellsPerRequest = 4096;
 
   explicit Server(ServeOptions options = {});
@@ -522,7 +522,8 @@ class Server {
   // Single-flight-probes every cell of `job` serially, then starts the
   // cells it leads on the shared pool, `request.jobs` drivers wide
   // (0: the pool's size). The event loop calls it with caller_drives
-  // false and returns at once; handle() drives the loop itself.
+  // false and returns at once; handle() drives the loop itself. The
+  // caller has already counted the job in dispatch_backlog.
   void start(const std::shared_ptr<Job>& job, bool caller_drives);
   // Probes cell i: a hit fills its report, a cell in flight elsewhere is
   // followed (one more pending count until its result arrives). Returns

@@ -150,46 +150,6 @@ SweepBuilder& SweepBuilder::variants(std::vector<SweepVariant> values) {
   return *this;
 }
 
-SweepBuilder& SweepBuilder::schedules(std::vector<std::string> names) {
-  axes_.schedule = std::move(names);
-  return *this;
-}
-
-SweepBuilder& SweepBuilder::shardings(std::vector<std::string> names) {
-  axes_.sharding = std::move(names);
-  return *this;
-}
-
-SweepBuilder& SweepBuilder::pp(std::vector<int> values) {
-  axes_.pp = std::move(values);
-  return *this;
-}
-
-SweepBuilder& SweepBuilder::tp(std::vector<int> values) {
-  axes_.tp = std::move(values);
-  return *this;
-}
-
-SweepBuilder& SweepBuilder::dp(std::vector<int> values) {
-  axes_.dp = std::move(values);
-  return *this;
-}
-
-SweepBuilder& SweepBuilder::smb(std::vector<int> values) {
-  axes_.smb = std::move(values);
-  return *this;
-}
-
-SweepBuilder& SweepBuilder::nmb(std::vector<int> values) {
-  axes_.nmb = std::move(values);
-  return *this;
-}
-
-SweepBuilder& SweepBuilder::loops(std::vector<int> values) {
-  axes_.loop = std::move(values);
-  return *this;
-}
-
 void SweepBuilder::walk(const CellVisitor& visit) const {
   // One level per set axis, in nesting order; the variants() composite
   // (axis == nullptr) sits after batch.

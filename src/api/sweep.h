@@ -144,14 +144,6 @@ class SweepBuilder {
   SweepBuilder& batches(std::vector<int> values);
   SweepBuilder& methods(std::vector<std::string> names);  // search mode
   SweepBuilder& variants(std::vector<SweepVariant> values);
-  SweepBuilder& schedules(std::vector<std::string> names);
-  SweepBuilder& shardings(std::vector<std::string> names);
-  SweepBuilder& pp(std::vector<int> values);
-  SweepBuilder& tp(std::vector<int> values);
-  SweepBuilder& dp(std::vector<int> values);
-  SweepBuilder& smb(std::vector<int> values);
-  SweepBuilder& nmb(std::vector<int> values);
-  SweepBuilder& loops(std::vector<int> values);
 
   // Called once per cell, in product order, with the working builder
   // (named by the cell's label), the cell's search method and its label

@@ -37,54 +37,6 @@ Stream::Stream(Stream&& other) noexcept
       head_(std::exchange(other.head_, 0)),
       scanned_(std::exchange(other.scanned_, 0)) {}
 
-Stream& Stream::operator=(Stream&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = std::exchange(other.fd_, -1);
-    buffer_ = std::move(other.buffer_);
-    head_ = std::exchange(other.head_, 0);
-    scanned_ = std::exchange(other.scanned_, 0);
-  }
-  return *this;
-}
-
-bool Stream::read_line(std::string& line) {
-  while (!next_line(line)) {
-    char chunk[4096];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n > 0) {
-      buffer_.append(chunk, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    // EOF (or a dead peer): hand back a non-empty unterminated final
-    // line, exactly like read_stdio_line.
-    return take_final_line(line);
-  }
-  return true;
-}
-
-bool Stream::write_all(const std::string& data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    // MSG_NOSIGNAL: a vanished client must surface as a return value,
-    // not kill the server with SIGPIPE.
-    const ssize_t n = ::send(fd_, data.data() + written, data.size() - written,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool Stream::set_nonblocking() {
-  const int flags = ::fcntl(fd_, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK) >= 0;
-}
-
 IoStatus Stream::fill() {
   bool got_bytes = false;
   // A short burst, not read-until-EAGAIN: one connection must not be

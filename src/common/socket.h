@@ -1,8 +1,8 @@
 // Minimal POSIX transport helpers for the `bfpp serve` line protocol
-// (api/server.h): a loopback listen socket, a connected socket with
-// buffered line reads (blocking or non-blocking), a self-pipe wakeup
-// channel for poll() loops, and the stdio line reader the --stdio
-// transport shares with it.
+// (api/server.h): a loopback listen socket, a connected non-blocking
+// socket with buffered line reads, a self-pipe wakeup channel for
+// poll() loops, and the stdio line reader the --stdio transport shares
+// with it.
 //
 // Scope is one local server - no TLS. The listener binds 127.0.0.1
 // only: the experiment server is a local tool, not an internet-facing
@@ -32,31 +32,14 @@ class Stream {
   explicit Stream(int fd) : fd_(fd) {}
   ~Stream();
   Stream(Stream&& other) noexcept;
-  Stream& operator=(Stream&& other) noexcept;
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
-
-  // Reads up to the next '\n' (consumed, and stripped along with a
-  // preceding '\r'). Returns false on EOF with nothing left to return; a
-  // non-empty final unterminated line is returned as-is (so a client
-  // that forgets the trailing newline before closing still gets an
-  // answer - same contract as read_stdio_line). Retries EINTR.
-  bool read_line(std::string& line);
-
-  // Writes all of `data`, retrying short writes and EINTR. Returns false
-  // once the peer is gone (EPIPE & friends).
-  bool write_all(const std::string& data);
-
-  // Flips O_NONBLOCK on: fill()/write_some() below then never block.
-  // Returns false when fcntl rejects the flag.
-  bool set_nonblocking();
 
   // Non-blocking read step: appends whatever the kernel has ready (up
   // to one burst of a few reads) to the internal buffer. kOk = bytes
   // arrived, kWouldBlock = nothing readable right now, kEof = peer
   // half-closed (buffered bytes stay extractable), kError = reset.
-  // Retries EINTR. Requires set_nonblocking() for the non-blocking
-  // guarantee; on a blocking fd the first read may block.
+  // Retries EINTR.
   IoStatus fill();
 
   // Extracts the next *complete* buffered line (terminated by '\n',
@@ -72,15 +55,17 @@ class Stream {
   [[nodiscard]] size_t buffered() const { return buffer_.size() - head_; }
 
   // After fill() reported kEof: hands back the final unterminated line
-  // left in the buffer, iff non-empty after '\r' stripping - the same
-  // contract read_line() and read_stdio_line() implement. Returns
+  // left in the buffer, iff non-empty after '\r' stripping (so a client
+  // that forgets the trailing newline before closing still gets an
+  // answer) - the same contract read_stdio_line() implements. Returns
   // false when nothing (or only a bare '\r') remained.
   bool take_final_line(std::string& line);
 
   // Non-blocking write step: sends data[offset..) as far as the socket
   // accepts, advancing `offset`. kOk = everything written, kWouldBlock
   // = socket buffer full (poll POLLOUT and retry), kError = peer gone.
-  // MSG_NOSIGNAL and EINTR handling match write_all().
+  // Retries EINTR; MSG_NOSIGNAL turns a vanished peer into kError
+  // instead of a SIGPIPE.
   IoStatus write_some(const std::string& data, size_t& offset);
 
   [[nodiscard]] int fd() const { return fd_; }
@@ -96,10 +81,11 @@ class Stream {
 // api/server.h): a fixed protocol limit, not an option.
 inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
 
-// The stdio twin of Stream::read_line, used by `bfpp serve --stdio`:
-// identical semantics (strip '\n' and a preceding '\r'; a non-empty
-// final unterminated line is returned, then EOF reports false). A line
-// over kMaxRequestLineBytes comes back cut one byte past it, rest unread.
+// The stdio twin of Stream's next_line()/take_final_line(), used by
+// `bfpp serve --stdio`: identical semantics (strip '\n' and a preceding
+// '\r'; a non-empty final unterminated line is returned, then EOF
+// reports false). A line over kMaxRequestLineBytes comes back cut one
+// byte past it, rest unread.
 bool read_stdio_line(std::FILE* in, std::string& line);
 
 // A listening TCP socket on 127.0.0.1:`port`. Port 0 picks an ephemeral

@@ -139,64 +139,4 @@ PipelineResult ThreadedPipeline::run_batch(const schedule::Schedule& sched,
   return result;
 }
 
-void add_gradients(nn::BlockStack& dst, const nn::BlockStack& src) {
-  check(dst.size() == src.size(), "exec: stack size mismatch");
-  for (int i = 0; i < dst.size(); ++i) {
-    auto dst_grads = dst.blocks[static_cast<size_t>(i)].gradients();
-    auto src_grads =
-        const_cast<nn::BlockStack&>(src).blocks[static_cast<size_t>(i)]
-            .gradients();
-    for (size_t k = 0; k < dst_grads.size(); ++k)
-      tensor::accumulate(*dst_grads[k], *src_grads[k]);
-  }
-}
-
-void copy_parameters(nn::BlockStack& dst, const nn::BlockStack& src) {
-  check(dst.size() == src.size(), "exec: stack size mismatch");
-  for (int i = 0; i < dst.size(); ++i) {
-    auto dst_params = dst.blocks[static_cast<size_t>(i)].parameters();
-    auto src_params =
-        const_cast<nn::BlockStack&>(src).blocks[static_cast<size_t>(i)]
-            .parameters();
-    for (size_t k = 0; k < dst_params.size(); ++k) *dst_params[k] =
-        *src_params[k];
-  }
-}
-
-std::vector<Tensor*> flat_parameters(nn::BlockStack& stack) {
-  std::vector<Tensor*> out;
-  for (auto& block : stack.blocks) {
-    for (Tensor* p : block.parameters()) out.push_back(p);
-  }
-  return out;
-}
-
-std::vector<Tensor*> flat_gradients(nn::BlockStack& stack) {
-  std::vector<Tensor*> out;
-  for (auto& block : stack.blocks) {
-    for (Tensor* g : block.gradients()) out.push_back(g);
-  }
-  return out;
-}
-
-ShardedAdam::ShardedAdam(int n_shards, float lr) : n_shards_(n_shards) {
-  check(n_shards >= 1, "exec: shard count must be >= 1");
-  shard_optimizers_.reserve(static_cast<size_t>(n_shards));
-  for (int i = 0; i < n_shards; ++i) shard_optimizers_.emplace_back(lr);
-}
-
-void ShardedAdam::step(nn::BlockStack& stack) {
-  const std::vector<Tensor*> params = flat_parameters(stack);
-  const std::vector<Tensor*> grads = flat_gradients(stack);
-  for (int shard = 0; shard < n_shards_; ++shard) {
-    std::vector<Tensor*> p_shard, g_shard;
-    for (size_t i = static_cast<size_t>(shard); i < params.size();
-         i += static_cast<size_t>(n_shards_)) {
-      p_shard.push_back(params[i]);
-      g_shard.push_back(grads[i]);
-    }
-    shard_optimizers_[static_cast<size_t>(shard)].apply(p_shard, g_shard);
-  }
-}
-
 }  // namespace bfpp::exec

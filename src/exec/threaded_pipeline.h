@@ -54,31 +54,4 @@ class ThreadedPipeline {
   parallel::StagePlacement placement_;
 };
 
-// ---- Data-parallel utilities (DP_0 / sharded-optimizer semantics) ----
-
-// dst.grad += src.grad for every parameter (one leg of an all-reduce).
-void add_gradients(nn::BlockStack& dst, const nn::BlockStack& src);
-
-// Copies parameters of src into dst (the broadcast after a sharded
-// update).
-void copy_parameters(nn::BlockStack& dst, const nn::BlockStack& src);
-
-// Flat parameter/gradient views over a whole stack, in a fixed order.
-std::vector<Tensor*> flat_parameters(nn::BlockStack& stack);
-std::vector<Tensor*> flat_gradients(nn::BlockStack& stack);
-
-// ZeRO-style sharded optimizer step: parameter tensors are partitioned
-// round-robin over n_shards ranks, each rank updates its shard with its
-// own Adam state. Equivalent to a full replicated Adam step (Adam state
-// is per-tensor), which SharededEquivalence tests assert.
-class ShardedAdam {
- public:
-  ShardedAdam(int n_shards, float lr);
-  void step(nn::BlockStack& stack);
-
- private:
-  int n_shards_;
-  std::vector<nn::Adam> shard_optimizers_;
-};
-
 }  // namespace bfpp::exec

@@ -99,32 +99,4 @@ void Sgd::apply(const std::vector<Tensor*>& params,
   }
 }
 
-void Adam::apply(const std::vector<Tensor*>& params,
-                 const std::vector<Tensor*>& grads) {
-  check(params.size() == grads.size(), "adam: param/grad count mismatch");
-  if (m_.empty()) {
-    for (Tensor* p : params) {
-      m_.emplace_back(Tensor::zeros(p->rows(), p->cols()));
-      v_.emplace_back(Tensor::zeros(p->rows(), p->cols()));
-    }
-  }
-  check(m_.size() == params.size(), "adam: state/param count changed");
-  ++step_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(step_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(step_));
-  for (size_t i = 0; i < params.size(); ++i) {
-    Tensor& p = *params[i];
-    const Tensor& g = *grads[i];
-    for (size_t k = 0; k < p.size(); ++k) {
-      float& m = m_[i].data()[k];
-      float& v = v_[i].data()[k];
-      m = beta1_ * m + (1.0f - beta1_) * g.data()[k];
-      v = beta2_ * v + (1.0f - beta2_) * g.data()[k] * g.data()[k];
-      const float mhat = m / bc1;
-      const float vhat = v / bc2;
-      p.data()[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
-  }
-}
-
 }  // namespace bfpp::nn

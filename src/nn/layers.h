@@ -78,20 +78,4 @@ struct Sgd {
              const std::vector<Tensor*>& grads) const;
 };
 
-// Adam with bias correction; keeps per-parameter moment state.
-class Adam {
- public:
-  explicit Adam(float lr = 1e-3f, float beta1 = 0.9f, float beta2 = 0.999f,
-                float eps = 1e-8f)
-      : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
-
-  void apply(const std::vector<Tensor*>& params,
-             const std::vector<Tensor*>& grads);
-
- private:
-  float lr_, beta1_, beta2_, eps_;
-  int step_ = 0;
-  std::vector<Tensor> m_, v_;
-};
-
 }  // namespace bfpp::nn

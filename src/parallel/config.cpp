@@ -334,14 +334,6 @@ int StagePlacement::first_layer_of_stage(int stage) const {
   return stage * base + std::min(stage, remainder);
 }
 
-int StagePlacement::max_layers_per_device() const {
-  std::vector<int> per_device(static_cast<size_t>(n_pp_), 0);
-  for (int s = 0; s < n_stages(); ++s) {
-    per_device[static_cast<size_t>(device_of_stage(s))] += layers_in_stage(s);
-  }
-  return *std::max_element(per_device.begin(), per_device.end());
-}
-
 DeviceGrid::DeviceGrid(const ParallelConfig& cfg,
                        const hw::ClusterSpec& cluster)
     : cfg_(cfg), gpus_per_node_(cluster.gpus_per_node) {}
@@ -351,12 +343,6 @@ int DeviceGrid::linear_rank(int dp, int pp, int tp) const {
 }
 
 int DeviceGrid::node_of_rank(int rank) const { return rank / gpus_per_node_; }
-
-bool DeviceGrid::pp_link_intra_node(int from_pp, int to_pp) const {
-  const int a = linear_rank(0, from_pp, 0);
-  const int b = linear_rank(0, to_pp, 0);
-  return node_of_rank(a) == node_of_rank(b);
-}
 
 int DeviceGrid::dp_group_extent() const {
   const int stride = cfg_.n_tp * cfg_.n_pp;

@@ -147,8 +147,6 @@ class StagePlacement {
   [[nodiscard]] int layers_in_stage(int stage) const;
   // First layer index of stage `s`.
   [[nodiscard]] int first_layer_of_stage(int stage) const;
-  // Largest per-device layer count under this placement (memory bound).
-  [[nodiscard]] int max_layers_per_device() const;
   // Stage->device map in Schedule form: empty for the looping default.
   [[nodiscard]] const std::vector<int>& explicit_device_map() const {
     return device_map_;
@@ -175,10 +173,6 @@ class DeviceGrid {
 
   [[nodiscard]] int linear_rank(int dp, int pp, int tp) const;
   [[nodiscard]] int node_of_rank(int rank) const;
-
-  // True when the pipeline link from pp rank `from` to `to` (same dp/tp)
-  // stays within one node.
-  [[nodiscard]] bool pp_link_intra_node(int from_pp, int to_pp) const;
 
   // Number of consecutive linear ranks spanned by a data-parallel group;
   // used to pick the network tier bounding DP collectives.

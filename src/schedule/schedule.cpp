@@ -126,39 +126,6 @@ Schedule depth_first(int n_pp, int n_loop, int n_mb) {
   return s;
 }
 
-Schedule hybrid(int n_pp, int n_loop, int n_mb, int seq_len) {
-  check_shape(n_pp, n_loop, n_mb);
-  check_config(seq_len >= n_pp, "hybrid schedule requires seq_len >= n_pp");
-  check_config(seq_len % n_pp == 0,
-               "hybrid schedule requires seq_len divisible by n_pp");
-  check_config(n_mb % seq_len == 0,
-               "hybrid schedule requires n_mb (%d) divisible by seq_len (%d)",
-               n_mb, seq_len);
-  Schedule s = make_empty(n_pp, n_loop, n_mb);
-  const int n_seq = n_mb / seq_len;
-  for (int r = 0; r < n_pp; ++r) {
-    auto& ops = s.device_ops[static_cast<size_t>(r)];
-    // Forward: for each sequence, run every local stage over the whole
-    // sequence (breadth within the sequence, depth across sequences).
-    for (int q = 0; q < n_seq; ++q) {
-      for (int l = 0; l < n_loop; ++l) {
-        const int stage = l * n_pp + r;
-        for (int i = 0; i < seq_len; ++i)
-          ops.push_back({OpKind::kForward, stage, q * seq_len + i});
-      }
-    }
-    // Backward: sequences in order, stages in reverse loop order.
-    for (int q = 0; q < n_seq; ++q) {
-      for (int l = n_loop - 1; l >= 0; --l) {
-        const int stage = l * n_pp + r;
-        for (int i = 0; i < seq_len; ++i)
-          ops.push_back({OpKind::kBackward, stage, q * seq_len + i});
-      }
-    }
-  }
-  return s;
-}
-
 Schedule gpipe(int n_pp, int n_mb) { return breadth_first(n_pp, 1, n_mb); }
 
 Schedule one_f_one_b(int n_pp, int n_mb) {

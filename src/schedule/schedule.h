@@ -93,19 +93,6 @@ Schedule breadth_first(int n_pp, int n_loop, int n_mb);
 // are prioritized. Requires n_mb % n_pp == 0 (Section 4.1).
 Schedule depth_first(int n_pp, int n_loop, int n_mb);
 
-// The hybrid schedule the paper conjectures in Section 4.2 ("We believe
-// (but did not verify) this can be addressed by running with sequences
-// of more than N_PP micro-batches, essentially forming a hybrid between
-// the two schedules"): sequences of `seq_len` >= n_pp micro-batches run
-// breadth-first through the local stages, sequences advance depth-first.
-// seq_len == n_mb is exactly breadth_first; seq_len == n_pp gives
-// depth-first-style sequencing (forward-first variant). Requires
-// n_mb % seq_len == 0 and seq_len % n_pp == 0. Tests show the order
-// validates and, run on real math in test_exec, is bitwise-exact against
-// serial execution; its effect on pipeline-network overlap is not
-// measured here.
-Schedule hybrid(int n_pp, int n_loop, int n_mb, int seq_len);
-
 // Non-looped baselines.
 Schedule gpipe(int n_pp, int n_mb);
 Schedule one_f_one_b(int n_pp, int n_mb);

@@ -88,23 +88,10 @@ Tensor add(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor sub(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "sub");
-  Tensor c(a.rows(), a.cols());
-  for (size_t i = 0; i < a.size(); ++i) c.data()[i] = a.data()[i] - b.data()[i];
-  return c;
-}
-
 Tensor hadamard(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "hadamard");
   Tensor c(a.rows(), a.cols());
   for (size_t i = 0; i < a.size(); ++i) c.data()[i] = a.data()[i] * b.data()[i];
-  return c;
-}
-
-Tensor scale(const Tensor& a, float factor) {
-  Tensor c(a.rows(), a.cols());
-  for (size_t i = 0; i < a.size(); ++i) c.data()[i] = a.data()[i] * factor;
   return c;
 }
 

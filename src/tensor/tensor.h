@@ -51,9 +51,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b);
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
 Tensor hadamard(const Tensor& a, const Tensor& b);
-Tensor scale(const Tensor& a, float factor);
 // Adds row-vector bias [1,c] to every row of a [r,c].
 Tensor add_bias(const Tensor& a, const Tensor& bias);
 // Column sums -> [1,c] (bias gradient).

@@ -105,15 +105,9 @@ TEST(ScenarioBuilder, MegatronFlagsApplied) {
   EXPECT_FALSE(s.config->overlap_pp);
 }
 
-TEST(ScenarioBuilder, OverlapOverridesAdoptedConfig) {
-  const parallel::ParallelConfig base =
-      fig5a_builder().build().require_config();
-  const Scenario s = ScenarioBuilder()
-                         .model("52b")
-                         .cluster("dgx1-v100-ib")
-                         .config(base)
-                         .overlap(false, false)
-                         .build();
+TEST(ScenarioBuilder, OverlapFlagsApplied) {
+  const Scenario s = fig5a_builder().overlap(false, false).build();
+  ASSERT_TRUE(s.config.has_value());
   EXPECT_FALSE(s.config->overlap_dp);
   EXPECT_FALSE(s.config->overlap_pp);
 }

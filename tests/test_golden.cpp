@@ -15,10 +15,6 @@
 // then `git diff tests/golden/` to review what moved before committing.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -38,6 +34,7 @@
 #include "common/json.h"
 #include "common/socket.h"
 #include "golden_util.h"
+#include "line_client.h"
 
 namespace bfpp::api {
 namespace {
@@ -144,29 +141,28 @@ TEST(Golden, ServeResponsesAreByteStable) {
   bfpp::testing::check_golden("serve_responses.jsonl", responses);
 }
 
-// Sends one request line over `stream` and appends its whole response
+// Sends one request line over `client` and appends its whole response
 // (the header line plus the "lines" it announces) to `out`. Returns the
 // number of cells the response carries.
-uint64_t round_trip(net::Stream& stream, const std::string& request,
+uint64_t round_trip(test_util::LineClient& client, const std::string& request,
                     std::string& out) {
   std::string line;
-  EXPECT_TRUE(stream.write_all(request + "\n"));
-  EXPECT_TRUE(stream.read_line(line));
+  EXPECT_TRUE(client.send(request + "\n"));
+  EXPECT_TRUE(client.read_line(line));
   out += line + "\n";
   const json::Value head = json::parse(line);
   const json::Value* lines = head.get("lines");
   if (lines == nullptr) return 1;  // a run or search: its report inline
-  for (int i = 0; i < lines->as_int(); ++i) {
-    EXPECT_TRUE(stream.read_line(line));
-    out += line + "\n";
-  }
+  std::string rows;
+  EXPECT_TRUE(client.read_lines(static_cast<size_t>(lines->as_int()), rows));
+  out += rows;
   return static_cast<uint64_t>(head.get("rows")->as_int());
 }
 
-ReportCache::Stats tcp_cache_stats(net::Stream& stream) {
+ReportCache::Stats tcp_cache_stats(test_util::LineClient& client) {
   std::string line;
-  EXPECT_TRUE(stream.write_all("{\"type\":\"stats\"}\n"));
-  EXPECT_TRUE(stream.read_line(line));
+  EXPECT_TRUE(client.send("{\"type\":\"stats\"}\n"));
+  EXPECT_TRUE(client.read_line(line));
   return ServeStats::from_wire(json::parse(line)).cache;
 }
 
@@ -183,33 +179,27 @@ TEST(Golden, ServeResponsesAreByteStableOverTcpComputedAndCached) {
   }
   Server server;
   std::thread serve_thread([&] { EXPECT_EQ(server.serve_on(*listener), 0); });
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(listener->port()));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  net::Stream stream(fd);
+  test_util::LineClient client(listener->port());
+  ASSERT_TRUE(client.connected());
 
   for (int pass = 0; pass < 2; ++pass) {
-    const ReportCache::Stats before = tcp_cache_stats(stream);
+    const ReportCache::Stats before = tcp_cache_stats(client);
     std::string responses;
     uint64_t cells = 0;
     for (const std::string& request : serve_requests()) {
-      cells += round_trip(stream, request, responses);
+      cells += round_trip(client, request, responses);
     }
     bfpp::testing::check_golden("serve_responses.jsonl", responses);
     if (pass == 1) {
-      const ReportCache::Stats after = tcp_cache_stats(stream);
+      const ReportCache::Stats after = tcp_cache_stats(client);
       EXPECT_EQ(after.hits - before.hits, cells);  // one hit per cell
       EXPECT_EQ(after.misses, before.misses);
       EXPECT_EQ(after.coalesced, before.coalesced);
     }
   }
-  ASSERT_TRUE(stream.write_all("{\"type\":\"shutdown\"}\n"));
+  ASSERT_TRUE(client.send("{\"type\":\"shutdown\"}\n"));
   std::string bye;
-  ASSERT_TRUE(stream.read_line(bye));
+  ASSERT_TRUE(client.read_line(bye));
   serve_thread.join();
 }
 

@@ -98,7 +98,7 @@ TEST(Linear, GradientsAccumulateAcrossCalls) {
   lin.backward(x, dy);
   const Tensor once = lin.gw;
   lin.backward(x, dy);
-  EXPECT_TRUE(tensor::allclose(lin.gw, tensor::scale(once, 2.0f), 1e-6f));
+  EXPECT_TRUE(tensor::allclose(lin.gw, tensor::add(once, once), 1e-6f));
   lin.zero_grad();
   EXPECT_FLOAT_EQ(lin.gw.at(0, 0), 0.0f);
 }
@@ -155,37 +155,6 @@ TEST(BlockStack, TrainingReducesLoss) {
     }
   }
   EXPECT_LT(last, 0.5f * first);
-}
-
-TEST(Adam, ConvergesFasterThanSgdOnIllConditioned) {
-  // Adam's per-coordinate scaling helps when gradients differ wildly in
-  // magnitude; sanity-check it reduces loss.
-  Rng rng(9);
-  BlockStack stack(1, 4, rng);
-  const Tensor input = Tensor::randn(4, 4, rng);
-  const Tensor target = Tensor::randn(4, 4, rng, 0.1);
-  Adam adam(0.01f);
-  float first = 0.0f, last = 0.0f;
-  for (int step = 0; step < 80; ++step) {
-    stack.zero_grad();
-    const float loss = stack.train_step_accumulate(input, target);
-    if (step == 0) first = loss;
-    last = loss;
-    for (auto& block : stack.blocks) {
-      adam.apply(block.parameters(), block.gradients());
-    }
-  }
-  EXPECT_LT(last, 0.5f * first);
-}
-
-TEST(Adam, StateMatchesParameterCount) {
-  Rng rng(10);
-  MlpBlock block(4, rng);
-  Adam adam(0.01f);
-  block.zero_grad();
-  adam.apply(block.parameters(), block.gradients());
-  // Re-application with the same shapes must not throw.
-  EXPECT_NO_THROW(adam.apply(block.parameters(), block.gradients()));
 }
 
 }  // namespace

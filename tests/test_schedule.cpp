@@ -265,57 +265,6 @@ INSTANTIATE_TEST_SUITE_P(
 }  // namespace
 }  // namespace bfpp::schedule
 
-// Separate suite: the Section 4.2 hybrid conjecture schedule.
-namespace bfpp::schedule {
-namespace {
-
-TEST(Hybrid, ExtremesReproduceTheTwoSchedules) {
-  // seq_len == n_mb -> breadth-first (all micro-batches at once).
-  EXPECT_EQ(hybrid(4, 2, 8, 8).device_ops, breadth_first(4, 2, 8).device_ops);
-}
-
-TEST(Hybrid, RunsSequencesBreadthFirstWithinDepthOrder) {
-  // 2 sequences of 4 over 2 loops: forward runs seq 0 through both local
-  // stages (all 4 mbs each), then seq 1.
-  const Schedule s = hybrid(4, 2, 8, 4);
-  const auto& ops = s.device_ops[0];
-  EXPECT_EQ(ops[0], (Op{OpKind::kForward, 0, 0}));
-  EXPECT_EQ(ops[3], (Op{OpKind::kForward, 0, 3}));
-  EXPECT_EQ(ops[4], (Op{OpKind::kForward, 4, 0}));
-  EXPECT_EQ(ops[8], (Op{OpKind::kForward, 0, 4}));  // sequence 1 starts
-}
-
-TEST(Hybrid, RejectsBadShapes) {
-  EXPECT_THROW(hybrid(4, 2, 8, 2), ConfigError);   // seq_len < n_pp
-  EXPECT_THROW(hybrid(4, 2, 8, 6), ConfigError);   // not divisible by n_pp
-  EXPECT_THROW(hybrid(4, 2, 12, 8), ConfigError);  // n_mb % seq_len != 0
-}
-
-class HybridSweep
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(HybridSweep, ValidForAllSequenceLengths) {
-  const auto [n_pp, n_loop, n_mb] = GetParam();
-  for (int seq = n_pp; seq <= n_mb; seq += n_pp) {
-    if (n_mb % seq != 0) continue;
-    EXPECT_NO_THROW(validate(hybrid(n_pp, n_loop, n_mb, seq)))
-        << "seq=" << seq;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, HybridSweep,
-    ::testing::Combine(::testing::Values(2, 4), ::testing::Values(1, 2, 4),
-                       ::testing::Values(8, 16, 32)),
-    [](const auto& info) {
-      return "pp" + std::to_string(std::get<0>(info.param)) + "_loop" +
-             std::to_string(std::get<1>(info.param)) + "_mb" +
-             std::to_string(std::get<2>(info.param));
-    });
-
-}  // namespace
-}  // namespace bfpp::schedule
-
 // Separate suite: the rival schedule families of the zoo.
 namespace bfpp::schedule {
 namespace {

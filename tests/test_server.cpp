@@ -5,10 +5,8 @@
 // the concurrent-client accept loop.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
+#include <fcntl.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <latch>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -35,6 +34,8 @@
 #include "common/serialize.h"
 #include "common/socket.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
+#include "line_client.h"
 
 namespace bfpp::api {
 namespace {
@@ -1363,53 +1364,58 @@ TEST(Server, StdioTransportAnswersLineRequests) {
             std::string::npos);
 }
 
-TEST(Transports, FinalUnterminatedLineIsReturnedByBothLineReaders) {
-  // Identical bytes through the TCP reader (Stream over a pipe) and the
-  // stdio reader: a terminated CRLF line, then a final line lacking the
-  // trailing newline. Both must hand back both lines, then EOF.
-  const char bytes[] = "{\"type\":\"one\"}\r\n{\"type\":\"two\"}";
+// Every line the TCP reader yields for `bytes`, read the way serve_on
+// reads a connection: a non-blocking Stream over a pipe, next_line()
+// after each fill() until EOF, then take_final_line().
+std::vector<std::string> stream_lines(std::string_view bytes) {
   int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  ASSERT_EQ(::write(fds[1], bytes, sizeof(bytes) - 1),
-            static_cast<ssize_t>(sizeof(bytes) - 1));
+  EXPECT_EQ(::pipe2(fds, O_NONBLOCK), 0);
+  EXPECT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
   ::close(fds[1]);
   net::Stream stream(fds[0]);
+  std::vector<std::string> lines;
   std::string line;
-  ASSERT_TRUE(stream.read_line(line));
-  EXPECT_EQ(line, "{\"type\":\"one\"}");
-  ASSERT_TRUE(stream.read_line(line));
-  EXPECT_EQ(line, "{\"type\":\"two\"}");
-  EXPECT_FALSE(stream.read_line(line));
+  net::IoStatus status;
+  do {
+    status = stream.fill();
+    while (stream.next_line(line)) lines.push_back(line);
+  } while (status == net::IoStatus::kOk);
+  EXPECT_EQ(status, net::IoStatus::kEof);
+  if (stream.take_final_line(line)) lines.push_back(line);
+  return lines;
+}
 
+// The same through the stdio reader.
+std::vector<std::string> stdio_lines(std::string_view bytes) {
+  std::vector<std::string> lines;
   std::FILE* file = std::tmpfile();
-  ASSERT_NE(file, nullptr);
-  std::fputs(bytes, file);
+  EXPECT_NE(file, nullptr);
+  if (file == nullptr) return lines;
+  std::fwrite(bytes.data(), 1, bytes.size(), file);
   std::rewind(file);
-  ASSERT_TRUE(net::read_stdio_line(file, line));
-  EXPECT_EQ(line, "{\"type\":\"one\"}");
-  ASSERT_TRUE(net::read_stdio_line(file, line));
-  EXPECT_EQ(line, "{\"type\":\"two\"}");
-  EXPECT_FALSE(net::read_stdio_line(file, line));
+  std::string line;
+  while (net::read_stdio_line(file, line)) lines.push_back(line);
   std::fclose(file);
+  return lines;
+}
+
+TEST(Transports, FinalUnterminatedLineIsReturnedByBothLineReaders) {
+  // Identical bytes through both readers: a terminated CRLF line, then a
+  // final line lacking the trailing newline. Both must hand back both
+  // lines, then EOF.
+  const std::string_view bytes = "{\"type\":\"one\"}\r\n{\"type\":\"two\"}";
+  const std::vector<std::string> expected = {"{\"type\":\"one\"}",
+                                             "{\"type\":\"two\"}"};
+  EXPECT_EQ(stream_lines(bytes), expected);
+  EXPECT_EQ(stdio_lines(bytes), expected);
 }
 
 TEST(Transports, LoneCarriageReturnAtEofIsEofOnBothLineReaders) {
   // The one divergence the transports used to have: a final "\r" with no
   // newline. Both now strip it and report EOF (nothing useful left).
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  ASSERT_EQ(::write(fds[1], "\r", 1), 1);
-  ::close(fds[1]);
-  net::Stream stream(fds[0]);
-  std::string line;
-  EXPECT_FALSE(stream.read_line(line));
-
-  std::FILE* file = std::tmpfile();
-  ASSERT_NE(file, nullptr);
-  std::fputs("\r", file);
-  std::rewind(file);
-  EXPECT_FALSE(net::read_stdio_line(file, line));
-  std::fclose(file);
+  EXPECT_TRUE(stream_lines("\r").empty());
+  EXPECT_TRUE(stdio_lines("\r").empty());
 }
 
 // Everything a fresh server's serve_stdio writes for `input`.
@@ -1454,31 +1460,17 @@ TEST(Server, StdioCapsTheRequestLineLikeTcp) {
 
 // ---- Concurrent clients + persistence ----
 
-// Connects to 127.0.0.1:`port`; -1 on failure.
-int connect_loopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
+using test_util::LineClient;
 
-// Reads `n` response lines, re-appending the '\n' framing so the result
-// is byte-comparable against Server::handle() output.
-bool read_lines(net::Stream& stream, size_t n, std::string& out) {
-  out.clear();
-  std::string line;
-  for (size_t i = 0; i < n; ++i) {
-    if (!stream.read_line(line)) return false;
-    out += line + "\n";
-  }
-  return true;
+// How long a test client waits for one read before it fails.
+constexpr std::chrono::seconds kReadTimeout{20};
+
+// A connection to `port` whose reads give up after kReadTimeout, so a
+// request stuck behind a held cell fails the test instead of hanging it.
+std::unique_ptr<LineClient> connect_with_timeout(int port) {
+  auto client = std::make_unique<LineClient>(port, kReadTimeout);
+  EXPECT_TRUE(client->connected());
+  return client;
 }
 
 TEST(Server, TcpTransportServesALoopbackClient) {
@@ -1494,16 +1486,15 @@ TEST(Server, TcpTransportServesALoopbackClient) {
   Server server;
   std::thread serve_thread([&] { EXPECT_EQ(server.serve_on(*listener), 0); });
 
-  const int fd = connect_loopback(listener->port());
-  ASSERT_GE(fd, 0);
-  net::Stream stream(fd);
+  LineClient client(listener->port());
+  ASSERT_TRUE(client.connected());
   std::string got_ping, got_stats, bye;
-  ASSERT_TRUE(stream.write_all("{\"type\":\"ping\"}\n"));
-  ASSERT_TRUE(stream.read_line(got_ping));
-  ASSERT_TRUE(stream.write_all("{\"type\":\"stats\"}\n"));
-  ASSERT_TRUE(stream.read_line(got_stats));
-  ASSERT_TRUE(stream.write_all("{\"type\":\"shutdown\"}\n"));
-  ASSERT_TRUE(stream.read_line(bye));
+  ASSERT_TRUE(client.send("{\"type\":\"ping\"}\n"));
+  ASSERT_TRUE(client.read_line(got_ping));
+  ASSERT_TRUE(client.send("{\"type\":\"stats\"}\n"));
+  ASSERT_TRUE(client.read_line(got_stats));
+  ASSERT_TRUE(client.send("{\"type\":\"shutdown\"}\n"));
+  ASSERT_TRUE(client.read_line(bye));
   serve_thread.join();  // the event loop exits once the shutdown lands
   EXPECT_EQ(got_ping, "{\"ok\":true,\"type\":\"pong\"}");
   EXPECT_NE(got_stats.find("\"requests\":2"), std::string::npos);
@@ -1521,25 +1512,18 @@ TEST(Server, OverlongRequestLineIsAnsweredAndClosedWhileOthersAreServed) {
   Server server;
   std::thread serve_thread([&] { EXPECT_EQ(server.serve_on(*listener), 0); });
 
-  const int other_fd = connect_loopback(listener->port());
-  const int hog_fd = connect_loopback(listener->port());
-  ASSERT_GE(other_fd, 0);
-  ASSERT_GE(hog_fd, 0);
-  net::Stream other(other_fd);
-  net::Stream hog(hog_fd);
+  LineClient other(listener->port());
   // A server that buffers without bound never answers; time the reads
   // out so that shows up as a failure, not a hang.
-  timeval timeout{};
-  timeout.tv_sec = 20;
-  ASSERT_EQ(::setsockopt(hog_fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                         sizeof(timeout)),
-            0);
+  LineClient hog(listener->port(), kReadTimeout);
+  ASSERT_TRUE(other.connected());
+  ASSERT_TRUE(hog.connected());
 
   // One byte over the cap and no newline. Exactly that many, so the
   // server has read all of it when it closes (unread bytes would turn
   // the close into a reset that can swallow the error line).
   ASSERT_TRUE(
-      hog.write_all(std::string(net::kMaxRequestLineBytes + 1, 'x')));
+      hog.send(std::string(net::kMaxRequestLineBytes + 1, 'x')));
   std::string line;
   ASSERT_TRUE(hog.read_line(line));
   EXPECT_NE(line.find("\"ok\":false"), std::string::npos);
@@ -1547,10 +1531,10 @@ TEST(Server, OverlongRequestLineIsAnsweredAndClosedWhileOthersAreServed) {
   EXPECT_FALSE(hog.read_line(line));  // closed after the error line
 
   // The other client never noticed.
-  ASSERT_TRUE(other.write_all("{\"type\":\"ping\"}\n"));
+  ASSERT_TRUE(other.send("{\"type\":\"ping\"}\n"));
   ASSERT_TRUE(other.read_line(line));
   EXPECT_EQ(line, "{\"ok\":true,\"type\":\"pong\"}");
-  ASSERT_TRUE(other.write_all("{\"type\":\"shutdown\"}\n"));
+  ASSERT_TRUE(other.send("{\"type\":\"shutdown\"}\n"));
   ASSERT_TRUE(other.read_line(line));
   serve_thread.join();
 }
@@ -1602,24 +1586,22 @@ TEST(Server, ConcurrentClientsMatchSerialExecutionAndShareOneCache) {
   // An idle client that connects first and never sends a byte: with the
   // old serial accept loop this starved every client below (and this
   // test would hang); now it must delay no one.
-  const int idle_fd = connect_loopback(port);
-  ASSERT_GE(idle_fd, 0);
-  net::Stream idle(idle_fd);
+  LineClient idle(port);
+  ASSERT_TRUE(idle.connected());
 
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int i = 0; i < kClients; ++i) {
     clients.emplace_back([&, i] {
-      const int fd = connect_loopback(port);
-      ASSERT_GE(fd, 0);
-      net::Stream stream(fd);
+      LineClient client(port);
+      ASSERT_TRUE(client.connected());
       std::string got;
       for (int repeat = 0; repeat < 2; ++repeat) {
-        ASSERT_TRUE(stream.write_all(run_request(i) + "\n"));
-        ASSERT_TRUE(read_lines(stream, 1, got));
+        ASSERT_TRUE(client.send(run_request(i) + "\n"));
+        ASSERT_TRUE(client.read_lines(1, got));
         EXPECT_EQ(got, expected_run[static_cast<size_t>(i)]);
-        ASSERT_TRUE(stream.write_all(sweep_request(i) + "\n"));
-        ASSERT_TRUE(read_lines(stream, 3, got));  // header + 2 rows
+        ASSERT_TRUE(client.send(sweep_request(i) + "\n"));
+        ASSERT_TRUE(client.read_lines(3, got));  // header + 2 rows
         EXPECT_EQ(got, expected_sweep[static_cast<size_t>(i)]);
       }
     });
@@ -1635,10 +1617,9 @@ TEST(Server, ConcurrentClientsMatchSerialExecutionAndShareOneCache) {
 
   // Orderly shutdown from yet another connection; the idle client is
   // drained (EOF), not abandoned.
-  const int fd = connect_loopback(port);
-  ASSERT_GE(fd, 0);
-  net::Stream stopper(fd);
-  ASSERT_TRUE(stopper.write_all("{\"type\":\"shutdown\"}\n"));
+  LineClient stopper(port);
+  ASSERT_TRUE(stopper.connected());
+  ASSERT_TRUE(stopper.send("{\"type\":\"shutdown\"}\n"));
   std::string bye;
   ASSERT_TRUE(stopper.read_line(bye));
   EXPECT_EQ(bye, "{\"ok\":true,\"type\":\"shutdown\"}");
@@ -1701,12 +1682,11 @@ TEST(Server, ConcurrentClientsRacingAColdCellCoalesceToOneComputation) {
   std::vector<std::thread> clients;
   for (size_t i = 0; i < kClients; ++i) {
     clients.emplace_back([&, i] {
-      const int fd = connect_loopback(listener->port());
-      EXPECT_GE(fd, 0);
-      if (fd < 0) return;
-      net::Stream stream(fd);
-      EXPECT_TRUE(stream.write_all(std::string(kCoalescedRun) + "\n"));
-      (void)read_lines(stream, 1, got[i]);
+      LineClient client(listener->port());
+      EXPECT_TRUE(client.connected());
+      if (!client.connected()) return;
+      EXPECT_TRUE(client.send(std::string(kCoalescedRun) + "\n"));
+      (void)client.read_lines(1, got[i]);
     });
   }
   // All N clients join the in-flight entry (none recomputes)...
@@ -1774,12 +1754,11 @@ TEST(Server, InfeasibleCellReleasesFollowersAndCachesTheNegativeOnce) {
   std::vector<std::thread> clients;
   for (size_t i = 0; i < kClients; ++i) {
     clients.emplace_back([&, i] {
-      const int fd = connect_loopback(listener->port());
-      EXPECT_GE(fd, 0);
-      if (fd < 0) return;
-      net::Stream stream(fd);
-      EXPECT_TRUE(stream.write_all(oom_req + "\n"));
-      (void)read_lines(stream, 1, got[i]);
+      LineClient client(listener->port());
+      EXPECT_TRUE(client.connected());
+      if (!client.connected()) return;
+      EXPECT_TRUE(client.send(oom_req + "\n"));
+      (void)client.read_lines(1, got[i]);
     });
   }
   ASSERT_TRUE(
@@ -1854,12 +1833,11 @@ TEST(Server, TcpAnswersUnterminatedFinalRequestAndRequestShutdownDrains) {
   Server server;
   std::thread serve_thread([&] { EXPECT_EQ(server.serve_on(*listener), 0); });
 
-  const int fd = connect_loopback(listener->port());
-  ASSERT_GE(fd, 0);
-  net::Stream client(fd);
+  LineClient client(listener->port());
+  ASSERT_TRUE(client.connected());
   // A request lacking its trailing newline, then half-close: the session
   // must still answer it (same contract as the stdio transport).
-  ASSERT_TRUE(client.write_all("{\"type\":\"ping\"}"));
+  ASSERT_TRUE(client.send("{\"type\":\"ping\"}"));
   ::shutdown(client.fd(), SHUT_WR);
   std::string line;
   ASSERT_TRUE(client.read_line(line));
@@ -1951,24 +1929,21 @@ TEST(Server, OverCapConnectionsAreExplicitlyRejectedAndCounted) {
 
   // Fill the cap; a ping round trip per client proves both are admitted
   // (admission happens on accept, inside the event loop).
-  const int fd1 = connect_loopback(listener->port());
-  const int fd2 = connect_loopback(listener->port());
-  ASSERT_GE(fd1, 0);
-  ASSERT_GE(fd2, 0);
-  net::Stream first(fd1);
-  net::Stream second(fd2);
+  LineClient first(listener->port());
+  LineClient second(listener->port());
+  ASSERT_TRUE(first.connected());
+  ASSERT_TRUE(second.connected());
   std::string line;
-  for (net::Stream* admitted : {&first, &second}) {
-    ASSERT_TRUE(admitted->write_all("{\"type\":\"ping\"}\n"));
+  for (LineClient* admitted : {&first, &second}) {
+    ASSERT_TRUE(admitted->send("{\"type\":\"ping\"}\n"));
     ASSERT_TRUE(admitted->read_line(line));
     EXPECT_EQ(line, "{\"ok\":true,\"type\":\"pong\"}");
   }
 
   // The connection over the cap gets one explicit error line and EOF -
   // never a silent stall in the kernel backlog.
-  const int fd3 = connect_loopback(listener->port());
-  ASSERT_GE(fd3, 0);
-  net::Stream third(fd3);
+  LineClient third(listener->port());
+  ASSERT_TRUE(third.connected());
   ASSERT_TRUE(third.read_line(line));
   EXPECT_NE(line.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(line.find("connection limit reached"), std::string::npos);
@@ -1976,14 +1951,14 @@ TEST(Server, OverCapConnectionsAreExplicitlyRejectedAndCounted) {
   EXPECT_FALSE(third.read_line(line));  // closed right after the refusal
 
   // The rejection is visible in the metrics an admitted client reads.
-  ASSERT_TRUE(first.write_all("{\"type\":\"metrics\"}\n"));
+  ASSERT_TRUE(first.send("{\"type\":\"metrics\"}\n"));
   ASSERT_TRUE(first.read_line(line));
   const ServeStats stats = ServeStats::from_wire(json::parse(line));
   EXPECT_EQ(stats.connections.accepted, 2u);
   EXPECT_EQ(stats.connections.rejected, 1u);
   EXPECT_EQ(stats.connections.active, 2);
 
-  ASSERT_TRUE(first.write_all("{\"type\":\"shutdown\"}\n"));
+  ASSERT_TRUE(first.send("{\"type\":\"shutdown\"}\n"));
   ASSERT_TRUE(first.read_line(line));
   serve_thread.join();
 }
@@ -2013,21 +1988,19 @@ TEST(Server, BurstyClientIsBackpressuredWithoutStallingOthers) {
   // exactly one follower parks on the held cell; the rest wait their
   // turn in the connection's own queue (or its socket, once the
   // in-flight cap gates POLLIN off).
-  const int fd = connect_loopback(listener->port());
-  ASSERT_GE(fd, 0);
-  net::Stream bursty(fd);
+  LineClient bursty(listener->port());
+  ASSERT_TRUE(bursty.connected());
   std::string burst;
   for (int i = 0; i < 6; ++i) burst += std::string(kCoalescedRun) + "\n";
-  ASSERT_TRUE(bursty.write_all(burst));
+  ASSERT_TRUE(bursty.send(burst));
   ASSERT_TRUE(poll_until([&] { return server.cache_stats().coalesced == 1u; }));
 
   // A second client gets served while the burst is parked: the event
   // loop never blocks behind a busy or backpressured connection.
-  const int fd2 = connect_loopback(listener->port());
-  ASSERT_GE(fd2, 0);
-  net::Stream nimble(fd2);
+  LineClient nimble(listener->port());
+  ASSERT_TRUE(nimble.connected());
   std::string line;
-  ASSERT_TRUE(nimble.write_all("{\"type\":\"ping\"}\n"));
+  ASSERT_TRUE(nimble.send("{\"type\":\"ping\"}\n"));
   ASSERT_TRUE(nimble.read_line(line));
   EXPECT_EQ(line, "{\"ok\":true,\"type\":\"pong\"}");
   EXPECT_EQ(server.cache_stats().coalesced, 1u);  // still exactly one
@@ -2036,7 +2009,7 @@ TEST(Server, BurstyClientIsBackpressuredWithoutStallingOthers) {
   // order with byte-identical responses (one coalesced wait, five hits).
   server.cache().publish(key, run(coalesced_cell(), options.run));
   std::string got;
-  ASSERT_TRUE(read_lines(bursty, 6, got));
+  ASSERT_TRUE(bursty.read_lines(6, got));
   std::string six;
   for (int i = 0; i < 6; ++i) six += expected;
   EXPECT_EQ(got, six);
@@ -2074,21 +2047,16 @@ TEST(Server, EventLoopAnswersCachedRequestsWithTheSameBytesAndCounters) {
   const std::string expected_sweep = reference.handle(sweep_ab);
   const std::string expected_held = reference.handle(kCoalescedRun);
 
-  const int fd = connect_loopback(listener->port());
-  ASSERT_GE(fd, 0);
   // A request stuck behind the held cell would hang the reads below;
   // time them out so that shows up as a failure.
-  timeval timeout{};
-  timeout.tv_sec = 20;
-  ASSERT_EQ(
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
-  net::Stream client(fd);
+  LineClient client(listener->port(), kReadTimeout);
+  ASSERT_TRUE(client.connected());
   uint64_t sent = 0;
   auto ask = [&](const std::string& request, size_t lines) {
     ++sent;
     std::string got;
-    EXPECT_TRUE(client.write_all(request + "\n"));
-    EXPECT_TRUE(read_lines(client, lines, got));
+    EXPECT_TRUE(client.send(request + "\n"));
+    EXPECT_TRUE(client.read_lines(lines, got));
     return got;
   };
   auto metrics = [&] {
@@ -2118,12 +2086,11 @@ TEST(Server, EventLoopAnswersCachedRequestsWithTheSameBytesAndCounters) {
 
   // Park 16 requests for the held cell, each on its own connection.
   constexpr size_t kBlockers = 16;
-  std::vector<std::unique_ptr<net::Stream>> blockers;
+  std::vector<std::unique_ptr<LineClient>> blockers;
   for (size_t i = 0; i < kBlockers; ++i) {
-    const int bfd = connect_loopback(listener->port());
-    ASSERT_GE(bfd, 0);
-    blockers.push_back(std::make_unique<net::Stream>(bfd));
-    ASSERT_TRUE(blockers.back()->write_all(std::string(kCoalescedRun) + "\n"));
+    blockers.push_back(std::make_unique<LineClient>(listener->port()));
+    ASSERT_TRUE(blockers.back()->connected());
+    ASSERT_TRUE(blockers.back()->send(std::string(kCoalescedRun) + "\n"));
   }
   // Every parked request is a Job waiting on its followed cell: it
   // counts as executing, and none has a pool driver left to start.
@@ -2138,9 +2105,9 @@ TEST(Server, EventLoopAnswersCachedRequestsWithTheSameBytesAndCounters) {
   EXPECT_EQ(ask(sweep_ab, 3), expected_sweep);
 
   server.cache().publish(held, run(coalesced_cell(), options.run));
-  for (const std::unique_ptr<net::Stream>& blocker : blockers) {
+  for (const std::unique_ptr<LineClient>& blocker : blockers) {
     std::string got;
-    ASSERT_TRUE(read_lines(*blocker, 1, got));
+    ASSERT_TRUE(blocker->read_lines(1, got));
     EXPECT_EQ(got, expected_held);
   }
   stats = server.cache_stats();
@@ -2179,28 +2146,19 @@ TEST(Server, ShutdownDrainAnswersEveryParkedFollower) {
   Server reference;
   const std::string expected = reference.handle(kCoalescedRun);
 
-  const auto connect = [&] {
-    const int fd = connect_loopback(listener->port());
-    EXPECT_GE(fd, 0);
-    timeval timeout{};
-    timeout.tv_sec = 20;
-    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                           sizeof(timeout)),
-              0);
-    return std::make_unique<net::Stream>(fd);
-  };
-  std::unique_ptr<net::Stream> monitor = connect();
+  const auto connect = [&] { return connect_with_timeout(listener->port()); };
+  std::unique_ptr<LineClient> monitor = connect();
   // More requests for the held cell than the pool has threads, each on
   // its own connection.
   constexpr size_t kBlockers = 20;
-  std::vector<std::unique_ptr<net::Stream>> blockers;
+  std::vector<std::unique_ptr<LineClient>> blockers;
   for (size_t i = 0; i < kBlockers; ++i) {
     blockers.push_back(connect());
-    ASSERT_TRUE(blockers.back()->write_all(std::string(kCoalescedRun) + "\n"));
+    ASSERT_TRUE(blockers.back()->send(std::string(kCoalescedRun) + "\n"));
   }
   ASSERT_TRUE(poll_until([&] {
     std::string line;
-    if (!monitor->write_all("{\"type\":\"metrics\"}\n") ||
+    if (!monitor->send("{\"type\":\"metrics\"}\n") ||
         !monitor->read_line(line)) {
       return false;
     }
@@ -2215,25 +2173,13 @@ TEST(Server, ShutdownDrainAnswersEveryParkedFollower) {
   std::string line;
   EXPECT_FALSE(monitor->read_line(line));
   server.cache().publish(held, run(coalesced_cell(), options.run));
-  for (const std::unique_ptr<net::Stream>& blocker : blockers) {
+  for (const std::unique_ptr<LineClient>& blocker : blockers) {
     std::string got;
-    ASSERT_TRUE(read_lines(*blocker, 1, got));
+    ASSERT_TRUE(blocker->read_lines(1, got));
     EXPECT_EQ(got, expected);
   }
   serve_thread.join();
   EXPECT_EQ(serve_result, 0);
-}
-
-// A connection to `port` whose reads give up after 20 s, so a request
-// stuck behind a held cell fails the test instead of hanging it.
-std::unique_ptr<net::Stream> connect_with_timeout(int port) {
-  const int fd = connect_loopback(port);
-  EXPECT_GE(fd, 0);
-  timeval timeout{};
-  timeout.tv_sec = 20;
-  EXPECT_EQ(
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
-  return std::make_unique<net::Stream>(fd);
 }
 
 TEST(Server, ParkedFollowersHoldNoThread) {
@@ -2266,34 +2212,106 @@ TEST(Server, ParkedFollowersHoldNoThread) {
   const std::string expected_held = reference.handle(kCoalescedRun);
 
   constexpr size_t kFollowers = 20;
-  std::vector<std::unique_ptr<net::Stream>> followers;
+  std::vector<std::unique_ptr<LineClient>> followers;
   for (size_t i = 0; i < kFollowers; ++i) {
     followers.push_back(connect_with_timeout(listener->port()));
-    ASSERT_TRUE(followers.back()->write_all(std::string(kCoalescedRun) + "\n"));
+    ASSERT_TRUE(followers.back()->send(std::string(kCoalescedRun) + "\n"));
   }
   ASSERT_TRUE(poll_until(
       [&] { return server.cache_stats().coalesced == kFollowers; }));
 
-  std::unique_ptr<net::Stream> run_client =
+  std::unique_ptr<LineClient> run_client =
       connect_with_timeout(listener->port());
-  std::unique_ptr<net::Stream> sweep_client =
+  std::unique_ptr<LineClient> sweep_client =
       connect_with_timeout(listener->port());
-  ASSERT_TRUE(run_client->write_all(novel_run + "\n"));
-  ASSERT_TRUE(sweep_client->write_all(novel_sweep + "\n"));
+  ASSERT_TRUE(run_client->send(novel_run + "\n"));
+  ASSERT_TRUE(sweep_client->send(novel_sweep + "\n"));
   std::string got;
-  ASSERT_TRUE(read_lines(*run_client, 1, got));
+  ASSERT_TRUE(run_client->read_lines(1, got));
   EXPECT_EQ(got, expected_run);
   got.clear();
-  ASSERT_TRUE(read_lines(*sweep_client, 8, got));  // head, header, 6 rows
+  ASSERT_TRUE(sweep_client->read_lines(8, got));  // head, header, 6 rows
   EXPECT_EQ(got, expected_sweep);
   EXPECT_EQ(server.cache_stats().inflight, 1u);  // still held
 
   server.cache().publish(held, run(coalesced_cell(), options.run));
-  for (const std::unique_ptr<net::Stream>& follower : followers) {
+  for (const std::unique_ptr<LineClient>& follower : followers) {
     got.clear();
-    ASSERT_TRUE(read_lines(*follower, 1, got));
+    ASSERT_TRUE(follower->read_lines(1, got));
     EXPECT_EQ(got, expected_held);
   }
+  server.request_shutdown();
+  serve_thread.join();
+}
+
+TEST(Server, ARequestWaitingForAPoolThreadCountsInTheDispatchBacklog) {
+  // A request of more than 64 cells is probed on a pool thread, not on
+  // the event loop. While every pool thread is busy it waits in the
+  // pool's queue, and the metrics must show it waiting there.
+  std::unique_ptr<net::Listener> listener;
+  try {
+    listener = std::make_unique<net::Listener>(0);
+  } catch (const ConfigError& e) {
+    GTEST_SKIP() << e.what();
+  }
+  Server server;
+  std::thread serve_thread([&] { EXPECT_EQ(server.serve_on(*listener), 0); });
+
+  const std::string sweep =
+      R"({"type":"sweep","model":"6.6b","cluster":"dgx1-v100-ib","pp":[4],)"
+      R"("tp":[2],"dp":[8],"nmb":[)" + axis(65) + R"(],"schedule":["bf"],)"
+      R"("loop":[2],"backend":"analytic"})";
+  Server reference;
+  const std::string expected = reference.handle(sweep);
+  const auto lines =
+      static_cast<size_t>(std::count(expected.begin(), expected.end(), '\n'));
+  ASSERT_EQ(lines, 66u);  // header + 65 rows
+  std::unique_ptr<LineClient> monitor = connect_with_timeout(listener->port());
+  std::unique_ptr<LineClient> client = connect_with_timeout(listener->port());
+  ServeStats seen;
+  const auto observe = [&] {
+    std::string line;
+    if (!monitor->send("{\"type\":\"metrics\"}\n") ||
+        !monitor->read_line(line)) {
+      return false;
+    }
+    seen = ServeStats::from_wire(json::parse(line));
+    return true;
+  };
+
+  // Hold every pool thread. Nothing below may return early: the test
+  // must release them and stop the server whatever it finds. The tasks
+  // share ownership of the latches, which a released thread may still
+  // read after this test has returned.
+  ThreadPool& pool = ThreadPool::shared();
+  const auto holding = std::make_shared<std::latch>(pool.size());
+  const auto release = std::make_shared<std::latch>(1);
+  for (int i = 0; i < pool.size(); ++i) {
+    pool.submit([holding, release] {
+      holding->count_down();
+      release->wait();
+    });
+  }
+  holding->wait();
+  const bool sent = client->send(sweep + "\n");
+  const bool queued = sent && poll_until([&] {
+    return observe() && seen.connections.processing == 1 &&
+           seen.queues.dispatch_backlog == 1;
+  });
+  release->count_down();
+  EXPECT_TRUE(queued) << "dispatch_backlog " << seen.queues.dispatch_backlog;
+  EXPECT_EQ(seen.queues.executing, 0u);
+
+  std::string got;
+  EXPECT_TRUE(client->read_lines(lines, got));
+  EXPECT_EQ(got, expected);
+  // The processing gauge refreshes per loop tick, so poll.
+  EXPECT_TRUE(poll_until([&] {
+    return observe() && seen.connections.processing == 0;
+  }));
+  EXPECT_EQ(seen.queues.dispatch_backlog, 0u);
+  EXPECT_EQ(seen.queues.executing, 0u);
+
   server.request_shutdown();
   serve_thread.join();
 }
@@ -2321,22 +2339,22 @@ TEST(Server, ServeOnReturnsOnlyAfterAJobWhoseClientVanishedCompletes) {
     returned = true;
   });
 
-  std::unique_ptr<net::Stream> monitor = connect_with_timeout(listener->port());
+  std::unique_ptr<LineClient> monitor = connect_with_timeout(listener->port());
   {
-    const int fd = connect_loopback(listener->port());
-    ASSERT_GE(fd, 0);
-    net::Stream doomed(fd);
-    ASSERT_TRUE(doomed.write_all(std::string(kCoalescedRun) + "\n"));
+    LineClient doomed(listener->port());
+    ASSERT_TRUE(doomed.connected());
+    ASSERT_TRUE(doomed.send(std::string(kCoalescedRun) + "\n"));
     ASSERT_TRUE(
         poll_until([&] { return server.cache_stats().coalesced == 1u; }));
     linger reset{};
     reset.l_onoff = 1;  // close() sends RST: the server's read fails
-    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)),
+    ASSERT_EQ(::setsockopt(doomed.fd(), SOL_SOCKET, SO_LINGER, &reset,
+                           sizeof(reset)),
               0);
-  }  // ~Stream resets the connection mid-request
+  }  // ~LineClient resets the connection mid-request
   ASSERT_TRUE(poll_until([&] {
     std::string line;
-    if (!monitor->write_all("{\"type\":\"metrics\"}\n") ||
+    if (!monitor->send("{\"type\":\"metrics\"}\n") ||
         !monitor->read_line(line)) {
       return false;
     }
@@ -2374,22 +2392,20 @@ TEST(Server, ClientVanishingMidResponseDoesNotDisturbOthers) {
   // computation still finishes (and warms the cache); the dead socket is
   // reaped, not crashed into.
   {
-    const int fd = connect_loopback(listener->port());
-    ASSERT_GE(fd, 0);
-    net::Stream doomed(fd);
-    ASSERT_TRUE(doomed.write_all(std::string(kCoalescedRun) + "\n"));
-  }  // ~Stream closes the socket mid-computation
+    LineClient doomed(listener->port());
+    ASSERT_TRUE(doomed.connected());
+    ASSERT_TRUE(doomed.send(std::string(kCoalescedRun) + "\n"));
+  }  // ~LineClient closes the socket mid-computation
   ASSERT_TRUE(
       poll_until([&] { return server.cache_stats().insertions == 1u; }));
 
-  const int fd = connect_loopback(listener->port());
-  ASSERT_GE(fd, 0);
-  net::Stream survivor(fd);
+  LineClient survivor(listener->port());
+  ASSERT_TRUE(survivor.connected());
   Server reference;
   const std::string expected = reference.handle(kCoalescedRun);
   std::string got;
-  ASSERT_TRUE(survivor.write_all(std::string(kCoalescedRun) + "\n"));
-  ASSERT_TRUE(read_lines(survivor, 1, got));
+  ASSERT_TRUE(survivor.send(std::string(kCoalescedRun) + "\n"));
+  ASSERT_TRUE(survivor.read_lines(1, got));
   EXPECT_EQ(got, expected);  // served from the cache the doomed run warmed
   EXPECT_EQ(server.cache_stats().hits, 1u);
 
@@ -2397,7 +2413,7 @@ TEST(Server, ClientVanishingMidResponseDoesNotDisturbOthers) {
   // the survivor active. The gauge refreshes per loop tick, so poll.
   ServeStats seen;
   ASSERT_TRUE(poll_until([&] {
-    if (!survivor.write_all("{\"type\":\"metrics\"}\n")) return false;
+    if (!survivor.send("{\"type\":\"metrics\"}\n")) return false;
     std::string line;
     if (!survivor.read_line(line)) return false;
     seen = ServeStats::from_wire(json::parse(line));
@@ -2457,11 +2473,10 @@ void expect_saturated_clients_match_serial(int clients) {
 
   // Idle connections held open across the whole run: they must cost
   // nothing and delay no one.
-  std::vector<std::unique_ptr<net::Stream>> idles;
+  std::vector<std::unique_ptr<LineClient>> idles;
   for (int i = 0; i < kIdle; ++i) {
-    const int fd = connect_loopback(listener->port());
-    ASSERT_GE(fd, 0);
-    idles.push_back(std::make_unique<net::Stream>(fd));
+    idles.push_back(std::make_unique<LineClient>(listener->port()));
+    ASSERT_TRUE(idles.back()->connected());
   }
 
   std::vector<std::string> got(n);
@@ -2471,24 +2486,21 @@ void expect_saturated_clients_match_serial(int clients) {
   threads.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     threads.emplace_back([&, i] {
-      const int fd = connect_loopback(listener->port());
-      EXPECT_GE(fd, 0);
-      std::unique_ptr<net::Stream> stream;
-      if (fd >= 0) stream = std::make_unique<net::Stream>(fd);
+      LineClient client(listener->port());
+      EXPECT_TRUE(client.connected());
       auto wave = [&] {
-        if (stream == nullptr) return;
+        if (!client.connected()) return;
         const std::string requests[] = {unique_run(i), shared_run};
         std::string lines;
         if (i % 2 == 0) {
-          EXPECT_TRUE(stream->write_all(requests[0] + "\n" + requests[1] +
-                                        "\n"));
-          if (read_lines(*stream, 2, lines)) got[i] += lines;
+          EXPECT_TRUE(client.send(requests[0] + "\n" + requests[1] + "\n"));
+          if (client.read_lines(2, lines)) got[i] += lines;
           return;
         }
         for (const std::string& request : requests) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          EXPECT_TRUE(stream->write_all(request + "\n"));
-          if (!read_lines(*stream, 1, lines)) return;
+          EXPECT_TRUE(client.send(request + "\n"));
+          if (!client.read_lines(1, lines)) return;
           got[i] += lines;
         }
       };
@@ -2516,15 +2528,14 @@ void expect_saturated_clients_match_serial(int clients) {
   EXPECT_EQ(stats.inflight, 0u);
 
   // Orderly drain: the idle clients get EOF, not abandonment.
-  const int fd = connect_loopback(listener->port());
-  ASSERT_GE(fd, 0);
-  net::Stream stopper(fd);
-  ASSERT_TRUE(stopper.write_all("{\"type\":\"shutdown\"}\n"));
+  LineClient stopper(listener->port());
+  ASSERT_TRUE(stopper.connected());
+  ASSERT_TRUE(stopper.send("{\"type\":\"shutdown\"}\n"));
   std::string bye;
   ASSERT_TRUE(stopper.read_line(bye));
   EXPECT_EQ(bye, "{\"ok\":true,\"type\":\"shutdown\"}");
   serve_thread.join();
-  for (const std::unique_ptr<net::Stream>& idle : idles) {
+  for (const std::unique_ptr<LineClient>& idle : idles) {
     std::string nothing;
     EXPECT_FALSE(idle->read_line(nothing));
   }

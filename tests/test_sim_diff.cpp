@@ -343,11 +343,20 @@ TEST(SimDiff, ReportsMatchGoldenWireForms) {
   for (const Scenario& sc : corpus(/*seed=*/0x51fd1ff, /*n=*/12)) {
     std::optional<api::Scenario> scenario;
     try {
+      const parallel::ParallelConfig& cfg = sc.cfg;
       scenario = api::ScenarioBuilder()
                      .name(sc.tag)
                      .model(sc.spec)
                      .cluster(sc.cluster)
-                     .config(sc.cfg)
+                     .pp(cfg.n_pp)
+                     .tp(cfg.n_tp)
+                     .dp(cfg.n_dp)
+                     .smb(cfg.s_mb)
+                     .nmb(cfg.n_mb)
+                     .loop(cfg.n_loop)
+                     .schedule(parallel::to_string(cfg.schedule))
+                     .sharding(parallel::to_string(cfg.sharding))
+                     .overlap(cfg.overlap_dp, cfg.overlap_pp)
                      .build();
     } catch (const ConfigError&) {
       continue;  // structurally invalid corpus point; the engine never runs
