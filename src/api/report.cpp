@@ -1,6 +1,7 @@
 #include "api/report.h"
 
 #include <algorithm>
+#include <cmath>
 #include <initializer_list>
 #include <string_view>
 #include <utility>
@@ -235,7 +236,11 @@ std::vector<double> wire_doubles(const json::Value& v, const char* key,
   std::vector<double> out;
   out.reserve(n);
   for (const json::Value& item : field.items()) {
+    // to_wire() writes only finite doubles; an overflowing literal such
+    // as 1e999 is corruption, which to_wire() could not write back.
     out.push_back(item.as_number(key));
+    check_config(std::isfinite(out.back()),
+                 "report: \"%s\" must hold finite numbers", key);
   }
   return out;
 }

@@ -10,14 +10,10 @@
 #include <exception>
 #include <utility>
 
-#include "api/api.h"
-#include "api/cli.h"
-#include "api/compare.h"
 #include "api/registry.h"
 #include "api/sweep.h"
 #include "common/error.h"
 #include "common/json.h"
-#include "common/serialize.h"
 #include "common/socket.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -25,10 +21,6 @@
 namespace bfpp::api {
 
 namespace {
-
-// Bumped whenever the cache-file line format changes; a mismatched
-// snapshot is ignored (cold start), never misread.
-constexpr int kCacheFileVersion = 1;
 
 // A client whose response bytes make zero progress for this long (the
 // socket stays unwritable) is treated as gone, which bounds how long a
@@ -52,324 +44,88 @@ constexpr int kListenBacklog = 128;
 // cannot stall every client while it renders.
 constexpr size_t kMaxInlineCells = 64;
 
-// One cache-file entry line: what save() writes per entry and what the
-// journal appends per inserted cell.
-std::string cache_entry_line(const std::string& key, const Report& report) {
-  return "{\"key\":" + json_quote(key) + ",\"report\":" + report.to_wire() +
-         "}\n";
+std::string json_names(const std::vector<std::string>& names) {
+  std::vector<std::string> quoted;
+  quoted.reserve(names.size());
+  for (const std::string& name : names) quoted.push_back(json_quote(name));
+  return str_format("[%s]", join(quoted, ",").c_str());
 }
 
-// Opens the cache file for appending ("a": every write lands at the
-// current end); nullptr, after a stderr warning, when it cannot.
-std::FILE* open_journal(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "a");
-  if (file == nullptr) {
-    std::fprintf(stderr, "bfpp serve: cannot append to cache file '%s': %s\n",
-                 path.c_str(), errno_string(errno).c_str());
-  }
-  return file;
-}
-
-}  // namespace
-
-// ---- ReportCache ----
-
-ReportCache::ReportCache(size_t capacity) : capacity_(capacity) {
-  counters_.capacity = capacity;
-}
-
-ReportCache::Probe ReportCache::probe_or_lead(const std::string& key) {
-  const LockGuard lock(mutex_);
-  Probe probe;
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    ++counters_.hits;
-    lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
-    probe.report = it->second->report;
-    return probe;
-  }
-  const auto flight = inflight_.find(key);
-  if (flight != inflight_.end()) {
-    ++counters_.coalesced;
-    probe.waiting = flight->second;
-    return probe;
-  }
-  ++counters_.misses;
-  inflight_.emplace(key, std::make_shared<InFlight>());
-  probe.leader = true;
-  return probe;
-}
-
-std::optional<ReportCache::Tails> ReportCache::find_tails(
-    std::span<const std::string_view> keys, RowFormat format) {
-  const auto slot = static_cast<size_t>(format);
-  Tails tails;
-  tails.ends.reserve(keys.size());
-  std::vector<std::pair<size_t, Report>> untailed;  // key index, a copy
-  {
-    const LockGuard lock(mutex_);
-    std::vector<decltype(lru_)::iterator> nodes;
-    nodes.reserve(keys.size());
-    size_t bytes = 0;
-    for (const std::string_view key : keys) {
-      const auto it = index_.find(key);
-      if (it == index_.end()) return std::nullopt;
-      nodes.push_back(it->second);
-      bytes += it->second->tails[slot].size();
-    }
-    tails.bytes.reserve(bytes);
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      lru_.splice(lru_.begin(), lru_, nodes[i]);  // promote, in key order
-      const std::string& tail = nodes[i]->tails[slot];
-      if (tail.empty()) untailed.emplace_back(i, nodes[i]->report);
-      tails.bytes += tail;
-      tails.ends.push_back(tails.bytes.size());
-    }
-    counters_.hits += keys.size();
-  }
-  if (untailed.empty()) return tails;
-  // Render the missing tails unlocked, splice them into the buffer at
-  // their keys' places, then store them.
-  std::vector<std::string> rendered;
-  rendered.reserve(untailed.size());
-  Tails filled;
-  filled.ends.reserve(keys.size());
-  size_t next = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (next < untailed.size() && untailed[next].first == i) {
-      rendered.push_back(row_tail(std::move(untailed[next++].second), format));
-      filled.bytes += rendered.back();
-    } else {
-      filled.bytes += tails[i];
-    }
-    filled.ends.push_back(filled.bytes.size());
-  }
-  const LockGuard lock(mutex_);
-  for (size_t j = 0; j < untailed.size(); ++j) {
-    const auto it = index_.find(keys[untailed[j].first]);
-    if (it != index_.end() && it->second->tails[slot].empty()) {
-      it->second->tails[slot] = std::move(rendered[j]);
-    }
-  }
-  return filled;
-}
-
-void ReportCache::follow(const std::shared_ptr<InFlight>& entry,
-                         Follower follower) {
-  std::optional<Report> result;
-  {
-    const LockGuard lock(mutex_);
-    if (!entry->done) {
-      entry->followers.push_back(std::move(follower));
-      return;
-    }
-    result = entry->result;
-  }
-  follower(std::move(result));
-}
-
-std::vector<ReportCache::Follower> ReportCache::finish_inflight_locked(
-    const std::string& key, const std::optional<Report>& result) {
-  const auto it = inflight_.find(key);
-  if (it == inflight_.end()) return {};
-  const std::shared_ptr<InFlight> entry = std::move(it->second);
-  inflight_.erase(it);
-  entry->result = result;
-  entry->done = true;
-  return std::move(entry->followers);
-}
-
-ReportCache::Handoff ReportCache::publish(const std::string& key,
-                                          Report report) {
-  std::vector<Follower> followers;
-  {
-    const LockGuard lock(mutex_);
-    if (capacity_ > 0) {
-      const InsertOutcome outcome = insert_locked(key, report);
-      if (outcome.inserted) ++counters_.insertions;
-      counters_.evictions += outcome.evicted;
-    }
-    // Followers are handed the result through the entry itself, so they
-    // are served even when the cache is disabled or the new cell was
-    // immediately evicted.
-    followers = finish_inflight_locked(key, report);
-  }
-  return {std::move(followers), std::move(report)};
-}
-
-void ReportCache::abandon(const std::string& key) {
-  std::vector<Follower> followers;
-  {
-    const LockGuard lock(mutex_);
-    followers = finish_inflight_locked(key, std::nullopt);
-  }
-  for (Follower& follower : followers) follower(std::nullopt);
-}
-
-ReportCache::Handoff::Handoff(std::vector<Follower> followers, Report result)
-    : followers_(std::move(followers)) {
-  if (!followers_.empty()) result_ = std::move(result);
-}
-
-ReportCache::Handoff& ReportCache::Handoff::operator=(
-    Handoff&& other) noexcept {
-  std::swap(followers_, other.followers_);
-  std::swap(result_, other.result_);
-  return *this;
-}
-
-ReportCache::Handoff::~Handoff() {
-  for (Follower& follower : followers_) follower(result_);
-}
-
-ReportCache::InsertOutcome ReportCache::insert_locked(const std::string& key,
-                                                      Report report) {
-  InsertOutcome outcome;
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->report = std::move(report);
-    it->second->tails = {};
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return outcome;  // a refresh + promote, nothing new or evicted
-  }
-  lru_.push_front({key, std::move(report), {}});
-  index_.emplace(lru_.front().key, lru_.begin());
-  outcome.inserted = true;
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++outcome.evicted;
-  }
-  return outcome;
-}
-
-bool ReportCache::save(const std::string& path) const {
-  // Copy the entries out under the lock, serialize outside it: to_wire()
-  // over the whole cache is the expensive part, and holding the mutex
-  // through it would stall every concurrent session's probe/publish.
-  std::vector<std::pair<std::string, Report>> entries;
-  {
-    const LockGuard lock(mutex_);
-    // LRU first, MRU last: load() re-inserts in file order and ends up
-    // with the same recency order this cache has now.
-    entries.reserve(lru_.size());
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      entries.emplace_back(it->key, it->report);
-    }
-  }
-  std::string out = str_format("{\"bfpp_report_cache\":%d,\"entries\":%zu}\n",
-                               kCacheFileVersion, entries.size());
-  for (const auto& [key, report] : entries) {
-    out += cache_entry_line(key, report);
-  }
-  if (!serialize::write_file_atomic(path, out)) {
-    std::fprintf(stderr, "bfpp serve: cannot persist cache to '%s': %s\n",
-                 path.c_str(), errno_string(errno).c_str());
-    return false;
-  }
-  return true;
-}
-
-size_t ReportCache::load(const std::string& path, bool* compact) {
-  if (compact != nullptr) *compact = false;
-  if (capacity_ == 0) return 0;  // caching disabled: nothing to warm
-  const std::optional<std::string> content = serialize::read_file(path);
-  if (!content.has_value()) return 0;  // no snapshot yet: cold start
-  const std::vector<std::string> lines = serialize::split_lines(*content);
-  double header_entries = -1;  // absent: never matches a line count
-  try {
-    check_config(!lines.empty(), "empty file");
-    const json::Value header = json::parse(lines[0]);
-    const json::Value* version = header.get("bfpp_report_cache");
-    check_config(version != nullptr &&
-                     version->as_int("bfpp_report_cache") == kCacheFileVersion,
-                 "missing or unsupported \"bfpp_report_cache\" version");
-    const json::Value* entries = header.get("entries");
-    if (entries != nullptr && entries->is_number()) {
-      header_entries = entries->as_number();
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr,
-                 "bfpp serve: ignoring cache file '%s' (not a bfpp report "
-                 "cache snapshot: %s)\n",
-                 path.c_str(), e.what());
-    return 0;
-  }
-  size_t loaded = 0;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    try {
-      const json::Value entry = json::parse(lines[i]);
-      const json::Value* key = entry.get("key");
-      const json::Value* report = entry.get("report");
-      check_config(key != nullptr && report != nullptr,
-                   "entry needs \"key\" and \"report\"");
-      Report parsed = Report::from_wire(*report);
-      const LockGuard lock(mutex_);
-      insert_locked(key->as_string("key"), std::move(parsed));
-      ++loaded;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr,
-                   "bfpp serve: skipping corrupt cache entry (line %zu of "
-                   "'%s'): %s\n",
-                   i + 1, path.c_str(), e.what());
-    }
-  }
-  if (compact != nullptr) {
-    const size_t entry_lines = lines.size() - 1;
-    const LockGuard lock(mutex_);
-    *compact = header_entries == static_cast<double>(entry_lines) &&
-               loaded == entry_lines && lru_.size() == entry_lines;
-  }
-  return loaded;
-}
-
-ReportCache::Stats ReportCache::stats() const {
-  const LockGuard lock(mutex_);
-  Stats out = counters_;
-  out.entries = lru_.size();
-  out.inflight = inflight_.size();
+// One response line: '{' + ["id":<echo>,] + fields + '}\n'.
+std::string response_line(const std::string& id_echo,
+                          const std::string& fields) {
+  std::string out = "{";
+  if (!id_echo.empty()) out += "\"id\":" + id_echo + ",";
+  out += fields;
+  out += "}\n";
   return out;
 }
 
-std::string cache_key(const Scenario& scenario,
-                      const std::optional<autotune::Method>& method,
-                      const RunOptions& options) {
-  // describe() round-trips through ParallelConfig::parse, so it is a
-  // faithful (injective) encoding of the whole configuration, overlap
-  // flags included. Structural model/cluster fields guard against two
-  // specs sharing a display name; total_gpus covers ':<n_nodes>' resizes.
-  // Written through one StringWriter: keys are built on the event loop's
-  // serial path.
-  const model::TransformerSpec& model = scenario.model;
-  std::string key;
-  {
-    StringWriter w(key,
-                   320 + model.name.size() + scenario.cluster.name.size());
-    w << "model=" << model.name << "#l" << model.n_layers << 'h'
-      << model.hidden_size << 's' << model.seq_len << 'v' << model.vocab_size
-      << "|cluster=" << scenario.cluster.name << '#'
-      << scenario.cluster.total_gpus() << "gpus|cfg=";
-    if (scenario.config.has_value()) {
-      scenario.config->describe(w);
-    } else {
-      w << '-';
-    }
-    w << "|batch=" << scenario.batch_size << "|method="
-      << (method.has_value() ? autotune::to_string(*method) : "-")
-      << "|backend=" << to_string(options.backend) << "|kernel=";
-    if (!options.kernel.has_value()) w << "default";
+std::string error_line(const std::string& id_echo, const std::string& what) {
+  return response_line(id_echo, "\"ok\":false,\"error\":" + json_quote(what));
+}
+
+// The error line for the exception being handled: call only inside a
+// catch block. Anything that is not a std::exception propagates.
+std::string current_error_line(const std::string& id_echo) {
+  try {
+    throw;
+  } catch (const Error& e) {
+    return error_line(id_echo, e.what());
+  } catch (const std::exception& e) {
+    return error_line(id_echo, std::string("internal: ") + e.what());
   }
-  if (options.kernel.has_value()) {
-    append_general(key, options.kernel->max_efficiency, 17) += '/';
-    append_general(key, options.kernel->narrow_half, 17) += '/';
-    append_general(key, options.kernel->rows_half, 17);
+}
+
+// The answer to a request line over net::kMaxRequestLineBytes; either
+// transport stops reading after it.
+std::string overlong_line_error() {
+  return error_line("", str_format("serve: request line exceeds %zu bytes "
+                                   "without a newline; closing the "
+                                   "connection",
+                                   net::kMaxRequestLineBytes));
+}
+
+// The label a cached Report is shown under: the cache key deliberately
+// excludes the cosmetic label, so a sweep cell can satisfy a later run
+// request and vice versa.
+const std::string& shown_label(const std::string& label,
+                               const Scenario& scenario) {
+  return label.empty() ? scenario.name : label;
+}
+
+// Payload rendering shared by run/search/sweep/compare responses, from
+// the computed Reports or from cached row tails, appended to `out`:
+// `append_row(i, out)` appends row i, rows in order. A run or search
+// answers with its one report inline.
+template <class AppendRow>
+void append_rows_response(std::string& out, const std::string& id_echo,
+                          const std::string& type, size_t rows,
+                          RowFormat format, const AppendRow& append_row) {
+  const bool csv = format == RowFormat::kCsv;
+  out.reserve(out.size() + 160 + rows * (csv ? 256 : 1024));
+  out += '{';
+  if (!id_echo.empty()) (out += "\"id\":").append(id_echo) += ',';
+  (out += "\"ok\":true,\"type\":\"").append(type) += '"';
+  if (!csv && (type == "run" || type == "search")) {
+    out += ",\"report\":";
+    append_row(size_t{0}, out);
+    out += "}\n";
+    return;
   }
-  return key;
+  if (csv) out += ",\"format\":\"csv\"";
+  const auto lines = static_cast<long long>(csv ? rows + 1 : rows);
+  append_int(out += ",\"rows\":", static_cast<long long>(rows));
+  append_int(out += ",\"lines\":", lines);
+  out += "}\n";
+  if (csv) (out += Report::csv_header()) += '\n';
+  for (size_t i = 0; i < rows; ++i) {
+    append_row(i, out);
+    out += '\n';
+  }
 }
 
 // ---- ServeStats wire format ----
-
-namespace {
 
 // Same contract as report.cpp's reader helpers: a wire field must be
 // present, so its absence is a parse error naming the key.
@@ -392,7 +148,7 @@ std::string u64_list(const std::vector<uint64_t>& xs) {
   for (const uint64_t x : xs) {
     out.push_back(str_format("%llu", static_cast<unsigned long long>(x)));
   }
-  return "[" + join(out, ",") + "]";
+  return str_format("[%s]", join(out, ",").c_str());
 }
 
 }  // namespace
@@ -474,211 +230,7 @@ ServeStats ServeStats::from_wire(const json::Value& value) {
   return s;
 }
 
-// ---- Request parsing ----
-
-namespace {
-
-std::string json_names(const std::vector<std::string>& names) {
-  std::vector<std::string> quoted;
-  quoted.reserve(names.size());
-  for (const std::string& name : names) quoted.push_back(json_quote(name));
-  return "[" + join(quoted, ",") + "]";
-}
-
-// One response line: '{' + ["id":<echo>,] + fields + '}\n'.
-std::string response_line(const std::string& id_echo,
-                          const std::string& fields) {
-  std::string out = "{";
-  if (!id_echo.empty()) out += "\"id\":" + id_echo + ",";
-  out += fields;
-  out += "}\n";
-  return out;
-}
-
-std::string error_line(const std::string& id_echo, const std::string& what) {
-  return response_line(id_echo, "\"ok\":false,\"error\":" + json_quote(what));
-}
-
-// The error line for the exception being handled: call only inside a
-// catch block. Anything that is not a std::exception propagates.
-std::string current_error_line(const std::string& id_echo) {
-  try {
-    throw;
-  } catch (const Error& e) {
-    return error_line(id_echo, e.what());
-  } catch (const std::exception& e) {
-    return error_line(id_echo, std::string("internal: ") + e.what());
-  }
-}
-
-// The answer to a request line over net::kMaxRequestLineBytes; either
-// transport stops reading after it.
-std::string overlong_line_error() {
-  return error_line("", str_format("serve: request line exceeds %zu bytes "
-                                   "without a newline; closing the "
-                                   "connection",
-                                   net::kMaxRequestLineBytes));
-}
-
-std::vector<std::string> names_from(const json::Value& v, const char* key) {
-  if (v.is_array()) {
-    std::vector<std::string> out;
-    out.reserve(v.size());
-    for (const json::Value& item : v.items()) {
-      out.push_back(item.as_string(key));
-    }
-    check_config(!out.empty(), "serve: \"%s\" must not be an empty list", key);
-    return out;
-  }
-  return {v.as_string(key)};
-}
-
-std::vector<int> ints_from(const json::Value& v, const char* key) {
-  if (v.is_array()) {
-    std::vector<int> out;
-    out.reserve(v.size());
-    for (const json::Value& item : v.items()) out.push_back(item.as_int(key));
-    check_config(!out.empty(), "serve: \"%s\" must not be an empty list", key);
-    return out;
-  }
-  return {v.as_int(key)};
-}
-
-hw::KernelModel kernel_from(const json::Value& v,
-                            const hw::KernelModel& defaults) {
-  check_config(v.is_object(), "serve: \"kernel\" must be an object");
-  hw::KernelModel kernel = defaults;
-  for (const auto& [key, field] : v.members()) {
-    if (key == "max_efficiency") {
-      kernel.max_efficiency = field.as_number("kernel.max_efficiency");
-    } else if (key == "narrow_half") {
-      kernel.narrow_half = field.as_number("kernel.narrow_half");
-    } else if (key == "rows_half") {
-      kernel.rows_half = field.as_number("kernel.rows_half");
-    } else {
-      throw ConfigError(str_format(
-          "serve: unknown \"kernel\" field '%s' (max_efficiency, "
-          "narrow_half or rows_half)",
-          key.c_str()));
-    }
-  }
-  return kernel;
-}
-
-// The compact JSON to echo back as "id" (empty = none). Extracted before
-// the rest of the request parses, so even malformed requests keep their
-// correlation id.
-std::string id_echo_from(const json::Value& root) {
-  check_config(root.is_object(), "serve: a request must be a JSON object");
-  const json::Value* id = root.get("id");
-  if (id == nullptr) return {};
-  if (id->is_string()) return json_quote(id->as_string());
-  if (id->is_number()) {
-    // Integral ids (the common case: counters, epoch timestamps) echo
-    // back digit-for-digit; only genuinely fractional ids round-trip
-    // through shortest-faithful double formatting. Non-finite values
-    // (e.g. an overflowing 1e400 literal) would print as bare `inf`
-    // and corrupt the response line.
-    const double x = id->as_number();
-    check_config(std::isfinite(x), "serve: \"id\" must be a finite number");
-    std::string echo;
-    if (x == std::floor(x) && std::abs(x) <= 9007199254740992.0) {
-      return append_int(echo, static_cast<long long>(x));
-    }
-    return append_general(echo, x, 17);
-  }
-  throw ConfigError("serve: \"id\" must be a string or a number");
-}
-
-// The number of cells a sweep's axis lists name: the product of their
-// lengths (an unset axis counts once), exactly the cells
-// SweepBuilder::walk visits. Stops counting past `cap`, so no product of
-// 1 MiB of axis values can overflow.
-size_t sweep_cells(const ScenarioAxes& axes, size_t cap) {
-  size_t cells = 1;
-  for (const AxisSpec& axis : scenario_axes()) {
-    cells *= std::max<size_t>(axis.size(axes), 1);
-    if (cells > cap) return cap + 1;
-  }
-  return cells;
-}
-
-// The label a cached Report is shown under: the cache key deliberately
-// excludes the cosmetic label, so a sweep cell can satisfy a later run
-// request and vice versa.
-const std::string& shown_label(const std::string& label,
-                               const Scenario& scenario) {
-  return label.empty() ? scenario.name : label;
-}
-
-// Payload rendering shared by run/search/sweep/compare responses, from
-// the computed Reports or from cached row tails, appended to `out`:
-// `append_row(i, out)` appends row i, rows in order. A run or search
-// answers with its one report inline.
-template <class AppendRow>
-void append_rows_response(std::string& out, const std::string& id_echo,
-                          const std::string& type, size_t rows,
-                          RowFormat format, const AppendRow& append_row) {
-  const bool csv = format == RowFormat::kCsv;
-  out.reserve(out.size() + 160 + rows * (csv ? 256 : 1024));
-  out += '{';
-  if (!id_echo.empty()) (out += "\"id\":").append(id_echo) += ',';
-  (out += "\"ok\":true,\"type\":\"").append(type) += '"';
-  if (!csv && (type == "run" || type == "search")) {
-    out += ",\"report\":";
-    append_row(size_t{0}, out);
-    out += "}\n";
-    return;
-  }
-  if (csv) out += ",\"format\":\"csv\"";
-  const auto lines = static_cast<long long>(csv ? rows + 1 : rows);
-  append_int(out += ",\"rows\":", static_cast<long long>(rows));
-  append_int(out += ",\"lines\":", lines);
-  out += "}\n";
-  if (csv) (out += Report::csv_header()) += '\n';
-  for (size_t i = 0; i < rows; ++i) {
-    append_row(i, out);
-    out += '\n';
-  }
-}
-
-}  // namespace
-
 // ---- Server ----
-
-Server::Server(ServeOptions options)
-    : options_(std::move(options)), cache_(options_.cache_capacity) {
-  if (options_.cache_file.empty()) return;
-  bool compact = false;
-  const size_t loaded = cache_.load(options_.cache_file, &compact);
-  if (loaded > 0) {
-    std::fprintf(stderr,
-                 "bfpp serve: warmed cache with %zu entr%s from '%s'\n",
-                 loaded, loaded == 1 ? "y" : "ies",
-                 options_.cache_file.c_str());
-  }
-  if (!journaled()) return;
-  const LockGuard lock(journal_mutex_);
-  // A clean snapshot is appended to as it is, so a warm start costs no
-  // rewrite. Anything else - no file, an unreadable one, a journal tail,
-  // torn or duplicate lines, more entries than this capacity keeps - is
-  // compacted first, so appends never land after a torn line.
-  if (!compact) {
-    (void)compact_locked();
-    return;
-  }
-  journal_ = open_journal(options_.cache_file);
-}
-
-Server::~Server() {
-  const LockGuard lock(journal_mutex_);
-  if (journal_ != nullptr) std::fclose(journal_);
-}
-
-Server::Conn::Conn(net::Stream&& s)
-    : stream(std::make_unique<net::Stream>(std::move(s))) {}
-
-Server::Conn::~Conn() = default;
 
 void Server::request_shutdown() {
   shutdown_ = true;
@@ -688,55 +240,11 @@ void Server::request_shutdown() {
   wake_.signal();
 }
 
-bool Server::persist_cache() {
-  if (options_.cache_file.empty()) return false;
-  const LockGuard lock(journal_mutex_);
-  return compact_locked();
-}
-
-bool Server::compact_locked() {
-  // Reset even on failure: a failing save is retried after another
-  // capacity's worth of appends, not on every insert.
-  journal_lines_ = 0;
-  if (!cache_.save(options_.cache_file)) return false;
-  if (!journaled()) return true;
-  // The rename replaced the file the old handle appends to; every later
-  // append goes after the new snapshot.
-  if (journal_ != nullptr) std::fclose(journal_);
-  journal_ = open_journal(options_.cache_file);
-  return true;
-}
-
-void Server::publish(const std::string& key, const Report& report) {
-  if (!journaled()) {
-    cache_.publish(key, report);
-    return;
-  }
-  const std::string line = cache_entry_line(key, report);  // unlocked
-  // Declared before the lock, so the followers run after it is released.
-  ReportCache::Handoff followers;
-  const LockGuard lock(journal_mutex_);
-  // Append (and flush to the kernel) first, then publish: followers
-  // are answered, and the cell becomes a hit, only once its line is in
-  // the file. A kill -9 can tear at most this one line, which load()
-  // skips.
-  if (journal_ != nullptr && (std::fputs(line.c_str(), journal_) == EOF ||
-                              std::fflush(journal_) == EOF)) {
-    std::fprintf(stderr, "bfpp serve: cannot append to cache file '%s': %s\n",
-                 options_.cache_file.c_str(), errno_string(errno).c_str());
-  }
-  followers = cache_.publish(key, report);
-  // Compacting at the capacity bounds the file at twice the capacity in
-  // entry lines: at most one full snapshot plus one capacity of appends.
-  if (++journal_lines_ >= options_.cache_capacity) (void)compact_locked();
-}
-
 struct Server::Job {
   Request request;
   // Hands the rendered response on, once: to the event loop's completion
   // queue, or to handle()'s waiting caller.
   std::function<void(Job&, std::string)> deliver;
-  std::chrono::steady_clock::time_point started;
   std::unique_ptr<Engine> engine;              // shared by every cell led
   std::vector<std::optional<Report>> reports;  // by cell index
   // One count for the loop over the cells this job leads, plus one per
@@ -760,8 +268,7 @@ struct Server::Job {
 };
 
 void Server::start(const std::shared_ptr<Job>& job, bool caller_drives) {
-  job->started = std::chrono::steady_clock::now();
-  const std::vector<Cell>& cells = job->request.cells;
+  const std::vector<RequestCell>& cells = job->request.cells;
   job->reports.resize(cells.size());
   // Phase 1, serial: single-flight-probe the cache. Cells that hit are
   // relabelled; uncached cells are either claimed (this job leads and
@@ -811,7 +318,7 @@ void Server::start(const std::shared_ptr<Job>& job, bool caller_drives) {
 }
 
 bool Server::probe(const std::shared_ptr<Job>& job, size_t i) {
-  const Cell& cell = job->request.cells[i];
+  const RequestCell& cell = job->request.cells[i];
   ReportCache::Probe found = cache_.probe_or_lead(cell.key);
   if (found.report.has_value()) {
     found.report->scenario = shown_label(cell.label, *cell.built);
@@ -828,7 +335,7 @@ bool Server::probe(const std::shared_ptr<Job>& job, size_t i) {
     // publishes it, so an erroring leader costs one extra computation,
     // never a hang.
     try {
-      const Cell& followed = job->request.cells[i];
+      const RequestCell& followed = job->request.cells[i];
       if (result.has_value()) {
         result->scenario = shown_label(followed.label, *followed.built);
         job->reports[i] = std::move(result);
@@ -847,11 +354,11 @@ void Server::lead(Job& job, size_t i) {
   // Through api::sweep's cell runner (infeasible cells become found=false
   // rows and are published like any other deterministic result), so
   // cached and uncached cells render identically.
-  const Cell& cell = job.request.cells[i];
+  const RequestCell& cell = job.request.cells[i];
   try {
     Report report = run_cell(*cell.built, cell.label, cell.method,
                              *job.engine, job.request.run);
-    publish(cell.key, report);
+    cache_.publish(cell.key, report);
     job.reports[i] = std::move(report);
   } catch (...) {
     cache_.abandon(cell.key);
@@ -882,159 +389,9 @@ void Server::finish(Job& job) {
     response = current_error_line(req.id_echo);
   }
   job.engine.reset();
-  record_service(req.answered_in +
-                 (std::chrono::steady_clock::now() - job.started));
+  record_service(std::chrono::steady_clock::now() - req.received);
   metrics_.executing.fetch_sub(1, std::memory_order_relaxed);
   job.deliver(job, std::move(response));
-}
-
-void Server::parse(const std::string& line, Request& req) const {
-  const json::Value root = json::parse(line);
-  req.id_echo = id_echo_from(root);
-  req.run = options_.run;
-  req.jobs = options_.jobs;
-
-  const json::Value* type = root.get("type");
-  check_config(type != nullptr,
-               "serve: a request needs a \"type\" (run, search, sweep, "
-               "compare, stats, metrics, list, ping or shutdown)");
-  req.type = to_lower(type->as_string("type"));
-  const bool scenario_request =
-      req.type == "run" || req.type == "search" || req.type == "sweep" ||
-      req.type == "compare";
-  check_config(scenario_request || req.type == "stats" ||
-                   req.type == "metrics" || req.type == "list" ||
-                   req.type == "ping" || req.type == "shutdown",
-               "serve: unknown request type '%s' (run, search, sweep, "
-               "compare, stats, metrics, list, ping or shutdown)",
-               req.type.c_str());
-  const bool sweeping = req.type == "sweep";
-  CliOptions cli;  // the scenario, grid and method fields
-  cli.command = req.type;
-
-  for (const auto& [key, v] : root.members()) {
-    if (key == "id" || key == "type") continue;
-    // Most fields are axes: look them up before the other names.
-    const AxisSpec* axis = find_axis(key);
-    if (axis == nullptr && key == "what" && req.type == "list") {
-      req.list_what = v.as_string("what");
-      continue;
-    }
-    check_config(scenario_request,
-                 "serve: field \"%s\" is not valid for a '%s' request",
-                 key.c_str(), req.type.c_str());
-    if (axis != nullptr && req.type != "compare") {
-      // run simulates one exact configuration; silently ignoring a
-      // search method would mislead (mirrors the CLI's pinned-flag
-      // guards).
-      check_config(axis->names != &ScenarioAxes::method || req.type != "run",
-                   "serve: \"method\" applies to search and sweep "
-                   "requests, not run");
-      if (axis->ints != nullptr) {
-        cli.axes.*axis->ints = sweeping
-                                   ? ints_from(v, axis->name)
-                                   : std::vector<int>{v.as_int(axis->name)};
-      } else {
-        cli.axes.*axis->names =
-            sweeping ? names_from(v, axis->name)
-                     : std::vector<std::string>{v.as_string(axis->name)};
-      }
-    } else if (key == "format") {
-      const std::string format = to_lower(v.as_string("format"));
-      check_config(format == "json" || format == "csv",
-                   "serve: \"format\" must be \"json\" or \"csv\"");
-      req.format = format == "csv" ? RowFormat::kCsv : RowFormat::kJson;
-    } else if (key == "backend") {
-      req.run.backend = parse_backend(v.as_string("backend"));
-    } else if (key == "kernel") {
-      req.run.kernel =
-          kernel_from(v, req.run.kernel.value_or(hw::KernelModel{}));
-    } else if (key == "jobs") {
-      req.jobs = v.as_int("jobs");
-      check_config(req.jobs >= 0, "serve: \"jobs\" must be >= 0");
-    } else if (key == "grid") {
-      check_config(req.type == "compare",
-                   "serve: \"grid\" applies only to 'compare' requests");
-      cli.grid = v.as_string("grid");
-    } else if (req.type == "compare") {
-      // A compare grid is fully named; pinning scenario fields on top of
-      // it would be silently ignored, so reject them.
-      throw ConfigError(str_format(
-          "serve: field \"%s\" is not valid for a 'compare' request "
-          "(format, backend, kernel, jobs or grid)",
-          key.c_str()));
-    } else if (key == "preset") {
-      cli.preset = v.as_string("preset");
-    } else if (key == "megatron") {
-      cli.megatron = v.as_bool("megatron");
-    } else if (key == "no_dp_overlap") {
-      cli.no_dp_overlap = v.as_bool("no_dp_overlap");
-    } else if (key == "no_pp_overlap") {
-      cli.no_pp_overlap = v.as_bool("no_pp_overlap");
-    } else {
-      throw ConfigError(str_format(
-          "serve: unknown field \"%s\" for a '%s' request (see "
-          "docs/PROTOCOL.md)",
-          key.c_str(), req.type.c_str()));
-    }
-  }
-  if (req.type == "list") {
-    const std::string what = to_lower(req.list_what);
-    check_config(what == "models" || what == "clusters" ||
-                     what == "scenarios" || what == "all",
-                 "serve: unknown list target '%s' (models, clusters, "
-                 "scenarios or all)", req.list_what.c_str());
-    req.list_what = what;
-  }
-  req.run.threads = req.jobs;
-
-  if (req.type == "sweep" || req.type == "compare") {
-    // A compare request is a named sweep: the grid comes from
-    // compare_grid instead of axis fields, but the cells run through the
-    // same cached, coalesced path, so a warm cache serves a repeated
-    // compare without recomputing any cell. A sweep's size is checked
-    // from its axis lists, before its walk starts.
-    const auto add_cell = [&req](const ScenarioBuilder& scenario,
-                                 const std::optional<autotune::Method>& method,
-                                 const std::string& label) {
-      // The builder is named by the label, so the built scenario's name
-      // is the row's label: the one copy of it the cell keeps.
-      Cell& cell = req.cells.emplace_back();
-      cell.method = method;
-      try {
-        cell.built = scenario.build();
-      } catch (const ConfigError& e) {
-        cell.failed = failed_report(scenario.partial(), label, method,
-                                    "[config] ", e.what());
-        return;
-      }
-      cell.key = cache_key(*cell.built, method, req.run);
-    };
-    if (req.type == "compare") {
-      const ScenarioGrid grid = compare_grid(cli.grid);
-      req.cells.reserve(grid.size());
-      for (const SweepCell& cell : grid.cells()) {
-        add_cell(cell.scenario, cell.method, cell.label);
-      }
-    } else {
-      const size_t cells = sweep_cells(cli.axes, kMaxCellsPerRequest);
-      check_config(cells <= kMaxCellsPerRequest,
-                   "serve: a sweep may name at most %zu cells (the product "
-                   "of its axis lengths); split it into smaller sweeps",
-                   kMaxCellsPerRequest);
-      req.cells.reserve(cells);
-      sweep_from_cli(std::move(cli)).walk(add_cell);
-    }
-  } else if (req.type == "run" || req.type == "search") {
-    // One fully-validated cell. A structurally invalid scenario throws
-    // here and becomes an {"ok":false} line; infeasibility discovered
-    // during execution becomes a found=false report instead.
-    Cell& cell = req.cells.emplace_back();
-    cell.built = scenario_from_cli(cli);
-    cell.label = cli.preset.empty() ? "serve" : "";
-    if (req.type == "search") cell.method = search_method(cli);
-    cell.key = cache_key(*cell.built, cell.method, req.run);
-  }
 }
 
 bool Server::answer_from_cache(const Request& req, std::string& response) {
@@ -1081,7 +438,7 @@ bool Server::answer_from_cache(const Request& req, std::string& response) {
   if (req.cells.size() > kMaxInlineCells) return false;
   std::array<std::string_view, kMaxInlineCells> keys;
   size_t n_keys = 0;
-  for (const Cell& cell : req.cells) {
+  for (const RequestCell& cell : req.cells) {
     if (!cell.failed.has_value()) keys[n_keys++] = cell.key;
   }
   const std::optional<ReportCache::Tails> tails =
@@ -1091,7 +448,7 @@ bool Server::answer_from_cache(const Request& req, std::string& response) {
   append_rows_response(
       response, id_echo, req.type, req.cells.size(), req.format,
       [&](size_t i, std::string& out) {
-        const Cell& cell = req.cells[i];
+        const RequestCell& cell = req.cells[i];
         if (cell.failed.has_value()) {
           append_row(out, *cell.failed, req.format);
         } else {
@@ -1102,25 +459,22 @@ bool Server::answer_from_cache(const Request& req, std::string& response) {
   return true;
 }
 
-std::optional<Server::Request> Server::answer(const std::string& line,
-                                              std::string& response) {
+std::optional<Request> Server::answer(const std::string& line,
+                                      std::string& response) {
   response.clear();
   if (line.find_first_not_of(" \t\r\n") == std::string::npos) {
     return std::nullopt;  // blank keep-alive line: no response, no count
   }
   ++requests_;
-  const auto started = std::chrono::steady_clock::now();
   Request req;
+  req.received = std::chrono::steady_clock::now();
   try {
-    parse(line, req);
-    if (!answer_from_cache(req, response)) {
-      req.answered_in = std::chrono::steady_clock::now() - started;
-      return req;
-    }
+    parse_request(line, options_.run, options_.jobs, req);
+    if (!answer_from_cache(req, response)) return req;
   } catch (...) {
     response = current_error_line(req.id_echo);
   }
-  record_service(std::chrono::steady_clock::now() - started);
+  record_service(std::chrono::steady_clock::now() - req.received);
   return std::nullopt;
 }
 
@@ -1521,15 +875,16 @@ int Server::serve() {
   // event loop itself (--max-connections, with explicit rejection), not
   // by hiding excess connections in a kernel queue sized to the cap.
   net::Listener listener(options_.port, kListenBacklog);
+  const bool durable =
+      options_.cache_capacity > 0 && !options_.cache_file.empty();
   std::fprintf(
       stderr,
       "bfpp serve: listening on 127.0.0.1:%d (backend %s, cache %zu "
       "entries%s%s, up to %d concurrent connections); send "
       "{\"type\":\"shutdown\"} to stop\n",
       listener.port(), to_string(options_.run.backend),
-      options_.cache_capacity,
-      options_.cache_file.empty() ? "" : ", persisted to ",
-      options_.cache_file.c_str(), options_.max_connections);
+      options_.cache_capacity, durable ? ", persisted to " : "",
+      durable ? options_.cache_file.c_str() : "", options_.max_connections);
   return serve_on(listener);
 }
 

@@ -31,275 +31,41 @@
 // share one thread budget instead of oversubscribing the machine.
 // Admission control caps concurrency at --max-connections (over-cap
 // connects get an explicit JSON error, counted in `rejected`), and
-// per-connection fairness stops reading
-// from a client with --max-inflight-per-client requests pending
-// (backpressure instead of unbounded queueing). A request line over
-// net::kMaxRequestLineBytes (1 MiB) gets one {"ok":false,...} line and
-// a close (stdio: serving stops), and a sweep naming more than
-// kMaxCellsPerRequest cells gets one {"ok":false,...} line. handle() is
-// fully thread-safe, and a `metrics` request exposes latency
-// histograms, queue depths and connection-state counts (see ServeStats).
+// per-connection fairness stops reading from a client with
+// --max-inflight-per-client requests pending (backpressure instead of
+// unbounded queueing). A request line over net::kMaxRequestLineBytes
+// (1 MiB) gets one {"ok":false,...} line and a close (stdio: serving
+// stops); a sweep naming more than kMaxCellsPerRequest cells
+// (request.h) gets one such line and no close. handle() is fully
+// thread-safe, and a `metrics` request exposes latency histograms,
+// queue depths and connection-state counts (see ServeStats).
 //
-// Repeated cells are served from an LRU ReportCache keyed by
-// (model, cluster, config, backend, kernel-override) - the simulator is
-// deterministic, so a cached Report is byte-for-byte the one a fresh
-// simulation would produce. Concurrent requests for the same *uncached*
-// cell are single-flighted: one session computes it, the others follow
-// the in-flight entry and serve the identical bytes (no thundering
-// herd). Cache effectiveness is surfaced by the "stats" request, and
-// --cache-file makes the cache durable across restarts: the file is a
-// snapshot plus an append-only journal. Every inserted cell is appended
-// as one line before any request is answered with it, and the file is
-// compacted back to a plain snapshot on shutdown, by persist_cache(),
-// and whenever the appended lines reach the cache capacity.
+// Repeated cells are answered from the ReportCache (report_cache.h),
+// which also single-flights concurrent requests for one uncached cell
+// and, with --cache-file, keeps the cache durable across restarts. Cache
+// effectiveness is surfaced by the "stats" request.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <functional>
-#include <list>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
-#include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
-#include "api/report.h"
-#include "api/scenario.h"
-#include "autotune/autotune.h"
+#include "api/report_cache.h"
+#include "api/request.h"
 #include "common/mutex.h"
 #include "common/socket.h"
 #include "common/thread_annotations.h"
 
-namespace bfpp::json {
-class Value;
-}  // namespace bfpp::json
-
 namespace bfpp::api {
-
-// Thread-safe LRU cache of finished Reports. Keys are the canonical
-// strings cache_key() builds; capacity is an entry count (an entry is
-// about 0.9 KB, plus about 1 KB once find_tails() has rendered both its
-// row tails). A hit promotes to most-recently-used; an insert evicts
-// from the least-recently-used end once full. save()/load() make the
-// cache durable: a versioned JSON-lines snapshot of every cell,
-// negative (found=false) entries included.
-//
-// The cache is also the single-flight coalescing point: probe_or_lead()
-// appoints exactly one caller per uncached key as its *leader* (who
-// computes the cell and then publish()es or abandon()s it) and turns
-// every concurrent request for the same key into a *follower* that
-// follow()s the leader's in-flight entry with a callback and is handed
-// the byte-identical result - so N clients racing on a cold cell cost
-// one computation, not N, and none of them holds a thread meanwhile.
-class ReportCache {
- public:
-  explicit ReportCache(size_t capacity = 1024);
-
-  // A follower's callback: called once with the leader's Report, or with
-  // nullopt when the leader abandoned (the follower should
-  // probe_or_lead() again; it may be appointed the new leader). It runs
-  // on the thread that publishes or abandons, after mutex_ is released,
-  // and must not throw.
-  using Follower = std::function<void(std::optional<Report>)>;
-
-  // One in-flight (claimed but not yet published) computation. Probes
-  // hold a shared_ptr, so an entry retired between a probe and its
-  // follow() stays valid. `done`, `result` and `followers` are guarded
-  // by the owning cache's mutex_ (a nested struct cannot name an outer
-  // instance member in BFPP_GUARDED_BY, so the rule lives here).
-  struct InFlight {
-    bool done = false;             // publish() or abandon() happened
-    std::optional<Report> result;  // set by publish(); nullopt = abandoned
-    std::vector<Follower> followers;  // called once when it is done
-  };
-
-  // The outcome of a single-flight probe: exactly one of the three
-  // fields is set.
-  struct Probe {
-    std::optional<Report> report;       // cache hit (counted in hits)
-    std::shared_ptr<InFlight> waiting;  // another caller is computing this
-                                        // key: follow() it (counted in
-                                        // coalesced)
-    bool leader = false;  // the caller must compute the cell, then
-                          // publish() or abandon() it (counted in misses)
-  };
-
-  // The followers one publish() retired and the Report they are handed.
-  // Destroying it calls them, so they run after publish() has released
-  // mutex_, and a caller that keeps it alive can release its own locks
-  // first (Server::publish calls them outside its journal lock).
-  class Handoff {
-   public:
-    Handoff() = default;
-    Handoff(std::vector<Follower> followers, Report result);
-    Handoff(Handoff&&) = default;
-    // Swaps, so the followers this one held run when `other` goes.
-    Handoff& operator=(Handoff&& other) noexcept;
-    Handoff(const Handoff&) = delete;
-    Handoff& operator=(const Handoff&) = delete;
-    ~Handoff();
-
-   private:
-    std::vector<Follower> followers_;
-    std::optional<Report> result_;
-  };
-
-  // Non-blocking single-flight lookup. A hit returns the Report; an
-  // uncached key with no in-flight computation appoints the caller
-  // leader and registers the in-flight entry; an uncached key that is
-  // already being computed returns that entry to follow().
-  [[nodiscard]] Probe probe_or_lead(const std::string& key);
-
-  // Row tails of several entries, back to back in one buffer: tail i is
-  // bytes[ends[i - 1], ends[i]) (from 0 for i == 0).
-  struct Tails {
-    std::string bytes;
-    std::vector<size_t> ends;
-
-    [[nodiscard]] std::string_view operator[](size_t i) const {
-      const size_t begin = i == 0 ? 0 : ends[i - 1];
-      return std::string_view(bytes).substr(begin, ends[i] - begin);
-    }
-  };
-
-  // All-or-nothing lookup, which never appoints a leader. When every
-  // key is cached, promotes each to MRU in key order, counts one hit per
-  // key (as probe_or_lead() would) and returns each entry's row tail in
-  // `format` (row_tail() in report.h), in key order, so the event loop
-  // answers a hit by splicing labels in. Otherwise returns nullopt and
-  // changes nothing: no counter, no recency, no in-flight entry; misses
-  // and coalesced waits are counted by probe_or_lead() alone. Under the
-  // lock the tails are only copied, into one buffer. A tail is rendered
-  // only here, the first time it is asked for, from a copy of the Report
-  // outside the lock, then stored if the key is still cached: a key
-  // fixes its Report's bytes, so a refresh in between cannot make the
-  // stored tail wrong.
-  [[nodiscard]] std::optional<Tails> find_tails(
-      std::span<const std::string_view> keys, RowFormat format);
-
-  // Registers `follower` on the in-flight computation behind `entry`:
-  // publish() or abandon() calls it with the result (byte-identical to
-  // what the leader cached) or nullopt. When `entry` is already done,
-  // calls it here, at once, after releasing mutex_. Never blocks.
-  void follow(const std::shared_ptr<InFlight>& entry, Follower follower);
-
-  // Leader-side completion: inserts (or refreshes) the Report under
-  // `key` as the MRU entry, evicting LRU entries beyond capacity (no-op
-  // at capacity 0), and retires the in-flight entry, handing its
-  // followers the Report through the returned Handoff. Followers are
-  // served from the entry itself, so they receive the result even when
-  // the cache is full or disabled. Valid without a preceding
-  // probe_or_lead() too: a plain insert.
-  Handoff publish(const std::string& key, Report report);
-
-  // Leader-side failure: retires the in-flight entry *without* a result
-  // and calls every follower with nullopt, after releasing mutex_, so
-  // they can retry or re-lead. An errored leader must never leave
-  // followers unanswered.
-  void abandon(const std::string& key);
-
-  // Serializes every entry to `path` (atomic temp+rename; see
-  // common/serialize.h). Line 1 is a versioned header, then one
-  // {"key":...,"report":<wire form>} line per entry in LRU-to-MRU order
-  // so load() reconstructs the recency order. Returns false (after
-  // warning on stderr) on IO failure; never throws.
-  bool save(const std::string& path) const;
-
-  // Loads a save() snapshot - optionally followed by appended entry
-  // lines, the cache journal - into the cache. Lines replay in file
-  // order as inserts (a repeated key is a refresh), so the snapshot's
-  // recency order is rebuilt and capacity is respected. Corruption-
-  // tolerant: a missing file is a silent cold start, a bad header
-  // ignores the whole file with a stderr warning, and a corrupt or torn
-  // entry line is skipped with a warning - load never throws. Loaded
-  // entries do not count as insertions (the counters describe this
-  // process's traffic). Returns the number of entry lines loaded. When
-  // `compact` is given, sets it to whether the file is exactly one
-  // snapshot of what the cache now holds: a valid header whose
-  // "entries" count matches its entry lines, each of which loaded into
-  // a distinct retained entry.
-  size_t load(const std::string& path, bool* compact = nullptr);
-
-  struct Stats {
-    size_t entries = 0;
-    size_t capacity = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    // Requests that found their cell already being computed and followed
-    // the leader instead of recomputing (one count per probe).
-    uint64_t coalesced = 0;
-    // Gauge: cells currently claimed by a leader but not yet
-    // published/abandoned.
-    size_t inflight = 0;
-  };
-  [[nodiscard]] Stats stats() const;
-
- private:
-  // The one insert/promote/evict LRU body, shared by publish() (which
-  // turns the outcome into counter updates) and load() (which
-  // deliberately leaves the counters alone).
-  struct InsertOutcome {
-    bool inserted = false;  // false: an existing key was refreshed
-    uint64_t evicted = 0;
-  };
-  InsertOutcome insert_locked(const std::string& key, Report report)
-      BFPP_REQUIRES(mutex_);
-
-  // One cached cell. The key is stored here only: index_ keys are views
-  // of it (list nodes never move).
-  struct Entry {
-    std::string key;
-    Report report;
-    // row_tail(report, format), indexed by RowFormat; empty until
-    // find_tails() first asks for that format (a tail is never empty).
-    std::array<std::string, 2> tails;
-  };
-
-  // Retires the in-flight entry under `key` (if any) with `result` and
-  // returns its followers, for the caller to call once it unlocks.
-  std::vector<Follower> finish_inflight_locked(
-      const std::string& key, const std::optional<Report>& result)
-      BFPP_REQUIRES(mutex_);
-
-  // mutex_ guards every piece of cache state below: the LRU list (its
-  // entries' tails included) + its index, the single-flight table, the
-  // counters, and (transitively) the done/result/followers fields of
-  // every InFlight entry. Nothing is rendered or serialized, and no
-  // follower is called, under it.
-  mutable Mutex mutex_;
-  const size_t capacity_;  // immutable after construction
-  // Front = most recently used. The index maps key -> list node.
-  std::list<Entry> lru_ BFPP_GUARDED_BY(mutex_);
-  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_
-      BFPP_GUARDED_BY(mutex_);
-  // Single-flight table: key -> the in-flight computation followers wait
-  // on. Entries live from probe_or_lead() (leader appointment) until
-  // publish()/abandon().
-  std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_
-      BFPP_GUARDED_BY(mutex_);
-  Stats counters_ BFPP_GUARDED_BY(mutex_);
-};
-
-// The canonical cache identity of one executed cell: model, cluster
-// (including its resized node count), the exact parallel configuration
-// (or the search method + batch for search cells), the backend and the
-// kernel-model override. Deliberately excluded: the scenario *label*
-// (purely cosmetic) and the thread budget (results are deterministic
-// across thread counts by the sweep contract).
-std::string cache_key(const Scenario& scenario,
-                      const std::optional<autotune::Method>& method,
-                      const RunOptions& options);
 
 // The single source of truth for server configuration: the CLI parses
 // its serve flags directly into one of these (cli.h holds a ServeOptions
@@ -352,8 +118,9 @@ struct ServeStats {
     uint64_t executing = 0;
   };
   // Service-time histogram over every answered request, microseconds:
-  // parse to response built, whether the event loop answered it or a
-  // Job computed it (a Job's wait for pool drivers included).
+  // from answer() taking the line to its response built, whether the
+  // event loop answered it or a Job computed it (a Job's wait for a pool
+  // thread and for its drivers included).
   // buckets[i] counts requests in [2^i, 2^(i+1)) us (bucket 0 is
   // [0, 2)); the percentiles are bucket-upper-bound estimates derived
   // from the histogram.
@@ -387,14 +154,9 @@ struct ServeStats {
 
 class Server {
  public:
-  // The most cells one sweep may name (the product of its axis lengths).
-  // Checked before the sweep's cells are walked, so a short line cannot
-  // make the server build billions of cells; the largest built-in
-  // compare grid has 36.
-  static constexpr size_t kMaxCellsPerRequest = 4096;
-
-  explicit Server(ServeOptions options = {});
-  ~Server();
+  explicit Server(ServeOptions options = {})
+      : options_(std::move(options)),
+        cache_(options_.cache_capacity, options_.cache_file) {}
 
   // The transport-independent core: handles one request line and returns
   // the complete, newline-terminated response (one JSON line, plus
@@ -428,13 +190,11 @@ class Server {
   // requests, flushes every response and compacts the cache file.
   void request_shutdown();
 
-  // Compacts options.cache_file now: rewrites it as one snapshot of the
-  // cache (atomic temp + rename) and restarts the journal after it.
-  // Returns false when no cache file is configured or the save failed.
-  // Both serve loops call this on shutdown; exposed so embedders and
-  // tests can snapshot explicitly. Inserted cells never wait for it:
-  // publish() journals each one as it is computed.
-  bool persist_cache() BFPP_EXCLUDES(journal_mutex_);
+  // ReportCache::compact() on the server's cache: both serve loops call
+  // it on shutdown; exposed so embedders and tests can snapshot
+  // explicitly. Inserted cells never wait for it: the cache journals
+  // each one as it is published.
+  bool persist_cache() { return cache_.compact(); }
 
   [[nodiscard]] bool shutdown_requested() const { return shutdown_; }
   [[nodiscard]] ReportCache::Stats cache_stats() const {
@@ -446,53 +206,16 @@ class Server {
   [[nodiscard]] ReportCache& cache() { return cache_; }
 
  private:
-  // One cell of a request, built and keyed by the parse step. A sweep
-  // cell whose scenario fails to build carries its [config] row instead
-  // (run/search scenarios are validated eagerly: an invalid one fails
-  // the whole request).
-  struct Cell {
-    std::optional<Scenario> built;  // nullopt: the build failed
-    std::optional<autotune::Method> method;
-    // The row's label when it is not the scenario's name ("serve" for a
-    // run or search); empty for a sweep or compare cell, whose label is
-    // its scenario's name.
-    std::string label;
-    std::string key;               // cache_key(); empty when unbuilt
-    std::optional<Report> failed;  // the row of a cell that did not build
-  };
-
-  // A request line after the parse step. Scenario requests carry their
-  // cells; a request that must compute becomes a Job as is, so nothing
-  // is parsed, built or keyed twice.
-  struct Request {
-    std::string id_echo;  // compact JSON to echo back ("" = no id)
-    std::string type;     // run | search | sweep | compare | stats |
-                          // metrics | list | ping | shutdown
-    RowFormat format = RowFormat::kJson;
-    std::string list_what = "all";  // list: models|clusters|scenarios|all
-    RunOptions run;
-    int jobs = 0;
-    std::vector<Cell> cells;
-    // Service time spent before its Job started: the parse and cache
-    // steps.
-    std::chrono::steady_clock::duration answered_in{};
-  };
-
   // answer() is the first step of every request, shared by handle() and
   // the event loop: it counts the line as a request, parses it and
   // answers it when nothing needs computing (see answer_from_cache); it
   // returns nullopt once `response` holds the answer (empty for a blank
   // line), else the parsed request, which then runs as a Job. It never
   // throws: a failing request becomes its {"ok":false,...} line. Each
-  // answered request is timed into the service-time histogram exactly
-  // once, by answer() or by finish().
+  // answered request is timed from its Request::received into the
+  // service-time histogram exactly once, by answer() or by finish().
   std::optional<Request> answer(const std::string& line,
                                 std::string& response);
-
-  // Parse step: the line to a Request, every cell built and keyed (a
-  // sweep's straight from SweepBuilder::walk). Throws bfpp::Error on a
-  // malformed request (req.id_echo is set as soon as the id is known).
-  void parse(const std::string& line, Request& req) const;
 
   // The answer from cache: fills `response` (empty on entry; a hit is
   // appended to it, so its capacity is reused) and returns true for a
@@ -505,12 +228,6 @@ class Server {
 
   // Counts one answered request in the service-time histogram.
   void record_service(std::chrono::steady_clock::duration elapsed);
-
-  // Leader-side completion of one computed cell: ReportCache::publish,
-  // plus the journal append when the cache is durable. Followers are
-  // called after every lock is released.
-  void publish(const std::string& key, const Report& report)
-      BFPP_EXCLUDES(journal_mutex_);
 
   // One request's cells on their way through the cache and the shared
   // pool (defined in server.cpp). Nothing waits on a Job: each cell it
@@ -552,8 +269,8 @@ class Server {
   // the event-loop thread alone: a Job sees only its request, so no Conn
   // state is shared and none of it needs a lock.
   struct Conn {
-    explicit Conn(net::Stream&& s);
-    ~Conn();
+    explicit Conn(net::Stream&& s)
+        : stream(std::make_unique<net::Stream>(std::move(s))) {}
     std::unique_ptr<net::Stream> stream;  // fd + read buffer
     std::deque<std::string> input;  // read, not yet answered lines
     std::string outbox;             // response bytes queued for the socket
@@ -611,22 +328,6 @@ class Server {
     std::atomic<uint64_t> latency_buckets[ServeStats::kLatencyBuckets] = {};
   };
   Metrics metrics_;
-
-  // ---- The cache journal (--cache-file with a nonzero capacity) ----
-  //
-  // journal_mutex_ guards the append handle on options.cache_file and
-  // the count of lines appended since the last compaction. An append
-  // and the publish() it records happen under it together, and so does
-  // a compaction, so no cell can fall between a snapshot and the file
-  // that replaces it. Lock order: journal_mutex_ is taken *before* the
-  // cache mutex (publish() and save() lock it internally).
-  [[nodiscard]] bool journaled() const {
-    return !options_.cache_file.empty() && options_.cache_capacity > 0;
-  }
-  bool compact_locked() BFPP_REQUIRES(journal_mutex_);
-  Mutex journal_mutex_;
-  std::FILE* journal_ BFPP_GUARDED_BY(journal_mutex_) = nullptr;
-  size_t journal_lines_ BFPP_GUARDED_BY(journal_mutex_) = 0;
 };
 
 }  // namespace bfpp::api

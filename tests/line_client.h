@@ -1,7 +1,8 @@
-// A blocking loopback client for the `bfpp serve` line protocol, shared
-// by test_golden.cpp and test_server.cpp. The server's own net::Stream
-// is non-blocking and driven by its poll() loop; a test client just
-// wants to send a request and wait for its lines.
+// A blocking loopback client for the `bfpp serve` line protocol, and a
+// guard that runs the server's event loop on its own thread, shared by
+// test_golden.cpp and test_server.cpp. The server's own net::Stream is
+// non-blocking and driven by its poll() loop; a test client just wants
+// to send a request and wait for its lines.
 #pragma once
 
 #include <arpa/inet.h>
@@ -10,12 +11,17 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
+
+#include "api/server.h"
+#include "common/socket.h"
 
 namespace bfpp::test_util {
 
@@ -103,6 +109,39 @@ class LineClient {
  private:
   int fd_ = -1;
   std::string buffer_;  // bytes read past the last returned line
+};
+
+// Runs server.serve_on(listener) on its own thread. The destructor asks
+// the server to shut down and joins, so a test that returns early - a
+// failed ASSERT_* - leaves no joinable std::thread behind to terminate
+// the test binary.
+class ServeThread {
+ public:
+  ServeThread(api::Server& server, net::Listener& listener)
+      : server_(server), thread_([this, &listener] {
+          exit_code_ = server_.serve_on(listener);
+          returned_ = true;
+        }) {}
+  ~ServeThread() {
+    server_.request_shutdown();
+    (void)join();
+  }
+  ServeThread(const ServeThread&) = delete;
+  ServeThread& operator=(const ServeThread&) = delete;
+
+  // Waits for serve_on to return and returns its exit code.
+  int join() {
+    if (thread_.joinable()) thread_.join();
+    return exit_code_;
+  }
+  // Whether serve_on has returned.
+  [[nodiscard]] bool returned() const { return returned_; }
+
+ private:
+  api::Server& server_;
+  std::atomic<int> exit_code_{-1};
+  std::atomic<bool> returned_{false};
+  std::thread thread_;  // last: it starts once the fields above exist
 };
 
 }  // namespace bfpp::test_util

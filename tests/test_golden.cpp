@@ -178,7 +178,7 @@ TEST(Golden, ServeResponsesAreByteStableOverTcpComputedAndCached) {
     GTEST_SKIP() << e.what();
   }
   Server server;
-  std::thread serve_thread([&] { EXPECT_EQ(server.serve_on(*listener), 0); });
+  test_util::ServeThread serving(server, *listener);
   test_util::LineClient client(listener->port());
   ASSERT_TRUE(client.connected());
 
@@ -200,7 +200,7 @@ TEST(Golden, ServeResponsesAreByteStableOverTcpComputedAndCached) {
   ASSERT_TRUE(client.send("{\"type\":\"shutdown\"}\n"));
   std::string bye;
   ASSERT_TRUE(client.read_line(bye));
-  serve_thread.join();
+  EXPECT_EQ(serving.join(), 0);
 }
 
 }  // namespace
